@@ -20,6 +20,7 @@ survive for k >= 4.
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import mpmath as mp
@@ -89,6 +90,12 @@ class CenterTable:
                         beta[(s, j)] = sign * W ** (j - 2) * base
         return cls(n=p.n, k=p.k, dps=dps, w=tuple(w), b=tuple(b), beta=beta)
 
+    @cached_property
+    def floor(self):
+        """Default chart-inversion floor 10^-(dps-8) (see plane_to_chart)."""
+        with mp.workdps(self.dps):
+            return mp.mpf(10) ** (-(self.dps - 8))
+
     def tampered(self, s, j, value):
         """Copy with one center overridden; negative-control hook for the
         verification suite."""
@@ -147,12 +154,15 @@ def plane_to_chart(table, cid, P, floor=None):
     trip it.
     """
     if floor is None:
-        floor = mp.mpf(10) ** (-(table.dps - 8))
+        floor = table.floor
     x0, x1, x2 = P
 
-    def div(a, b):
+    def check(b):
         if abs(value(b)) < floor:
             raise ChartDomainError(f"division by {value(b)} in chart {cid}")
+
+    def div(a, b):
+        check(b)
         return a / b
 
     if cid.kind == "affine":
@@ -173,9 +183,12 @@ def plane_to_chart(table, cid, P, floor=None):
         t1, e1 = t, div(along - table.w[s - 1], t)
     if j == 1:
         return ChartPoint(e1, t1)
+    # every level divides by the same x: one reciprocal, then products
     xi, x = t1, e1
+    check(x)
+    xinv = 1 / x
     for m in range(1, j):
-        xi = div(xi - table.beta[(s, m)], x)
+        xi = (xi - table.beta[(s, m)]) * xinv
     return ChartPoint(xi, x)
 
 

@@ -64,19 +64,24 @@ def _params_from(args, require=True):
             p = MapParams.load(args.params)
         except (OSError, KeyError, ValueError) as exc:
             raise ParamError(f"cannot read parameter file: {exc}") from exc
-        # flags override file values
-        if args.n or args.k or args.c_j or args.a:
-            d = p.to_json_dict()
-            if args.n:
-                d["n"] = args.n
-            if args.k:
-                d["k"] = args.k
-            if args.c_j:
-                d["c"] = {"j": args.c_j, "sign": args.c_sign or "+"}
-            if args.a:
-                d["a"] = _parse_a(args.a)
-            if args.delta:
-                d["delta"] = _parse_delta(args.delta)
+        # each flag that is given overrides its file value
+        original = p.to_json_dict()
+        d = dict(original)
+        if args.n is not None:
+            d["n"] = args.n
+        if args.k is not None:
+            d["k"] = args.k
+        if args.c_j is not None or args.c_sign:
+            c = d["c"] if isinstance(d["c"], dict) else {}
+            if args.c_j is None and not c:
+                raise ParamError("--c-sign needs --c-j when the file gives c as a number")
+            d["c"] = {"j": c["j"] if args.c_j is None else args.c_j,
+                      "sign": args.c_sign or c.get("sign", "+")}
+        if args.a:
+            d["a"] = _parse_a(args.a)
+        if args.delta:
+            d["delta"] = _parse_delta(args.delta)
+        if d != original:
             p = MapParams.from_json_dict(d)
         return p
     if args.n is None or args.k is None:

@@ -9,7 +9,14 @@ import mpmath as mp
 
 
 class Dual2:
-    """a + dx*e1 + dy*e2 with e1^2 = e2^2 = e1*e2 = 0."""
+    """a + dx*e1 + dy*e2 with e1^2 = e2^2 = e1*e2 = 0.
+
+    A scalar operand costs one component operation per component, a Dual2
+    operand the full product rule.  Keep the Dual2 on the left of a mixed
+    product (``jet * c``, not ``c * jet``): with an mpmath scalar on the
+    left, mpmath first tries and fails to convert the jet -- building its
+    repr for the error message -- before Python falls back to ``__rmul__``.
+    """
 
     __slots__ = ("a", "dx", "dy")
 
@@ -18,52 +25,55 @@ class Dual2:
         self.dx = dx
         self.dy = dy
 
-    @staticmethod
-    def lift(x):
-        return x if isinstance(x, Dual2) else Dual2(x)
-
     def __add__(self, o):
-        o = Dual2.lift(o)
-        return Dual2(self.a + o.a, self.dx + o.dx, self.dy + o.dy)
+        if isinstance(o, Dual2):
+            return Dual2(self.a + o.a, self.dx + o.dx, self.dy + o.dy)
+        return Dual2(self.a + o, self.dx, self.dy)
 
     __radd__ = __add__
 
     def __sub__(self, o):
-        o = Dual2.lift(o)
-        return Dual2(self.a - o.a, self.dx - o.dx, self.dy - o.dy)
+        if isinstance(o, Dual2):
+            return Dual2(self.a - o.a, self.dx - o.dx, self.dy - o.dy)
+        return Dual2(self.a - o, self.dx, self.dy)
 
     def __rsub__(self, o):
-        return Dual2.lift(o) - self
+        return Dual2(o - self.a, -self.dx, -self.dy)
 
     def __mul__(self, o):
-        o = Dual2.lift(o)
-        return Dual2(self.a * o.a,
-                     self.a * o.dx + self.dx * o.a,
-                     self.a * o.dy + self.dy * o.a)
+        if isinstance(o, Dual2):
+            a, oa = self.a, o.a
+            return Dual2(a * oa, a * o.dx + self.dx * oa, a * o.dy + self.dy * oa)
+        return Dual2(self.a * o, self.dx * o, self.dy * o)
 
     __rmul__ = __mul__
 
     def __truediv__(self, o):
-        o = Dual2.lift(o)
+        if not isinstance(o, Dual2):
+            return Dual2(self.a / o, self.dx / o, self.dy / o)
         inv = 1 / o.a
-        inv2 = inv * inv
-        return Dual2(self.a * inv,
-                     (self.dx * o.a - self.a * o.dx) * inv2,
-                     (self.dy * o.a - self.a * o.dy) * inv2)
+        q = self.a * inv
+        return Dual2(q, (self.dx - q * o.dx) * inv, (self.dy - q * o.dy) * inv)
 
     def __rtruediv__(self, o):
-        return Dual2.lift(o) / self
+        inv = 1 / self.a
+        q = o * inv
+        r = -q * inv
+        return Dual2(q, r * self.dx, r * self.dy)
 
     def __pow__(self, m):
         if not isinstance(m, int) or m < 0:
             raise TypeError("only nonnegative integer powers")
-        out = Dual2(self.a * 0 + 1)
+        if m == 0:
+            return Dual2(self.a * 0 + 1)
+        out = None
         base = self
         while m:
             if m & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             m >>= 1
+            if m:
+                base = base * base
         return out
 
     def __neg__(self):

@@ -12,14 +12,17 @@ of an iterated blowup of the plane; the blowup data is modelled in
 
 Evaluation routines are generic over the scalar type: python complex,
 mpmath numbers and Dual2 jets all work, since only field operations are
-used.  c is kept symbolic (j, n, sign) when given as a pair and evaluated
-lazily at whatever working precision is requested.
+used.  c is kept symbolic (j, n, sign) when given as a pair.  Its mpmath
+value, -delta, the a_l and the indeterminacy floor are computed once per
+(params, dps) and cached on the params (:meth:`MapParams.coeffs`), so the
+hot kernels never re-evaluate a cosine at working precision.
 """
 
 import json
 import math
 from dataclasses import dataclass, field
 from math import gcd
+from typing import NamedTuple
 
 import mpmath as mp
 
@@ -81,13 +84,23 @@ def admissible_c(n, tol=DEFAULT_TOL):
     return out
 
 
+class MapCoeffs(NamedTuple):
+    """The coefficients the map kernels use, at one working precision."""
+
+    c: object
+    neg_delta: object
+    a: tuple            # (l, a_l) pairs, ascending l
+    floor: float        # indeterminacy floor 10^-(dps-8); None for dps=None
+
+
 @dataclass(frozen=True)
 class MapParams:
     """One member of the family: (n, k, c, a-coefficients, delta).
 
     c_spec is either a (j, sign) pair meaning c = sign*2*cos(j*pi/n),
-    stored symbolically and evaluated lazily, or an explicit scalar (the
-    jacobian-root variant with user-supplied c).
+    stored symbolically and evaluated once per working precision (see
+    :meth:`coeffs`), or an explicit scalar (the jacobian-root variant with
+    user-supplied c).
     """
 
     n: int
@@ -96,6 +109,7 @@ class MapParams:
     a: dict = field(default_factory=dict)
     delta: complex = 1
     validate: bool = True
+    _coeffs: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n < 2:
@@ -124,20 +138,39 @@ class MapParams:
     def c(self, dps=None):
         """The rotation parameter c at the requested precision.
 
-        With dps=None a float is returned; otherwise an mpmath value
-        computed fresh at that precision (symbolic specs never freeze a
-        low-precision constant).
+        With dps=None a float is returned; otherwise the mpmath value from
+        the per-dps cache of :meth:`coeffs` (symbolic specs never freeze a
+        low-precision constant: each dps gets its own value).
         """
+        if dps is not None:
+            return self.coeffs(dps).c
         if isinstance(self.c_spec, tuple):
             j, sign = self.c_spec
+            return sign * 2.0 * math.cos(math.pi * j / self.n)
+        return self.c_spec
+
+    def coeffs(self, dps=None):
+        """c, -delta, the a_l and the indeterminacy floor at precision dps.
+
+        Computed on the first request for each dps and cached on the
+        params.  With dps=None the python scalars, and no floor.
+        """
+        got = self._coeffs.get(dps)
+        if got is None:
             if dps is None:
-                return sign * 2.0 * math.cos(math.pi * j / self.n)
-            with mp.workdps(dps):
-                return sign * 2 * mp.cos(mp.pi * j / self.n)
-        if dps is None:
-            return self.c_spec
-        with mp.workdps(dps):
-            return mp.mpmathify(self.c_spec)
+                got = MapCoeffs(self.c(), -self.delta, tuple(sorted(self.a.items())), None)
+            else:
+                with mp.workdps(dps):
+                    if isinstance(self.c_spec, tuple):
+                        j, sign = self.c_spec
+                        c = sign * 2 * mp.cos(mp.pi * j / self.n)
+                    else:
+                        c = mp.mpmathify(self.c_spec)
+                    got = MapCoeffs(c, -mp.mpmathify(self.delta),
+                                    tuple((l, mp.mpmathify(v)) for l, v in sorted(self.a.items())),
+                                    float(mp.mpf(10) ** (-(dps - 8))))
+            self._coeffs[dps] = got
+        return got
 
     def a_coeff(self, l, dps=None):
         v = self.a.get(l, 0)
@@ -240,18 +273,15 @@ def eval_f_inverse(p, pt, tol=DEFAULT_TOL, dps=None):
 
 def proj_normalize(P):
     """Scale homogeneous coordinates so the max-modulus entry has modulus 1."""
-    m = max(abs(z) for z in P)
-    try:
-        mval = float(m)
-    except TypeError:
-        mval = float(value(m))
-    if mval == 0.0:
+    return _divide_by_largest(P, [abs(value(z)) for z in P])
+
+
+def _divide_by_largest(P, mods):
+    """proj_normalize with the moduli of the entries already computed."""
+    m = max(mods)
+    if float(m) == 0.0:
         raise IndeterminacyError("zero projective vector")
-    sel = None
-    for z in P:
-        if abs(z) == m:
-            sel = z
-            break
+    sel = P[mods.index(m)]
     return tuple(z / sel for z in P)
 
 
@@ -272,24 +302,34 @@ def eval_f_proj(p, P, tol=DEFAULT_TOL, dps=None):
     """
     x0, x1, x2 = P
     k = p.k
-    c = p.c(dps)
-    d = p.delta_value(dps)
-    y0 = x0 * x2 ** k
-    y1 = x2 ** (k + 1)
-    terms = [x1 * x2 ** k * (-d), x2 ** (k + 1) * c, x0 ** (k + 1)]
-    for l in sorted(p.a):
-        terms.append(p.a_coeff(l, dps) * x0 ** (l + 1) * x2 ** (k - l))
+    c, neg_d, a, floor = p.coeffs(dps)
+    # k and every l are even, so the form needs x2 only at even powers and
+    # k+1, and x0 only at odd powers: build each once.  Scalars go on the
+    # right of every product, where a Dual2 jet takes them cheaply.
+    sq = x2 * x2
+    x2p = {2: sq}
+    for m in range(4, k + 1, 2):
+        x2p[m] = x2p[m - 2] * sq
+    sq = x0 * x0
+    x0p = {1: x0}
+    for m in range(3, k + 2, 2):
+        x0p[m] = x0p[m - 2] * sq
+    y0 = x0 * x2p[k]
+    y1 = x2p[k] * x2
+    terms = [x1 * x2p[k] * neg_d, y1 * c, x0p[k + 1]]
+    for l, al in a:
+        terms.append(x0p[l + 1] * x2p[k - l] * al)
     y2 = terms[0]
     for t in terms[1:]:
         y2 = y2 + t
     img = (y0, y1, y2)
     # indeterminate iff the image cancels to the noise floor of the largest
     # intermediate term (smallness alone is legitimate deep in the tower)
-    term_scale = max(abs(value(z)) for z in (y0, y1, *terms))
-    floor = tol if dps is None else float(mp.mpf(10) ** (-(dps - 8)))
-    if max(abs(value(z)) for z in img) <= floor * float(term_scale):
+    mods = [abs(value(z)) for z in img]
+    term_scale = max(mods[0], mods[1], *(abs(value(t)) for t in terms))
+    if max(mods) <= (tol if floor is None else floor) * float(term_scale):
         raise IndeterminacyError("projective image vanishes: input at the indeterminacy point")
-    return proj_normalize(img)
+    return _divide_by_largest(img, mods)
 
 
 def affine_to_proj(pt):

@@ -3,9 +3,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from surfauto.cli import main
+from surfauto.cli import _params_from, build_parser, main
 
-PRESET = Path(__file__).resolve().parents[1] / "src" / "surfauto" / "presets" / "figure1.json"
+PRESET = Path(__file__).resolve().parents[1] / "demos" / "figure1.json"
 
 
 def run_cli(args, capsys):
@@ -149,3 +149,26 @@ def test_orbit_default_seeds(capsys, tmp_path):
                           "--out", str(tmp_path)], capsys)
     assert rc == 0
     assert (tmp_path / "orbits.csv").exists()
+
+
+def test_params_file_c_sign_override(capsys, tmp_path):
+    # c = -2cos(pi/3) = -1 is not admissible for n = 3: the flag must reach MapParams
+    path = tmp_path / "n3k4.json"
+    path.write_text(json.dumps({"n": 3, "k": 4, "c": {"j": 1, "sign": "+"},
+                                "a": {"2": [0.4, 0.0]}, "delta": [1.0, 0.0]}))
+    rc, _, err = run_cli(["fixed-points", "--params", str(path), "--c-sign", "-"], capsys)
+    assert rc == 2
+    assert "not admissible" in err
+
+
+def test_params_file_single_flag_overrides():
+    def params(*flags):
+        return _params_from(build_parser().parse_args(["fixed-points", "--params", str(PRESET),
+                                                       *flags]))
+
+    assert params().delta == 1
+    assert params("--delta", "0.5").delta == 0.5
+    p = params("--k", "6")
+    assert (p.n, p.k, p.c_spec, p.a) == (2, 6, (1, 1), {2: -2.64})
+    assert params("--c-j", "1", "--c-sign", "-").c_spec == (1, -1)
+    assert params("--a", "2=-1.5").a == {2: -1.5}
