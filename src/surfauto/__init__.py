@@ -8,6 +8,7 @@ plane dynamics (fixed points, orbits, invariant manifolds).
 from .errors import (
     ChartDomainError,
     DegenerateError,
+    ExactIdentityError,
     ExtrapolationError,
     IndeterminacyError,
     NotSaddleError,
@@ -57,10 +58,11 @@ from .picard import (
     entropy,
     gamma_closed_form,
     minimality_report,
-    project_to_T,
+    pushforward_char_poly,
     pushforward_matrix,
     restricted_action,
     spectral_radius,
+    t_space,
 )
 from .reflections import (
     coxeter_factorization_check,

@@ -16,11 +16,10 @@ from .dynamics import fixed_points, iterate_orbit, unstable_manifold
 from .errors import ParamError, SurfautoError
 from .mapfamily import MapParams, admissible_c
 from .picard import (
-    char_poly,
     char_poly_factor_check,
     chi_poly,
     degree_sequence,
-    pushforward_matrix,
+    pushforward_char_poly,
     spectral_radius,
 )
 from .reflections import coxeter_factorization_check, reversibility_check, weyl_factorization_check
@@ -122,9 +121,8 @@ def cmd_spectrum(args):
     except ParamError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    M = pushforward_matrix(n, k)
-    cp = char_poly(M)
-    divides, cofactor, worst = char_poly_factor_check(n, k, cp)
+    cp = pushforward_char_poly(n, k)
+    divides, cofactor, worst = char_poly_factor_check(n, k)
     payload = {
         "n": n, "k": k,
         "entropy_polynomial": _poly_str(chi),

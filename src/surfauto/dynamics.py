@@ -187,8 +187,10 @@ def iterate_orbit(p, pt0, m, pole_tol=1e-12):
     if real:
         c = float(complex(c).real)
         a_items = [(l, float(complex(v).real)) for l, v in sorted(p.a.items())]
+        neg_delta = -1.0          # real data require delta == 1
     else:
         a_items = [(l, complex(v)) for l, v in sorted(p.a.items())]
+        neg_delta = -complex(p.delta)
     pts = [(x, y)]
     status = "completed"
     for _ in range(m):
@@ -196,7 +198,7 @@ def iterate_orbit(p, pt0, m, pole_tol=1e-12):
             status = "pole"
             break
         yinv = 1.0 / y
-        nxt = -x + c * y + yinv ** p.k
+        nxt = neg_delta * x + c * y + yinv ** p.k
         for l, al in a_items:
             nxt += al * yinv ** l
         x, y = y, nxt

@@ -39,3 +39,7 @@ class DegenerateError(SurfautoError):
 
 class NotSaddleError(SurfautoError):
     """Manifold tracing requires a saddle fixed point."""
+
+
+class ExactIdentityError(SurfautoError):
+    """An exact identity of the lattice model does not hold."""

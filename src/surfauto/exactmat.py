@@ -5,7 +5,12 @@ Matrices are lists of row lists.  Polynomials are coefficient lists in
 descending degree order with integer entries unless noted.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
+
+from .errors import ExactIdentityError
 
 
 def identity(d):
@@ -17,14 +22,22 @@ def transpose(A):
 
 
 def mat_mul(A, B):
-    m, inner, p = len(A), len(B), len(B[0])
-    Bt = list(zip(*B))
-    return [[sum(A[i][t] * Bt[j][t] for t in range(inner)) for j in range(p)]
-            for i in range(m)]
+    """Exact product.  Zero entries of A are skipped: each row accumulates
+    a * B[t] over the nonzero a = A[i][t] only, so permutation and
+    reflection factors cost little."""
+    p = len(B[0])
+    out = []
+    for row in A:
+        acc = [0] * p
+        for a, b in zip(row, B):
+            if a:
+                acc = [u + a * v for u, v in zip(acc, b)]
+        out.append(acc)
+    return out
 
 
 def mat_vec(A, v):
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in A]
+    return [sum(map(mul, row, v)) for row in A]
 
 
 def mat_pow(A, m):
@@ -40,7 +53,8 @@ def mat_pow(A, m):
 
 
 def mat_eq(A, B):
-    return all(ra == rb for ra, rb in zip(A, B))
+    """Entrywise equality of values; rows may be lists or tuples."""
+    return len(A) == len(B) and all(list(ra) == list(rb) for ra, rb in zip(A, B))
 
 
 def det_bareiss(A):
@@ -66,10 +80,6 @@ def det_bareiss(A):
     return sign * M[n - 1][n - 1]
 
 
-def leading_principal_minors(A):
-    return [det_bareiss([row[:m] for row in A[:m]]) for m in range(1, len(A) + 1)]
-
-
 def charpoly(A):
     """Characteristic polynomial det(xI - A), descending coefficients.
 
@@ -84,7 +94,7 @@ def charpoly(A):
         t = [1, -A[i - 1][i - 1]]
         v = S[:]
         for _ in range(2, i + 1):
-            t.append(-sum(R[a] * v[a] for a in range(i - 1)))
+            t.append(-sum(map(mul, R, v)))
             v = mat_vec(Mi, v) if Mi else []
         Cn = [0] * (i + 1)
         for m in range(i + 1):
@@ -187,7 +197,8 @@ def poly_squarefree_part(coeffs):
         for i in range(len(den)):
             num[i] -= c * den[i]
         num.pop(0)
-    assert not any(num), "square-free division must be exact"
+    if any(num):
+        raise ExactIdentityError("square-free division must be exact")
     d = 1
     for x in q:
         d = d * x.denominator // igcd(d, x.denominator)
@@ -220,7 +231,97 @@ def frac_solve(A, rhs_cols):
     return [[M[i][d + c] for i in range(d)] for c in range(m)]
 
 
-def frac_inv(A):
+def unit_lower_columns(columns):
+    """Sparse form of a unit lower-triangular integer matrix given by its
+    columns: for column j, the nonzero (i, A[i][j]) with i > j.
+
+    Raises ExactIdentityError unless every diagonal entry is 1 and every
+    entry above the diagonal is 0."""
+    out = []
+    for j, col in enumerate(columns):
+        if col[j] != 1 or any(col[:j]):
+            raise ExactIdentityError(f"column {j} is not unit lower-triangular")
+        out.append(tuple((i, a) for i, a in enumerate(col) if i > j and a))
+    return tuple(out)
+
+
+def forward_substitute(lower, b):
+    """Solve A x = b for the unit lower-triangular A in the form returned by
+    unit_lower_columns.  No division: integer data stay integers."""
+    x = list(b)
+    for j, col in enumerate(lower):
+        xj = x[j]
+        if xj:
+            for i, a in col:
+                x[i] -= a * xj
+    return x
+
+
+@dataclass(frozen=True)
+class LDL:
+    """Exact A = L D L^T of a symmetric matrix, in the given order, without
+    pivoting.
+
+    ``lower[j]`` holds the nonzero (i, L[i][j]) with i > j and ``pivots``
+    the diagonal of D.  A zero pivot stops the factorization: it is kept as
+    the last pivot, and ``lower`` is then shorter than ``size``."""
+
+    size: int
+    lower: tuple
+    pivots: tuple
+
+    @property
+    def complete(self):
+        """Every pivot is nonzero, so A is invertible and solve() works."""
+        return len(self.lower) == self.size
+
+    def leading_minors(self):
+        """The leading principal minors of A, as prefix products of the
+        pivots, up to the first zero one."""
+        return [int(m) for m in accumulate(self.pivots, mul)]
+
+    def solve(self, b):
+        """The exact solution x of A x = b, as Fractions."""
+        if not self.complete:
+            raise ZeroDivisionError("singular matrix")
+        x = [Fraction(v) for v in b]
+        for j, col in enumerate(self.lower):
+            xj = x[j]
+            if xj:
+                for i, l in col:
+                    x[i] -= l * xj
+        for j, p in enumerate(self.pivots):
+            x[j] /= p
+        for j in range(self.size - 1, -1, -1):
+            for i, l in self.lower[j]:
+                x[j] -= l * x[i]
+        return x
+
+
+def ldl(A):
+    """Exact LDL^T of a symmetric integer or rational matrix (see LDL).
+
+    Right-looking elimination on sparse columns: zero entries are neither
+    stored nor visited, so a sparse A with little fill-in factors cheaply."""
     d = len(A)
-    cols = frac_solve(A, [[1 if i == j else 0 for i in range(d)] for j in range(d)])
-    return transpose(cols)
+    below = [{i: Fraction(A[i][j]) for i in range(j + 1, d) if A[i][j]} for j in range(d)]
+    diag = [Fraction(A[j][j]) for j in range(d)]
+    lower, pivots = [], []
+    for j in range(d):
+        p = diag[j]
+        pivots.append(p)
+        if p == 0:
+            break
+        col = sorted(below[j].items())
+        lower.append(tuple((i, a / p) for i, a in col))
+        for t, (i, a) in enumerate(col):
+            f = a / p
+            diag[i] -= f * a
+            rest = below[i]
+            for r, b in col[t + 1:]:
+                v = rest.get(r, 0) - f * b
+                if v:
+                    rest[r] = v
+                else:
+                    rest.pop(r, None)
+    return LDL(size=d, lower=tuple(lower), pivots=tuple(pivots))

@@ -3,14 +3,22 @@
 Basis ordering everywhere: e_0 first, then limbs s = 0..n-1, within a limb
 levels j = 1..2k+1.  All arithmetic in this module is exact (python ints
 and Fractions); floating point appears only in root solving.
+
+The exact objects of one (n, k) -- the lattice, the pushforward, its
+characteristic polynomial, the LDL^T factor of the S Gram and the TSpace --
+are built once per process and shared.  Shared objects hold tuples only;
+PicardLattice.build and pushforward_matrix hand out copies that callers may
+change.
 """
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from types import MappingProxyType
 
 from . import exactmat as xm
-from .errors import DegenerateError, ParamError
+from .errors import DegenerateError, ExactIdentityError, ParamError
 from .polyroots import aberth_roots, real_roots_int_poly
 
 
@@ -36,38 +44,10 @@ class PicardLattice:
 
     @classmethod
     def build(cls, n, k):
-        _check_nk(n, k)
-        dim = 1 + n * (2 * k + 1)
-
-        def e(s, j):
-            v = [0] * dim
-            v[cls._idx_static(n, k, s, j)] = 1
-            return v
-
-        strict = {}
-        sigma0 = [0] * dim
-        sigma0[0] = 1
-        for s in range(n):
-            sigma0[cls._idx_static(n, k, s, 1)] = -1
-        strict["sigma0"] = sigma0
-        for s in range(n):
-            v = e(s, 1)
-            for m in range(2, k + 2):
-                v[cls._idx_static(n, k, s, m)] = -1
-            strict[("F", s, 1)] = v
-            for j in range(2, 2 * k + 1):
-                v = e(s, j)
-                v[cls._idx_static(n, k, s, j + 1)] = -1
-                strict[("F", s, j)] = v
-            strict[("F", s, 2 * k + 1)] = e(s, 2 * k + 1)
-            lv = [0] * dim
-            lv[0] = 1
-            lv[cls._idx_static(n, k, s, 1)] = -1
-            lv[cls._idx_static(n, k, s, 2)] = -1
-            strict[("L", s)] = lv
-        s_keys = tuple(["sigma0"] + [("F", s, j) for s in range(n) for j in range(1, 2 * k + 1)])
-        return cls(n=n, k=k, dim=dim, qdiag=tuple([1] + [-1] * (dim - 1)),
-                   strict=strict, s_keys=s_keys)
+        """The (n, k) lattice.  Built once; each call returns a copy whose
+        strict vectors are fresh lists."""
+        lat = _lattice(n, k)
+        return replace(lat, strict={key: list(v) for key, v in lat.strict.items()})
 
     @staticmethod
     def _idx_static(n, k, s, j):
@@ -101,12 +81,24 @@ class PicardLattice:
     def limb_gram(self, s):
         return self.gram([self.strict[("F", s, j)] for j in range(1, 2 * self.k + 1)])
 
+    def s_gram_factor(self):
+        """Exact LDL^T of the S Gram of the (n, k) lattice as built."""
+        return _s_gram_ldl(self.n, self.k)
+
     def s_negative_definite(self):
-        """Exact test via leading principal minors: signs must alternate."""
-        minors = xm.leading_principal_minors(self.s_gram())
-        return all((m > 0) == (i % 2 == 1) and m != 0 for i, m in enumerate(minors))
+        """Exact test via leading principal minors, the prefix products of
+        the LDL^T pivots: signs must alternate.  A zero pivot means False."""
+        factor = self.s_gram_factor()
+        return factor.complete and \
+            all((m > 0) == (i % 2 == 1) for i, m in enumerate(factor.leading_minors()))
 
     def s_gram_det(self):
+        """Product of the LDL^T pivots; Bareiss elimination when a zero
+        pivot stopped the factor early."""
+        factor = self.s_gram_factor()
+        minors = factor.leading_minors()
+        if len(minors) == factor.size:
+            return minors[-1]
         return xm.det_bareiss(self.s_gram())
 
     def s_gram_det_formula(self):
@@ -131,8 +123,52 @@ class PicardLattice:
                 minus_k = [a + w * b for a, b in zip(minus_k, self.strict[("F", s, j)])]
         std = [3] + [-1] * (self.dim - 1)
         if minus_k != std:
-            raise AssertionError("canonical class expressions disagree")
+            raise ExactIdentityError("canonical class expressions disagree")
         return [-x for x in minus_k]
+
+
+@functools.cache
+def _lattice(n, k):
+    """The shared (n, k) lattice; its strict vectors are tuples."""
+    _check_nk(n, k)
+    dim = 1 + n * (2 * k + 1)
+    idx = PicardLattice._idx_static
+
+    def e(s, j):
+        v = [0] * dim
+        v[idx(n, k, s, j)] = 1
+        return v
+
+    strict = {}
+    sigma0 = [0] * dim
+    sigma0[0] = 1
+    for s in range(n):
+        sigma0[idx(n, k, s, 1)] = -1
+    strict["sigma0"] = sigma0
+    for s in range(n):
+        v = e(s, 1)
+        for m in range(2, k + 2):
+            v[idx(n, k, s, m)] = -1
+        strict[("F", s, 1)] = v
+        for j in range(2, 2 * k + 1):
+            v = e(s, j)
+            v[idx(n, k, s, j + 1)] = -1
+            strict[("F", s, j)] = v
+        strict[("F", s, 2 * k + 1)] = e(s, 2 * k + 1)
+        lv = [0] * dim
+        lv[0] = 1
+        lv[idx(n, k, s, 1)] = -1
+        lv[idx(n, k, s, 2)] = -1
+        strict[("L", s)] = lv
+    s_keys = tuple(["sigma0"] + [("F", s, j) for s in range(n) for j in range(1, 2 * k + 1)])
+    return PicardLattice(n=n, k=k, dim=dim, qdiag=tuple([1] + [-1] * (dim - 1)),
+                         strict=MappingProxyType({key: tuple(v) for key, v in strict.items()}),
+                         s_keys=s_keys)
+
+
+@functools.cache
+def _s_gram_ldl(n, k):
+    return xm.ldl(_lattice(n, k).s_gram())
 
 
 def build_lattice(n, k):
@@ -142,19 +178,27 @@ def build_lattice(n, k):
 # -- the induced lattice automorphism -----------------------------------------
 
 
-def pushforward_matrix(n, k=None):
-    """Matrix of the induced automorphism on the geometric basis.
+def _strict_order(n, k):
+    return ["sigma0"] + [("F", s, j) for s in range(n) for j in range(1, 2 * k + 2)]
 
-    Defined by the permutation of the invariant configuration (limb shift,
-    with the level flip j -> 2k+2-j on the return limb) plus the two
-    exceptional assignments: the class of {x2=0} goes to the top fiber of
-    limb 0 and the top fiber of the last limb goes to the class of {x1=0}.
-    Accepts (n, k) or a MapParams-like object.
-    """
-    if k is None:
-        n, k = n.n, n.k
-    lat = PicardLattice.build(n, k)
-    order = ["sigma0"] + [("F", s, j) for s in range(n) for j in range(1, 2 * k + 2)]
+
+@functools.cache
+def _strict_basis(n, k):
+    """The strict-transform basis in the order _strict_order, as columns of
+    a unit lower-triangular integer matrix (xm.unit_lower_columns)."""
+    lat = _lattice(n, k)
+    return xm.unit_lower_columns([lat.strict[key] for key in _strict_order(n, k)])
+
+
+def strict_coords(n, k, v):
+    """Coordinates of v in the strict-transform basis [sigma0, F(s, j)],
+    by forward substitution: exact, integer for integer v."""
+    return xm.forward_substitute(_strict_basis(n, k), v)
+
+
+@functools.cache
+def _pushforward(n, k):
+    lat = _lattice(n, k)
 
     def image(key):
         if key == "sigma0":
@@ -168,18 +212,23 @@ def pushforward_matrix(n, k=None):
             return lat.strict[("F", s + 1, j)]
         return lat.strict[("F", 0, 2 * k + 2 - j)]
 
-    B = xm.transpose([lat.strict[key] for key in order])
-    Bimg = xm.transpose([image(key) for key in order])
-    Binv = xm.frac_inv(B)
-    M = xm.mat_mul(Bimg, Binv)
-    out = []
-    for row in M:
-        r = []
-        for x in row:
-            assert x.denominator == 1, "change of basis must be unimodular"
-            r.append(int(x))
-        out.append(r)
-    return out
+    Bimg = xm.transpose([image(key) for key in _strict_order(n, k)])
+    Binv = xm.transpose([strict_coords(n, k, e) for e in xm.identity(lat.dim)])
+    return tuple(map(tuple, xm.mat_mul(Bimg, Binv)))
+
+
+def pushforward_matrix(n, k):
+    """Matrix of the induced automorphism on the geometric basis.
+
+    Defined by the permutation of the invariant configuration (limb shift,
+    with the level flip j -> 2k+2-j on the return limb) plus the two
+    exceptional assignments: the class of {x2=0} goes to the top fiber of
+    limb 0 and the top fiber of the last limb goes to the class of {x1=0}.
+    It is Bimg B^-1, where the strict-transform basis B is unit
+    lower-triangular, so B^-1 comes from integer forward substitution.
+    Built once per (n, k); each call returns a fresh list of lists.
+    """
+    return [list(row) for row in _pushforward(n, k)]
 
 
 def inverse_isometry(lat, M):
@@ -199,6 +248,12 @@ def char_poly(M):
     return xm.charpoly(M)
 
 
+@functools.cache
+def pushforward_char_poly(n, k):
+    """char_poly(pushforward_matrix(n, k)), computed once; a tuple."""
+    return tuple(char_poly(_pushforward(n, k)))
+
+
 def char_poly_factor_check(n, k, cp=None, tol=1e-9):
     """Divide out the entropy factor and check the cofactor roots sit on the
     unit circle; returns (divisible, cofactor, max | |root|-1 |).
@@ -206,7 +261,7 @@ def char_poly_factor_check(n, k, cp=None, tol=1e-9):
     The cofactor has repeated cyclotomic-type roots, which no direct root
     solver resolves to high accuracy, so the modulus test runs on its exact
     square-free part (same root set, all simple)."""
-    cp = cp or char_poly(pushforward_matrix(n, k))
+    cp = cp or pushforward_char_poly(n, k)
     chi = chi_poly(n, k)
     quo, rem = xm.poly_divmod(list(cp), chi)
     divides = all(r == 0 for r in rem)
@@ -218,22 +273,9 @@ def char_poly_factor_check(n, k, cp=None, tol=1e-9):
 
 
 def spectral_radius(n, k):
-    """Largest real root of the entropy polynomial, to 1e-12."""
-    roots = real_roots_int_poly(chi_poly(n, k))
-    lam = max(roots)
-    # Newton polish at higher internal precision via simple float iteration
-    coeffs = chi_poly(n, k)
-    dcoeffs = [coeffs[i] * (n - i) for i in range(n)]
-    for _ in range(30):
-        pv = xm.poly_eval(coeffs, lam)
-        dv = xm.poly_eval(dcoeffs, lam)
-        if dv == 0:
-            break
-        step = pv / dv
-        lam -= step
-        if abs(step) < 1e-14 * max(1.0, abs(lam)):
-            break
-    return lam
+    """Largest real root of the entropy polynomial, to 1e-12 (the roots come
+    Newton-polished from real_roots_int_poly)."""
+    return max(real_roots_int_poly(chi_poly(n, k)))
 
 
 def entropy(n, k):
@@ -242,8 +284,8 @@ def entropy(n, k):
 
 def degree_sequence(n, k, m):
     """d_i = (M^i e0) . e0 for i = 0..m, exact integers."""
-    lat = PicardLattice.build(n, k)
-    M = pushforward_matrix(n, k)
+    lat = _lattice(n, k)
+    M = _pushforward(n, k)
     v = lat.e0()
     out = []
     for _ in range(m + 1):
@@ -254,7 +296,7 @@ def degree_sequence(n, k, m):
 
 def degree_recurrence_residuals(n, k, m=40):
     """Check d against the linear recurrence with char_poly coefficients."""
-    cp = char_poly(pushforward_matrix(n, k))
+    cp = pushforward_char_poly(n, k)
     d = degree_sequence(n, k, m)
     deg = len(cp) - 1
     res = []
@@ -268,31 +310,38 @@ def degree_recurrence_residuals(n, k, m=40):
 
 class TSpace:
     """Exact orthogonal projection onto T = S-perp, with the gamma basis
-    (projections of the top fibers)."""
+    (projections of the top fibers).  Projections solve with the LDL^T
+    factor of the S Gram; t_space(n, k) is the shared instance."""
 
     def __init__(self, lat):
         self.lat = lat
-        self.s_vectors = [lat.strict[key] for key in lat.s_keys]
-        self.s_gram = lat.gram(self.s_vectors)
-        self.gammas = [self.project(lat.strict[("F", s, 2 * lat.k + 1)]) for s in range(lat.n)]
-        self.gamma_gram = [[self._ipf(a, b) for b in self.gammas] for a in self.gammas]
+        self.s_vectors = tuple(tuple(lat.strict[key]) for key in lat.s_keys)
+        self._s_support = tuple(tuple((i, x) for i, x in enumerate(u) if x)
+                                for u in self.s_vectors)
+        self.factor = lat.s_gram_factor()
+        self.gammas = tuple(tuple(self.project(lat.strict[("F", s, 2 * lat.k + 1)]))
+                            for s in range(lat.n))
+        self.gamma_gram = tuple(tuple(self._ipf(a, b) for b in self.gammas) for a in self.gammas)
 
     def _ipf(self, u, v):
-        return sum(Fraction(ui) * q * Fraction(vi) for ui, q, vi in zip(u, self.lat.qdiag, v))
+        """The form on rational vectors, as a Fraction."""
+        return Fraction(sum(ui * q * vi for ui, q, vi in zip(u, self.lat.qdiag, v) if ui and vi))
 
     def project(self, v):
-        rhs = [self.lat.ip(u, v) for u in self.s_vectors]
-        coef = xm.frac_solve(self.s_gram, [rhs])[0]
+        q = self.lat.qdiag
+        rhs = [sum(x * q[i] * v[i] for i, x in support) for support in self._s_support]
+        coef = self.factor.solve(rhs)
         out = [Fraction(x) for x in v]
-        for c, u in zip(coef, self.s_vectors):
+        for c, support in zip(coef, self._s_support):
             if c:
-                for i in range(self.lat.dim):
-                    out[i] -= c * u[i]
+                for i, x in support:
+                    out[i] -= c * x
         return out
 
-    def gamma_coords(self, v_or_proj, already_projected=False):
-        vt = v_or_proj if already_projected else self.project(v_or_proj)
-        rhs = [self._ipf(g, vt) for g in self.gammas]
+    def gamma_coords(self, v):
+        """Gamma-basis coordinates of the T-component of v.  Each gamma lies
+        in T, so it pairs with v as with that component: v is not projected."""
+        rhs = [self._ipf(g, v) for g in self.gammas]
         return xm.frac_solve(self.gamma_gram, [rhs])[0]
 
     def gram_proportionality(self):
@@ -317,38 +366,26 @@ class TSpace:
         return scale
 
 
-def project_to_T(lat_or_nk, v=None):
-    """Gamma-basis coordinates of the T-component of a class."""
-    lat = lat_or_nk if isinstance(lat_or_nk, PicardLattice) else PicardLattice.build(*lat_or_nk)
-    ts = TSpace(lat)
-    if v is None:
-        return ts
-    return ts.gamma_coords(v)
+@functools.cache
+def t_space(n, k):
+    """The TSpace of the (n, k) lattice, built once."""
+    return TSpace(_lattice(n, k))
 
 
-def restricted_action(n, k=None):
+def restricted_action(n, k):
     """Matrix of the induced map on T in the gamma basis, exact.
 
     Must be the cyclic companion form gamma_s -> gamma_{s+1} with last
     column (-1, k, ..., k), whose characteristic polynomial is the entropy
     polynomial."""
-    if k is None:
-        n, k = n.n, n.k
-    lat = PicardLattice.build(n, k)
-    ts = TSpace(lat)
-    M = pushforward_matrix(n, k)
-    cols = []
-    for s in range(n):
-        img = xm.mat_vec(M, lat.strict[("F", s, 2 * lat.k + 1)])
-        cols.append(ts.gamma_coords(img))
-    C = xm.transpose(cols)
+    ts = t_space(n, k)
+    M = _pushforward(n, k)
+    cols = [ts.gamma_coords(xm.mat_vec(M, ts.lat.strict[("F", s, 2 * k + 1)])) for s in range(n)]
     out = []
-    for row in C:
-        r = []
-        for x in row:
-            assert x.denominator == 1
-            r.append(int(x))
-        out.append(r)
+    for row in xm.transpose(cols):
+        if any(x.denominator != 1 for x in row):
+            raise ExactIdentityError(f"restricted action on T is not integral: {row}")
+        out.append([int(x) for x in row])
     return out
 
 
@@ -385,8 +422,8 @@ def gamma_closed_form(n, k, s=0):
     _check_nk(n, k)
     if k == 2 * n - 2:
         raise DegenerateError(f"(n,k)=({n},{k}): closed-form denominator k-2n+2 vanishes")
-    lat = PicardLattice.build(n, k)
-    ts = TSpace(lat)
+    ts = t_space(n, k)
+    lat = ts.lat
 
     v_cls, u_cls = [], []
     for t in range(n):
@@ -423,7 +460,7 @@ def gamma_closed_form(n, k, s=0):
         coef = x if t == s else Fraction(1)
         gamma_via_rho = [a + coef * b for a, b in zip(gamma_via_rho, varrho[t])]
     gamma_via_rho = [a / C for a in gamma_via_rho]
-    closed_form_ok = gamma_via_rho == ts.gammas[s]
+    closed_form_ok = tuple(gamma_via_rho) == ts.gammas[s]
 
     den1 = Fraction(k * (k + 2) * (k - 2 * n + 2))
     den2 = Fraction(k * k * (k + 2) * (k - 2 * n + 2))
@@ -442,10 +479,8 @@ def gamma_closed_form(n, k, s=0):
         "level2k_other_limb": g[lat.idx(other, 2 * k)],
     }
     # strict reading: coordinates of gamma in the basis {sigma0, F^j_s}
-    order = ["sigma0"] + [("F", t, j) for t in range(n) for j in range(1, 2 * k + 2)]
-    A = xm.transpose([lat.strict[key] for key in order])
-    coords = xm.frac_solve(A, [g])[0]
-    pos = {key: i for i, key in enumerate(order)}
+    coords = strict_coords(n, k, g)
+    pos = {key: i for i, key in enumerate(_strict_order(n, k))}
     exact_strict = {
         "top_same_limb": coords[pos[("F", s, 2 * k + 1)]],
         "top_other_limb": coords[pos[("F", other, 2 * k + 1)]],
@@ -488,7 +523,7 @@ def gamma_closed_form(n, k, s=0):
 def minimality_report(n, k):
     """Self-intersections of the invariant configuration; for n=2 also the
     profile after contracting the invariant line."""
-    lat = PicardLattice.build(n, k)
+    lat = _lattice(n, k)
     selfints = {"sigma0": lat.ip(lat.strict["sigma0"], lat.strict["sigma0"])}
     for s in range(n):
         for j in range(1, 2 * k + 1):

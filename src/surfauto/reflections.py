@@ -11,7 +11,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exactmat as xm
-from .picard import PicardLattice, TSpace, chi_poly, inverse_isometry, pushforward_matrix
+from .errors import ExactIdentityError
+from .picard import (
+    PicardLattice,
+    chi_poly,
+    inverse_isometry,
+    pushforward_matrix,
+    restricted_action,
+    t_space,
+)
 
 
 @dataclass(frozen=True)
@@ -40,7 +48,8 @@ def _perm_matrix(lat, emap):
 
 def reflection_in(lat, root):
     """x -> x + (root . x) root for a root of square -2; exact isometry."""
-    assert lat.ip(root, root) == -2
+    if lat.ip(root, root) != -2:
+        raise ExactIdentityError(f"root square {lat.ip(root, root)}, expected -2")
     M = []
     for col in range(lat.dim):
         e = [0] * lat.dim
@@ -77,7 +86,7 @@ def _phi_perm(k):
     return p
 
 
-def weyl_generators(n, k=None):
+def weyl_generators(n, k):
     """The named isometries of the full-lattice factorization.
 
     J reflects in e0 - e^1_0 - e^(k+1)_0 - e^(2k+1)_0; sigma_h shifts limbs
@@ -85,8 +94,6 @@ def weyl_generators(n, k=None):
     here on limb 0; the checker also tries the last limb, since the source
     formulas are ambiguous about the placement).
     """
-    if k is None:
-        n, k = n.n, n.k
     lat = PicardLattice.build(n, k)
     J = quadratic_reflection(lat, [(0, 1), (0, k + 1), (0, 2 * k + 1)])
     sig = _perm_matrix(lat, lambda s, j: ((s + 1) % n, j))
@@ -135,7 +142,7 @@ def _perm_cycles(lat, M):
     return cycles
 
 
-def noether_chain(n, k=None):
+def noether_chain(n, k):
     """Factor the induced automorphism into quadratic reflections by degree
     descent: repeatedly reflect at the three largest multiplicities of the
     image of e0 until the degree drops to 1; the residue is a basis
@@ -144,8 +151,6 @@ def noether_chain(n, k=None):
     Returns (triples, residual_cycles, matrices) with the exact identity
     M = J_1 ... J_r . P.
     """
-    if k is None:
-        n, k = n.n, n.k
     lat = PicardLattice.build(n, k)
     M = pushforward_matrix(n, k)
     cur = [row[:] for row in M]
@@ -158,7 +163,7 @@ def noether_chain(n, k=None):
         msum = sum(m for (m, i) in mults[:3])
         d = cur[0][0]
         if 2 * d - msum >= d:
-            raise AssertionError("degree descent stalled; not a Cremona-type isometry")
+            raise ExactIdentityError("degree descent stalled; not a Cremona-type isometry")
 
         def lab(i):
             return ((i - 1) // (2 * k + 1), (i - 1) % (2 * k + 1) + 1)
@@ -169,16 +174,17 @@ def noether_chain(n, k=None):
         triples.append(triple)
         mats.append(R)
     if not _is_basis_permutation(lat, cur):
-        raise AssertionError("descent residue is not a basis permutation")
+        raise ExactIdentityError("descent residue is not a basis permutation")
     # rebuild and verify: M = R_1 ... R_r . P
     acc = [row[:] for row in cur]
     for R in reversed(mats):
         acc = xm.mat_mul(R, acc)
-    assert xm.mat_eq(acc, M)
+    if not xm.mat_eq(acc, M):
+        raise ExactIdentityError("reflection chain does not recompose the pushforward")
     return triples, _perm_cycles(lat, cur), mats + [cur]
 
 
-def weyl_factorization_check(n, k=None):
+def weyl_factorization_check(n, k):
     """Test the named-generator factorization; on failure report a repaired,
     exactly verified reflection chain.
 
@@ -191,8 +197,6 @@ def weyl_factorization_check(n, k=None):
     times a basis permutation, regrouped in the same shape with per-slot
     level permutations.
     """
-    if k is None:
-        n, k = n.n, n.k
     lat = PicardLattice.build(n, k)
     M = pushforward_matrix(n, k)
     J = quadratic_reflection(lat, [(0, 1), (0, k + 1), (0, 2 * k + 1)])
@@ -238,31 +242,27 @@ def weyl_factorization_check(n, k=None):
 # -- the T-space picture -------------------------------------------------------
 
 
-def t_reflections(n, k=None):
+def t_reflections(n, k):
     """Reflections in the roots alpha_s = lambda_s - gamma_s and in the
     differences gamma_s - gamma_{s+1}, as exact matrices in the gamma basis,
     plus the Cartan matrix."""
-    if k is None:
-        n, k = n.n, n.k
-    lat = PicardLattice.build(n, k)
-    ts = TSpace(lat)
-    G = ts.gamma_gram
+    G = t_space(n, k).gamma_gram
 
-    def form(u, v):
-        return sum(u[i] * G[i][j] * v[j] for i in range(n) for j in range(n))
+    def gram_times(v):
+        return [sum(G[i][j] * v[j] for j in range(n)) for i in range(n)]
+
+    def dot(u, v):
+        return sum(a * b for a, b in zip(u, v))
 
     def refl(root):
-        rr = form(root, root)
-        cols = []
-        for s in range(n):
-            e = [Fraction(0)] * n
-            e[s] = Fraction(1)
-            d = form(root, e)
-            cols.append([e[i] - 2 * d / rr * root[i] for i in range(n)])
-        M = xm.transpose(cols)
+        g_root = gram_times(root)           # g_root[s] = form(root, e_s): G is symmetric
+        rr = dot(root, g_root)
+        cols = [[int(i == s) - 2 * g_root[s] / rr * root[i] for i in range(n)]
+                for s in range(n)]
         out = []
-        for row in M:
-            assert all(x.denominator == 1 for x in row)
+        for row in xm.transpose(cols):
+            if any(x.denominator != 1 for x in row):
+                raise ExactIdentityError(f"T reflection is not integral: {row}")
             out.append([int(x) for x in row])
         return out
 
@@ -277,22 +277,19 @@ def t_reflections(n, k=None):
         r = [Fraction(0)] * n
         r[s], r[s + 1] = Fraction(1), Fraction(-1)
         taus.append(refl(r))
-    cartan = [[Fraction(2 * form(alphas[i], alphas[j]), form(alphas[i], alphas[i]))
+    g_alphas = [gram_times(a) for a in alphas]
+    cartan = [[Fraction(2 * dot(alphas[i], g_alphas[j]), dot(alphas[i], g_alphas[i]))
                for j in range(n)] for i in range(n)]
-    cartan = [[int(x) for x in row] for row in cartan]
+    cartan = [[int(x) if x.denominator == 1 else x for x in row] for row in cartan]
     return {"rhos": rhos, "taus": taus, "cartan": cartan}
 
 
-def coxeter_factorization_check(n, k=None):
+def coxeter_factorization_check(n, k):
     """Verify that rho_{n-1} tau_{n-2} ... tau_0 realizes the restricted
     action on T exactly, as a Coxeter element of the T reflection group.
 
     Both application orders of the word are tried; the one that matches is
     reported (the source composes the word left to right)."""
-    if k is None:
-        n, k = n.n, n.k
-    from .picard import restricted_action
-
     C = restricted_action(n, k)
     data = t_reflections(n, k)
     rho_last, taus = data["rhos"][n - 1], data["taus"]
@@ -325,20 +322,16 @@ def coxeter_factorization_check(n, k=None):
 # -- the reversing symmetry -----------------------------------------------------
 
 
-def rho_pushforward(n, k=None):
+def rho_pushforward(n, k):
     """Induced action of the coordinate swap (x,y) -> (y,x): limb s goes to
     limb n-1-s with levels fixed; exact permutation isometry."""
-    if k is None:
-        n, k = n.n, n.k
     lat = PicardLattice.build(n, k)
     return _perm_matrix(lat, lambda s, j: (n - 1 - s, j))
 
 
-def reversibility_check(n, k=None):
+def reversibility_check(n, k):
     """rho^2 = Id and rho f rho = f^(-1), exactly; for n = 2 also the
     infinite-dihedral relation (rho f)^2 = Id."""
-    if k is None:
-        n, k = n.n, n.k
     lat = PicardLattice.build(n, k)
     M = pushforward_matrix(n, k)
     R = rho_pushforward(n, k)

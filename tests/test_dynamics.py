@@ -127,6 +127,18 @@ def test_orbit_escape_and_pole_status():
     assert orb.status == "escaped"
 
 
+def test_complex_orbit_applies_delta():
+    # the complex branch must use -delta*x, as eval_f does, not -x
+    p = sa.MapParams(n=2, k=4, c_spec=(1, 1), a={2: -2.64}, delta=0.5 + 0.1j)
+    orb = sa.iterate_orbit(p, (0.3, 0.7), 3)
+    assert orb.status == "completed" and orb.points.dtype.kind == "c"
+    pt = (0.3, 0.7)
+    for row in orb.points[1:]:
+        pt = sa.eval_f(p, pt)
+        assert abs(row[0] - pt[0]) < 1e-12 and abs(row[1] - pt[1]) < 1e-12
+    assert abs(orb.points[1][1] - (-1.3728238234069146 - 0.03j)) < 1e-12
+
+
 def test_orbit_reversor_identity():
     p = fig1()
     start = (0.35, -0.6)

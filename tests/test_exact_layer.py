@@ -1,0 +1,184 @@
+"""The exact layer: pinned verdicts, the LDL^T factor of the S Gram, shared
+per-(n, k) objects, and typed errors.
+
+``data/exact_suites_desk.json`` holds ``lattice_suite(n, k).to_json_dict()``
+and ``factorization_suite(n, k).to_json_dict()`` of the five desk instances
+as recorded before the exact objects were built once per (n, k) and the
+dense rational inverses were replaced; every status, residual and detail
+string must stay the same.
+"""
+
+import json
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import surfauto as sa
+from surfauto import exactmat as xm
+from surfauto.picard import PicardLattice, TSpace, pushforward_matrix, strict_coords
+from surfauto.reflections import reflection_in
+from surfauto.verify import factorization_suite, lattice_suite
+
+DESK = [(2, 4), (2, 6), (3, 2), (3, 4), (4, 2)]
+PINNED = json.loads((Path(__file__).parent / "data" / "exact_suites_desk.json").read_text())
+
+
+@pytest.mark.parametrize("nk", DESK, ids=[f"{n}-{k}" for n, k in DESK])
+@pytest.mark.parametrize("name, suite", [("lattice", lattice_suite),
+                                         ("factorizations", factorization_suite)],
+                         ids=["lattice", "factorizations"])
+def test_desk_suites_pinned(nk, name, suite):
+    assert suite(*nk).to_json_dict() == PINNED[f"{nk[0]},{nk[1]}"][name]
+
+
+def test_cached_objects_are_not_aliased():
+    M = pushforward_matrix(2, 4)
+    expect = [row[:] for row in M]
+    M[0][0] += 7
+    M.append([0])
+    assert pushforward_matrix(2, 4) == expect
+
+    lat = PicardLattice.build(2, 4)
+    sigma0 = list(lat.strict["sigma0"])
+    lat.strict["sigma0"][0] = 99
+    lat.strict.pop(("L", 0))
+    fresh = PicardLattice.build(2, 4)
+    assert fresh.strict["sigma0"] == sigma0
+    assert ("L", 0) in fresh.strict
+    assert lattice_suite(2, 4).to_json_dict() == PINNED["2,4"]["lattice"]
+
+
+# -- LDL^T of the S Gram ----------------------------------------------------------------
+
+@pytest.mark.parametrize("nk", DESK, ids=[f"{n}-{k}" for n, k in DESK])
+def test_ldl_minors_and_determinant_match_bareiss(nk):
+    lat = PicardLattice.build(*nk)
+    G = lat.s_gram()
+    factor = xm.ldl(G)
+    assert factor.complete
+    reference = [xm.det_bareiss([row[:m] for row in G[:m]]) for m in range(1, len(G) + 1)]
+    assert factor.leading_minors() == reference
+    assert lat.s_gram_factor().leading_minors() == reference
+    assert lat.s_gram_det() == reference[-1] == xm.det_bareiss(G)
+    assert isinstance(lat.s_gram_det(), int)
+
+
+@pytest.mark.parametrize("nk", DESK, ids=[f"{n}-{k}" for n, k in DESK])
+def test_ldl_solve_matches_fraction_elimination(nk):
+    lat = PicardLattice.build(*nk)
+    G = lat.s_gram()
+    b = [(3 * i * i - 7 * i + 1) % 11 - 5 for i in range(len(G))]
+    assert xm.ldl(G).solve(b) == xm.frac_solve(G, [b])[0]
+
+
+def test_ldl_zero_pivot_stops_the_factor():
+    factor = xm.ldl([[0, 1], [1, 0]])
+    assert not factor.complete
+    assert factor.leading_minors() == [0]
+    with pytest.raises(ZeroDivisionError):
+        factor.solve([1, 1])
+    factor = xm.ldl([[-2, 1], [1, -2]])
+    assert factor.complete and factor.leading_minors() == [-2, 3]
+    assert factor.solve([1, 0]) == [Fraction(-2, 3), Fraction(-1, 3)]
+
+
+def test_projection_agrees_with_dense_solve():
+    lat = PicardLattice.build(3, 4)
+    ts = TSpace(lat)
+    v = lat.strict[("L", 1)]
+    G = lat.s_gram()
+    rhs = [lat.ip(lat.strict[key], v) for key in lat.s_keys]
+    coef = xm.frac_solve(G, [rhs])[0]
+    expect = [Fraction(x) for x in v]
+    for c, key in zip(coef, lat.s_keys):
+        expect = [a - c * b for a, b in zip(expect, lat.strict[key])]
+    assert ts.project(v) == expect
+    assert ts.gamma_coords(v) == ts.gamma_coords(expect)
+
+
+# -- exactmat kernels -------------------------------------------------------------------
+
+small_matrices = st.integers(1, 5).flatmap(lambda m: st.integers(1, 5).flatmap(
+    lambda inner: st.integers(1, 5).flatmap(lambda p: st.tuples(
+        st.lists(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3]), min_size=inner,
+                          max_size=inner), min_size=m, max_size=m),
+        st.lists(st.lists(st.integers(-9, 9), min_size=p, max_size=p),
+                 min_size=inner, max_size=inner)))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_matrices)
+def test_mat_mul_matches_dense_product(AB):
+    A, B = AB
+    dense = [[sum(A[i][t] * B[t][j] for t in range(len(B))) for j in range(len(B[0]))]
+             for i in range(len(A))]
+    assert xm.mat_mul(A, B) == dense
+
+
+def test_mat_eq_compares_values():
+    assert xm.mat_eq(((1, 0), (0, 1)), [[1, 0], [0, 1]])
+    assert xm.mat_eq([[Fraction(2)]], [[2]])
+    assert not xm.mat_eq([[1, 0]], [[1, 0], [0, 1]])
+    assert not xm.mat_eq([[1, 0]], [[1]])
+
+
+def test_forward_substitution_is_integral_and_checked():
+    cols = [[1, 2, 0], [0, 1, -3], [0, 0, 1]]        # columns of a unit lower matrix
+    lower = xm.unit_lower_columns(cols)
+    x = xm.forward_substitute(lower, [1, 0, 0])
+    assert x == [1, -2, -6] and all(type(v) is int for v in x)
+    with pytest.raises(sa.ExactIdentityError):
+        xm.unit_lower_columns([[2, 0], [0, 1]])        # diagonal entry not 1
+    with pytest.raises(sa.ExactIdentityError):
+        xm.unit_lower_columns([[1, 0], [1, 1]])        # entry above the diagonal
+
+
+def test_strict_coordinates_recompose():
+    n, k = 3, 4
+    lat = PicardLattice.build(n, k)
+    v = [i * i - 3 for i in range(lat.dim)]
+    coords = strict_coords(n, k, v)
+    order = ["sigma0"] + [("F", s, j) for s in range(n) for j in range(1, 2 * k + 2)]
+    back = [0] * lat.dim
+    for c, key in zip(coords, order):
+        back = [a + c * b for a, b in zip(back, lat.strict[key])]
+    assert back == v
+
+
+# -- typed errors -------------------------------------------------------------------------
+
+def test_exact_identity_error_is_a_package_error():
+    assert issubclass(sa.ExactIdentityError, sa.SurfautoError)
+    assert not issubclass(sa.ExactIdentityError, AssertionError)
+
+
+def test_squarefree_part_raises_typed_error(monkeypatch):
+    monkeypatch.setattr(xm, "poly_gcd", lambda a, b: [1, 5])   # not a divisor of x^2 - 1
+    with pytest.raises(sa.ExactIdentityError):
+        xm.poly_squarefree_part([1, 0, -1])
+
+
+def test_canonical_class_raises_typed_error():
+    lat = PicardLattice.build(2, 4)
+    lat.strict["sigma0"][0] = 2
+    with pytest.raises(sa.ExactIdentityError):
+        lat.canonical_class()
+
+
+def test_lattice_suite_reports_canonical_class_failure(monkeypatch):
+    def broken(self):
+        raise sa.ExactIdentityError("canonical class expressions disagree")
+
+    monkeypatch.setattr(PicardLattice, "canonical_class", broken)
+    checks = {c.id: c.status for c in lattice_suite(2, 4).checks}
+    assert checks["canonical-class"] == "fail"
+    assert checks["canonical-square"] == "pass"
+
+
+def test_reflection_in_rejects_a_non_root():
+    lat = PicardLattice.build(2, 4)
+    with pytest.raises(sa.ExactIdentityError):
+        reflection_in(lat, lat.e0())                   # square 1, not -2
