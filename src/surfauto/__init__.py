@@ -12,6 +12,7 @@ from .errors import (
     ExtrapolationError,
     IndeterminacyError,
     NotSaddleError,
+    NumericCheckError,
     OverflowEscape,
     ParamError,
     PeriodicityError,

@@ -96,18 +96,27 @@ class CenterTable:
         with mp.workdps(self.dps):
             return mp.mpf(10) ** (-(self.dps - 8))
 
+    @cached_property
+    def double(self):
+        """The same table with w and the centers as python complex: the
+        double-precision copy that chart routing inverts with."""
+        return replace(self, w=tuple(complex(x) for x in self.w),
+                       beta={key: complex(v) for key, v in self.beta.items()})
+
+    @cached_property
+    def chart_ids(self):
+        """Every chart: affine, the base chart of each limb, every tower level."""
+        ids = [ChartId("affine")]
+        ids += [ChartId("base", s) for s in range(self.n)]
+        ids += [ChartId("tower", s, j) for s in range(self.n) for j in range(1, 2 * self.k + 2)]
+        return tuple(ids)
+
     def tampered(self, s, j, value):
         """Copy with one center overridden; negative-control hook for the
         verification suite."""
         beta = dict(self.beta)
         beta[(s, j)] = value
         return replace(self, beta=beta)
-
-    def all_chart_ids(self):
-        ids = [ChartId("affine")]
-        ids += [ChartId("base", s) for s in range(self.n)]
-        ids += [ChartId("tower", s, j) for s in range(self.n) for j in range(1, 2 * self.k + 2)]
-        return ids
 
 
 def chart_to_plane(table, cid, pt):
@@ -151,45 +160,41 @@ def plane_to_chart(table, cid, P, floor=None):
 
     The floor defaults to 10^-(dps-8): far below any legitimate transverse
     scale at the working precision, so only genuinely blown-down points
-    trip it.
+    trip it.  Scalars may be mpmath numbers, Dual2 jets or python complex
+    (with table.double); with floor=0.0 an exact zero divisor raises
+    ZeroDivisionError instead.
     """
     if floor is None:
         floor = table.floor
     x0, x1, x2 = P
-
-    def check(b):
-        if abs(value(b)) < floor:
-            raise ChartDomainError(f"division by {value(b)} in chart {cid}")
-
-    def div(a, b):
-        check(b)
-        return a / b
-
     if cid.kind == "affine":
-        return ChartPoint(div(x1, x0), div(x2, x0))
+        _check_divisor(x0, floor, cid)
+        return ChartPoint(x1 / x0, x2 / x0)
     s = cid.s
-    if s == 0:
-        t = div(x0, x2)
-        along = div(x1, x2)
-    else:
-        t = div(x0, x1)
-        along = div(x2, x1)
+    den, num = (x2, x1) if s == 0 else (x1, x2)
+    _check_divisor(den, floor, cid)
+    t, along = x0 / den, num / den
     if cid.kind == "base":
         return ChartPoint(along, t)
-    j = cid.j
-    if s == 0:
-        t1, e1 = t, div(along, t)
-    else:
-        t1, e1 = t, div(along - table.w[s - 1], t)
-    if j == 1:
-        return ChartPoint(e1, t1)
+    if s:
+        along = along - table.w[s - 1]
+    _check_divisor(t, floor, cid)
+    x = along / t
+    if cid.j == 1:
+        return ChartPoint(x, t)
     # every level divides by the same x: one reciprocal, then products
-    xi, x = t1, e1
-    check(x)
+    _check_divisor(x, floor, cid)
     xinv = 1 / x
-    for m in range(1, j):
+    xi = t
+    for m in range(1, cid.j):
         xi = (xi - table.beta[(s, m)]) * xinv
     return ChartPoint(xi, x)
+
+
+def _check_divisor(b, floor, cid):
+    # abs() of a Dual2 is the modulus of its value
+    if abs(b) < floor:
+        raise ChartDomainError(f"division by {value(b)} in chart {cid}")
 
 
 # -- the fiber-to-fiber transition table --------------------------------------
@@ -265,14 +270,14 @@ def fiber_transition_numeric(p, table, s, j, xi, eps_seq=DEFAULT_EPS_SEQ, conv_t
     Convergence: successive order-2 extrapolants (over a sliding window of
     the eps sequence, extended by further decades when needed) must agree
     below conv_tol; otherwise ExtrapolationError."""
-    tgt = (("fiber", 0, 2 * table.k + 1) if (s, j) == SIGMA2 or s == "sigma2"
-           else fiber_target(table.n, table.k, s, j))
+    source = (s, j) == SIGMA2 or s == "sigma2"
+    tgt = ("fiber", 0, 2 * table.k + 1) if source else fiber_target(table.n, table.k, s, j)
 
-    def sample(eps):
-        if s == "sigma2" or (s, j) == SIGMA2:
-            P = proj_normalize((mp.mpf(1), xi_mp, eps))
+    def sample(xi, eps):
+        if source:
+            P = proj_normalize((mp.mpf(1), xi, eps))
         else:
-            P = chart_to_plane(table, ChartId("tower", s, j), ChartPoint(xi_mp, eps))
+            P = chart_to_plane(table, ChartId("tower", s, j), ChartPoint(xi, eps))
         Q = eval_f_proj(p, P, dps=table.dps)
         if tgt == SIGMA1:
             z0, z1, z2 = Q
@@ -280,20 +285,29 @@ def fiber_transition_numeric(p, table, s, j, xi, eps_seq=DEFAULT_EPS_SEQ, conv_t
         _, s2, j2 = tgt
         return plane_to_chart(table, ChartId("tower", s2, j2), Q).u
 
+    return (tgt,) + _lift_limit(table, xi, sample, eps_seq, conv_tol, "transition")
+
+
+def _lift_limit(table, xi, sample, eps_seq, conv_tol, what):
+    """Limit of sample(xi, eps) as the lift eps off the fiber goes to 0.
+
+    Order-2 Richardson over the last three lifts, extended by up to two
+    decades until successive extrapolants agree below conv_tol; returns
+    (limit, last change) or raises ExtrapolationError."""
     with mp.workdps(table.dps):
-        xi_mp = mp.mpmathify(xi)
+        xi = mp.mpmathify(xi)
         eps_list = [mp.mpf(e) for e in eps_seq]
-        vals = [sample(e) for e in eps_list]
+        vals = [sample(xi, e) for e in eps_list]
         lim, _ = richardson(eps_list[-3:], vals[-3:])
         for _ in range(2):  # extend by up to two decades
             prev = lim
             eps_list.append(eps_list[-1] / 10)
-            vals.append(sample(eps_list[-1]))
+            vals.append(sample(xi, eps_list[-1]))
             lim, _ = richardson(eps_list[-3:], vals[-3:])
             if abs(lim - prev) < conv_tol:
-                return tgt, lim, float(abs(lim - prev))
+                return lim, float(abs(lim - prev))
     raise ExtrapolationError(
-        f"transition extrapolants keep moving by {float(abs(lim - prev))} > {conv_tol}")
+        f"{what} extrapolants keep moving by {float(abs(lim - prev))} > {conv_tol}")
 
 
 # -- chart routing and parabolic checks ---------------------------------------
@@ -301,44 +315,7 @@ def fiber_transition_numeric(p, table, s, j, xi, eps_seq=DEFAULT_EPS_SEQ, conv_t
 _ROUTE_CAP = 1e3
 
 
-def _float_chart_coords(table_f, cid, Pf):
-    """Chart coordinates in double precision, plus the base-chart transverse
-    scale for tower charts; None when outside or unstable."""
-    x0, x1, x2 = Pf
-    try:
-        if cid.kind == "affine":
-            u, v = x1 / x0, x2 / x0
-            return u, v, None
-        s = cid.s
-        if s == 0:
-            t, along = x0 / x2, x1 / x2
-        else:
-            t, along = x0 / x1, x2 / x1
-        if cid.kind == "base":
-            return along, t, None
-        j = cid.j
-        if s == 0:
-            t1, e1 = t, along / t
-        else:
-            t1, e1 = t, (along - table_f["w"][s - 1]) / t
-        if j == 1:
-            return e1, t1, abs(t)
-        xi, x = t1, e1
-        for m in range(1, j):
-            xi = (xi - table_f["beta"][(s, m)]) / x
-        return xi, x, abs(t)
-    except (ZeroDivisionError, OverflowError):
-        return None
-
-
-def _float_shadow(table):
-    return {
-        "w": [complex(x) for x in table.w],
-        "beta": {key: complex(v) for key, v in table.beta.items()},
-    }
-
-
-def route_chart(table, P, table_f=None, candidates=None):
+def route_chart(table, P):
     """Chart with the largest inversion margin for the plane point P.
 
     A chart accepts the point when its coordinates there stay moderate
@@ -347,24 +324,26 @@ def route_chart(table, P, table_f=None, candidates=None):
     is close to, with smaller coordinates breaking ties.  A point merely
     near a blowup center looks innocuous in the shallow chart but the
     deeper levels stay moderate exactly as far as the structure goes.
-    Selection runs in double precision; values never do.
+    Each candidate is ranked by plane_to_chart itself, run in double
+    precision on table.double with no floor (an exact zero divisor
+    rejects the chart); selection runs in double precision, values never do.
     """
-    table_f = table_f or _float_shadow(table)
-    candidates = candidates or table.all_chart_ids()
     Pf = tuple(_downcast(value(z)) for z in P)
+    x0, x1, x2 = Pf
     best, best_key = None, None
-    for cid in candidates:
-        coords = _float_chart_coords(table_f, cid, Pf)
-        if coords is None:
+    for cid in table.chart_ids:
+        try:
+            u, v = plane_to_chart(table.double, cid, Pf, floor=0.0)
+        except ZeroDivisionError:
             continue
-        u, v, tbase = coords
         m = max(abs(u), abs(v))
         if m != m or m > _ROUTE_CAP:  # NaN or out of range
             continue
         # depth counts only when the point is genuinely near the blown-up
-        # structure: small transverse coordinate and small base offset
-        near = tbase is not None and abs(v) < 0.05 and tbase < 0.05
-        depth = cid.j if cid.kind == "tower" and near else 0
+        # structure: small transverse coordinate and small base offset |t|
+        near = (cid.kind == "tower" and abs(v) < 0.05
+                and abs(x0 / (x2 if cid.s == 0 else x1)) < 0.05)
+        depth = cid.j if near else 0
         key = (-depth, m)
         if best_key is None or key < best_key:
             best_key, best = key, cid
@@ -398,8 +377,6 @@ def _jet_orbit(p, table, cid, u0, v0, steps):
     chart; returns the final Dual2 pair.  The half-way point is also
     re-expressed in the start chart so the half-way differential is
     readable there."""
-    table_f = _float_shadow(table)
-    candidates = table.all_chart_ids()
     u = Dual2(u0, mp.mpf(1), mp.mpf(0))
     v = Dual2(v0, mp.mpf(0), mp.mpf(1))
     cur = cid
@@ -408,7 +385,7 @@ def _jet_orbit(p, table, cid, u0, v0, steps):
         P = chart_to_plane(table, cur, ChartPoint(u, v))
         Q = eval_f_proj(p, P, dps=table.dps)
         force = step == steps - 1 or (step == steps // 2 - 1 and cid.kind == "base")
-        nxt = cid if force else route_chart(table, Q, table_f, candidates)
+        nxt = cid if force else route_chart(table, Q)
         u, v = plane_to_chart(table, nxt, Q)
         cur = nxt
         if step == steps // 2 - 1:
@@ -488,22 +465,9 @@ def reversor_transition_numeric(table, s, j, xi, eps_seq=DEFAULT_EPS_SEQ, conv_t
     check of the closed form."""
     tgt = ("fiber", table.n - 1 - s, j)
 
-    def sample(eps):
-        P = chart_to_plane(table, ChartId("tower", s, j), ChartPoint(xi_mp, eps))
-        x0, x1, x2 = P
+    def sample(xi, eps):
+        x0, x1, x2 = chart_to_plane(table, ChartId("tower", s, j), ChartPoint(xi, eps))
         Q = proj_normalize((x0, x2, x1))
         return plane_to_chart(table, ChartId("tower", tgt[1], tgt[2]), Q).u
 
-    with mp.workdps(table.dps):
-        xi_mp = mp.mpmathify(xi)
-        eps_list = [mp.mpf(e) for e in eps_seq]
-        vals = [sample(e) for e in eps_list]
-        lim, _ = richardson(eps_list[-3:], vals[-3:])
-        for _ in range(2):
-            prev = lim
-            eps_list.append(eps_list[-1] / 10)
-            vals.append(sample(eps_list[-1]))
-            lim, _ = richardson(eps_list[-3:], vals[-3:])
-            if abs(lim - prev) < conv_tol:
-                return tgt, lim, float(abs(lim - prev))
-    raise ExtrapolationError(f"reversor extrapolants keep moving by {float(abs(lim - prev))}")
+    return (tgt,) + _lift_limit(table, xi, sample, eps_seq, conv_tol, "reversor")

@@ -324,8 +324,9 @@ def cmd_weyl(args):
 
 
 def cmd_degrees(args):
-    n, k = args.n, args.k
-    m = args.m or 20
+    n, k, m = args.n, args.k, args.m
+    if m < 0:
+        raise ParamError(f"--m must be >= 0, got {m}")
     d = degree_sequence(n, k, m)
     lam = spectral_radius(n, k)
     ratio = d[m] / d[m - 1] if m >= 1 else float("nan")
@@ -355,8 +356,6 @@ def build_parser():
         sp.add_argument("--delta", help="re[,im]")
         sp.add_argument("--params", help="JSON parameter file")
         sp.add_argument("--out", help="output directory")
-        sp.add_argument("--format", choices=["json", "csv"], default="json")
-        sp.add_argument("--tol", type=float)
 
     sp = sub.add_parser("spectrum", help="entropy data for (n, k)")
     add_common(sp)
@@ -368,12 +367,14 @@ def build_parser():
 
     sp = sub.add_parser("verify", help="run all verification suites")
     add_common(sp)
+    sp.add_argument("--tol", type=float)
     sp.add_argument("--points", type=int, default=10)
     sp.add_argument("--n-xi", dest="n_xi", type=int, default=20)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("fixed-points", help="fixed points and multipliers")
     add_common(sp)
+    sp.add_argument("--format", choices=["json", "csv"], default="json")
     sp.set_defaults(func=cmd_fixed_points)
 
     sp = sub.add_parser("orbit", help="forward orbits to CSV")
@@ -390,6 +391,7 @@ def build_parser():
 
     sp = sub.add_parser("charts", help="fiber transitions: closed vs numeric")
     add_common(sp)
+    sp.add_argument("--tol", type=float)
     sp.set_defaults(func=cmd_charts)
 
     sp = sub.add_parser("parabolic", help="tangent-to-identity suite")

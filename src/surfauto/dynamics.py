@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dual import Dual2
-from .errors import DegenerateError, NotSaddleError, ParamError, PoleError
+from .errors import DegenerateError, NotSaddleError, NumericCheckError, ParamError, PoleError
 from .mapfamily import MAGNITUDE_CAP, MapParams, eval_f
 from .polyroots import aberth_roots, cluster_roots
 
@@ -89,7 +89,7 @@ def fixed_points(p, residual_tol=1e-10):
         img = eval_f(p, (zeta, zeta))
         res = max(abs(img[0] - zeta), abs(img[1] - zeta))
         if res > residual_tol:
-            raise AssertionError(f"fixed-point residual {res} at {zeta}")
+            raise NumericCheckError(f"fixed-point residual {res} at {zeta}")
         J = jacobian(p, (zeta, zeta))
         tr = complex(np.trace(J))
         disc = cmath.sqrt(tr * tr - 4 * complex(p.delta))
@@ -98,7 +98,10 @@ def fixed_points(p, residual_tol=1e-10):
                                         type=_classify(zeta, tr, p.delta),
                                         multiplicity=mult))
     records.sort(key=lambda r: (r.zeta.real, r.zeta.imag))
-    assert sum(r.multiplicity for r in records) == p.k + 1
+    found = sum(r.multiplicity for r in records)
+    if found != p.k + 1:
+        raise NumericCheckError(f"{found} fixed points counted with multiplicity, "
+                                f"expected k + 1 = {p.k + 1}")
     return records
 
 
@@ -183,25 +186,18 @@ def iterate_orbit(p, pt0, m, pole_tol=1e-12):
             and abs(complex(p.delta).imag) == 0 and complex(p.delta).real == 1)
     x, y = (float(complex(pt0[0]).real), float(complex(pt0[1]).real)) if real \
         else (complex(pt0[0]), complex(pt0[1]))
-    c = p.c() if not isinstance(p.c(), complex) else p.c()
+    co = p.coeffs()
     if real:
-        c = float(complex(c).real)
-        a_items = [(l, float(complex(v).real)) for l, v in sorted(p.a.items())]
-        neg_delta = -1.0          # real data require delta == 1
-    else:
-        a_items = [(l, complex(v)) for l, v in sorted(p.a.items())]
-        neg_delta = -complex(p.delta)
+        # real data require delta == 1
+        co = co._replace(c=float(complex(co.c).real), neg_delta=-1.0,
+                         a=tuple((l, float(complex(v).real)) for l, v in co.a))
     pts = [(x, y)]
     status = "completed"
     for _ in range(m):
         if abs(y) < pole_tol:
             status = "pole"
             break
-        yinv = 1.0 / y
-        nxt = neg_delta * x + c * y + yinv ** p.k
-        for l, al in a_items:
-            nxt += al * yinv ** l
-        x, y = y, nxt
+        x, y = y, co._next_y(p.k, x, y)
         if abs(x) > MAGNITUDE_CAP or abs(y) > MAGNITUDE_CAP:
             status = "escaped"
             break

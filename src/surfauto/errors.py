@@ -43,3 +43,7 @@ class NotSaddleError(SurfautoError):
 
 class ExactIdentityError(SurfautoError):
     """An exact identity of the lattice model does not hold."""
+
+
+class NumericCheckError(SurfautoError):
+    """A computed result fails its residual or structural check."""

@@ -12,10 +12,11 @@ of an iterated blowup of the plane; the blowup data is modelled in
 
 Evaluation routines are generic over the scalar type: python complex,
 mpmath numbers and Dual2 jets all work, since only field operations are
-used.  c is kept symbolic (j, n, sign) when given as a pair.  Its mpmath
-value, -delta, the a_l and the indeterminacy floor are computed once per
-(params, dps) and cached on the params (:meth:`MapParams.coeffs`), so the
-hot kernels never re-evaluate a cosine at working precision.
+used.  c is kept symbolic (j, n, sign) when given as a pair.  Its value,
+-delta, the a_l and the indeterminacy floor are computed once per
+(params, dps) and cached on the params (:meth:`MapParams.coeffs`), where
+every routine reads them; the affine formula is written once, on the
+coefficients, and :func:`eval_f` and the orbit stepper share it.
 """
 
 import json
@@ -27,7 +28,14 @@ from typing import NamedTuple
 import mpmath as mp
 
 from .dual import value
-from .errors import IndeterminacyError, OverflowEscape, ParamError, PeriodicityError, PoleError
+from .errors import (
+    IndeterminacyError,
+    NumericCheckError,
+    OverflowEscape,
+    ParamError,
+    PeriodicityError,
+    PoleError,
+)
 
 MAGNITUDE_CAP = 1e100
 DEFAULT_TOL = 1e-9
@@ -91,6 +99,15 @@ class MapCoeffs(NamedTuple):
     neg_delta: object
     a: tuple            # (l, a_l) pairs, ascending l
     floor: float        # indeterminacy floor 10^-(dps-8); None for dps=None
+
+    def _next_y(self, k, x, y):
+        """Second component of f(x, y), unchecked: the one formula of the
+        map, shared by eval_f and the orbit stepper."""
+        yinv = 1 / y
+        out = self.neg_delta * x + self.c * y + yinv ** k
+        for l, al in self.a:
+            out = out + al * yinv ** l
+        return out
 
 
 @dataclass(frozen=True)
@@ -172,19 +189,6 @@ class MapParams:
             self._coeffs[dps] = got
         return got
 
-    def a_coeff(self, l, dps=None):
-        v = self.a.get(l, 0)
-        if dps is None:
-            return v
-        with mp.workdps(dps):
-            return mp.mpmathify(v)
-
-    def delta_value(self, dps=None):
-        if dps is None:
-            return self.delta
-        with mp.workdps(dps):
-            return mp.mpmathify(self.delta)
-
     # -- JSON parameter files ------------------------------------------------
 
     def to_json_dict(self):
@@ -243,12 +247,7 @@ def eval_f(p, pt, tol=DEFAULT_TOL, dps=None):
     x, y = pt
     if abs(value(y)) < tol:
         raise PoleError(f"y={value(y)} within tol of the pole line")
-    c = p.c(dps)
-    d = p.delta_value(dps)
-    yinv = 1 / y
-    out = -d * x + c * y + yinv ** p.k
-    for l in sorted(p.a):
-        out = out + p.a_coeff(l, dps) * yinv ** l
+    out = p.coeffs(dps)._next_y(p.k, x, y)
     if abs(value(out)) > MAGNITUDE_CAP:
         raise OverflowEscape("image magnitude exceeds cap")
     return (y, out)
@@ -259,13 +258,12 @@ def eval_f_inverse(p, pt, tol=DEFAULT_TOL, dps=None):
     X, Y = pt
     if abs(value(X)) < tol:
         raise PoleError(f"x={value(X)} within tol of the inverse pole line")
-    c = p.c(dps)
-    d = p.delta_value(dps)
+    c, neg_d, a, _ = p.coeffs(dps)
     xinv = 1 / X
     out = c * X + xinv ** p.k - Y
-    for l in sorted(p.a):
-        out = out + p.a_coeff(l, dps) * xinv ** l
-    out = out / d
+    for l, al in a:
+        out = out + al * xinv ** l
+    out = out / -neg_d
     if abs(value(out)) > MAGNITUDE_CAP:
         raise OverflowEscape("image magnitude exceeds cap")
     return (out, X)
@@ -362,14 +360,13 @@ def infinity_orbit(p, dps=None, tol=DEFAULT_TOL):
     """
     n = p.n
     with mp.workdps(dps or mp.mp.dps):
-        c = p.c(dps)
-        d = p.delta_value(dps)
+        c, neg_d, _, _ = p.coeffs(dps)
         w = [c]
         for _ in range(n - 2):
             prev = w[-1]
             if abs(value(prev)) == 0:
                 raise PeriodicityError("orbit at infinity hit the pole early")
-            w.append(c - d / prev)
+            w.append(c + neg_d / prev)
         end_tol = tol if dps is None else float(mp.mpf(10) ** (-(dps - 10)))
         if abs(value(w[-1])) >= end_tol:
             raise PeriodicityError(
@@ -385,9 +382,10 @@ def infinity_orbit(p, dps=None, tol=DEFAULT_TOL):
 def q_value(p, x, y, dps=None):
     """The normalizing polynomial 1 + sum_j a_j y^(k-j) - x y^k + c y^(k+1)."""
     k = p.k
-    out = 1 + p.c(dps) * y ** (k + 1) - x * y ** k
-    for l in sorted(p.a):
-        out = out + p.a_coeff(l, dps) * y ** (k - l)
+    c, _, a, _ = p.coeffs(dps)
+    out = 1 + c * y ** (k + 1) - x * y ** k
+    for l, al in a:
+        out = out + al * y ** (k - l)
     return out
 
 
@@ -419,13 +417,14 @@ def center_series(p, dps=None):
         return v if v.imag else v.real
 
     with mp.workdps(dps or 15):
+        c, _, a, _ = p.coeffs(dps)
         u = {}
-        for l in sorted(p.a):
-            u[k - l] = (conv(p.a_coeff(l, dps)), zero)
+        for l, al in a:
+            u[k - l] = (conv(al), zero)
         const, _ = u.get(k, (zero, zero))
         u[k] = (const, conv(-1))
         const, xlin = u.get(k + 1, (zero, zero))
-        u[k + 1] = (const + conv(p.c(dps)), xlin)
+        u[k + 1] = (const + conv(c), xlin)
 
         order = 2 * k
         v = [(conv(1), zero)] + [None] * order
@@ -444,7 +443,9 @@ def center_series(p, dps=None):
         for i in range(1, k + 1):
             b[k + i] = v[i][0]
         # structural checks: pure-x normalization and parity
-        assert abs(v[k][1] - 1) < 1e-9, "x-linear part of the order-2k coefficient must be 1"
+        if not abs(v[k][1] - 1) < 1e-9:
+            raise NumericCheckError("x-linear part of the order-2k coefficient must be 1")
         for i in range(1, k):
-            assert abs(v[i][1]) < 1e-9
+            if not abs(v[i][1]) < 1e-9:
+                raise NumericCheckError(f"order-{i} coefficient of the series depends on x")
     return BCoefficients(b=b)

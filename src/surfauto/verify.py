@@ -382,12 +382,3 @@ def fixed_point_suite(p):
         rep.add("trace-rank-fd-agreement", agree < 1e-5, residual=agree, bound=1e-5)
     return rep
 
-
-def run_all(p, points_per_fiber=10, n_xi=20):
-    return [
-        lattice_suite(p.n, p.k),
-        chart_suite(p, n_xi=n_xi),
-        factorization_suite(p.n, p.k),
-        parabolic_suite(p, points_per_fiber=points_per_fiber),
-        fixed_point_suite(p),
-    ]

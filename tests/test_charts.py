@@ -3,6 +3,8 @@ import random
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import surfauto as sa
 from surfauto.charts import (
@@ -94,6 +96,30 @@ def test_round_trips(hv):
                     back = sa.plane_to_chart(table, cid, P)
                     assert abs(back.u - u) < 1e-25
                     assert abs(back.v - v) < 1e-25
+
+
+# the (3,4) desk instance: a middle limb and a nonzero a_2
+DESK34 = CenterTable.build(sa.MapParams(3, 4, c_spec=(1, 1), a={2: 0.4}))
+_away = st.floats(min_value=0.5, max_value=1.5) | st.floats(min_value=-1.5, max_value=-0.5)
+
+
+@settings(deadline=None, max_examples=50)
+@given(_away, st.floats(-2.0, 2.0), _away, st.floats(-0.5, 0.5), st.booleans())
+def test_chart_round_trip_property(ur, ui, vr, vi, double):
+    """plane_to_chart inverts chart_to_plane on every chart, at working
+    precision and on the double-precision copy that routing uses.  Both
+    coordinates stay off zero: the centers vanish through level k, so u = 0
+    on a shallow level maps onto the blown-down base point."""
+    table = DESK34.double if double else DESK34
+    tol = 1e-9 if double else mp.mpf(10) ** -60
+    with mp.workdps(table.dps):
+        u, v = complex(ur, ui), complex(vr, vi)
+        if not double:
+            u, v = mp.mpmathify(u), mp.mpmathify(v)
+        for cid in table.chart_ids:
+            back = sa.plane_to_chart(table, cid, sa.chart_to_plane(table, cid, ChartPoint(u, v)))
+            assert abs(back.u - u) <= tol * (1 + abs(u)), cid
+            assert abs(back.v - v) <= tol * (1 + abs(v)), cid
 
 
 def test_plane_to_chart_domain_error(hv):

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from surfauto.cli import _params_from, build_parser, main
 
 PRESET = Path(__file__).resolve().parents[1] / "demos" / "figure1.json"
@@ -172,3 +174,25 @@ def test_params_file_single_flag_overrides():
     assert (p.n, p.k, p.c_spec, p.a) == (2, 6, (1, 1), {2: -2.64})
     assert params("--c-j", "1", "--c-sign", "-").c_spec == (1, -1)
     assert params("--a", "2=-1.5").a == {2: -1.5}
+
+
+def test_degrees_zero_terms(capsys, tmp_path):
+    rc, _, _ = run_cli(["degrees", "--n", "2", "--k", "4", "--m", "0",
+                        "--out", str(tmp_path)], capsys)
+    assert rc == 0
+    assert json.loads((tmp_path / "degrees_2_4.json").read_text())["degrees"] == ["1"]
+
+
+def test_degrees_negative_count_is_usage_error(capsys):
+    rc, out, err = run_cli(["degrees", "--n", "2", "--k", "4", "--m", "-1"], capsys)
+    assert rc == 2
+    assert "--m" in err and out == ""
+
+
+@pytest.mark.parametrize("argv", [["orbit", "--params", str(PRESET), "--format", "json"],
+                                  ["spectrum", "--n", "2", "--k", "4", "--tol", "1e-3"]])
+def test_options_a_command_does_not_read_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

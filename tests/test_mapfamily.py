@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import surfauto as sa
 from surfauto.mapfamily import q_value
@@ -105,6 +107,20 @@ def test_inverse_round_trip_and_formula():
     z = sa.fixed_points(p)[0].zeta
     inv = sa.eval_f_inverse(p, (z, z))
     assert abs(inv[0] - z) < 1e-9 and abs(inv[1] - z) < 1e-9
+
+
+_re = st.floats(min_value=-2.0, max_value=2.0)
+_y_off = st.floats(min_value=0.5, max_value=2.0) | st.floats(min_value=-2.0, max_value=-0.5)
+
+
+@settings(deadline=None)
+@given(_re, _re, _y_off, _re)
+def test_inverse_undoes_map_with_complex_delta(xr, xi, yr, yi):
+    # delta != 1 and complex: the inverse divides by delta (as -neg_delta)
+    p = sa.MapParams(n=2, k=4, c_spec=(1, 1), a={2: -2.64}, delta=0.8 + 0.3j, validate=False)
+    pt = (complex(xr, xi), complex(yr, yi))
+    back = sa.eval_f_inverse(p, sa.eval_f(p, pt))
+    assert abs(back[0] - pt[0]) < 1e-11 and back[1] == pt[1]
 
 
 def test_reversibility_random_points():
