@@ -9,6 +9,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from .charts import CenterTable, fiber_transition_closed, fiber_transition_numeric
@@ -105,6 +106,12 @@ def _parse_a(items):
     return out
 
 
+def _non_negative(value, flag):
+    if value < 0:
+        raise ParamError(f"{flag} must be >= 0, got {value}")
+    return value
+
+
 def _parse_delta(text):
     parts = str(text).split(",")
     return [float(parts[0]), float(parts[1]) if len(parts) > 1 else 0.0]
@@ -150,11 +157,12 @@ def cmd_cn(args):
 
 
 def cmd_verify(args):
+    tol = _non_negative(args.tol, "--tol")
     p = _params_from(args)
     table = CenterTable.build(p)
     suites = [
         lattice_suite(p.n, p.k),
-        chart_suite(p, table=table, n_xi=args.n_xi, tol=args.tol or 1e-6),
+        chart_suite(p, table=table, n_xi=args.n_xi, tol=tol),
         factorization_suite(p.n, p.k),
         parabolic_suite(p, table=table, points_per_fiber=args.points),
         fixed_point_suite(p),
@@ -215,23 +223,25 @@ def _load_seeds(args, p):
 
 
 def cmd_orbit(args):
+    steps = _non_negative(args.steps, "--steps")
     p = _params_from(args)
     seeds = _load_seeds(args, p)
-    steps = args.steps or 1000
-    lines = ["seed_id,step,x,y"]
-    statuses = {}
-    for sid, seed in enumerate(seeds):
-        orb = iterate_orbit(p, seed, steps)
-        statuses[sid] = orb.status
-        for i, (x, y) in enumerate(orb.points):
-            lines.append(f"{sid},{i},{x:.15e},{y:.15e}")
-    text = "\n".join(lines) + "\n"
     path = _out_path(args, "orbits.csv")
+    statuses = {}
+    rows = 0
+    with open(path, "w") if path else nullcontext(sys.stdout) as fh:
+        fh.write("seed_id,step,x,y\n")
+        for sid, seed in enumerate(seeds):
+            orb = iterate_orbit(p, seed, steps)
+            statuses[sid] = orb.status
+            # python scalars format faster than numpy ones, to the same text;
+            # one chunk per seed keeps the whole file out of memory
+            xs, ys = orb.points[:, 0].tolist(), orb.points[:, 1].tolist()
+            fh.write("".join([f"{sid},{i},{x:.15e},{y:.15e}\n"
+                              for i, (x, y) in enumerate(zip(xs, ys))]))
+            rows += len(xs)
     if path:
-        path.write_text(text)
-        print(f"wrote {path} ({len(lines) - 1} rows)")
-    else:
-        sys.stdout.write(text)
+        print(f"wrote {path} ({rows} rows)")
     print(json.dumps({"statuses": statuses}, sort_keys=True))
     return 0
 
@@ -252,7 +262,7 @@ def cmd_unstable(args):
             "points": [[float(f"{x:.15e}"), float(f"{y:.15e}")] for x, y in line.points],
         })
         print(f"saddle at {r.zeta.real:.12f}: {len(line.points)} points, "
-              f"arclength {line.arclength[-1]:.3f}")
+              f"arclength {line.arclength[-1]:.3f}, stop {line.stop}")
     path = _out_path(args, "unstable.json")
     if path:
         _write_json(payload, path)
@@ -260,6 +270,7 @@ def cmd_unstable(args):
 
 
 def cmd_charts(args):
+    tol = _non_negative(args.tol, "--tol")
     p = _params_from(args)
     table = CenterTable.build(p)
     import random
@@ -281,7 +292,7 @@ def cmd_charts(args):
                 "numeric": _fmt_complex(numeric),
                 "abs_err": float(f"{abs_err:.3e}"),
             })
-    ok = worst < (args.tol or 1e-6)
+    ok = worst < tol
     payload = {"params": p.to_json_dict(), "records": records,
                "worst": float(f"{worst:.3e}"), "overall": "pass" if ok else "fail"}
     print(f"{len(records)} transitions, worst |closed - numeric| = {worst:.3e}")
@@ -324,9 +335,7 @@ def cmd_weyl(args):
 
 
 def cmd_degrees(args):
-    n, k, m = args.n, args.k, args.m
-    if m < 0:
-        raise ParamError(f"--m must be >= 0, got {m}")
+    n, k, m = args.n, args.k, _non_negative(args.m, "--m")
     d = degree_sequence(n, k, m)
     lam = spectral_radius(n, k)
     ratio = d[m] / d[m - 1] if m >= 1 else float("nan")
@@ -367,7 +376,7 @@ def build_parser():
 
     sp = sub.add_parser("verify", help="run all verification suites")
     add_common(sp)
-    sp.add_argument("--tol", type=float)
+    sp.add_argument("--tol", type=float, default=1e-6)
     sp.add_argument("--points", type=int, default=10)
     sp.add_argument("--n-xi", dest="n_xi", type=int, default=20)
     sp.set_defaults(func=cmd_verify)
@@ -379,7 +388,7 @@ def build_parser():
 
     sp = sub.add_parser("orbit", help="forward orbits to CSV")
     add_common(sp)
-    sp.add_argument("--steps", type=int)
+    sp.add_argument("--steps", type=int, default=1000)
     sp.add_argument("--seeds", help="JSON file with [[x, y], ...]")
     sp.set_defaults(func=cmd_orbit)
 
@@ -391,7 +400,7 @@ def build_parser():
 
     sp = sub.add_parser("charts", help="fiber transitions: closed vs numeric")
     add_common(sp)
-    sp.add_argument("--tol", type=float)
+    sp.add_argument("--tol", type=float, default=1e-6)
     sp.set_defaults(func=cmd_charts)
 
     sp = sub.add_parser("parabolic", help="tangent-to-identity suite")

@@ -181,12 +181,11 @@ class OrbitResult:
 def iterate_orbit(p, pt0, m, pole_tol=1e-12):
     """Forward orbit of an affine point; stops on escape past the magnitude
     cap or on reaching the pole line.  Real data stays real exactly."""
-    real = (abs(complex(pt0[0]).imag) == 0 and abs(complex(pt0[1]).imag) == 0
-            and all(abs(complex(v).imag) == 0 for v in p.a.values())
-            and abs(complex(p.delta).imag) == 0 and complex(p.delta).real == 1)
+    co = p.coeffs()
+    real = (all(complex(v).imag == 0 for v in (pt0[0], pt0[1], co.c, *(al for _, al in co.a)))
+            and complex(p.delta) == 1)
     x, y = (float(complex(pt0[0]).real), float(complex(pt0[1]).real)) if real \
         else (complex(pt0[0]), complex(pt0[1]))
-    co = p.coeffs()
     if real:
         # real data require delta == 1
         co = co._replace(c=float(complex(co.c).real), neg_delta=-1.0,
@@ -210,7 +209,12 @@ def iterate_orbit(p, pt0, m, pole_tol=1e-12):
 class Polyline:
     points: np.ndarray
     arclength: np.ndarray
+    stop: str            # arclength | max-points | left-window | guard | depth
     meta: dict = field(default_factory=dict)
+
+
+LEVEL_GUARD = 200_000  # interval pops allowed in one refinement level
+MAX_DEPTH = 400        # deepest iterate of the fundamental segment
 
 
 def unstable_manifold(p, fp, arclen=20.0, spacing=0.05, seed_scale=1e-6,
@@ -220,7 +224,8 @@ def unstable_manifold(p, fp, arclen=20.0, spacing=0.05, seed_scale=1e-6,
     consecutive image points are closer than `spacing`.
 
     The stable manifold is the coordinate swap of the result (the family is
-    reversible).  Escaped or pole-hitting branches are truncated.
+    reversible).  Escaped or pole-hitting branches are truncated, and
+    `Polyline.stop` says why the trace ended.
     """
     if fp.type != "saddle":
         raise NotSaddleError(f"fixed point {fp.zeta} is {fp.type}")
@@ -261,47 +266,50 @@ def unstable_manifold(p, fp, arclen=20.0, spacing=0.05, seed_scale=1e-6,
 
     pts = [x0.copy(), p1.copy()]
     total = float(np.linalg.norm(p1 - x0))
+    stop = "arclength" if total >= arclen else "max-points" if len(pts) >= max_points else None
     iters = 0
-    left_window = False
-    while total < arclen and len(pts) < max_points and not left_window:
-        # sample the fundamental seed interval adaptively at this iterate depth
+    while stop is None:
+        # refine the fundamental seed interval at this iterate depth; the
+        # stack pops intervals left to right, so each accepted one is the
+        # next point of the curve and is emitted at once
         stack = [(0.0, manifold_point(0.0, iters), 1.0, manifold_point(1.0, iters))]
-        acc = []
-        hole_s = None  # first seed parameter whose orbit leaves the window
-        guard = 0
-        while stack and guard < 200000:
-            guard += 1
+        hole = False  # an earlier interval's orbit left the window
+        pops = 0
+        while stack and stop is None:
+            if pops == LEVEL_GUARD:
+                stop = "guard"
+                break
+            pops += 1
             sa_, qa, sb, qb = stack.pop()
             if qa is None or qb is None:
                 # the branch escapes (pole kick or magnitude cap): truncate
                 # here rather than jumping the gap
-                hole_s = sa_ if hole_s is None else min(hole_s, sa_)
+                hole = True
                 continue
             if np.linalg.norm(qb - qa) <= spacing or (sb - sa_) < 1e-14:
-                acc.append((sa_, qa))
+                if hole:
+                    stop = "left-window"
+                    break
+                d = np.linalg.norm(qa - pts[-1])
+                if d == 0.0:
+                    continue
+                pts.append(qa)
+                total += d
+                if total >= arclen:
+                    stop = "arclength"
+                elif len(pts) >= max_points:
+                    stop = "max-points"
                 continue
             sm = 0.5 * (sa_ + sb)
             qm = manifold_point(sm, iters)
             stack.append((sm, qm, sb, qb))
             stack.append((sa_, qa, sm, qm))
-        acc.sort(key=lambda kv: kv[0])
-        for s, q in acc:
-            if hole_s is not None and s >= hole_s:
-                left_window = True
-                break
-            d = np.linalg.norm(q - pts[-1])
-            if d == 0.0:
-                continue
-            pts.append(q)
-            total += d
-            if total >= arclen or len(pts) >= max_points:
-                break
         iters += 1
-        if iters > 400:
-            break
+        if stop is None and iters > MAX_DEPTH:
+            stop = "depth"
     arr = np.array(pts)
     arc = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(arr, axis=0), axis=1))])
-    return Polyline(points=arr, arclength=arc,
+    return Polyline(points=arr, arclength=arc, stop=stop,
                     meta={"fixed_point": [z.real, z.real],
                           "eigenvalue": lam,
                           "seed_scale": seed_scale,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -196,3 +197,69 @@ def test_options_a_command_does_not_read_are_rejected(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_charts_zero_tolerance_fails(capsys, tmp_path):
+    # --tol 0 is a tolerance, not a request for the default
+    rc, _, _ = run_cli(["charts", "--params", str(PRESET), "--tol", "0",
+                        "--out", str(tmp_path)], capsys)
+    assert rc == 1
+    assert json.loads((tmp_path / "charts.json").read_text())["overall"] == "fail"
+
+
+def test_orbit_zero_steps_writes_the_seeds(capsys, tmp_path):
+    seeds = tmp_path / "seeds.json"
+    seeds.write_text("[[0.1, 0.1], [0.2, 0.3]]")
+    rc, out, _ = run_cli(["orbit", "--params", str(PRESET), "--steps", "0",
+                          "--seeds", str(seeds), "--out", str(tmp_path)], capsys)
+    assert rc == 0
+    assert (tmp_path / "orbits.csv").read_text().splitlines() == [
+        "seed_id,step,x,y",
+        "0,0,1.000000000000000e-01,1.000000000000000e-01",
+        "1,0,2.000000000000000e-01,3.000000000000000e-01"]
+    assert "(2 rows)" in out
+
+
+@pytest.mark.parametrize("argv", [["orbit", "--params", str(PRESET), "--steps", "-1"],
+                                  ["charts", "--params", str(PRESET), "--tol", "-0.001"],
+                                  ["verify", "--params", str(PRESET), "--tol", "-0.001"]])
+def test_negative_counts_and_tolerances_are_usage_errors(argv, capsys):
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 2
+    assert argv[-2] in err and out == ""
+
+
+ORBIT_SEEDS = "[[0.1, 0.1], [0.2, 0.3], [0.3, 1e-13], [-0.5, 0.6]]"
+
+# sha256 of orbits.csv for ORBIT_SEEDS and 300 steps, as written when each
+# row was formatted from numpy scalars
+ORBIT_CSV_DIGESTS = {
+    "real": "0145efd1d662546f55c1b18c4ecd854d6e0a90c2cb109314122e08ffdd85c39d",
+    "complex-delta": "6266f9abd870a564138c34c212d8d85a3914c89b7556e65a812d4ce24f6dac3f",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ORBIT_CSV_DIGESTS))
+def test_orbit_csv_pinned(kind, capsys, tmp_path):
+    params = PRESET
+    if kind == "complex-delta":
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"n": 2, "k": 4, "c": {"j": 1, "sign": "+"},
+                                      "a": {"2": [-2.64, 0.0]}, "delta": [0.5, 0.1]}))
+    seeds = tmp_path / "seeds.json"
+    seeds.write_text(ORBIT_SEEDS)
+    rc, out, _ = run_cli(["orbit", "--params", str(params), "--steps", "300",
+                          "--seeds", str(seeds), "--out", str(tmp_path)], capsys)
+    assert rc == 0
+    assert '"2": "pole"' in out
+    text = (tmp_path / "orbits.csv").read_bytes()
+    assert hashlib.sha256(text).hexdigest() == ORBIT_CSV_DIGESTS[kind]
+
+
+def test_unstable_reports_why_each_trace_stopped(capsys, tmp_path):
+    rc, out, _ = run_cli(["unstable", "--params", str(PRESET), "--arclen", "2.0",
+                          "--out", str(tmp_path)], capsys)
+    assert rc == 0
+    assert out.count(", stop arclength") == 2
+    manifolds = json.loads((tmp_path / "unstable.json").read_text())["manifolds"]
+    assert all("stop" not in m["meta"] for m in manifolds)

@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 import surfauto as sa
+import surfauto.dynamics as dyn
 from surfauto.dynamics import fixed_point_polynomial, jacobian_dual
 
 
@@ -219,3 +222,110 @@ def test_degenerate_c_rejected():
         fixed_point_polynomial(sa.MapParams(n=2, k=4, c_spec=2.0, delta=1, validate=False))
     with pytest.raises(sa.ParamError):
         fixed_point_polynomial(p)
+
+
+# -- manifold stop reasons and cost --------------------------------------------
+
+def _real_saddles(p):
+    return [r for r in sa.fixed_points(p) if r.type == "saddle" and abs(r.zeta.imag) < 1e-9]
+
+
+def _points_digest(line):
+    return hashlib.sha256(line.points.tobytes()).hexdigest()
+
+
+# sha256 of unstable_manifold(fig1, saddle, arclen=5.0).points.tobytes(), as
+# traced before the level loop stopped at the arclength
+MANIFOLD_DIGESTS = {
+    -0.738: (154, "745484a28d26a5ba148af9b0a449dee72a3be754c401560d0e272564da3c0a42"),
+    0.575: (147, "1b1fe8dc4d96a33b6777bf46a63a4c0f17c53aa3526ef79aaf3497fd8b4c1b00"),
+}
+
+
+def test_manifold_points_pinned():
+    p = fig1()
+    for r in _real_saddles(p):
+        count, digest = MANIFOLD_DIGESTS[round(r.zeta.real, 3)]
+        line = sa.unstable_manifold(p, r, arclen=5.0, spacing=0.05)
+        assert line.stop == "arclength"
+        assert len(line.points) == count
+        assert _points_digest(line) == digest
+
+
+def _with_hole(monkeypatch, center, radius):
+    # the map fails on a small disc, as if the orbit left the window there
+    inner = dyn.eval_f
+
+    def eval_f(p, pt, *args, **kw):
+        if (pt[0] - center[0]) ** 2 + (pt[1] - center[1]) ** 2 < radius ** 2:
+            raise sa.PoleError("outside the window")
+        return inner(p, pt, *args, **kw)
+
+    monkeypatch.setattr(dyn, "eval_f", eval_f)
+
+
+def test_manifold_left_window_pinned(monkeypatch):
+    p = fig1()
+    saddle = [r for r in _real_saddles(p) if r.zeta.real > 0][0]
+    _with_hole(monkeypatch, (0.57, 0.78), 0.05)
+    line = sa.unstable_manifold(p, saddle, arclen=5.0, spacing=0.05)
+    assert line.stop == "left-window"
+    assert len(line.points) == 68
+    assert _points_digest(line) == \
+        "3a036465e4ce2309bfde4a71bdaf6b38a38d3451004637e811d3aaf88cb21e3d"
+
+
+def test_manifold_stops_at_max_points():
+    p = fig1()
+    saddle = _real_saddles(p)[0]
+    full = sa.unstable_manifold(p, saddle, arclen=5.0)
+    line = sa.unstable_manifold(p, saddle, arclen=5.0, max_points=40)
+    assert line.stop == "max-points"
+    assert np.array_equal(line.points, full.points[:40])
+
+
+def test_manifold_ends_when_a_level_exhausts_the_guard(monkeypatch):
+    # a level that runs out of pops ends the trace instead of leaving a gap
+    # to the next level
+    p = fig1()
+    saddle = _real_saddles(p)[0]
+    full = sa.unstable_manifold(p, saddle, arclen=5.0, spacing=0.05)
+    monkeypatch.setattr(dyn, "LEVEL_GUARD", 40)
+    line = sa.unstable_manifold(p, saddle, arclen=5.0, spacing=0.05)
+    assert line.stop == "guard"
+    assert line.arclength[-1] < 5.0
+    assert np.array_equal(line.points, full.points[:len(line.points)])
+    gaps = np.linalg.norm(np.diff(line.points[2:], axis=0), axis=1)
+    assert gaps.max() <= 0.05 + 1e-9
+
+
+def test_manifold_cost_per_emitted_point(monkeypatch):
+    # refinement stops once the curve reaches the arclength, so the cost
+    # follows the points emitted, not the size of the last level
+    calls = []
+    inner = dyn.eval_f
+
+    def eval_f(*args, **kw):
+        calls.append(1)
+        return inner(*args, **kw)
+
+    monkeypatch.setattr(dyn, "eval_f", eval_f)
+    p = fig1()
+    for r in _real_saddles(p):
+        calls.clear()
+        line = sa.unstable_manifold(p, r, arclen=20.0)
+        assert line.stop == "arclength" and line.arclength[-1] >= 20.0
+        assert len(calls) <= 10 * len(line.points)
+
+
+def test_real_orbit_keeps_imaginary_c():
+    # an explicit complex c sends real seeds and real a_l down the complex
+    # branch, as eval_f does
+    p = sa.MapParams(2, 4, c_spec=0.3 + 0.1j, a={2: 1.5}, validate=False)
+    orb = sa.iterate_orbit(p, (0.4, 0.7), 3)
+    assert orb.status == "completed" and orb.points.dtype.kind == "c"
+    pt = (0.4, 0.7)
+    for row in orb.points[1:]:
+        pt = sa.eval_f(p, pt)
+        assert abs(row[0] - pt[0]) < 1e-12 and abs(row[1] - pt[1]) < 1e-12
+    assert abs(orb.points[1][1].imag - 0.07) < 1e-12
