@@ -13,10 +13,14 @@ fiber coordinate beta(s, j) = (+-) (w_1...w_{s-1})^(j-2) * b_{j-1}; the
 shift to b_{j-1} (not b_j) is what makes the exceptional curve land on the
 next center at every level, which is the whole point of the construction.
 
-All numeric work here runs in mpmath at a working precision scaled to the
-tower depth: inverting a depth-j chart near a fiber at transverse distance
-eps cancels roughly j*log10(1/eps) digits, which double precision cannot
-survive for k >= 4.
+Numeric work runs at a working precision scaled to the tower depth:
+inverting a depth-j chart near a fiber at transverse distance eps cancels
+roughly j*log10(1/eps) digits, which double precision cannot survive for
+k >= 4.  The centers and the closed forms are computed in mpmath.  Jet
+orbits and lifted samples run on Jets (Python-integer jets of
+jet_bits(dps) bits, see :mod:`surfauto.dual`) through the same generic
+chart and map functions, and become mpmath numbers again for Richardson
+extrapolation.  Chart routing alone runs in double precision.
 """
 
 from dataclasses import dataclass, replace
@@ -25,7 +29,7 @@ from typing import NamedTuple
 
 import mpmath as mp
 
-from .dual import Dual2, richardson, value
+from .dual import Jet, jet_bits, richardson
 from .errors import ChartDomainError, ExtrapolationError, ParamError, PoleError
 from .mapfamily import center_series, eval_f_proj, infinity_orbit, proj_normalize
 
@@ -49,10 +53,13 @@ class ChartPoint(NamedTuple):
 
 
 def default_dps(k, eps_min=1e-7):
-    """Working precision adequate for full-depth chart inversions.
+    """Working precision, in decimal digits, for full-depth chart inversions.
 
-    Budgeted for lifts down to eps_min: inverting level j at transverse
-    distance eps cancels about j*log10(1/eps) digits."""
+    Budgeted, not measured, for lifts down to eps_min: inverting level
+    j <= 2k+3 at transverse distance eps cancels about j*log10(1/eps)
+    digits, and 45 more are kept.  mpmath runs at this dps and Jets at
+    jet_bits(dps) bits, mpmath's precision there plus a guard: about 420
+    bits for k = 4 and 700 for k = 10."""
     import math
 
     digits_lost = (2 * k + 3) * int(round(-math.log10(eps_min)))
@@ -97,6 +104,18 @@ class CenterTable:
             return mp.mpf(10) ** (-(self.dps - 8))
 
     @cached_property
+    def bits(self):
+        """Mantissa width of the Jets that run on this table."""
+        return jet_bits(self.dps)
+
+    @cached_property
+    def jet(self):
+        """The same table with w and the centers as Jet constants: the copy
+        that jet orbits and lifted samples run on."""
+        return replace(self, w=tuple(Jet.const(x, self.bits) for x in self.w),
+                       beta={key: Jet.const(v, self.bits) for key, v in self.beta.items()})
+
+    @cached_property
     def double(self):
         """The same table with w and the centers as python complex: the
         double-precision copy that chart routing inverts with."""
@@ -123,7 +142,8 @@ def chart_to_plane(table, cid, pt):
     """Compose the blowdown maps into homogeneous coordinates.
 
     Points with v = 0 land exactly on the blown-down image (the limb base
-    point for tower charts).  Scalars may be mpmath numbers or Dual2 jets.
+    point for tower charts).  Scalars may be mpmath numbers, or Jets with
+    table.jet, or python complex with table.double.
     """
     u, v = pt.u, pt.v
     if cid.kind == "affine":
@@ -150,8 +170,6 @@ def chart_to_plane(table, cid, pt):
 
 def _one(sample):
     """Multiplicative unit matching the scalar type of sample."""
-    if isinstance(sample, Dual2):
-        return Dual2(sample.a * 0 + 1)
     return sample * 0 + 1
 
 
@@ -160,8 +178,8 @@ def plane_to_chart(table, cid, P, floor=None):
 
     The floor defaults to 10^-(dps-8): far below any legitimate transverse
     scale at the working precision, so only genuinely blown-down points
-    trip it.  Scalars may be mpmath numbers, Dual2 jets or python complex
-    (with table.double); with floor=0.0 an exact zero divisor raises
+    trip it.  Scalars may be mpmath numbers, Jets (with table.jet) or python
+    complex (with table.double); with floor=0.0 an exact zero divisor raises
     ZeroDivisionError instead.
     """
     if floor is None:
@@ -192,9 +210,9 @@ def plane_to_chart(table, cid, P, floor=None):
 
 
 def _check_divisor(b, floor, cid):
-    # abs() of a Dual2 is the modulus of its value
+    # abs() of a Jet is the exact modulus of its value
     if abs(b) < floor:
-        raise ChartDomainError(f"division by {value(b)} in chart {cid}")
+        raise ChartDomainError(f"division by {b} in chart {cid}")
 
 
 # -- the fiber-to-fiber transition table --------------------------------------
@@ -244,16 +262,16 @@ def fiber_transition_closed(table, s, j, xi, pole_tol=1e-12):
     if j == 2 * k + 1:
         return tgt, xi - b[2 * k]
     if j == k + 1:
-        if abs(value(xi) - 1) < pole_tol:
+        if abs(xi - 1) < pole_tol:
             raise PoleError("xi = 1 is the pole of the middle flip branch")
         return tgt, xi / (xi - 1)
     if j <= k:
         l = k + 1 - j
-        if abs(value(xi)) < pole_tol:
+        if abs(xi) < pole_tol:
             raise PoleError("xi = 0 is the pole of this flip branch")
         return tgt, b[k + l] + 1 / xi
     l = j - k - 1
-    if abs(value(xi) - value(b[k + l])) < pole_tol:
+    if abs(xi - b[k + l]) < pole_tol:
         raise PoleError(f"xi = b_{k+l} is the pole of the inverse flip branch")
     return tgt, 1 / (xi - b[k + l])
 
@@ -272,18 +290,19 @@ def fiber_transition_numeric(p, table, s, j, xi, eps_seq=DEFAULT_EPS_SEQ, conv_t
     below conv_tol; otherwise ExtrapolationError."""
     source = (s, j) == SIGMA2 or s == "sigma2"
     tgt = ("fiber", 0, 2 * table.k + 1) if source else fiber_target(table.n, table.k, s, j)
+    jt = table.jet
 
     def sample(xi, eps):
         if source:
-            P = proj_normalize((mp.mpf(1), xi, eps))
+            P = proj_normalize((_one(xi), xi, eps))
         else:
-            P = chart_to_plane(table, ChartId("tower", s, j), ChartPoint(xi, eps))
+            P = chart_to_plane(jt, ChartId("tower", s, j), ChartPoint(xi, eps))
         Q = eval_f_proj(p, P, dps=table.dps)
         if tgt == SIGMA1:
             z0, z1, z2 = Q
             return z2 / z0
         _, s2, j2 = tgt
-        return plane_to_chart(table, ChartId("tower", s2, j2), Q).u
+        return plane_to_chart(jt, ChartId("tower", s2, j2), Q).u
 
     return (tgt,) + _lift_limit(table, xi, sample, eps_seq, conv_tol, "transition")
 
@@ -291,18 +310,23 @@ def fiber_transition_numeric(p, table, s, j, xi, eps_seq=DEFAULT_EPS_SEQ, conv_t
 def _lift_limit(table, xi, sample, eps_seq, conv_tol, what):
     """Limit of sample(xi, eps) as the lift eps off the fiber goes to 0.
 
+    sample runs on Jet constants of table.bits bits and returns a Jet.
     Order-2 Richardson over the last three lifts, extended by up to two
     decades until successive extrapolants agree below conv_tol; returns
     (limit, last change) or raises ExtrapolationError."""
     with mp.workdps(table.dps):
-        xi = mp.mpmathify(xi)
+        xi = Jet.const(xi, table.bits)
+
+        def at(eps):
+            return sample(xi, Jet.const(eps, table.bits)).mpc()[0]
+
         eps_list = [mp.mpf(e) for e in eps_seq]
-        vals = [sample(xi, e) for e in eps_list]
+        vals = [at(e) for e in eps_list]
         lim, _ = richardson(eps_list[-3:], vals[-3:])
         for _ in range(2):  # extend by up to two decades
             prev = lim
             eps_list.append(eps_list[-1] / 10)
-            vals.append(sample(xi, eps_list[-1]))
+            vals.append(at(eps_list[-1]))
             lim, _ = richardson(eps_list[-3:], vals[-3:])
             if abs(lim - prev) < conv_tol:
                 return lim, float(abs(lim - prev))
@@ -328,7 +352,7 @@ def route_chart(table, P):
     precision on table.double with no floor (an exact zero divisor
     rejects the chart); selection runs in double precision, values never do.
     """
-    Pf = tuple(_downcast(value(z)) for z in P)
+    Pf = tuple(_downcast(z) for z in P)
     x0, x1, x2 = Pf
     best, best_key = None, None
     for cid in table.chart_ids:
@@ -374,23 +398,25 @@ class ParabolicReport:
 
 def _jet_orbit(p, table, cid, u0, v0, steps):
     """Route a 2-jet through `steps` map applications, ending in the start
-    chart; returns the final Dual2 pair.  The half-way point is also
-    re-expressed in the start chart so the half-way differential is
-    readable there."""
-    u = Dual2(u0, mp.mpf(1), mp.mpf(0))
-    v = Dual2(v0, mp.mpf(0), mp.mpf(1))
+    chart.  Runs on Jets and returns each coordinate as an mpmath triple
+    (value, d/du0, d/dv0), for the final point and for the half-way point
+    (with its chart), which is also re-expressed in the start chart so the
+    half-way differential is readable there."""
+    jt = table.jet
+    u = Jet.of(u0, 1, 0, table.bits)
+    v = Jet.of(v0, 0, 1, table.bits)
     cur = cid
     mid = None
     for step in range(steps):
-        P = chart_to_plane(table, cur, ChartPoint(u, v))
+        P = chart_to_plane(jt, cur, ChartPoint(u, v))
         Q = eval_f_proj(p, P, dps=table.dps)
         force = step == steps - 1 or (step == steps // 2 - 1 and cid.kind == "base")
         nxt = cid if force else route_chart(table, Q)
-        u, v = plane_to_chart(table, nxt, Q)
+        u, v = plane_to_chart(jt, nxt, Q)
         cur = nxt
         if step == steps // 2 - 1:
-            mid = (u, v, cur)
-    return u, v, mid
+            mid = (u.mpc(), v.mpc(), cur)
+    return u.mpc(), v.mpc(), mid
 
 
 def parabolic_check(p, table, cid, pt, steps=None, eps_seq=DEFAULT_EPS_SEQ, conv_tol=1e-8):
@@ -407,22 +433,22 @@ def parabolic_check(p, table, cid, pt, steps=None, eps_seq=DEFAULT_EPS_SEQ, conv
     steps = steps or 2 * n
     with mp.workdps(table.dps):
         if cid.kind == "base":
-            u, v, mid = _jet_orbit(p, table, cid, mp.mpmathify(pt.u), mp.mpf(0), steps)
-            dev = max(abs(u.dx - 1), abs(u.dy), abs(v.dx), abs(v.dy - 1))
-            fix = max(abs(u.a - pt.u), abs(v.a))
+            (ua, udx, udy), (va, vdx, vdy), mid = _jet_orbit(p, table, cid, pt.u, 0, steps)
+            dev = max(abs(udx - 1), abs(udy), abs(vdx), abs(vdy - 1))
+            fix = max(abs(ua - pt.u), abs(va))
             diag = None
             if mid is not None:
                 mu, mv, mcid = mid
                 if mcid == cid:
                     # (transverse, along) multipliers: expected (+-1, 1)
-                    diag = (complex(mv.dy), complex(mu.dx))
+                    diag = (complex(mv[2]), complex(mu[1]))
             return ParabolicReport(cid, (complex(pt.u), 0.0), steps,
                                    float(dev), float(fix), diag, True)
         jac_seq, val_seq = [], []
         for e in eps_seq:
-            u, v, _ = _jet_orbit(p, table, cid, mp.mpmathify(pt.u), mp.mpf(e), steps)
-            jac_seq.append((u.dx, u.dy, v.dx, v.dy))
-            val_seq.append((u.a, v.a))
+            (ua, udx, udy), (va, vdx, vdy), _ = _jet_orbit(p, table, cid, pt.u, e, steps)
+            jac_seq.append((udx, udy, vdx, vdy))
+            val_seq.append((ua, va))
         ext = [richardson(eps_seq, [js[i] for js in jac_seq]) for i in range(4)]
         jac = [x[0] for x in ext]
         jac_err = max(x[1] for x in ext)
@@ -464,10 +490,11 @@ def reversor_transition_numeric(table, s, j, xi, eps_seq=DEFAULT_EPS_SEQ, conv_t
     """Swap-action on fibers computed through the plane, as an independent
     check of the closed form."""
     tgt = ("fiber", table.n - 1 - s, j)
+    jt = table.jet
 
     def sample(xi, eps):
-        x0, x1, x2 = chart_to_plane(table, ChartId("tower", s, j), ChartPoint(xi, eps))
+        x0, x1, x2 = chart_to_plane(jt, ChartId("tower", s, j), ChartPoint(xi, eps))
         Q = proj_normalize((x0, x2, x1))
-        return plane_to_chart(table, ChartId("tower", tgt[1], tgt[2]), Q).u
+        return plane_to_chart(jt, ChartId("tower", tgt[1], tgt[2]), Q).u
 
     return (tgt,) + _lift_limit(table, xi, sample, eps_seq, conv_tol, "reversor")

@@ -273,7 +273,6 @@ def unstable_manifold(p, fp, arclen=20.0, spacing=0.05, seed_scale=1e-6,
         # stack pops intervals left to right, so each accepted one is the
         # next point of the curve and is emitted at once
         stack = [(0.0, manifold_point(0.0, iters), 1.0, manifold_point(1.0, iters))]
-        hole = False  # an earlier interval's orbit left the window
         pops = 0
         while stack and stop is None:
             if pops == LEVEL_GUARD:
@@ -282,14 +281,12 @@ def unstable_manifold(p, fp, arclen=20.0, spacing=0.05, seed_scale=1e-6,
             pops += 1
             sa_, qa, sb, qb = stack.pop()
             if qa is None or qb is None:
-                # the branch escapes (pole kick or magnitude cap): truncate
-                # here rather than jumping the gap
-                hole = True
-                continue
+                # the branch escapes (pole kick or magnitude cap): the curve
+                # leaves the window here, and the trace ends rather than
+                # jumping the gap
+                stop = "left-window"
+                break
             if np.linalg.norm(qb - qa) <= spacing or (sb - sa_) < 1e-14:
-                if hole:
-                    stop = "left-window"
-                    break
                 d = np.linalg.norm(qa - pts[-1])
                 if d == 0.0:
                     continue

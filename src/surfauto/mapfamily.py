@@ -10,13 +10,15 @@ at infinity is a rotation of period n and the map lifts to an automorphism
 of an iterated blowup of the plane; the blowup data is modelled in
 :mod:`surfauto.charts` and :mod:`surfauto.picard`.
 
-Evaluation routines are generic over the scalar type: python complex,
-mpmath numbers and Dual2 jets all work, since only field operations are
-used.  c is kept symbolic (j, n, sign) when given as a pair.  Its value,
--delta, the a_l and the indeterminacy floor are computed once per
-(params, dps) and cached on the params (:meth:`MapParams.coeffs`), where
-every routine reads them; the affine formula is written once, on the
-coefficients, and :func:`eval_f` and the orbit stepper share it.
+Evaluation routines are generic over the scalar type, since only field
+operations are used: python complex and Dual2 jets over it (the dynamics
+layer), mpmath numbers, and the chart layer's Jets.  c is kept symbolic
+(j, n, sign) when given as a pair.  Its value, -delta, the a_l and the
+indeterminacy floor are computed once per (params, dps) and cached on the
+params (:meth:`MapParams.coeffs`), where every routine reads them, with a
+second copy converted to Jet constants for the chart layer; the affine
+formula is written once, on the coefficients, and :func:`eval_f` and the
+orbit stepper share it.
 """
 
 import json
@@ -27,7 +29,7 @@ from typing import NamedTuple
 
 import mpmath as mp
 
-from .dual import value
+from .dual import Jet, jet_bits
 from .errors import (
     IndeterminacyError,
     NumericCheckError,
@@ -98,7 +100,7 @@ class MapCoeffs(NamedTuple):
     c: object
     neg_delta: object
     a: tuple            # (l, a_l) pairs, ascending l
-    floor: float        # indeterminacy floor 10^-(dps-8); None for dps=None
+    floor: object       # indeterminacy floor 10^-(dps-8); None for dps=None
 
     def _next_y(self, k, x, y):
         """Second component of f(x, y), unchecked: the one formula of the
@@ -166,15 +168,23 @@ class MapParams:
             return sign * 2.0 * math.cos(math.pi * j / self.n)
         return self.c_spec
 
-    def coeffs(self, dps=None):
+    def coeffs(self, dps=None, jet=False):
         """c, -delta, the a_l and the indeterminacy floor at precision dps.
 
-        Computed on the first request for each dps and cached on the
-        params.  With dps=None the python scalars, and no floor.
+        Computed on the first request for each (dps, jet) and cached on the
+        params.  With dps=None the python scalars, and no floor; with jet
+        the mpmath values converted to Jet constants of jet_bits(dps) bits,
+        and the floor as the Modulus that Jet moduli compare with.
         """
-        got = self._coeffs.get(dps)
+        got = self._coeffs.get((dps, jet))
         if got is None:
-            if dps is None:
+            if jet:
+                c, neg_d, a, floor = self.coeffs(dps)
+                bits = jet_bits(dps)
+                got = MapCoeffs(Jet.const(c, bits), Jet.const(neg_d, bits),
+                                tuple((l, Jet.const(al, bits)) for l, al in a),
+                                abs(Jet.const(floor, bits)))
+            elif dps is None:
                 got = MapCoeffs(self.c(), -self.delta, tuple(sorted(self.a.items())), None)
             else:
                 with mp.workdps(dps):
@@ -185,8 +195,8 @@ class MapParams:
                         c = mp.mpmathify(self.c_spec)
                     got = MapCoeffs(c, -mp.mpmathify(self.delta),
                                     tuple((l, mp.mpmathify(v)) for l, v in sorted(self.a.items())),
-                                    float(mp.mpf(10) ** (-(dps - 8))))
-            self._coeffs[dps] = got
+                                    mp.mpf(10) ** (-(dps - 8)))
+            self._coeffs[(dps, jet)] = got
         return got
 
     # -- JSON parameter files ------------------------------------------------
@@ -245,10 +255,10 @@ def eval_f(p, pt, tol=DEFAULT_TOL, dps=None):
     Dual2 jets).
     """
     x, y = pt
-    if abs(value(y)) < tol:
-        raise PoleError(f"y={value(y)} within tol of the pole line")
+    if abs(y) < tol:
+        raise PoleError(f"y={y} within tol of the pole line")
     out = p.coeffs(dps)._next_y(p.k, x, y)
-    if abs(value(out)) > MAGNITUDE_CAP:
+    if abs(out) > MAGNITUDE_CAP:
         raise OverflowEscape("image magnitude exceeds cap")
     return (y, out)
 
@@ -256,31 +266,34 @@ def eval_f(p, pt, tol=DEFAULT_TOL, dps=None):
 def eval_f_inverse(p, pt, tol=DEFAULT_TOL, dps=None):
     """Inverse map; for delta=1 this equals swap . f . swap."""
     X, Y = pt
-    if abs(value(X)) < tol:
-        raise PoleError(f"x={value(X)} within tol of the inverse pole line")
+    if abs(X) < tol:
+        raise PoleError(f"x={X} within tol of the inverse pole line")
     c, neg_d, a, _ = p.coeffs(dps)
     xinv = 1 / X
     out = c * X + xinv ** p.k - Y
     for l, al in a:
         out = out + al * xinv ** l
     out = out / -neg_d
-    if abs(value(out)) > MAGNITUDE_CAP:
+    if abs(out) > MAGNITUDE_CAP:
         raise OverflowEscape("image magnitude exceeds cap")
     return (out, X)
 
 
 def proj_normalize(P):
     """Scale homogeneous coordinates so the max-modulus entry has modulus 1."""
-    return _divide_by_largest(P, [abs(value(z)) for z in P])
+    return _divide_by_largest(P, [abs(z) for z in P])
 
 
 def _divide_by_largest(P, mods):
-    """proj_normalize with the moduli of the entries already computed."""
+    """proj_normalize with the moduli of the entries already computed.
+
+    Only an exact zero is rejected: a tiny vector deep in the tower is
+    legitimate, and its modulus may lie far below the smallest double."""
     m = max(mods)
-    if float(m) == 0.0:
+    if m == 0:
         raise IndeterminacyError("zero projective vector")
-    sel = P[mods.index(m)]
-    return tuple(z / sel for z in P)
+    inv = 1 / P[mods.index(m)]
+    return tuple(z * inv for z in P)
 
 
 def proj_equal(P, Q, tol=DEFAULT_TOL):
@@ -300,10 +313,11 @@ def eval_f_proj(p, P, tol=DEFAULT_TOL, dps=None):
     """
     x0, x1, x2 = P
     k = p.k
-    c, neg_d, a, floor = p.coeffs(dps)
+    c, neg_d, a, floor = p.coeffs(dps, jet=type(x0) is Jet)
     # k and every l are even, so the form needs x2 only at even powers and
     # k+1, and x0 only at odd powers: build each once.  Scalars go on the
-    # right of every product, where a Dual2 jet takes them cheaply.
+    # right of every product, so a jet never meets an mpmath number on its
+    # left (mpmath would first try, and fail, to convert it).
     sq = x2 * x2
     x2p = {2: sq}
     for m in range(4, k + 1, 2):
@@ -322,23 +336,13 @@ def eval_f_proj(p, P, tol=DEFAULT_TOL, dps=None):
         y2 = y2 + t
     img = (y0, y1, y2)
     # indeterminate iff the image cancels to the noise floor of the largest
-    # intermediate term (smallness alone is legitimate deep in the tower)
-    mods = [abs(value(z)) for z in img]
-    term_scale = max(mods[0], mods[1], *(abs(value(t)) for t in terms))
-    if max(mods) <= (tol if floor is None else floor) * float(term_scale):
+    # intermediate term (smallness alone is legitimate deep in the tower);
+    # the moduli are compared in the scalar type, where they cannot underflow
+    mods = [abs(z) for z in img]
+    term_scale = max(mods[0], mods[1], *(abs(t) for t in terms))
+    if max(mods) <= term_scale * (tol if floor is None else floor):
         raise IndeterminacyError("projective image vanishes: input at the indeterminacy point")
     return _divide_by_largest(img, mods)
-
-
-def affine_to_proj(pt):
-    return (1, pt[0], pt[1])
-
-
-def proj_to_affine(P, tol=DEFAULT_TOL):
-    x0, x1, x2 = P
-    if abs(value(x0)) < tol * max(abs(value(x1)), abs(value(x2)), 1):
-        raise PoleError("point at infinity has no affine chart image")
-    return (x1 / x0, x2 / x0)
 
 
 # -- combinatorics at infinity ----------------------------------------------
@@ -364,13 +368,13 @@ def infinity_orbit(p, dps=None, tol=DEFAULT_TOL):
         w = [c]
         for _ in range(n - 2):
             prev = w[-1]
-            if abs(value(prev)) == 0:
+            if abs(prev) == 0:
                 raise PeriodicityError("orbit at infinity hit the pole early")
             w.append(c + neg_d / prev)
         end_tol = tol if dps is None else float(mp.mpf(10) ** (-(dps - 10)))
-        if abs(value(w[-1])) >= end_tol:
+        if abs(w[-1]) >= end_tol:
             raise PeriodicityError(
-                f"orbit at infinity does not return to the base point: |w_{n-1}| = {abs(value(w[-1]))}"
+                f"orbit at infinity does not return to the base point: |w_{n-1}| = {abs(w[-1])}"
             )
     w_star = w[(n - 1) // 2 - 1] if n % 2 == 1 else None
     return InfinityOrbit(w=w, w_star=w_star)

@@ -3,7 +3,7 @@ import random
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import surfauto as sa
@@ -167,6 +167,25 @@ def test_closed_vs_numeric_all_fibers(fix, request):
             worst = max(worst, diff)
             assert diff < 1e-6, (s, j, xi, diff)
     assert worst < 1e-6
+
+
+FIG1 = (sa.figure1_params(), CenterTable.build(sa.figure1_params()))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 1), st.integers(1, 9), st.floats(0.2, 2.5), st.floats(-1.0, 1.0))
+def test_closed_vs_numeric_at_random_xi(s, j, re, im):
+    """On figure 1, the closed-form fiber transition agrees with the route
+    through the plane at any xi away from the poles of the flip branches."""
+    p, table = FIG1
+    xi = complex(re, im)
+    poles = [0.0, 1.0] + [complex(b) for b in table.b[p.k + 1:]]
+    assume(min(abs(xi - z) for z in poles) > 0.2)
+    tgt_c, closed = sa.fiber_transition_closed(table, s, j, xi)
+    tgt_n, numeric, err = sa.fiber_transition_numeric(p, table, s, j, xi)
+    assert tgt_c == tgt_n
+    assert abs(complex(closed) - complex(numeric)) < 1e-6, (s, j, xi)
+    assert err < 1e-8
 
 
 def test_named_transition_values(fig1, n4k2):

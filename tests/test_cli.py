@@ -263,3 +263,15 @@ def test_unstable_reports_why_each_trace_stopped(capsys, tmp_path):
     assert out.count(", stop arclength") == 2
     manifolds = json.loads((tmp_path / "unstable.json").read_text())["manifolds"]
     assert all("stop" not in m["meta"] for m in manifolds)
+
+
+def test_charts_at_2_10_survive_deep_underflow(capsys, tmp_path):
+    # lifting to eps = 1e-7 at depth 21 gives images of modulus about
+    # 1e-327, below the smallest double: the projective checks must compare
+    # moduli at the working precision, not after float()
+    rc, out, err = run_cli(["charts", "--n", "2", "--k", "10", "--c-j", "1", "--c-sign", "+",
+                            "--out", str(tmp_path)], capsys)
+    assert rc == 0, err
+    payload = json.loads((tmp_path / "charts.json").read_text())
+    assert payload["overall"] == "pass"
+    assert len(payload["records"]) == 2 * 21

@@ -5,6 +5,8 @@ at the origin: value a, partials dx and dy.  Each operation must give the
 value and partials of the corresponding operation on functions.
 """
 
+from fractions import Fraction
+
 import mpmath as mp
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 import surfauto as sa
 from surfauto.charts import CenterTable, ChartId, ChartPoint, parabolic_check
-from surfauto.dual import Dual2
+from surfauto.dual import Dual2, Jet, jet_bits
 
 DPS = 50
 TOL = mp.mpf(10) ** (-(DPS - 10))
@@ -101,6 +103,180 @@ def test_fiber_check_keeps_jets_on_the_left(monkeypatch):
         raise AssertionError("Dual2.__repr__ called: a scalar was the left operand of a jet")
 
     monkeypatch.setattr(Dual2, "__repr__", no_repr)
+    r = parabolic_check(p, table, ChartId("tower", 0, 3), ChartPoint(1.1 + 0.2j, 0.0))
+    assert r.max_deviation < 1e-6
+    assert r.fix_residual < 1e-8
+
+
+# -- the chart layer's Jet against Dual2 over mpmath --------------------------------
+
+BITS = jet_bits(DPS)
+_gap = st.integers(min_value=-3 * BITS, max_value=3 * BITS)
+reals = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False, allow_infinity=False)
+plain = st.one_of(st.integers(-9, 9), reals, st.builds(complex, reals, reals), scalars)
+
+
+def _pow2(k):
+    return mp.ldexp(mp.mpf(1), k)
+
+
+def _jet(d):
+    return Jet.of(d.a, d.dx, d.dy, BITS)
+
+
+def _scaled(d, shift):
+    """d times 2**shift, exactly."""
+    return Dual2(d.a * _pow2(shift), d.dx * _pow2(shift), d.dy * _pow2(shift))
+
+
+def _size(d):
+    """Largest component of a jet or scalar."""
+    if isinstance(d, Dual2):
+        return max(abs(d.a), abs(d.dx), abs(d.dy))
+    return abs(mp.mpmathify(d))
+
+
+def _jet_close(got, want, scale):
+    """A Jet rounds all six mantissas at one shared exponent, so its error
+    is a small multiple of 2^-BITS times the size of the operands (their
+    sum for + and -, their product for * and /), however small the result."""
+    assert isinstance(got, Jet)
+    with mp.workdps(DPS):
+        for g, w in zip(got.mpc(), (want.a, want.dx, want.dy)):
+            assert abs(g - w) <= TOL * scale, (g, w)
+
+
+@settings(deadline=None)
+@given(duals, duals, _gap)
+def test_jet_jet(u, v, shift):
+    """+, - and * agree with Dual2, also when the exponents of the operands
+    differ by more than the mantissa width."""
+    v = _scaled(v, shift)
+    ju, jv = _jet(u), _jet(v)
+    with mp.workdps(DPS):
+        add, mul = max(_size(u), _size(v)), _size(u) * _size(v)
+        _jet_close(ju + jv, u + v, add)
+        _jet_close(jv + ju, u + v, add)
+        _jet_close(ju - jv, u - v, add)
+        _jet_close(jv - ju, v - u, add)
+        _jet_close(ju * jv, u * v, mul)
+        _jet_close(jv * ju, u * v, mul)
+
+
+@settings(deadline=None)
+@given(duals, invertible, _gap)
+def test_jet_over_jet(u, v, shift):
+    v = _scaled(v, shift)
+    with mp.workdps(DPS):
+        inv = 1 / v
+        _jet_close(_jet(u) / _jet(v), u / v, _size(u) * _size(inv))
+        _jet_close(1 / _jet(v), inv, _size(inv))
+
+
+@settings(deadline=None)
+@given(duals, plain)
+def test_jet_scalar_both_sides(u, s):
+    j = _jet(u)
+    with mp.workdps(DPS):
+        m = mp.mpmathify(s)
+        add, mul = max(_size(u), _size(s)), _size(u) * _size(s)
+        _jet_close(j + s, u + m, add)
+        _jet_close(s + j, u + m, add)
+        _jet_close(j - s, u - m, add)
+        _jet_close(s - j, m - u, add)
+        _jet_close(j * s, u * m, mul)
+        _jet_close(s * j, u * m, mul)
+        if m != 0:
+            _jet_close(j / s, u / m, _size(u) / abs(m))
+
+
+@settings(deadline=None)
+@given(invertible, plain)
+def test_scalar_over_jet(u, s):
+    with mp.workdps(DPS):
+        _jet_close(s / _jet(u), mp.mpmathify(s) / u, _size(s) * _size(1 / u))
+
+
+def test_jet_division_by_zero_value():
+    with pytest.raises(ZeroDivisionError):
+        Jet.const(1, BITS) / Jet.of(0, 1, 1, BITS)
+
+
+def _exact_sq(x):
+    """x^2 as a Fraction, for x a float, int or mpf."""
+    if isinstance(x, mp.mpf):
+        sign, man, exp, _ = x._mpf_
+        x = Fraction(man) * Fraction(2) ** exp
+    return Fraction(x) ** 2
+
+
+def _jet_sq(j):
+    return Fraction(j.ar ** 2 + j.ai ** 2) * Fraction(2) ** (2 * j.e)
+
+
+def _order(a, b):
+    return (a > b) - (a < b)
+
+
+_near = st.floats(min_value=0.0, max_value=8.0, allow_nan=False)
+
+
+@settings(deadline=None)
+@given(scalars, scalars, _near, _gap)
+def test_modulus_ordering(z, w, x, shift):
+    """abs() of a Jet compares exactly with floats, mpf and other moduli,
+    at any scale."""
+    with mp.workdps(DPS):
+        jz = Jet.const(z * _pow2(shift), BITS)
+        jw = Jet.const(w, BITS)
+        xs = [x, x * _pow2(shift), float(abs(complex(z)))]
+        xs.append(mp.mpf(xs[-1]))
+    for y in xs:
+        want = _order(_jet_sq(jz), _exact_sq(y))
+        m = abs(jz)
+        assert ((m < y), (m <= y), (m == y), (m >= y), (m > y)) == \
+            (want < 0, want <= 0, want == 0, want >= 0, want > 0), (z, y)
+    assert _order(abs(jz), abs(jw)) == _order(_jet_sq(jz), _jet_sq(jw))
+    assert abs(jz) == abs(jz) and not abs(jz) < abs(jz)
+
+
+def test_modulus_exact_values():
+    five = abs(Jet.const(3 + 4j, BITS))
+    assert five == 5 and five == 5.0 and five == mp.mpf(5)
+    assert five < 5.000000000000001 and five > 4.999999999999999
+    assert abs(Jet.const(0, BITS)) == 0 and not abs(Jet.const(0, BITS)) < 0.0
+    tiny = Jet.const(mp.mpf("1e-400"), BITS)
+    assert abs(tiny) > 0 and abs(tiny) < 1e-300
+    assert complex(tiny) == 0j  # double precision underflows; the modulus does not
+    # a product of moduli is the modulus of the product
+    assert abs(tiny) * five == abs(tiny * 5)
+
+
+@settings(deadline=None)
+@given(scalars, scalars)
+def test_jet_round_trips(z, w):
+    """Conversion rounds at the jet's largest component only; a value held
+    exactly converts to the same double as in mpmath."""
+    with mp.workdps(DPS):
+        _jet_close(Jet.const(z, BITS), Dual2(z, 0, 0), _size(z))
+        _jet_close(Jet.of(z, 1, w, BITS), Dual2(z, 1, w), _size(Dual2(z, 1, w)))
+        j = Jet.const(z, BITS)
+        if j.mpc()[0] == z:
+            assert complex(j) == complex(z)
+    assert Jet.of(0.5 + 2j, -1, 3, BITS).mpc() == (0.5 + 2j, -1, 3)
+
+
+def test_chart_kernel_keeps_jets_on_the_left(monkeypatch):
+    """A scalar on the left of a Jet is converted on every operation; the
+    kernel converts its constants once and keeps Jets on the left, so no Jet
+    is ever formatted (mpmath formats the operand of a failed conversion)."""
+    p = sa.figure1_params()
+    table = CenterTable.build(p)
+
+    def no_repr(self):
+        raise AssertionError("Jet.__repr__ called")
+
+    monkeypatch.setattr(Jet, "__repr__", no_repr)
     r = parabolic_check(p, table, ChartId("tower", 0, 3), ChartPoint(1.1 + 0.2j, 0.0))
     assert r.max_deviation < 1e-6
     assert r.fix_residual < 1e-8

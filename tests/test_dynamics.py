@@ -275,6 +275,30 @@ def test_manifold_left_window_pinned(monkeypatch):
         "3a036465e4ce2309bfde4a71bdaf6b38a38d3451004637e811d3aaf88cb21e3d"
 
 
+def test_manifold_ends_where_the_curve_leaves_the_window(monkeypatch):
+    # the map fails outside |x|, |y| <= 1.2: the trace ends at the first
+    # escaped branch instead of running through the remaining levels
+    # without emitting a point
+    calls = []
+    inner = dyn.eval_f
+
+    def eval_f(p, pt, *args, **kw):
+        calls.append(1)
+        if abs(pt[0]) > 1.2 or abs(pt[1]) > 1.2:
+            raise sa.PoleError("outside the window")
+        return inner(p, pt, *args, **kw)
+
+    monkeypatch.setattr(dyn, "eval_f", eval_f)
+    p = fig1()
+    saddle = [r for r in _real_saddles(p) if r.zeta.real > 0][0]
+    line = sa.unstable_manifold(p, saddle, arclen=20.0, spacing=0.05)
+    assert line.stop == "left-window"
+    assert len(line.points) == 68
+    assert _points_digest(line) == \
+        "3a036465e4ce2309bfde4a71bdaf6b38a38d3451004637e811d3aaf88cb21e3d"
+    assert len(calls) <= 10 * len(line.points)
+
+
 def test_manifold_stops_at_max_points():
     p = fig1()
     saddle = _real_saddles(p)[0]

@@ -2,11 +2,13 @@ import cmath
 import math
 import random
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import surfauto as sa
+from surfauto.dual import Jet, jet_bits
 from surfauto.mapfamily import q_value
 
 
@@ -180,6 +182,28 @@ def test_proj_indeterminacy():
     p = hv_params()
     with pytest.raises(sa.IndeterminacyError):
         sa.eval_f_proj(p, (0.0, 1.0, 0.0))
+
+
+def _deep(scalar, dps):
+    """[2^-400 : 1 : 2^-500] for f with k = 4, c = 0 and no a_l: the image
+    component x0^5 - x1*x2^4 cancels exactly, and the image is 2^-400 below
+    its largest term, 2^-2000, which is far below the smallest double."""
+    return tuple(scalar(mp.ldexp(mp.mpf(1), -m)) if m else scalar(mp.mpf(1))
+                 for m in (400, 0, 500))
+
+
+@pytest.mark.parametrize("kind", ["mpmath", "jet"])
+def test_proj_indeterminacy_check_survives_underflow(kind):
+    p = sa.MapParams(n=2, k=4, c_spec=(1, 1))
+    dps = 122
+    scalar = (lambda x: x) if kind == "mpmath" else (lambda x: Jet.const(x, jet_bits(dps)))
+    with mp.workdps(dps):
+        with pytest.raises(sa.IndeterminacyError):
+            sa.eval_f_proj(p, _deep(scalar, dps), dps=dps)
+        # a tiny vector is still a point: normalising it does not underflow
+        img = sa.proj_normalize(tuple(z * scalar(mp.ldexp(mp.mpf(3), -1200))
+                                      for z in (scalar(mp.mpf(1)),) * 3))
+        assert [complex(z) for z in img] == [1, 1, 1]
 
 
 # -- orbit at infinity ------------------------------------------------------------
