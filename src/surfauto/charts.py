@@ -52,17 +52,16 @@ class ChartPoint(NamedTuple):
     v: object
 
 
-def default_dps(k, eps_min=1e-7):
+def default_dps(k):
     """Working precision, in decimal digits, for full-depth chart inversions.
 
-    Budgeted, not measured, for lifts down to eps_min: inverting level
-    j <= 2k+3 at transverse distance eps cancels about j*log10(1/eps)
-    digits, and 45 more are kept.  mpmath runs at this dps and Jets at
-    jet_bits(dps) bits, mpmath's precision there plus a guard: about 420
-    bits for k = 4 and 700 for k = 10."""
-    import math
-
-    digits_lost = (2 * k + 3) * int(round(-math.log10(eps_min)))
+    Budgeted, not measured, for lifts down to eps = 1e-7 (the last decade
+    _lift_limit extends to): inverting level j <= 2k+3 at transverse
+    distance eps cancels about j*log10(1/eps) digits, and 45 more are kept.
+    mpmath runs at this dps and Jets at jet_bits(dps) bits, mpmath's
+    precision there plus a guard: about 420 bits for k = 4 and 700 for
+    k = 10."""
+    digits_lost = (2 * k + 3) * 7
     return max(60, digits_lost + 45)
 
 
@@ -218,7 +217,7 @@ def _check_divisor(b, floor, cid):
 # -- the fiber-to-fiber transition table --------------------------------------
 
 SIGMA1 = ("sigma1",)
-SIGMA2 = ("sigma2",)
+POLE_TOL = 1e-12   # closed-form flip branches raise PoleError this close to a pole
 
 
 def fiber_target(n, k, s, j):
@@ -232,16 +231,16 @@ def fiber_target(n, k, s, j):
     return ("fiber", 0, 2 * k + 2 - j)
 
 
-def fiber_transition_closed(table, s, j, xi, pole_tol=1e-12):
+def fiber_transition_closed(table, s, j, xi):
     """Closed form of the induced map on fiber coordinates.
 
-    Source (s, j) is a fiber of the tower, or SIGMA2 with the coordinate x
-    of [1:x:0].  Returns (target, value); target is ('fiber', s', j') or
-    SIGMA1 (value z meaning [1:0:z]).
+    Source (s, j) is a fiber of the tower, or s = "sigma2" (j unused) with
+    the coordinate x of [1:x:0].  Returns (target, value); target is
+    ('fiber', s', j') or SIGMA1 (value z meaning [1:0:z]).
     """
     n, k = table.n, table.k
     b = table.b
-    if (s, j) == SIGMA2 or s == "sigma2":
+    if s == "sigma2":
         return ("fiber", 0, 2 * k + 1), xi + b[2 * k]
     if not (0 <= s < n and 1 <= j <= 2 * k + 1):
         raise ParamError(f"fiber ({s},{j}) outside the tower")
@@ -262,33 +261,35 @@ def fiber_transition_closed(table, s, j, xi, pole_tol=1e-12):
     if j == 2 * k + 1:
         return tgt, xi - b[2 * k]
     if j == k + 1:
-        if abs(xi - 1) < pole_tol:
+        if abs(xi - 1) < POLE_TOL:
             raise PoleError("xi = 1 is the pole of the middle flip branch")
         return tgt, xi / (xi - 1)
     if j <= k:
         l = k + 1 - j
-        if abs(xi) < pole_tol:
+        if abs(xi) < POLE_TOL:
             raise PoleError("xi = 0 is the pole of this flip branch")
         return tgt, b[k + l] + 1 / xi
     l = j - k - 1
-    if abs(xi - b[k + l]) < pole_tol:
+    if abs(xi - b[k + l]) < POLE_TOL:
         raise PoleError(f"xi = b_{k+l} is the pole of the inverse flip branch")
     return tgt, 1 / (xi - b[k + l])
 
 
-DEFAULT_EPS_SEQ = (1e-3, 1e-4, 1e-5)
+EPS_SEQ = (1e-3, 1e-4, 1e-5)   # lifts off the fiber, before any extension
+CONV_TOL = 1e-8                 # agreement required of successive extrapolants
 
 
-def fiber_transition_numeric(p, table, s, j, xi, eps_seq=DEFAULT_EPS_SEQ, conv_tol=1e-8):
+def fiber_transition_numeric(p, table, s, j, xi):
     """Transition recomputed through the plane: lift off the fiber, apply
     the homogeneous map, re-express in the target chart, extrapolate the
     lift to zero.  Independent of the closed forms except for the target
     chart, which comes from the cycle scheme.
 
-    Convergence: successive order-2 extrapolants (over a sliding window of
-    the eps sequence, extended by further decades when needed) must agree
-    below conv_tol; otherwise ExtrapolationError."""
-    source = (s, j) == SIGMA2 or s == "sigma2"
+    Source (s, j) is a fiber of the tower, or s = "sigma2" as in
+    fiber_transition_closed.  Convergence: successive order-2 extrapolants
+    (over a sliding window of EPS_SEQ, extended by further decades when
+    needed) must agree below CONV_TOL; otherwise ExtrapolationError."""
+    source = s == "sigma2"
     tgt = ("fiber", 0, 2 * table.k + 1) if source else fiber_target(table.n, table.k, s, j)
     jt = table.jet
 
@@ -304,15 +305,15 @@ def fiber_transition_numeric(p, table, s, j, xi, eps_seq=DEFAULT_EPS_SEQ, conv_t
         _, s2, j2 = tgt
         return plane_to_chart(jt, ChartId("tower", s2, j2), Q).u
 
-    return (tgt,) + _lift_limit(table, xi, sample, eps_seq, conv_tol, "transition")
+    return (tgt,) + _lift_limit(table, xi, sample, "transition")
 
 
-def _lift_limit(table, xi, sample, eps_seq, conv_tol, what):
+def _lift_limit(table, xi, sample, what):
     """Limit of sample(xi, eps) as the lift eps off the fiber goes to 0.
 
     sample runs on Jet constants of table.bits bits and returns a Jet.
     Order-2 Richardson over the last three lifts, extended by up to two
-    decades until successive extrapolants agree below conv_tol; returns
+    decades until successive extrapolants agree below CONV_TOL; returns
     (limit, last change) or raises ExtrapolationError."""
     with mp.workdps(table.dps):
         xi = Jet.const(xi, table.bits)
@@ -320,7 +321,7 @@ def _lift_limit(table, xi, sample, eps_seq, conv_tol, what):
         def at(eps):
             return sample(xi, Jet.const(eps, table.bits)).mpc()[0]
 
-        eps_list = [mp.mpf(e) for e in eps_seq]
+        eps_list = [mp.mpf(e) for e in EPS_SEQ]
         vals = [at(e) for e in eps_list]
         lim, _ = richardson(eps_list[-3:], vals[-3:])
         for _ in range(2):  # extend by up to two decades
@@ -328,10 +329,10 @@ def _lift_limit(table, xi, sample, eps_seq, conv_tol, what):
             eps_list.append(eps_list[-1] / 10)
             vals.append(at(eps_list[-1]))
             lim, _ = richardson(eps_list[-3:], vals[-3:])
-            if abs(lim - prev) < conv_tol:
+            if abs(lim - prev) < CONV_TOL:
                 return lim, float(abs(lim - prev))
     raise ExtrapolationError(
-        f"{what} extrapolants keep moving by {float(abs(lim - prev))} > {conv_tol}")
+        f"{what} extrapolants keep moving by {float(abs(lim - prev))} > {CONV_TOL}")
 
 
 # -- chart routing and parabolic checks ---------------------------------------
@@ -419,7 +420,7 @@ def _jet_orbit(p, table, cid, u0, v0, steps):
     return u.mpc(), v.mpc(), mid
 
 
-def parabolic_check(p, table, cid, pt, steps=None, eps_seq=DEFAULT_EPS_SEQ, conv_tol=1e-8):
+def parabolic_check(p, table, cid, pt):
     """Check that f^(2n) fixes a point of the invariant configuration and is
     tangent to the identity there.
 
@@ -427,10 +428,9 @@ def parabolic_check(p, table, cid, pt, steps=None, eps_seq=DEFAULT_EPS_SEQ, conv
     directly: the line is not blown down, so no lift is needed and the
     half-way differential (expected diag(+-1, 1)) is also reported.  For
     fiber points the transverse coordinate is lifted to each eps in
-    eps_seq and the Jacobian is Richardson-extrapolated to the fiber.
+    EPS_SEQ and the Jacobian is Richardson-extrapolated to the fiber.
     """
-    n = p.n
-    steps = steps or 2 * n
+    steps = 2 * p.n
     with mp.workdps(table.dps):
         if cid.kind == "base":
             (ua, udx, udy), (va, vdx, vdy), mid = _jet_orbit(p, table, cid, pt.u, 0, steps)
@@ -445,18 +445,18 @@ def parabolic_check(p, table, cid, pt, steps=None, eps_seq=DEFAULT_EPS_SEQ, conv
             return ParabolicReport(cid, (complex(pt.u), 0.0), steps,
                                    float(dev), float(fix), diag, True)
         jac_seq, val_seq = [], []
-        for e in eps_seq:
+        for e in EPS_SEQ:
             (ua, udx, udy), (va, vdx, vdy), _ = _jet_orbit(p, table, cid, pt.u, e, steps)
             jac_seq.append((udx, udy, vdx, vdy))
             val_seq.append((ua, va))
-        ext = [richardson(eps_seq, [js[i] for js in jac_seq]) for i in range(4)]
+        ext = [richardson(EPS_SEQ, [js[i] for js in jac_seq]) for i in range(4)]
         jac = [x[0] for x in ext]
         jac_err = max(x[1] for x in ext)
-        u_lim, u_err = richardson(eps_seq, [vs[0] for vs in val_seq])
-        v_lim, v_err = richardson(eps_seq, [vs[1] for vs in val_seq])
+        u_lim, u_err = richardson(EPS_SEQ, [vs[0] for vs in val_seq])
+        v_lim, v_err = richardson(EPS_SEQ, [vs[1] for vs in val_seq])
         dev = max(abs(jac[0] - 1), abs(jac[1]), abs(jac[2]), abs(jac[3] - 1))
         fix = max(abs(u_lim - pt.u), abs(v_lim))
-        converged = max(float(jac_err), float(u_err), float(v_err)) < conv_tol
+        converged = max(float(jac_err), float(u_err), float(v_err)) < CONV_TOL
     return ParabolicReport(cid, (complex(pt.u), 0.0), steps,
                            float(dev), float(fix), None, converged)
 
@@ -486,7 +486,7 @@ def reversor_transition_closed(table, s, j, xi):
     return tgt, -(-ws) ** (j - 2) * xi
 
 
-def reversor_transition_numeric(table, s, j, xi, eps_seq=DEFAULT_EPS_SEQ, conv_tol=1e-8):
+def reversor_transition_numeric(table, s, j, xi):
     """Swap-action on fibers computed through the plane, as an independent
     check of the closed form."""
     tgt = ("fiber", table.n - 1 - s, j)
@@ -497,4 +497,4 @@ def reversor_transition_numeric(table, s, j, xi, eps_seq=DEFAULT_EPS_SEQ, conv_t
         Q = proj_normalize((x0, x2, x1))
         return plane_to_chart(jt, ChartId("tower", tgt[1], tgt[2]), Q).u
 
-    return (tgt,) + _lift_limit(table, xi, sample, eps_seq, conv_tol, "reversor")
+    return (tgt,) + _lift_limit(table, xi, sample, "reversor")

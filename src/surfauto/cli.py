@@ -30,25 +30,25 @@ USAGE_ERROR = 2
 CHECK_FAILURE = 1
 
 
-def _fmt(x, digits=12):
-    return f"{x:.{digits}f}"
+def _fmt(x):
+    return f"{x:.12f}"
 
 
-def _fmt_complex(z, digits=12):
+def _fmt_complex(z):
     z = complex(z)
-    return [float(_fmt(z.real, digits)), float(_fmt(z.imag, digits))]
+    return [float(_fmt(z.real)), float(_fmt(z.imag))]
 
 
 def _poly_str(coeffs):
     return [str(c) for c in coeffs]
 
 
-def _write_json(payload, path=None, stream=sys.stdout):
+def _write_json(payload, path=None):
     text = json.dumps(payload, indent=2, sort_keys=True)
     if path:
         Path(path).write_text(text + "\n")
     else:
-        stream.write(text + "\n")
+        sys.stdout.write(text + "\n")
 
 
 def _out_path(args, name):
@@ -58,12 +58,29 @@ def _out_path(args, name):
     return None
 
 
-def _params_from(args, require=True):
+def _load_params(path):
+    try:
+        return MapParams.load(path)
+    except (OSError, KeyError, ValueError) as exc:
+        raise ParamError(f"cannot read parameter file: {exc}") from exc
+
+
+def _nk_from(args):
+    """(n, k) for the commands that read nothing else of a member: each of
+    --n and --k overrides its value in the --params file."""
+    n, k = args.n, args.k
     if args.params:
-        try:
-            p = MapParams.load(args.params)
-        except (OSError, KeyError, ValueError) as exc:
-            raise ParamError(f"cannot read parameter file: {exc}") from exc
+        p = _load_params(args.params)
+        n = p.n if n is None else n
+        k = p.k if k is None else k
+    if n is None or k is None:
+        raise ParamError("need --params or both --n and --k")
+    return n, k
+
+
+def _params_from(args):
+    if args.params:
+        p = _load_params(args.params)
         # each flag that is given overrides its file value
         original = p.to_json_dict()
         d = dict(original)
@@ -85,9 +102,7 @@ def _params_from(args, require=True):
             p = MapParams.from_json_dict(d)
         return p
     if args.n is None or args.k is None:
-        if require:
-            raise ParamError("need --params or both --n and --k")
-        return None
+        raise ParamError("need --params or both --n and --k")
     a = _parse_a(args.a) if args.a else {}
     c = {"j": args.c_j or 1, "sign": args.c_sign or "+"}
     d = {"n": args.n, "k": args.k, "c": c, "a": a,
@@ -121,13 +136,9 @@ def _parse_delta(text):
 
 
 def cmd_spectrum(args):
-    n, k = args.n, args.k
-    try:
-        chi = chi_poly(n, k)
-        lam = spectral_radius(n, k)
-    except ParamError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    n, k = _nk_from(args)
+    chi = chi_poly(n, k)
+    lam = spectral_radius(n, k)
     cp = pushforward_char_poly(n, k)
     divides, cofactor, worst = char_poly_factor_check(n, k)
     payload = {
@@ -311,7 +322,7 @@ def cmd_parabolic(args):
 
 
 def cmd_weyl(args):
-    n, k = args.n, args.k
+    n, k = _nk_from(args)
     weyl = weyl_factorization_check(n, k)
     cox = coxeter_factorization_check(n, k)
     rev = reversibility_check(n, k)
@@ -335,7 +346,8 @@ def cmd_weyl(args):
 
 
 def cmd_degrees(args):
-    n, k, m = args.n, args.k, _non_negative(args.m, "--m")
+    m = _non_negative(args.m, "--m")
+    n, k = _nk_from(args)
     d = degree_sequence(n, k, m)
     lam = spectral_radius(n, k)
     ratio = d[m] / d[m - 1] if m >= 1 else float("nan")
@@ -350,89 +362,70 @@ def cmd_degrees(args):
     return 0
 
 
+# each subcommand registers only the flags it reads
+_FLAGS = {
+    "--n": {"type": int},
+    "--k": {"type": int},
+    "--c-j": {"dest": "c_j", "type": int},
+    "--c-sign": {"dest": "c_sign", "choices": ["+", "-"]},
+    "--a": {"action": "append", "help": "coefficient as idx=re[,im]; repeatable"},
+    "--delta": {"help": "re[,im]"},
+    "--params": {"help": "JSON parameter file"},
+    "--out": {"help": "output directory"},
+}
+_MEMBER_FLAGS = tuple(_FLAGS)                      # one member of the family
+_NK_FLAGS = ("--n", "--k", "--params", "--out")    # its (n, k) only
+
+
 def build_parser():
     ap = argparse.ArgumentParser(prog="surfauto",
                                  description="rational surface automorphism toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, need_params=False):
-        sp.add_argument("--n", type=int)
-        sp.add_argument("--k", type=int)
-        sp.add_argument("--c-j", dest="c_j", type=int)
-        sp.add_argument("--c-sign", dest="c_sign", choices=["+", "-"])
-        sp.add_argument("--a", action="append",
-                        help="coefficient as idx=re[,im]; repeatable")
-        sp.add_argument("--delta", help="re[,im]")
-        sp.add_argument("--params", help="JSON parameter file")
-        sp.add_argument("--out", help="output directory")
+    def add(name, func, help, flags):
+        sp = sub.add_parser(name, help=help)
+        for flag in flags:
+            sp.add_argument(flag, **_FLAGS[flag])
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("spectrum", help="entropy data for (n, k)")
-    add_common(sp)
-    sp.set_defaults(func=cmd_spectrum, need_nk=True)
+    add("spectrum", cmd_spectrum, "entropy data for (n, k)", _NK_FLAGS)
 
-    sp = sub.add_parser("cn", help="admissible rotation parameters for n")
-    add_common(sp)
-    sp.set_defaults(func=cmd_cn, need_n=True)
+    sp = add("cn", cmd_cn, "admissible rotation parameters for n", ("--out",))
+    sp.add_argument("--n", type=int, required=True)
 
-    sp = sub.add_parser("verify", help="run all verification suites")
-    add_common(sp)
+    sp = add("verify", cmd_verify, "run all verification suites", _MEMBER_FLAGS)
     sp.add_argument("--tol", type=float, default=1e-6)
     sp.add_argument("--points", type=int, default=10)
     sp.add_argument("--n-xi", dest="n_xi", type=int, default=20)
-    sp.set_defaults(func=cmd_verify)
 
-    sp = sub.add_parser("fixed-points", help="fixed points and multipliers")
-    add_common(sp)
+    sp = add("fixed-points", cmd_fixed_points, "fixed points and multipliers", _MEMBER_FLAGS)
     sp.add_argument("--format", choices=["json", "csv"], default="json")
-    sp.set_defaults(func=cmd_fixed_points)
 
-    sp = sub.add_parser("orbit", help="forward orbits to CSV")
-    add_common(sp)
+    sp = add("orbit", cmd_orbit, "forward orbits to CSV", _MEMBER_FLAGS)
     sp.add_argument("--steps", type=int, default=1000)
     sp.add_argument("--seeds", help="JSON file with [[x, y], ...]")
-    sp.set_defaults(func=cmd_orbit)
 
-    sp = sub.add_parser("unstable", help="trace unstable manifolds of real saddles")
-    add_common(sp)
+    sp = add("unstable", cmd_unstable, "trace unstable manifolds of real saddles", _MEMBER_FLAGS)
     sp.add_argument("--arclen", type=float, default=20.0)
     sp.add_argument("--spacing", type=float, default=0.05)
-    sp.set_defaults(func=cmd_unstable)
 
-    sp = sub.add_parser("charts", help="fiber transitions: closed vs numeric")
-    add_common(sp)
+    sp = add("charts", cmd_charts, "fiber transitions: closed vs numeric", _MEMBER_FLAGS)
     sp.add_argument("--tol", type=float, default=1e-6)
-    sp.set_defaults(func=cmd_charts)
 
-    sp = sub.add_parser("parabolic", help="tangent-to-identity suite")
-    add_common(sp)
+    sp = add("parabolic", cmd_parabolic, "tangent-to-identity suite", _MEMBER_FLAGS)
     sp.add_argument("--points", type=int, default=10)
-    sp.set_defaults(func=cmd_parabolic)
 
-    sp = sub.add_parser("weyl", help="reflection factorization verdict")
-    add_common(sp)
-    sp.set_defaults(func=cmd_weyl, need_nk=True)
+    add("weyl", cmd_weyl, "reflection factorization verdict", _NK_FLAGS)
 
-    sp = sub.add_parser("degrees", help="degree growth sequence")
-    add_common(sp)
+    sp = add("degrees", cmd_degrees, "degree growth sequence", _NK_FLAGS)
     sp.add_argument("--m", type=int, default=20)
-    sp.set_defaults(func=cmd_degrees, need_nk=True)
 
     return ap
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    if getattr(args, "need_nk", False) and (args.n is None or args.k is None):
-        if args.params:
-            p = MapParams.load(args.params)
-            args.n, args.k = p.n, p.k
-        else:
-            print("error: this command needs --n and --k", file=sys.stderr)
-            return USAGE_ERROR
-    if getattr(args, "need_n", False) and args.n is None:
-        print("error: this command needs --n", file=sys.stderr)
-        return USAGE_ERROR
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ParamError as exc:

@@ -41,11 +41,11 @@ def fixed_point_polynomial(p):
     return coeffs
 
 
-def jacobian(p, pt, tol=1e-12):
+def jacobian(p, pt):
     """Df at an affine point: [[0, 1], [-delta, d2]] with the closed-form
     partial in the second slot; determinant is delta identically."""
     x, y = pt
-    if abs(y) < tol:
+    if abs(y) < 1e-12:
         raise PoleError("jacobian undefined on the pole line")
     c = complex(p.c())
     d2 = c
@@ -78,7 +78,7 @@ def _classify(zeta, trace, delta):
     return "parabolic"
 
 
-def fixed_points(p, residual_tol=1e-10):
+def fixed_points(p):
     """All k+1 diagonal fixed points with multiplier data, sorted by
     (Re, Im); each is validated by direct evaluation of the map."""
     coeffs = fixed_point_polynomial(p)
@@ -88,7 +88,7 @@ def fixed_points(p, residual_tol=1e-10):
     for zeta, mult in clustered:
         img = eval_f(p, (zeta, zeta))
         res = max(abs(img[0] - zeta), abs(img[1] - zeta))
-        if res > residual_tol:
+        if res > 1e-10:
             raise NumericCheckError(f"fixed-point residual {res} at {zeta}")
         J = jacobian(p, (zeta, zeta))
         tr = complex(np.trace(J))
@@ -110,7 +110,10 @@ def _traces_for(p):
                   key=lambda z: (z.real, z.imag))
 
 
-def trace_map_rank(p, fd_step=1e-6, sv_tol=1e-8):
+FD_STEP = 1e-6   # central-difference step in each a_l
+
+
+def trace_map_rank(p):
     """Rank of the parameter-to-traces map at a = 0, two ways.
 
     Analytic matrix: (k - l) / zeta^(l+1) over the k+1 fixed points and the
@@ -128,14 +131,14 @@ def trace_map_rank(p, fd_step=1e-6, sv_tol=1e-8):
                         dtype=complex)
     numeric = np.zeros_like(analytic)
     for col, l in enumerate(params):
-        plus = MapParams(p.n, p.k, p.c_spec, {l: fd_step}, p.delta, validate=False)
-        minus = MapParams(p.n, p.k, p.c_spec, {l: -fd_step}, p.delta, validate=False)
+        plus = MapParams(p.n, p.k, p.c_spec, {l: FD_STEP}, p.delta, validate=False)
+        minus = MapParams(p.n, p.k, p.c_spec, {l: -FD_STEP}, p.delta, validate=False)
         tp = _match_traces(zetas, plus)
         tm = _match_traces(zetas, minus)
-        numeric[:, col] = (np.array(tp) - np.array(tm)) / (2 * fd_step)
+        numeric[:, col] = (np.array(tp) - np.array(tm)) / (2 * FD_STEP)
     if analytic.size:
         sv = np.linalg.svd(analytic, compute_uv=False)
-        rank = int(np.sum(sv > sv_tol * sv[0]))
+        rank = int(np.sum(sv > 1e-8 * sv[0]))
         agree = float(np.max(np.abs(analytic - numeric)))
     else:
         rank, agree = 0, 0.0
@@ -152,7 +155,7 @@ def _match_traces(ref_zetas, p):
     return out
 
 
-def trace_set_separation(p, p_hat, tol=1e-8):
+def trace_set_separation(p, p_hat):
     """Whether two parameter choices have distinguishable trace multisets.
 
     Optimal matching distance (Hungarian assignment on |t_i - t_hat_j|);
@@ -166,7 +169,7 @@ def trace_set_separation(p, p_hat, tol=1e-8):
     cost = np.abs(t1[:, None] - t2[None, :])
     rows, cols = linear_sum_assignment(cost)
     dist = float(cost[rows, cols].max())
-    return dist > tol, dist
+    return dist > 1e-8, dist
 
 
 # -- orbits and manifolds -------------------------------------------------------
@@ -215,10 +218,10 @@ class Polyline:
 
 LEVEL_GUARD = 200_000  # interval pops allowed in one refinement level
 MAX_DEPTH = 400        # deepest iterate of the fundamental segment
+SEED_SCALE = 1e-6      # distance of the fundamental segment from the saddle
 
 
-def unstable_manifold(p, fp, arclen=20.0, spacing=0.05, seed_scale=1e-6,
-                      max_points=1_000_000):
+def unstable_manifold(p, fp, arclen=20.0, spacing=0.05, max_points=1_000_000):
     """Trace the unstable manifold of a saddle by iterating a fundamental
     segment along the unstable eigenvector, refining in seed space until
     consecutive image points are closer than `spacing`.
@@ -241,7 +244,7 @@ def unstable_manifold(p, fp, arclen=20.0, spacing=0.05, seed_scale=1e-6,
     def step(q):
         try:
             img = eval_f(p, (q[0], q[1]))
-        except Exception:
+        except (PoleError, OverflowError):  # OverflowError covers OverflowEscape
             return None
         if max(abs(img[0]), abs(img[1])) > 1e6:
             return None
@@ -250,7 +253,7 @@ def unstable_manifold(p, fp, arclen=20.0, spacing=0.05, seed_scale=1e-6,
 
     # fundamental domain [p1, f(p1)] with p1 on the eigenvector: successive
     # image batches then join exactly (f^i of the s=1 end is f^(i+1) of s=0)
-    p1 = x0 + seed_scale * vec
+    p1 = x0 + SEED_SCALE * vec
     fp1 = step(p1)
     if fp1 is None:
         raise NotSaddleError("seed segment leaves the finite window immediately")
@@ -309,5 +312,5 @@ def unstable_manifold(p, fp, arclen=20.0, spacing=0.05, seed_scale=1e-6,
     return Polyline(points=arr, arclength=arc, stop=stop,
                     meta={"fixed_point": [z.real, z.real],
                           "eigenvalue": lam,
-                          "seed_scale": seed_scale,
+                          "seed_scale": SEED_SCALE,
                           "spacing": spacing})

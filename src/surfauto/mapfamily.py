@@ -65,7 +65,7 @@ def candidate_c(n):
     return sorted(vals, reverse=True)
 
 
-def admissible_c(n, tol=DEFAULT_TOL):
+def admissible_c(n):
     """The subset of candidate_c(n) whose orbit at infinity closes up correctly.
 
     For even n every candidate qualifies (phi(n) values).  For odd n only
@@ -81,7 +81,7 @@ def admissible_c(n, tol=DEFAULT_TOL):
             w = c
             for _ in range((n - 1) // 2 - 1):
                 w = c - 1.0 / w
-            if abs(w - 1.0) < math.sqrt(tol):
+            if abs(w - 1.0) < math.sqrt(DEFAULT_TOL):
                 out.append(c)
     expected = _euler_phi(n) if n % 2 == 0 else _euler_phi(n) // 2
     if len(out) != expected:
@@ -247,15 +247,15 @@ def figure1_params():
 # -- map evaluation ----------------------------------------------------------
 
 
-def eval_f(p, pt, tol=DEFAULT_TOL, dps=None):
+def eval_f(p, pt, dps=None):
     """One application of the map to an affine point (x, y).
 
-    Raises PoleError for |y| below tol and OverflowEscape past the
+    Raises PoleError for |y| below DEFAULT_TOL and OverflowEscape past the
     magnitude cap.  Works on any field-like scalars (complex, mpmath,
     Dual2 jets).
     """
     x, y = pt
-    if abs(y) < tol:
+    if abs(y) < DEFAULT_TOL:
         raise PoleError(f"y={y} within tol of the pole line")
     out = p.coeffs(dps)._next_y(p.k, x, y)
     if abs(out) > MAGNITUDE_CAP:
@@ -263,10 +263,10 @@ def eval_f(p, pt, tol=DEFAULT_TOL, dps=None):
     return (y, out)
 
 
-def eval_f_inverse(p, pt, tol=DEFAULT_TOL, dps=None):
+def eval_f_inverse(p, pt, dps=None):
     """Inverse map; for delta=1 this equals swap . f . swap."""
     X, Y = pt
-    if abs(X) < tol:
+    if abs(X) < DEFAULT_TOL:
         raise PoleError(f"x={X} within tol of the inverse pole line")
     c, neg_d, a, _ = p.coeffs(dps)
     xinv = 1 / X
@@ -305,7 +305,7 @@ def proj_equal(P, Q, tol=DEFAULT_TOL):
     return all(abs(c) <= tol * scale * scale for c in cross)
 
 
-def eval_f_proj(p, P, tol=DEFAULT_TOL, dps=None):
+def eval_f_proj(p, P, dps=None):
     """The homogeneous degree-(k+1) form of the map on [x0:x1:x2].
 
     Maps {x2=0} to [0:0:1] and acts on {x0=0} by [0:1:w] -> [0:1:c-delta/w].
@@ -340,7 +340,7 @@ def eval_f_proj(p, P, tol=DEFAULT_TOL, dps=None):
     # the moduli are compared in the scalar type, where they cannot underflow
     mods = [abs(z) for z in img]
     term_scale = max(mods[0], mods[1], *(abs(t) for t in terms))
-    if max(mods) <= term_scale * (tol if floor is None else floor):
+    if max(mods) <= term_scale * (DEFAULT_TOL if floor is None else floor):
         raise IndeterminacyError("projective image vanishes: input at the indeterminacy point")
     return _divide_by_largest(img, mods)
 
@@ -356,11 +356,12 @@ class InfinityOrbit:
     w_star: object  # midpoint value for odd n, else None
 
 
-def infinity_orbit(p, dps=None, tol=DEFAULT_TOL):
+def infinity_orbit(p, dps=None):
     """Iterate w -> c - delta/w from w_1 = c; the orbit must end at 0.
 
-    Raises PeriodicityError when |w_{n-1}| >= tol (c not admissible for
-    this n / delta combination).
+    Raises PeriodicityError when |w_{n-1}| >= DEFAULT_TOL, or 10^-(dps-10)
+    at a working precision (c not admissible for this n / delta
+    combination).
     """
     n = p.n
     with mp.workdps(dps or mp.mp.dps):
@@ -371,7 +372,7 @@ def infinity_orbit(p, dps=None, tol=DEFAULT_TOL):
             if abs(prev) == 0:
                 raise PeriodicityError("orbit at infinity hit the pole early")
             w.append(c + neg_d / prev)
-        end_tol = tol if dps is None else float(mp.mpf(10) ** (-(dps - 10)))
+        end_tol = DEFAULT_TOL if dps is None else float(mp.mpf(10) ** (-(dps - 10)))
         if abs(w[-1]) >= end_tol:
             raise PeriodicityError(
                 f"orbit at infinity does not return to the base point: |w_{n-1}| = {abs(w[-1])}"

@@ -19,7 +19,7 @@ from types import MappingProxyType
 
 from . import exactmat as xm
 from .errors import DegenerateError, ExactIdentityError, ParamError
-from .polyroots import aberth_roots, real_roots_int_poly
+from .polyroots import aberth_roots
 
 
 def _check_nk(n, k):
@@ -254,7 +254,7 @@ def pushforward_char_poly(n, k):
     return tuple(char_poly(_pushforward(n, k)))
 
 
-def char_poly_factor_check(n, k, cp=None, tol=1e-9):
+def char_poly_factor_check(n, k, cp=None):
     """Divide out the entropy factor and check the cofactor roots sit on the
     unit circle; returns (divisible, cofactor, max | |root|-1 |).
 
@@ -273,9 +273,9 @@ def char_poly_factor_check(n, k, cp=None, tol=1e-9):
 
 
 def spectral_radius(n, k):
-    """Largest real root of the entropy polynomial, to 1e-12 (the roots come
-    Newton-polished from real_roots_int_poly)."""
-    return max(real_roots_int_poly(chi_poly(n, k)))
+    """Largest real root of the entropy polynomial, taken as its root of
+    largest modulus from aberth_roots: the dynamical degree, which is real."""
+    return float(max(aberth_roots(chi_poly(n, k)), key=abs).real)
 
 
 def entropy(n, k):

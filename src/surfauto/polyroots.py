@@ -1,12 +1,12 @@
-"""Polynomial root solvers: Aberth-Ehrlich for complex roots, bracketed
-bisection + Newton for real roots of integer polynomials."""
+"""Polynomial roots: Aberth-Ehrlich for all complex roots, and clustering
+of near-coincident ones."""
 
 import math
 
 import numpy as np
 
 
-def aberth_roots(coeffs, tol=1e-14, max_iter=200):
+def aberth_roots(coeffs):
     """All complex roots of a polynomial, descending coefficients.
 
     Simultaneous Aberth-Ehrlich iteration followed by a Newton polish of
@@ -25,7 +25,7 @@ def aberth_roots(coeffs, tol=1e-14, max_iter=200):
     ang = 2 * math.pi * (np.arange(deg) + 0.25) / deg + 0.17
     z = R ** (np.arange(deg) % 2 * 0.5 + 0.5) * np.exp(1j * ang)
 
-    for _ in range(max_iter):
+    for _ in range(200):
         p = np.polyval(c, z)
         dp = np.polyval(dc, z)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -36,7 +36,7 @@ def aberth_roots(coeffs, tol=1e-14, max_iter=200):
         denom = 1.0 - newton * s
         step = np.where(denom != 0, newton / denom, newton)
         z = z - step
-        if np.max(np.abs(step)) < tol * max(1.0, np.max(np.abs(z))):
+        if np.max(np.abs(step)) < 1e-14 * max(1.0, np.max(np.abs(z))):
             break
     # Newton polish
     for _ in range(4):
@@ -59,69 +59,4 @@ def cluster_roots(roots, sep=1e-7):
         members = roots[close]
         used |= close
         out.append((complex(np.mean(members)), int(len(members))))
-    return out
-
-
-def real_roots_int_poly(coeffs, lo=None, hi=None, tol=1e-12):
-    """Real roots of an integer polynomial by sign-change bracketing.
-
-    Brackets on a grid inside a Cauchy bound, bisects each bracket and
-    polishes with Newton.  Intended for the low-degree entropy
-    polynomials; assumes simple real roots.
-    """
-    coeffs = [float(c) for c in coeffs]
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-    deg = len(coeffs) - 1
-    if deg < 1:
-        return []
-    bound = 1.0 + max(abs(c) for c in coeffs[1:]) / abs(coeffs[0])
-    lo = -bound if lo is None else lo
-    hi = bound if hi is None else hi
-
-    def p(x):
-        out = 0.0
-        for c in coeffs:
-            out = out * x + c
-        return out
-
-    dcoeffs = [coeffs[i] * (deg - i) for i in range(deg)]
-
-    def dp(x):
-        out = 0.0
-        for c in dcoeffs:
-            out = out * x + c
-        return out
-
-    grid = 64 * (deg + 1)
-    xs = [lo + (hi - lo) * i / grid for i in range(grid + 1)]
-    vals = [p(x) for x in xs]
-    roots = []
-    for i in range(grid):
-        a, b, fa, fb = xs[i], xs[i + 1], vals[i], vals[i + 1]
-        if fa == 0.0:
-            roots.append(a)
-            continue
-        if fa * fb < 0:
-            for _ in range(80):
-                m = 0.5 * (a + b)
-                fm = p(m)
-                if fa * fm <= 0:
-                    b, fb = m, fm
-                else:
-                    a, fa = m, fm
-            x = 0.5 * (a + b)
-            for _ in range(8):
-                d = dp(x)
-                if d == 0:
-                    break
-                x -= p(x) / d
-            roots.append(x)
-    if vals[-1] == 0.0:
-        roots.append(xs[-1])
-    # drop duplicates from grid points that were exact roots
-    out = []
-    for r in sorted(roots):
-        if not out or abs(r - out[-1]) > tol * max(1.0, abs(r)):
-            out.append(r)
     return out

@@ -191,12 +191,31 @@ def test_degrees_negative_count_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize("argv", [["orbit", "--params", str(PRESET), "--format", "json"],
-                                  ["spectrum", "--n", "2", "--k", "4", "--tol", "1e-3"]])
+                                  ["spectrum", "--n", "2", "--k", "4", "--tol", "1e-3"],
+                                  ["spectrum", "--n", "2", "--k", "4", "--a", "2=5"],
+                                  ["weyl", "--n", "2", "--k", "4", "--delta", "0.5"],
+                                  ["cn", "--n", "4", "--k", "3"]])
 def test_options_a_command_does_not_read_are_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_n_and_k_flags_override_the_parameter_file(capsys):
+    # figure1.json is the (2,4) member: --n 3 makes it (3,4)
+    _, expected, _ = run_cli(["spectrum", "--n", "3", "--k", "4"], capsys)
+    rc, out, _ = run_cli(["spectrum", "--n", "3", "--params", str(PRESET)], capsys)
+    assert rc == 0
+    assert out == expected and "lambda = 4.791287847478" in out
+
+
+@pytest.mark.parametrize("command", ["spectrum", "weyl", "degrees", "fixed-points"])
+def test_missing_parameter_file_is_usage_error(command, capsys, tmp_path):
+    rc, out, err = run_cli([command, "--params", str(tmp_path / "missing.json")], capsys)
+    assert rc == 2
+    assert "cannot read parameter file" in err and "Traceback" not in err
+    assert out == ""
 
 
 def test_charts_zero_tolerance_fails(capsys, tmp_path):

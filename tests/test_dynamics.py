@@ -299,6 +299,19 @@ def test_manifold_ends_where_the_curve_leaves_the_window(monkeypatch):
     assert len(calls) <= 10 * len(line.points)
 
 
+def test_manifold_propagates_programming_errors(monkeypatch):
+    # only a pole or an overflow ends a branch: any other error from the map
+    # is a defect, and it must surface instead of ending the trace
+    def eval_f(*args, **kw):
+        raise TypeError("unsupported operand")
+
+    p = fig1()
+    saddle = _real_saddles(p)[0]
+    monkeypatch.setattr(dyn, "eval_f", eval_f)
+    with pytest.raises(TypeError):
+        sa.unstable_manifold(p, saddle, arclen=2.0)
+
+
 def test_manifold_stops_at_max_points():
     p = fig1()
     saddle = _real_saddles(p)[0]

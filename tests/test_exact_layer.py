@@ -118,6 +118,41 @@ def test_mat_mul_matches_dense_product(AB):
     assert xm.mat_mul(A, B) == dense
 
 
+def _det_by_elimination(M):
+    """det M by Gaussian elimination over Fraction."""
+    M = [[Fraction(x) for x in row] for row in M]
+    det = Fraction(1)
+    for c in range(len(M)):
+        pivot = next((r for r in range(c, len(M)) if M[r][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            M[c], M[pivot] = M[pivot], M[c]
+            det = -det
+        det *= M[c][c]
+        for r in range(c + 1, len(M)):
+            f = M[r][c] / M[c][c]
+            M[r] = [a - f * b for a, b in zip(M[r], M[c])]
+    return det
+
+
+square_matrices = st.integers(1, 8).flatmap(lambda d: st.lists(
+    st.lists(st.one_of(st.just(0), st.integers(-9, 9)), min_size=d, max_size=d),
+    min_size=d, max_size=d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_matrices)
+def test_charpoly_is_det_of_t_minus_a(A):
+    # Berkowitz against elimination at d + 1 points, which fix a degree-d polynomial
+    d = len(A)
+    cp = xm.charpoly(A)
+    assert len(cp) == d + 1
+    for t in range(d + 1):
+        tI_minus_A = [[t * (i == j) - A[i][j] for j in range(d)] for i in range(d)]
+        assert sum(c * t ** (d - i) for i, c in enumerate(cp)) == _det_by_elimination(tI_minus_A)
+
+
 def test_mat_eq_compares_values():
     assert xm.mat_eq(((1, 0), (0, 1)), [[1, 0], [0, 1]])
     assert xm.mat_eq([[Fraction(2)]], [[2]])

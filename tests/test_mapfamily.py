@@ -81,16 +81,19 @@ def test_eval_f_pole_and_overflow():
 
 
 def test_inverse_is_swap_conjugate():
-    p = fig1()
-    rng = random.Random(7)
-    for _ in range(100):
-        pt = (rng.uniform(-2, 2) + 1j * rng.uniform(-1, 1),
-              rng.uniform(0.2, 2) + 1j * rng.uniform(-1, 1))
-        via_inv = sa.eval_f_inverse(p, pt)
-        swapped = sa.eval_f(p, (pt[1], pt[0]))
-        expect = (swapped[1], swapped[0])
-        assert abs(via_inv[0] - expect[0]) < 1e-10
-        assert abs(via_inv[1] - expect[1]) < 1e-10
+    # s . f . s = f^-1 for the coordinate swap s, whatever c and the a_l
+    members = (fig1(), sa.MapParams(3, 4, (1, 1), {2: 0.4}),
+               sa.MapParams(2, 6, (1, 1), {2: 0.3 + 0.5j, 4: -0.7j}))
+    for p in members:
+        rng = random.Random(7)
+        for _ in range(100):
+            pt = (rng.uniform(-2, 2) + 1j * rng.uniform(-1, 1),
+                  rng.uniform(0.2, 2) + 1j * rng.uniform(-1, 1))
+            via_inv = sa.eval_f_inverse(p, pt)
+            swapped = sa.eval_f(p, (pt[1], pt[0]))
+            expect = (swapped[1], swapped[0])
+            assert abs(via_inv[0] - expect[0]) < 1e-10
+            assert abs(via_inv[1] - expect[1]) < 1e-10
 
 
 def test_inverse_round_trip_and_formula():
