@@ -60,8 +60,10 @@ from .picard import (
     gamma_closed_form,
     minimality_report,
     pushforward_char_poly,
+    pushforward_det,
     pushforward_matrix,
     restricted_action,
+    s_cycle_lengths,
     spectral_radius,
     t_space,
 )

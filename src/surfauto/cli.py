@@ -127,6 +127,12 @@ def _non_negative(value, flag):
     return value
 
 
+def _positive(value, flag):
+    if value < 1:
+        raise ParamError(f"{flag} must be >= 1, got {value}")
+    return value
+
+
 def _parse_delta(text):
     parts = str(text).split(",")
     return [float(parts[0]), float(parts[1]) if len(parts) > 1 else 0.0]
@@ -169,13 +175,15 @@ def cmd_cn(args):
 
 def cmd_verify(args):
     tol = _non_negative(args.tol, "--tol")
+    n_xi = _positive(args.n_xi, "--n-xi")
+    points = _positive(args.points, "--points")
     p = _params_from(args)
     table = CenterTable.build(p)
     suites = [
         lattice_suite(p.n, p.k),
-        chart_suite(p, table=table, n_xi=args.n_xi, tol=tol),
+        chart_suite(p, table=table, n_xi=n_xi, tol=tol),
         factorization_suite(p.n, p.k),
-        parabolic_suite(p, table=table, points_per_fiber=args.points),
+        parabolic_suite(p, table=table, points_per_fiber=points),
         fixed_point_suite(p),
     ]
     payload = {"params": p.to_json_dict(),
@@ -312,8 +320,9 @@ def cmd_charts(args):
 
 
 def cmd_parabolic(args):
+    points = _positive(args.points, "--points")
     p = _params_from(args)
-    rep = parabolic_suite(p, points_per_fiber=args.points)
+    rep = parabolic_suite(p, points_per_fiber=points)
     for c in rep.checks:
         res = "" if c.residual is None else f" residual={c.residual:.3e}"
         print(f"[{c.status}] {c.id}{res} {c.detail}".rstrip())

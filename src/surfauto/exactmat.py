@@ -40,6 +40,36 @@ def mat_vec(A, v):
     return [sum(map(mul, row, v)) for row in A]
 
 
+def sparse_rows(A):
+    """The nonzero (j, A[i][j]) of each row i of A, as tuples."""
+    return tuple(tuple((j, a) for j, a in enumerate(row) if a) for row in A)
+
+
+def sparse_mat_vec(rows, v):
+    """A v for A in the form returned by sparse_rows: each row costs its
+    nonzero entries only."""
+    return [sum(a * v[j] for j, a in row) for row in rows]
+
+
+def perm_cycles(perm):
+    """The cycles of the permutation i -> perm[i] of range(len(perm)), fixed
+    points included.  Each cycle starts at its least element; cycles come in
+    the order of those elements."""
+    seen, cycles = set(), []
+    for a in range(len(perm)):
+        if a in seen:
+            continue
+        cyc = [a]
+        seen.add(a)
+        b = perm[a]
+        while b != a:
+            cyc.append(b)
+            seen.add(b)
+            b = perm[b]
+        cycles.append(cyc)
+    return cycles
+
+
 def mat_pow(A, m):
     d = len(A)
     out = identity(d)
@@ -83,7 +113,8 @@ def det_bareiss(A):
 def charpoly(A):
     """Characteristic polynomial det(xI - A), descending coefficients.
 
-    Samuelson-Berkowitz: division-free, exact over the integers.
+    Samuelson-Berkowitz: division-free, exact over the integers, for any
+    square matrix; O(d^4) operations on a d x d one.
     """
     n = len(A)
     C = [1]

@@ -5,9 +5,10 @@ levels j = 1..2k+1.  All arithmetic in this module is exact (python ints
 and Fractions); floating point appears only in root solving.
 
 The exact objects of one (n, k) -- the lattice, the pushforward, its
-characteristic polynomial, the LDL^T factor of the S Gram and the TSpace --
-are built once per process and shared.  Shared objects hold tuples only;
-PicardLattice.build and pushforward_matrix hand out copies that callers may
+characteristic polynomial, the LDL^T factor of the S Gram, the TSpace and
+the action on the splitting span(S) + T -- are built once per process and
+shared.  Shared objects hold tuples only; PicardLattice.build,
+pushforward_matrix and restricted_action hand out copies that callers may
 change.
 """
 
@@ -15,6 +16,7 @@ import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import mul
 from types import MappingProxyType
 
 from . import exactmat as xm
@@ -70,7 +72,15 @@ class PicardLattice:
         return sum(ui * q * vi for ui, q, vi in zip(u, self.qdiag, v))
 
     def gram(self, vectors):
-        return [[self.ip(u, v) for v in vectors] for u in vectors]
+        """Gram matrix of integer vectors, as a sum over the basis of the
+        products of the vectors' nonzero entries there."""
+        G = [[0] * len(vectors) for _ in vectors]
+        for i, q in enumerate(self.qdiag):
+            entries = [(a, u[i]) for a, u in enumerate(vectors) if u[i]]
+            for a, x in entries:
+                for b, y in entries:
+                    G[a][b] += x * q * y
+        return G
 
     def q_matrix(self):
         return [[self.qdiag[i] if i == j else 0 for j in range(self.dim)] for i in range(self.dim)]
@@ -217,6 +227,12 @@ def _pushforward(n, k):
     return tuple(map(tuple, xm.mat_mul(Bimg, Binv)))
 
 
+@functools.cache
+def _pushforward_rows(n, k):
+    """The pushforward in xm.sparse_rows form."""
+    return xm.sparse_rows(_pushforward(n, k))
+
+
 def pushforward_matrix(n, k):
     """Matrix of the induced automorphism on the geometric basis.
 
@@ -244,14 +260,70 @@ def chi_poly(n, k):
 
 
 def char_poly(M):
-    """Exact characteristic polynomial (descending), Samuelson-Berkowitz."""
+    """Exact characteristic polynomial (descending) of any square integer
+    matrix, by Samuelson-Berkowitz.  The pushforward's own comes from its
+    splitting (pushforward_char_poly); on it this is the cross-check."""
     return xm.charpoly(M)
+
+
+def s_class_permutation(lat, rows):
+    """The permutation a lattice map induces on the S classes of lat.
+
+    rows is the map in xm.sparse_rows form.  Entry i is the position in
+    lat.s_keys of the image of the class lat.s_keys[i], found by an exact
+    matvec.  Raises ExactIdentityError when an image is not an S class or
+    two classes have the same image."""
+    where = {tuple(lat.strict[key]): i for i, key in enumerate(lat.s_keys)}
+    perm = []
+    for key in lat.s_keys:
+        i = where.get(tuple(xm.sparse_mat_vec(rows, lat.strict[key])))
+        if i is None:
+            raise ExactIdentityError(f"the image of the S class {key} is not an S class")
+        perm.append(i)
+    if len(set(perm)) < len(perm):
+        raise ExactIdentityError("the map sends two S classes to one")
+    return perm
+
+
+@functools.cache
+def s_cycle_lengths(n, k):
+    """Cycle lengths of the permutation f_* induces on the S classes, in the
+    order of xm.perm_cycles; a tuple.
+
+    Raises ExactIdentityError unless the S classes are a basis of a
+    nondegenerate span(S), which the complete LDL^T of the S Gram proves."""
+    if not _s_gram_ldl(n, k).complete:
+        raise ExactIdentityError(f"(n,k)=({n},{k}): the S Gram is singular")
+    perm = s_class_permutation(_lattice(n, k), _pushforward_rows(n, k))
+    return tuple(len(c) for c in xm.perm_cycles(perm))
 
 
 @functools.cache
 def pushforward_char_poly(n, k):
-    """char_poly(pushforward_matrix(n, k)), computed once; a tuple."""
-    return tuple(char_poly(_pushforward(n, k)))
+    """det(x I - f_*), descending, from the invariant splitting; a tuple,
+    computed once.
+
+    The S Gram is nondegenerate, so Pic (x) Q = span(S) + T with T = S-perp,
+    and the gammas are a basis of T.  f_* permutes the S classes, so in the
+    basis [S classes, gammas] its matrix is block upper triangular: the
+    permutation on span(S), and C = restricted_action(n, k), the gamma
+    coordinates of the T-components of the images of the gammas.  Hence
+    det(x I - f_*) = charpoly(C) * prod (x^L - 1) over the cycle lengths L
+    of s_cycle_lengths.  Berkowitz on the full matrix
+    (char_poly(pushforward_matrix(n, k))) gives the same polynomial and is
+    the tests' cross-check."""
+    lengths = s_cycle_lengths(n, k)
+    cp = char_poly(_restricted_action(n, k))
+    for L in lengths:
+        cp = xm.poly_mul(cp, [1] + [0] * (L - 1) + [-1])
+    return tuple(cp)
+
+
+def pushforward_det(n, k):
+    """det f_* from the same splitting: det(C) times the sign of the
+    permutation of the S classes, -1 to the number of its even cycles."""
+    even = sum(1 for L in s_cycle_lengths(n, k) if L % 2 == 0)
+    return xm.det_bareiss(_restricted_action(n, k)) * (-1) ** even
 
 
 def char_poly_factor_check(n, k, cp=None):
@@ -285,12 +357,13 @@ def entropy(n, k):
 def degree_sequence(n, k, m):
     """d_i = (M^i e0) . e0 for i = 0..m, exact integers."""
     lat = _lattice(n, k)
-    M = _pushforward(n, k)
-    v = lat.e0()
+    rows = _pushforward_rows(n, k)
+    e0 = lat.e0()
+    v = e0
     out = []
     for _ in range(m + 1):
-        out.append(lat.ip(v, lat.e0()))
-        v = xm.mat_vec(M, v)
+        out.append(lat.ip(v, e0))
+        v = xm.sparse_mat_vec(rows, v)
     return out
 
 
@@ -319,9 +392,13 @@ class TSpace:
         self._s_support = tuple(tuple((i, x) for i, x in enumerate(u) if x)
                                 for u in self.s_vectors)
         self.factor = lat.s_gram_factor()
-        self.gammas = tuple(tuple(self.project(lat.strict[("F", s, 2 * lat.k + 1)]))
-                            for s in range(lat.n))
-        self.gamma_gram = tuple(tuple(self._ipf(a, b) for b in self.gammas) for a in self.gammas)
+        tops = [lat.strict[("F", s, 2 * lat.k + 1)] for s in range(lat.n)]
+        self.gammas = tuple(tuple(self.project(top)) for top in tops)
+        # each gamma lies in T, so it pairs with gamma_s as with the top
+        # fiber it projects, a single basis vector
+        self.gamma_gram = tuple(tuple(self._ipf(a, top) for top in tops) for a in self.gammas)
+        # the Gram is symmetric, so the columns of its inverse are its rows
+        self._gram_inverse = xm.frac_solve(self.gamma_gram, xm.identity(lat.n))
 
     def _ipf(self, u, v):
         """The form on rational vectors, as a Fraction."""
@@ -342,7 +419,7 @@ class TSpace:
         """Gamma-basis coordinates of the T-component of v.  Each gamma lies
         in T, so it pairs with v as with that component: v is not projected."""
         rhs = [self._ipf(g, v) for g in self.gammas]
-        return xm.frac_solve(self.gamma_gram, [rhs])[0]
+        return [sum(map(mul, row, rhs)) for row in self._gram_inverse]
 
     def gram_proportionality(self):
         """Exact Gram of the gammas must be a single rational multiple of the
@@ -377,16 +454,23 @@ def restricted_action(n, k):
 
     Must be the cyclic companion form gamma_s -> gamma_{s+1} with last
     column (-1, k, ..., k), whose characteristic polynomial is the entropy
-    polynomial."""
+    polynomial.  Built once per (n, k); each call returns a fresh list of
+    lists."""
+    return [list(row) for row in _restricted_action(n, k)]
+
+
+@functools.cache
+def _restricted_action(n, k):
     ts = t_space(n, k)
-    M = _pushforward(n, k)
-    cols = [ts.gamma_coords(xm.mat_vec(M, ts.lat.strict[("F", s, 2 * k + 1)])) for s in range(n)]
+    rows = _pushforward_rows(n, k)
+    cols = [ts.gamma_coords(xm.sparse_mat_vec(rows, ts.lat.strict[("F", s, 2 * k + 1)]))
+            for s in range(n)]
     out = []
     for row in xm.transpose(cols):
         if any(x.denominator != 1 for x in row):
             raise ExactIdentityError(f"restricted action on T is not integral: {row}")
-        out.append([int(x) for x in row])
-    return out
+        out.append(tuple(int(x) for x in row))
+    return tuple(out)
 
 
 # -- closed-form coefficients of the gamma classes ----------------------------

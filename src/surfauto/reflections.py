@@ -117,29 +117,13 @@ def _is_basis_permutation(lat, M):
 
 
 def _perm_cycles(lat, M):
-    p = {}
-    for col in range(1, lat.dim):
-        row = next(r for r in range(lat.dim) if M[r][col] == 1)
-        if row != col:
-            p[col] = row
+    """The nontrivial cycles of a basis permutation, in (s, j) labels."""
+    perm = [next(r for r in range(lat.dim) if M[r][col] == 1) for col in range(lat.dim)]
 
     def lab(i):
         return ((i - 1) // (2 * lat.k + 1), (i - 1) % (2 * lat.k + 1) + 1)
 
-    seen, cycles = set(), []
-    for a in sorted(p):
-        if a in seen:
-            continue
-        cyc = [a]
-        seen.add(a)
-        b = p[a]
-        while b != a:
-            cyc.append(b)
-            seen.add(b)
-            b = p.get(b, b)
-        if len(cyc) > 1:
-            cycles.append([lab(i) for i in cyc])
-    return cycles
+    return [[lab(i) for i in cyc] for cyc in xm.perm_cycles(perm) if len(cyc) > 1]
 
 
 def noether_chain(n, k):

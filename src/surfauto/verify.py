@@ -28,6 +28,7 @@ from .picard import (
     degree_sequence,
     gamma_closed_form,
     minimality_report,
+    pushforward_det,
     pushforward_matrix,
     restricted_action,
     spectral_radius,
@@ -74,6 +75,17 @@ def _exact(rep, cid, condition, detail=""):
     rep.add(cid, bool(condition), residual=0.0 if condition else None, detail=detail)
 
 
+def _sampled(rep, cid, samples, ok, residual=None, bound=None, detail=""):
+    """A check over `samples` sample points; one that measured nothing
+    fails.  Without a residual it is exact, as in _exact."""
+    if not samples:
+        rep.add(cid, False, bound=bound, detail="no samples")
+    elif residual is None:
+        _exact(rep, cid, ok, detail)
+    else:
+        rep.add(cid, ok, residual=residual, bound=bound, detail=detail)
+
+
 def lattice_suite(n, k):
     """Exact checks of the lattice model and the induced automorphism."""
     rep = VerdictReport(suite="lattice")
@@ -96,7 +108,7 @@ def lattice_suite(n, k):
     Q = lat.q_matrix()
     _exact(rep, "isometry", xm.mat_eq(xm.mat_mul(xm.transpose(M), xm.mat_mul(Q, M)), Q))
     _exact(rep, "canonical-invariance", xm.mat_vec(M, K) == K)
-    _exact(rep, "unimodular", xm.det_bareiss(M) in (1, -1))
+    _exact(rep, "unimodular", pushforward_det(n, k) in (1, -1))
     _exact(rep, "exceptional-image",
            xm.mat_vec(M, lat.strict[("L", n - 1)]) == lat.strict[("F", 0, 2 * k + 1)])
 
@@ -106,8 +118,9 @@ def lattice_suite(n, k):
 
     d = degree_sequence(n, k, 40)
     _exact(rep, "degree-start", d[0] == 1 and d[1] == k + 1, f"d1 = {d[1]}")
-    res = degree_recurrence_residuals(n, k, 40)
-    _exact(rep, "degree-recurrence", all(r == 0 for r in res))
+    # at least ten terms past the recurrence's order dim Pic
+    res = degree_recurrence_residuals(n, k, max(40, lat.dim + 10))
+    _exact(rep, "degree-recurrence", res and all(r == 0 for r in res))
     lam = spectral_radius(n, k)
     ratio_err = abs(d[40] / d[39] - lam)
     rep.add("degree-ratio", ratio_err < 1e-6, residual=ratio_err, bound=1e-6)
@@ -214,8 +227,8 @@ def chart_suite(p, table=None, n_xi=20, tol=1e-6, tamper=None):
                 worst = max(worst, diff)
                 if diff >= tol:
                     failures.append((s, j, diff))
-    rep.add("fiber-transitions", worst < tol and not failures, residual=worst,
-            bound=tol, detail=f"failures: {failures[:4]}" if failures else "")
+    _sampled(rep, "fiber-transitions", n * (2 * k + 1) * n_xi, worst < tol and not failures,
+             residual=worst, bound=tol, detail=f"failures: {failures[:4]}" if failures else "")
 
     # entry and exit coordinates
     xv = 0.37
@@ -324,13 +337,16 @@ def parabolic_suite(p, table=None, points_per_fiber=10):
             dt, da = r.diag_n
             diag_ok = diag_ok and min(abs(dt - 1), abs(dt + 1)) < DEV_TOL \
                 and abs(da - 1) < DEV_TOL
-    rep.add("invariant-line-fixed", worst_fix < FIX_TOL, residual=worst_fix, bound=FIX_TOL)
-    rep.add("invariant-line-tangent", worst_dev < DEV_TOL, residual=worst_dev, bound=DEV_TOL)
-    _exact(rep, "invariant-line-half-diagonal", diag_ok)
+    _sampled(rep, "invariant-line-fixed", points_per_fiber, worst_fix < FIX_TOL,
+             residual=worst_fix, bound=FIX_TOL)
+    _sampled(rep, "invariant-line-tangent", points_per_fiber, worst_dev < DEV_TOL,
+             residual=worst_dev, bound=DEV_TOL)
+    _sampled(rep, "invariant-line-half-diagonal", points_per_fiber, diag_ok)
 
     worst_dev, worst_fix = 0.0, 0.0
     bad = []
-    for j in parabolic_levels(k):
+    levels = parabolic_levels(k)
+    for j in levels:
         for s in range(n):
             for _ in range(points_per_fiber):
                 u = complex(rng.uniform(0.2, 1.8), rng.uniform(-0.5, 0.5))
@@ -339,9 +355,11 @@ def parabolic_suite(p, table=None, points_per_fiber=10):
                 worst_fix = max(worst_fix, r.fix_residual)
                 if r.max_deviation >= DEV_TOL or r.fix_residual >= FIX_TOL:
                     bad.append((s, j))
-    rep.add("fibers-fixed", worst_fix < FIX_TOL, residual=worst_fix, bound=FIX_TOL)
-    rep.add("fibers-tangent", worst_dev < DEV_TOL, residual=worst_dev, bound=DEV_TOL,
-            detail=f"failing fibers: {sorted(set(bad))}" if bad else "")
+    samples = len(levels) * n * points_per_fiber
+    _sampled(rep, "fibers-fixed", samples, worst_fix < FIX_TOL, residual=worst_fix,
+             bound=FIX_TOL)
+    _sampled(rep, "fibers-tangent", samples, worst_dev < DEV_TOL, residual=worst_dev,
+             bound=DEV_TOL, detail=f"failing fibers: {sorted(set(bad))}" if bad else "")
 
     # outside the configuration: measured, not required
     r = parabolic_check(p, table, ChartId("tower", 0, 2 * k + 1), ChartPoint(0.9, 0.0))

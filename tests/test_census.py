@@ -1,26 +1,172 @@
-"""The exact claims on every admissible (n, k) with dim Pic <= 60, not only
-the desk instances: the lattice and factorization suites must pass.
+"""The exact claims beyond the desk instances.
+
+On every admissible (n, k) with dim Pic <= 60 the lattice and factorization
+suites must pass, and the characteristic polynomial and determinant of f_*
+from the splitting span(S) + T must agree with dense Berkowitz and Bareiss
+on the full matrix.  On all admissible (n, k) with n <= 8 and k <= 12 the
+characteristic polynomial must be chi times the cyclotomic cofactor of the
+pinned cycle type, and chi must pass an exact Salem test.
 
 Admissible means n >= 2, even k >= 2 and n k > k + 2 (Bedford-Kim,
 Thm. 1); dim Pic = 1 + n (2k + 1).
 """
 
+from fractions import Fraction
+
 import pytest
 
+from surfauto import exactmat as xm
+from surfauto.errors import ExactIdentityError
+from surfauto.picard import (
+    PicardLattice,
+    chi_poly,
+    pushforward_char_poly,
+    pushforward_det,
+    pushforward_matrix,
+    s_class_permutation,
+    s_cycle_lengths,
+)
 from surfauto.verify import factorization_suite, lattice_suite
 
 MAX_DIM = 60
 CENSUS = [(n, k) for n in range(2, MAX_DIM) for k in range(2, MAX_DIM, 2)
           if n * k > k + 2 and 1 + n * (2 * k + 1) <= MAX_DIM]
+WIDE = [(n, k) for n in range(2, 9) for k in range(2, 13, 2) if n * k > k + 2]
+
+
+def _ids(instances):
+    return [f"{n}-{k}" for n, k in instances]
 
 
 def test_census_size():
     assert len(CENSUS) == 22
     assert (3, 2) in CENSUS and (2, 14) in CENSUS and (11, 2) in CENSUS
+    assert len(WIDE) == 41 and (8, 12) in WIDE
 
 
-@pytest.mark.parametrize("nk", CENSUS, ids=[f"{n}-{k}" for n, k in CENSUS])
+@pytest.mark.parametrize("nk", CENSUS, ids=_ids(CENSUS))
 def test_exact_suites_pass(nk):
     for suite in (lattice_suite, factorization_suite):
         rep = suite(*nk)
         assert rep.overall == "pass", [c.to_json_dict() for c in rep.checks if c.status == "fail"]
+
+
+# -- the splitting against dense elimination --------------------------------------------
+
+def _cycle_type(n, k):
+    """sigma0 fixed, two n-cycles and k - 1 cycles of length 2n."""
+    return sorted([1, n, n] + [2 * n] * (k - 1))
+
+
+@pytest.mark.parametrize("nk", CENSUS, ids=_ids(CENSUS))
+def test_splitting_matches_berkowitz_and_bareiss(nk):
+    M = pushforward_matrix(*nk)
+    assert pushforward_char_poly(*nk) == tuple(xm.charpoly(M))
+    assert pushforward_det(*nk) == xm.det_bareiss(M)
+    assert sorted(s_cycle_lengths(*nk)) == _cycle_type(*nk)
+
+
+def test_s_image_outside_the_s_classes_raises():
+    n, k = 2, 4
+    lat = PicardLattice.build(n, k)
+    M = pushforward_matrix(n, k)
+    assert sorted(len(c) for c in xm.perm_cycles(
+        s_class_permutation(lat, xm.sparse_rows(M)))) == _cycle_type(n, k)
+    # the image of e^2 on limb 0 picks up e0, and so do those of F(0, 1) and
+    # F(0, 2), the S classes through e^2
+    M[0][lat.idx(0, 2)] += 1
+    with pytest.raises(ExactIdentityError, match=r"\('F', 0, 1\) is not an S class"):
+        s_class_permutation(lat, xm.sparse_rows(M))
+
+
+# -- the wide census: cofactor and Salem test ----------------------------------------------
+
+def _x_power_minus_one(m):
+    return [1] + [0] * (m - 1) + [-1]
+
+
+def _reciprocal_trace_poly(q):
+    """R with q(x) = x^m R(x + 1/x), for a palindromic q of degree 2m
+    (descending coefficients); R is returned descending."""
+    m = (len(q) - 1) // 2
+    assert len(q) == 2 * m + 1 and list(q) == list(reversed(q))
+    # P_j(y) = x^j + x^-j in y = x + 1/x, ascending: P_0 = 2, P_1 = y
+    P = [[2], [0, 1]]
+    while len(P) <= m:
+        nxt = [0] + P[-1]
+        for i, c in enumerate(P[-2]):
+            nxt[i] -= c
+        P.append(nxt)
+    R = [0] * (m + 1)
+    R[0] = q[m]
+    for j in range(1, m + 1):
+        for i, c in enumerate(P[j]):
+            R[i] += q[m - j] * c
+    return R[::-1]
+
+
+def _rem(a, b):
+    """Remainder of a by b over the rationals, descending, no leading zeros."""
+    a = [Fraction(x) for x in a]
+    while len(a) >= len(b):
+        c = a[0] / b[0]
+        a = [x - c * y for x, y in zip(a, list(b) + [0] * (len(a) - len(b)))][1:]
+        while a and a[0] == 0:
+            a.pop(0)
+    return a
+
+
+def _sturm_sequence(p):
+    seq = [[Fraction(c) for c in p], [Fraction(c) for c in xm.poly_derivative(p)]]
+    while True:
+        r = _rem(seq[-2], seq[-1])
+        if not r:
+            return seq
+        seq.append([-c for c in r])
+
+
+def _sign_changes(values):
+    signs = [v > 0 for v in values if v != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _salem_counts(chi):
+    """(roots of R above 2, roots of R in (-2, 2), degree of R), counted
+    exactly by Sturm sequences, where chi / (x + 1)^[n odd] = x^m R(x + 1/x).
+    Each root y of R in (-2, 2) is a pair of conjugate roots of chi on the
+    unit circle; the one above 2 is lambda + 1/lambda."""
+    q = chi
+    if len(chi) % 2 == 0:            # odd degree: -1 is a root
+        q, rem = xm.poly_divmod(chi, [1, 1])
+        assert not any(rem)
+    R = _reciprocal_trace_poly(q)
+    seq = _sturm_sequence(R)
+    at_minus_two, at_two = ([xm.poly_eval(p, x) for p in seq] for x in (-2, 2))
+    assert at_minus_two[0] != 0 and at_two[0] != 0
+    at_infinity = [p[0] for p in seq]
+    above = _sign_changes(at_two) - _sign_changes(at_infinity)
+    inside = _sign_changes(at_minus_two) - _sign_changes(at_two)
+    return above, inside, len(R) - 1
+
+
+def test_salem_counts_of_known_polynomials():
+    # x^4 - x^3 - x^2 - x + 1: a Salem number of degree 4
+    assert _salem_counts([1, -1, -1, -1, 1]) == (1, 1, 2)
+    # (x^2 + 1)(x^2 - 3x + 1): a root at i is inside, 3 +- sqrt(5) over 2 outside
+    assert _salem_counts(xm.poly_mul([1, 0, 1], [1, -3, 1])) == (1, 1, 2)
+    # x^4 - 5x^2 + 1 has two roots above 1 in modulus: R = y^2 - 7, roots +-sqrt 7
+    assert _salem_counts([1, 0, -5, 0, 1]) == (1, 0, 2)
+
+
+@pytest.mark.parametrize("nk", WIDE, ids=_ids(WIDE))
+def test_char_poly_is_chi_times_cyclotomic_and_chi_is_salem(nk):
+    n, k = nk
+    chi = chi_poly(n, k)
+    quo, rem = xm.poly_divmod(list(pushforward_char_poly(n, k)), chi)
+    assert not any(rem)
+    cofactor = [1]
+    for L in _cycle_type(n, k):
+        cofactor = xm.poly_mul(cofactor, _x_power_minus_one(L))
+    assert quo == cofactor
+    above, inside, degree = _salem_counts(chi)
+    assert (above, inside) == (1, degree - 1)

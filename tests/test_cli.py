@@ -248,6 +248,18 @@ def test_negative_counts_and_tolerances_are_usage_errors(argv, capsys):
     assert argv[-2] in err and out == ""
 
 
+@pytest.mark.parametrize("argv", [["verify", "--params", str(PRESET), "--points", "0"],
+                                  ["verify", "--params", str(PRESET), "--n-xi", "0"],
+                                  ["verify", "--params", str(PRESET), "--points", "0",
+                                   "--n-xi", "0"],
+                                  ["parabolic", "--params", str(PRESET), "--points", "-1"]])
+def test_sample_counts_below_one_are_usage_errors(argv, capsys, tmp_path):
+    rc, out, err = run_cli(argv + ["--out", str(tmp_path)], capsys)
+    assert rc == 2
+    assert "must be >= 1" in err and out == ""
+    assert not (tmp_path / "verify.json").exists()
+
+
 ORBIT_SEEDS = "[[0.1, 0.1], [0.2, 0.3], [0.3, 1e-13], [-0.5, 0.6]]"
 
 # sha256 of orbits.csv for ORBIT_SEEDS and 300 steps, as written when each
