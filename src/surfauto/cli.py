@@ -6,6 +6,7 @@ counts so identical configurations produce byte-identical files.
 """
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -232,8 +233,20 @@ def cmd_fixed_points(args):
 
 def _load_seeds(args, p):
     if args.seeds:
-        data = json.loads(Path(args.seeds).read_text())
-        return [(float(s[0]), float(s[1])) for s in data]
+        try:
+            data = json.loads(Path(args.seeds).read_text())
+        except (OSError, ValueError) as exc:
+            raise ParamError(f"cannot read seed file: {exc}") from exc
+        if not isinstance(data, list):
+            raise ParamError(f"cannot read seed file {args.seeds}: expected a list of [x, y] seeds")
+        if not data:
+            raise ParamError(f"no seeds in {args.seeds}")
+        for s in data:
+            if not (isinstance(s, list) and len(s) == 2
+                    and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                            and math.isfinite(v) for v in s)):
+                raise ParamError(f"each seed must be [x, y] with finite numbers x and y, got {s!r}")
+        return [(float(x), float(y)) for x, y in data]
     recs = [r for r in fixed_points(p) if r.type == "elliptic"]
     if recs:
         z = recs[0].zeta.real
@@ -253,12 +266,13 @@ def cmd_orbit(args):
         for sid, seed in enumerate(seeds):
             orb = iterate_orbit(p, seed, steps)
             statuses[sid] = orb.status
-            # python scalars format faster than numpy ones, to the same text;
+            # point i is (seq[i], seq[i+1]), so each number is formatted once;
             # one chunk per seed keeps the whole file out of memory
-            xs, ys = orb.points[:, 0].tolist(), orb.points[:, 1].tolist()
-            fh.write("".join([f"{sid},{i},{x:.15e},{y:.15e}\n"
-                              for i, (x, y) in enumerate(zip(xs, ys))]))
-            rows += len(xs)
+            txt = list(map("{:.15e}".format, orb.seq))
+            head = f"{sid},"
+            fh.write("".join([f"{head}{i},{x},{y}\n"
+                              for i, x, y in zip(itertools.count(), txt, txt[1:])]))
+            rows += len(txt) - 1
     if path:
         print(f"wrote {path} ({rows} rows)")
     print(json.dumps({"statuses": statuses}, sort_keys=True))

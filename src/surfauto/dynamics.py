@@ -3,6 +3,7 @@ manifolds of the plane maps."""
 
 import cmath
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -177,13 +178,31 @@ def trace_set_separation(p, p_hat):
 
 @dataclass
 class OrbitResult:
-    points: np.ndarray   # shape (m, 2); real dtype when inputs real
+    """A forward orbit as its one-dimensional sequence.
+
+    Since f(x, y) = (y, ...), point i of the orbit is (seq[i], seq[i+1]): an
+    orbit of m points holds m + 1 numbers, Python floats when the data are
+    real and complex otherwise.  ``points`` is the same orbit as an (m, 2)
+    array of that dtype, built on first use."""
+
+    seq: list
     status: str          # completed | escaped | pole
+
+    @cached_property
+    def points(self):
+        a = np.array(self.seq, dtype=complex if isinstance(self.seq[0], complex) else float)
+        return np.column_stack((a[:-1], a[1:]))
 
 
 def iterate_orbit(p, pt0, m, pole_tol=1e-12):
-    """Forward orbit of an affine point; stops on escape past the magnitude
-    cap or on reaching the pole line.  Real data stays real exactly."""
+    """Forward orbit of an affine point, at most m steps; stops before the
+    step from a point on the pole line (|y| < pole_tol) and at the first
+    image past the magnitude cap, which is not kept.  Real data (real point
+    and coefficients, delta == 1) stay real exactly.
+
+    Each step appends f's second component, ``MapCoeffs._next_y``, to
+    ``seq = [x0, y0, y1, ...]``; the x of the next point is the y already
+    stored, the same Python object."""
     co = p.coeffs()
     real = (all(complex(v).imag == 0 for v in (pt0[0], pt0[1], co.c, *(al for _, al in co.a)))
             and complex(p.delta) == 1)
@@ -193,19 +212,19 @@ def iterate_orbit(p, pt0, m, pole_tol=1e-12):
         # real data require delta == 1
         co = co._replace(c=float(complex(co.c).real), neg_delta=-1.0,
                          a=tuple((l, float(complex(v).real)) for l, v in co.a))
-    pts = [(x, y)]
+    seq = [x, y]
     status = "completed"
+    k, next_y, append = p.k, co._next_y, seq.append
     for _ in range(m):
         if abs(y) < pole_tol:
             status = "pole"
             break
-        x, y = y, co._next_y(p.k, x, y)
+        x, y = y, next_y(k, x, y)
         if abs(x) > MAGNITUDE_CAP or abs(y) > MAGNITUDE_CAP:
             status = "escaped"
             break
-        pts.append((x, y))
-    arr = np.array(pts, dtype=float if real else complex)
-    return OrbitResult(points=arr, status=status)
+        append(y)
+    return OrbitResult(seq=seq, status=status)
 
 
 @dataclass

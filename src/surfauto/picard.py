@@ -476,15 +476,14 @@ def _restricted_action(n, k):
 # -- closed-form coefficients of the gamma classes ----------------------------
 
 
-def _config_combination(lat, weights_sigma0, fiber_weights):
-    v = [Fraction(0)] * lat.dim
-    if weights_sigma0:
-        for i in range(lat.dim):
-            v[i] += weights_sigma0 * lat.strict["sigma0"][i]
+def _config_combination(lat, fiber_weights):
+    """sum of w * F(s, j) over fiber_weights {(s, j): w}, an integer vector:
+    each strict transform adds only its nonzero entries."""
+    v = [0] * lat.dim
     for (s, j), w in fiber_weights.items():
-        if w:
-            for i in range(lat.dim):
-                v[i] += w * lat.strict[("F", s, j)][i]
+        for i, a in enumerate(lat.strict[("F", s, j)]):
+            if a:
+                v[i] += w * a
     return v
 
 
@@ -509,33 +508,32 @@ def gamma_closed_form(n, k, s=0):
     ts = t_space(n, k)
     lat = ts.lat
 
+    # the auxiliary classes are integer vectors; only gamma has denominators
     v_cls, u_cls = [], []
     for t in range(n):
-        fw = {(t, 1): Fraction(1)}
+        fw = {(t, 1): 1}
         for i in range(2, k + 1):
-            fw[(t, i)] = Fraction(i - 1)
+            fw[(t, i)] = i - 1
         for i in range(k + 1, 2 * k + 1):
-            fw[(t, i)] = Fraction(k)
-        v_cls.append(_config_combination(lat, 0, fw))
-        uw = {(t, i): Fraction(i - 1) for i in range(2, 2 * k + 1)}
-        u_cls.append(_config_combination(lat, 0, uw))
-    varpi, varrho = [], []
+            fw[(t, i)] = k
+        v_cls.append(_config_combination(lat, fw))
+        u_cls.append(_config_combination(lat, {(t, i): i - 1 for i in range(2, 2 * k + 1)}))
+    varrho = []
     for t in range(n):
-        w = [Fraction(-k) * x for x in lat.strict["sigma0"]]
+        # varpi_t = -k sigma0 - k sum_{i != t} v_i + u_t, then varrho_t adds the top fibers
+        r = [-k * x for x in lat.strict["sigma0"]]
         for i in range(n):
             if i != t:
-                w = [a - k * b for a, b in zip(w, v_cls[i])]
-        w = [a + b for a, b in zip(w, u_cls[t])]
-        varpi.append(w)
-        r = list(w)
+                r = [a - k * b for a, b in zip(r, v_cls[i])]
+        r = [a + b for a, b in zip(r, u_cls[t])]
         for i in range(n):
             top = lat.strict[("F", i, 2 * k + 1)]
             coef = 2 * k if i == t else -k * k
             r = [a + coef * b for a, b in zip(r, top)]
         varrho.append(r)
 
-    # membership: varrho in T (orthogonal to every S generator), varpi in S
-    in_T = all(all(lat.ip([int(x) for x in r], sv) == 0 for sv in ts.s_vectors) for r in varrho)
+    # membership: varrho in T (orthogonal to every S generator)
+    in_T = all(all(lat.ip(r, sv) == 0 for sv in ts.s_vectors) for r in varrho)
 
     x = Fraction(2, k) - n + 2
     C = Fraction(2 * (2 - (n - 2) * k) - (n - 1) * k * k)

@@ -186,7 +186,6 @@ def weyl_factorization_check(n, k):
     J = quadratic_reflection(lat, [(0, 1), (0, k + 1), (0, 2 * k + 1)])
     tau = _tau_perm(k)
     phi = _phi_perm(k)
-    literal = None
     matched_variant = None
     for sig_dir in (1, -1):
         sig = _perm_matrix(lat, lambda s, j, d=sig_dir: ((s + d) % n, j))
@@ -198,8 +197,6 @@ def weyl_factorization_check(n, k):
                 comp = xm.identity(lat.dim)
                 for A in seq:
                     comp = xm.mat_mul(comp, A)
-                if literal is None and sig_dir == 1 and tau_limb == 0 and phi_limb == n - 1:
-                    literal = comp
                 if xm.mat_eq(comp, M):
                     matched_variant = {
                         "sigma_direction": sig_dir,

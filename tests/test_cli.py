@@ -287,6 +287,59 @@ def test_orbit_csv_pinned(kind, capsys, tmp_path):
     assert hashlib.sha256(text).hexdigest() == ORBIT_CSV_DIGESTS[kind]
 
 
+# [0.1, 1e200] trips the magnitude cap on step 1; under delta = 2 the
+# linear part expands and [1e90, 1e90] escapes on step 67
+ESCAPE_SEEDS = "[[0.1, 1e200], [1e90, 1e90], [0.1, 0.1]]"
+
+# sha256 of orbits.csv for ESCAPE_SEEDS and 300 steps, as written when each
+# row was formatted from numpy scalars
+ESCAPE_CSV_DIGESTS = {
+    "real": "2caae0ca8240f669f2822d47b13cd4a29fad1c71ebf789fe2464ead0aa25991f",
+    "expanding-delta": "0a026f6c4185a3e2382a3f184be12616f4018c49384965a77e894e1bbb089566",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ESCAPE_CSV_DIGESTS))
+def test_escaped_orbit_csv_pinned(kind, capsys, tmp_path):
+    params = PRESET
+    statuses = {"0": "escaped", "1": "completed", "2": "completed"}
+    if kind == "expanding-delta":
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"n": 2, "k": 4, "c": {"j": 1, "sign": "+"},
+                                      "a": {"2": [-2.64, 0.0]}, "delta": [2.0, 0.0]}))
+        statuses["1"] = "escaped"
+    seeds = tmp_path / "seeds.json"
+    seeds.write_text(ESCAPE_SEEDS)
+    rc, out, _ = run_cli(["orbit", "--params", str(params), "--steps", "300",
+                          "--seeds", str(seeds), "--out", str(tmp_path)], capsys)
+    assert rc == 0
+    assert json.loads(out.splitlines()[-1]) == {"statuses": statuses}
+    text = (tmp_path / "orbits.csv").read_bytes()
+    assert hashlib.sha256(text).hexdigest() == ESCAPE_CSV_DIGESTS[kind]
+
+
+@pytest.mark.parametrize("content, message", [
+    pytest.param(None, "cannot read seed file", id="missing"),
+    pytest.param("[[0.1, 0.2", "cannot read seed file", id="not-json"),
+    pytest.param('{"x": 0.1, "y": 0.2}', "cannot read seed file", id="not-a-list"),
+    pytest.param("[[0.1]]", "each seed must be [x, y]", id="one-number"),
+    pytest.param("[[0.1, 0.2, 0.3]]", "each seed must be [x, y]", id="three-numbers"),
+    pytest.param('[[0.1, "y"]]', "each seed must be [x, y]", id="not-a-number"),
+    pytest.param("[[0.1, NaN]]", "each seed must be [x, y]", id="not-finite"),
+    pytest.param("[]", "no seeds", id="empty"),
+])
+def test_bad_seed_file_is_usage_error(content, message, capsys, tmp_path):
+    seeds = tmp_path / "seeds.json"
+    if content is not None:
+        seeds.write_text(content)
+    rc, out, err = run_cli(["orbit", "--params", str(PRESET), "--seeds", str(seeds),
+                            "--out", str(tmp_path)], capsys)
+    assert rc == 2
+    assert message in err and "Traceback" not in err
+    assert out == ""
+    assert not (tmp_path / "orbits.csv").exists()
+
+
 def test_unstable_reports_why_each_trace_stopped(capsys, tmp_path):
     rc, out, _ = run_cli(["unstable", "--params", str(PRESET), "--arclen", "2.0",
                           "--out", str(tmp_path)], capsys)

@@ -157,6 +157,21 @@ def test_orbit_reversor_identity():
     assert np.max(np.abs(swapped - fwd.points)) < 1e-7
 
 
+@pytest.mark.parametrize("delta, start, steps, pole_tol, status, kind", [
+    (1, (0.35, -0.6), 500, 1e-12, "completed", "f"),
+    (0.5 + 0.1j, (0.3, 0.7), 50, 1e-12, "completed", "c"),
+    (1, (0.35, -0.6), 1000, 0.5, "pole", "f"),
+    (2.0, (1e90, 1e90), 300, 1e-12, "escaped", "c"),
+])
+def test_orbit_x_is_the_previous_y(delta, start, steps, pole_tol, status, kind):
+    # f(x, y) = (y, ...): each point's x is bitwise the y of the point before
+    p = sa.MapParams(n=2, k=4, c_spec=(1, 1), a={2: -2.64}, delta=delta)
+    orb = sa.iterate_orbit(p, start, steps, pole_tol=pole_tol)
+    assert orb.status == status and 1 < len(orb.points) <= steps + 1
+    assert orb.points.shape == (len(orb.points), 2) and orb.points.dtype.kind == kind
+    assert orb.points[1:, 0].tobytes() == orb.points[:-1, 1].tobytes()
+
+
 def _segment_distance(pts, q):
     """Distance from q to the piecewise-linear curve through pts."""
     a = pts[:-1]
