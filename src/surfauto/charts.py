@@ -19,8 +19,11 @@ roughly j*log10(1/eps) digits, which double precision cannot survive for
 k >= 4.  The centers and the closed forms are computed in mpmath.  Jet
 orbits and lifted samples run on Jets (Python-integer jets of
 jet_bits(dps) bits, see :mod:`surfauto.dual`) through the same generic
-chart and map functions, and become mpmath numbers again for Richardson
-extrapolation.  Chart routing alone runs in double precision.
+chart and map functions, from the lift to the Richardson-extrapolated
+limit; only limits become mpmath numbers again.  Projective points are
+never normalised by a Jet division: chart_to_plane returns its triple as
+built and eval_f_proj rescales Jets by a power of two.  Chart routing alone
+runs in double precision, one walk up each limb of the tower.
 """
 
 from dataclasses import dataclass, replace
@@ -31,7 +34,7 @@ import mpmath as mp
 
 from .dual import Jet, jet_bits, richardson
 from .errors import ChartDomainError, ExtrapolationError, ParamError, PoleError
-from .mapfamily import center_series, eval_f_proj, infinity_orbit, proj_normalize
+from .mapfamily import center_series, eval_f_proj, infinity_orbit
 
 
 class ChartId(NamedTuple):
@@ -141,12 +144,13 @@ def chart_to_plane(table, cid, pt):
     """Compose the blowdown maps into homogeneous coordinates.
 
     Points with v = 0 land exactly on the blown-down image (the limb base
-    point for tower charts).  Scalars may be mpmath numbers, or Jets with
-    table.jet, or python complex with table.double.
+    point for tower charts).  The triple is returned as built, unnormalised:
+    each branch has an exact 1 among its entries.  Scalars may be mpmath
+    numbers, or Jets with table.jet, or python complex with table.double.
     """
     u, v = pt.u, pt.v
     if cid.kind == "affine":
-        return proj_normalize((_one(u), u, v))
+        return (_one(u), u, v)
     s = cid.s
     if cid.kind == "base":
         t1, along = v, u
@@ -160,11 +164,11 @@ def chart_to_plane(table, cid, pt):
                 xi = xi * x + table.beta[(s, m)]
             t1, e1 = xi, x
         if s == 0:
-            return proj_normalize((t1, t1 * e1, _one(t1)))
-        return proj_normalize((t1, _one(t1), t1 * e1 + table.w[s - 1]))
+            return (t1, t1 * e1, _one(t1))
+        return (t1, _one(t1), t1 * e1 + table.w[s - 1])
     if s == 0:
-        return proj_normalize((t1, along, _one(t1)))
-    return proj_normalize((t1, _one(t1), along))
+        return (t1, along, _one(t1))
+    return (t1, _one(t1), along)
 
 
 def _one(sample):
@@ -183,29 +187,43 @@ def plane_to_chart(table, cid, P, floor=None):
     """
     if floor is None:
         floor = table.floor
-    x0, x1, x2 = P
     if cid.kind == "affine":
+        x0, x1, x2 = P
         _check_divisor(x0, floor, cid)
-        return ChartPoint(x1 / x0, x2 / x0)
-    s = cid.s
+        r = 1 / x0
+        return ChartPoint(x1 * r, x2 * r)
+    level = 0 if cid.kind == "base" else cid.j
+    for depth, pt in enumerate(_limb_walk(table, cid.s, P, floor, cid)):
+        if depth == level:
+            return pt
+    raise ParamError(f"chart {cid} outside the tower")
+
+
+def _limb_walk(table, s, P, floor, cid):
+    """The coordinates of P in the charts of limb s, shallowest first: the
+    base chart (depth 0), then tower levels 1 .. 2k+1 (depth j).
+
+    Each level past the first is one more step of xi <- (xi - beta(s, m)) / x,
+    so a reader that stops at level j has walked the limb once, up to j.
+    A divisor below floor raises ChartDomainError naming cid."""
+    x0, x1, x2 = P
     den, num = (x2, x1) if s == 0 else (x1, x2)
     _check_divisor(den, floor, cid)
-    t, along = x0 / den, num / den
-    if cid.kind == "base":
-        return ChartPoint(along, t)
+    r = 1 / den
+    t, along = x0 * r, num * r
+    yield ChartPoint(along, t)
     if s:
         along = along - table.w[s - 1]
     _check_divisor(t, floor, cid)
     x = along / t
-    if cid.j == 1:
-        return ChartPoint(x, t)
+    yield ChartPoint(x, t)
     # every level divides by the same x: one reciprocal, then products
     _check_divisor(x, floor, cid)
     xinv = 1 / x
     xi = t
-    for m in range(1, cid.j):
+    for m in range(1, 2 * table.k + 1):
         xi = (xi - table.beta[(s, m)]) * xinv
-    return ChartPoint(xi, x)
+        yield ChartPoint(xi, x)
 
 
 def _check_divisor(b, floor, cid):
@@ -295,7 +313,7 @@ def fiber_transition_numeric(p, table, s, j, xi):
 
     def sample(xi, eps):
         if source:
-            P = proj_normalize((_one(xi), xi, eps))
+            P = (_one(xi), xi, eps)
         else:
             P = chart_to_plane(jt, ChartId("tower", s, j), ChartPoint(xi, eps))
         Q = eval_f_proj(p, P, dps=table.dps)
@@ -312,27 +330,27 @@ def _lift_limit(table, xi, sample, what):
     """Limit of sample(xi, eps) as the lift eps off the fiber goes to 0.
 
     sample runs on Jet constants of table.bits bits and returns a Jet.
-    Order-2 Richardson over the last three lifts, extended by up to two
-    decades until successive extrapolants agree below CONV_TOL; returns
+    Order-2 Richardson over the last three lifts, on the Jets, extended by
+    up to two decades until successive extrapolants agree below CONV_TOL;
+    only the final limit's value becomes an mpmath number.  Returns
     (limit, last change) or raises ExtrapolationError."""
+    bits = table.bits
     with mp.workdps(table.dps):
-        xi = Jet.const(xi, table.bits)
-
-        def at(eps):
-            return sample(xi, Jet.const(eps, table.bits)).mpc()[0]
-
-        eps_list = [mp.mpf(e) for e in EPS_SEQ]
-        vals = [at(e) for e in eps_list]
-        lim, _ = richardson(eps_list[-3:], vals[-3:])
+        xi = Jet.const(xi, bits)
+        eps_mp = mp.mpf(EPS_SEQ[-1])
+        eps = [Jet.const(e, bits) for e in EPS_SEQ]
+        vals = [sample(xi, e) for e in eps]
+        lim, _ = richardson(eps, vals)
         for _ in range(2):  # extend by up to two decades
             prev = lim
-            eps_list.append(eps_list[-1] / 10)
-            vals.append(at(eps_list[-1]))
-            lim, _ = richardson(eps_list[-3:], vals[-3:])
-            if abs(lim - prev) < CONV_TOL:
-                return lim, float(abs(lim - prev))
-    raise ExtrapolationError(
-        f"{what} extrapolants keep moving by {float(abs(lim - prev))} > {CONV_TOL}")
+            eps_mp /= 10
+            eps.append(Jet.const(eps_mp, bits))
+            vals.append(sample(xi, eps[-1]))
+            lim, _ = richardson(eps[-3:], vals[-3:])
+            gap = abs(lim - prev)
+            if gap < CONV_TOL:
+                return lim.mpc()[0], float(gap)
+    raise ExtrapolationError(f"{what} extrapolants keep moving by {float(gap)} > {CONV_TOL}")
 
 
 # -- chart routing and parabolic checks ---------------------------------------
@@ -346,35 +364,47 @@ def route_chart(table, P):
     A chart accepts the point when its coordinates there stay moderate
     (within _ROUTE_CAP); among accepting charts the deepest tower level
     wins, since it fully resolves the infinitely-near structure the point
-    is close to, with smaller coordinates breaking ties.  A point merely
-    near a blowup center looks innocuous in the shallow chart but the
-    deeper levels stay moderate exactly as far as the structure goes.
-    Each candidate is ranked by plane_to_chart itself, run in double
-    precision on table.double with no floor (an exact zero divisor
-    rejects the chart); selection runs in double precision, values never do.
+    is close to, with smaller coordinates breaking ties, then the order of
+    table.chart_ids.  A point merely near a blowup center looks innocuous
+    in the shallow chart but the deeper levels stay moderate exactly as far
+    as the structure goes.  Candidates are ranked by the chart inversion
+    itself, run in double precision on table.double with no floor (an
+    exact zero divisor rejects the chart and, on a limb, every deeper
+    level): one walk per limb reads all of its levels.  Selection runs in
+    double precision, values never do.
     """
     Pf = tuple(_downcast(z) for z in P)
-    x0, x1, x2 = Pf
-    best, best_key = None, None
-    for cid in table.chart_ids:
-        try:
-            u, v = plane_to_chart(table.double, cid, Pf, floor=0.0)
-        except ZeroDivisionError:
-            continue
+    dt = table.double
+    n, levels = table.n, 2 * table.k + 1
+    keys = []   # (-depth, margin, index in table.chart_ids) of accepting charts
+
+    def rank(u, v, depth, index):
         m = max(abs(u), abs(v))
-        if m != m or m > _ROUTE_CAP:  # NaN or out of range
-            continue
-        # depth counts only when the point is genuinely near the blown-up
-        # structure: small transverse coordinate and small base offset |t|
-        near = (cid.kind == "tower" and abs(v) < 0.05
-                and abs(x0 / (x2 if cid.s == 0 else x1)) < 0.05)
-        depth = cid.j if near else 0
-        key = (-depth, m)
-        if best_key is None or key < best_key:
-            best_key, best = key, cid
-    if best is None:
+        if m <= _ROUTE_CAP:  # NaN fails this too
+            keys.append((-depth, m, index))
+
+    try:
+        u, v = plane_to_chart(dt, ChartId("affine"), Pf, floor=0.0)
+        rank(u, v, 0, 0)
+    except ZeroDivisionError:
+        pass
+    for s in range(n):
+        walk = _limb_walk(dt, s, Pf, 0.0, ChartId("base", s))
+        first = 1 + n + s * levels  # index of level 1 of limb s
+        try:
+            along, t = next(walk)
+            rank(along, t, 0, 1 + s)
+            # depth counts only when the point is genuinely near the
+            # blown-up structure: small base offset |t| and small
+            # transverse coordinate
+            near = abs(t) < 0.05
+            for j, (u, v) in enumerate(walk, 1):
+                rank(u, v, j if near and abs(v) < 0.05 else 0, first + j - 1)
+        except ZeroDivisionError:
+            pass
+    if not keys:
         raise ChartDomainError("no chart accepts this point")
-    return best
+    return table.chart_ids[min(keys)[2]]
 
 
 def _downcast(z):
@@ -399,25 +429,24 @@ class ParabolicReport:
 
 def _jet_orbit(p, table, cid, u0, v0, steps):
     """Route a 2-jet through `steps` map applications, ending in the start
-    chart.  Runs on Jets and returns each coordinate as an mpmath triple
-    (value, d/du0, d/dv0), for the final point and for the half-way point
-    (with its chart), which is also re-expressed in the start chart so the
-    half-way differential is readable there."""
+    chart.  Runs on Jets and returns the final coordinates as Jets (value,
+    d/du0, d/dv0).  For a base-chart start it also returns the half-way
+    point, forced back into the start chart so the half-way differential is
+    readable there, as a pair of mpmath triples; otherwise None."""
     jt = table.jet
     u = Jet.of(u0, 1, 0, table.bits)
     v = Jet.of(v0, 0, 1, table.bits)
+    half = steps // 2 - 1 if cid.kind == "base" else None
     cur = cid
     mid = None
     for step in range(steps):
         P = chart_to_plane(jt, cur, ChartPoint(u, v))
         Q = eval_f_proj(p, P, dps=table.dps)
-        force = step == steps - 1 or (step == steps // 2 - 1 and cid.kind == "base")
-        nxt = cid if force else route_chart(table, Q)
-        u, v = plane_to_chart(jt, nxt, Q)
-        cur = nxt
-        if step == steps // 2 - 1:
-            mid = (u.mpc(), v.mpc(), cur)
-    return u.mpc(), v.mpc(), mid
+        cur = cid if step in (steps - 1, half) else route_chart(table, Q)
+        u, v = plane_to_chart(jt, cur, Q)
+        if step == half:
+            mid = (u.mpc(), v.mpc())
+    return u, v, mid
 
 
 def parabolic_check(p, table, cid, pt):
@@ -428,35 +457,31 @@ def parabolic_check(p, table, cid, pt):
     directly: the line is not blown down, so no lift is needed and the
     half-way differential (expected diag(+-1, 1)) is also reported.  For
     fiber points the transverse coordinate is lifted to each eps in
-    EPS_SEQ and the Jacobian is Richardson-extrapolated to the fiber.
+    EPS_SEQ and the final jets, value and Jacobian together, are
+    Richardson-extrapolated to the fiber.
     """
     steps = 2 * p.n
     with mp.workdps(table.dps):
         if cid.kind == "base":
-            (ua, udx, udy), (va, vdx, vdy), mid = _jet_orbit(p, table, cid, pt.u, 0, steps)
+            u, v, mid = _jet_orbit(p, table, cid, pt.u, 0, steps)
+            (ua, udx, udy), (va, vdx, vdy) = u.mpc(), v.mpc()
             dev = max(abs(udx - 1), abs(udy), abs(vdx), abs(vdy - 1))
             fix = max(abs(ua - pt.u), abs(va))
-            diag = None
-            if mid is not None:
-                mu, mv, mcid = mid
-                if mcid == cid:
-                    # (transverse, along) multipliers: expected (+-1, 1)
-                    diag = (complex(mv[2]), complex(mu[1]))
+            mu, mv = mid
+            # (transverse, along) multipliers: expected (+-1, 1)
+            diag = (complex(mv[2]), complex(mu[1]))
             return ParabolicReport(cid, (complex(pt.u), 0.0), steps,
                                    float(dev), float(fix), diag, True)
-        jac_seq, val_seq = [], []
-        for e in EPS_SEQ:
-            (ua, udx, udy), (va, vdx, vdy), _ = _jet_orbit(p, table, cid, pt.u, e, steps)
-            jac_seq.append((udx, udy, vdx, vdy))
-            val_seq.append((ua, va))
-        ext = [richardson(EPS_SEQ, [js[i] for js in jac_seq]) for i in range(4)]
-        jac = [x[0] for x in ext]
-        jac_err = max(x[1] for x in ext)
-        u_lim, u_err = richardson(EPS_SEQ, [vs[0] for vs in val_seq])
-        v_lim, v_err = richardson(EPS_SEQ, [vs[1] for vs in val_seq])
-        dev = max(abs(jac[0] - 1), abs(jac[1]), abs(jac[2]), abs(jac[3] - 1))
-        fix = max(abs(u_lim - pt.u), abs(v_lim))
-        converged = max(float(jac_err), float(u_err), float(v_err)) < CONV_TOL
+        eps = [Jet.const(e, table.bits) for e in EPS_SEQ]
+        ends = [_jet_orbit(p, table, cid, pt.u, e, steps) for e in EPS_SEQ]
+        u_lim, u_gap = richardson(eps, [u for u, _, _ in ends])
+        v_lim, v_gap = richardson(eps, [v for _, v, _ in ends])
+        (ua, udx, udy), (va, vdx, vdy) = u_lim.mpc(), v_lim.mpc()
+        dev = max(abs(udx - 1), abs(udy), abs(vdx), abs(vdy - 1))
+        fix = max(abs(ua - pt.u), abs(va))
+        # the gaps' values are the u and v errors, their partials the
+        # Jacobian's
+        converged = max(abs(g) for g in u_gap.mpc() + v_gap.mpc()) < CONV_TOL
     return ParabolicReport(cid, (complex(pt.u), 0.0), steps,
                            float(dev), float(fix), None, converged)
 
@@ -494,7 +519,6 @@ def reversor_transition_numeric(table, s, j, xi):
 
     def sample(xi, eps):
         x0, x1, x2 = chart_to_plane(jt, ChartId("tower", s, j), ChartPoint(xi, eps))
-        Q = proj_normalize((x0, x2, x1))
-        return plane_to_chart(jt, ChartId("tower", tgt[1], tgt[2]), Q).u
+        return plane_to_chart(jt, ChartId("tower", tgt[1], tgt[2]), (x0, x2, x1)).u
 
     return (tgt,) + _lift_limit(table, xi, sample, "reversor")

@@ -6,7 +6,8 @@ Two jet types share the rules of forward-mode differentiation:
   partials as Gaussian-integer mantissas with one shared binary exponent,
   rounded to a fixed number of bits after every operation, so that each
   operation costs a handful of Python integer products instead of mpmath's
-  per-operation overhead.  Its modulus (:class:`Modulus`) compares exactly.
+  per-operation overhead.  Its modulus (:class:`Modulus`) compares exactly,
+  and :func:`richardson` extrapolates Jets, value and partials at once.
 * :class:`Dual2` is a jet over any scalar type that supports +,-,*,/; the
   dynamics layer runs it over python complex for Jacobians.
 """
@@ -242,6 +243,9 @@ class Jet:
         o = self._like(o)
         br, bi, pr, pi, qr, qi = o.ar, o.ai, o.xr, o.xi, o.yr, o.yi
         if not (pr or pi or qr or qi):  # a constant factor: no product rule
+            if not (xr or xi or yr or yi):  # two constants: the value alone
+                return _jet(ar * br - ai * bi, ar * bi + ai * br, 0, 0, 0, 0,
+                            self.e + o.e, self.bits)
             return _jet(ar * br - ai * bi, ar * bi + ai * br,
                         xr * br - xi * bi, xr * bi + xi * br,
                         yr * br - yi * bi, yr * bi + yi * br,
@@ -284,7 +288,13 @@ class Jet:
         return self * self._like(o).reciprocal()
 
     def __rtruediv__(self, o):
+        if type(o) is int and o == 1:
+            return self.reciprocal()
         return self.reciprocal() * o
+
+    def ldexp(self, d):
+        """self * 2**d, exactly: the mantissas are kept, the exponent moves."""
+        return Jet(self.ar, self.ai, self.xr, self.xi, self.yr, self.yi, self.e + d, self.bits)
 
     def __abs__(self):
         return Modulus(self.ar * self.ar + self.ai * self.ai, 2 * self.e)
@@ -352,6 +362,14 @@ class Modulus:
             return NotImplemented
         return Modulus(self.n * o.n, self.e + o.e)
 
+    def __float__(self):
+        # about 106 bits of n, at an even exponent, which halves exactly
+        n, e = self.n, self.e
+        s = n.bit_length() - 106
+        s += (e + s) & 1
+        n = n >> s if s >= 0 else n << -s
+        return math.ldexp(math.sqrt(n), (e + s) // 2)
+
     def _cmp(self, o):
         """Sign of |z| - o."""
         if type(o) is not Modulus:
@@ -391,20 +409,16 @@ class Modulus:
 
 
 def richardson(eps, vals):
-    """Neville extrapolation of vals(eps) to eps -> 0.
+    """Neville extrapolation of the Jets vals(eps) to eps -> 0.
 
-    Returns (limit, err_estimate): err is the change contributed by the
-    last extrapolation order, a practical convergence measure.
+    eps and vals are two or more Jets each; value and partials extrapolate
+    together, since the scheme is linear in vals.  Returns (limit, gap):
+    the limit Jet and the change the last extrapolation order contributed
+    to it, whose components are a practical convergence measure.
     """
-    eps = [mp.mpf(e) for e in eps]
-    tbl = [list(vals)]
-    m = len(vals)
-    for lev in range(1, m):
-        row = []
-        for i in range(m - lev):
-            e0, e1 = eps[i], eps[i + lev]
-            row.append((e0 * tbl[lev - 1][i + 1] - e1 * tbl[lev - 1][i]) / (e0 - e1))
-        tbl.append(row)
-    limit = tbl[-1][0]
-    err = abs(limit - tbl[-2][0]) if m >= 2 else mp.mpf(0)
-    return limit, err
+    col = list(vals)
+    for lev in range(1, len(col)):
+        prev = col[0]
+        col = [(col[i + 1] * eps[i] - col[i] * eps[i + lev]) / (eps[i] - eps[i + lev])
+               for i in range(len(col) - 1)]
+    return col[0], col[0] - prev

@@ -310,10 +310,14 @@ def eval_f_proj(p, P, dps=None):
 
     Maps {x2=0} to [0:0:1] and acts on {x0=0} by [0:1:w] -> [0:1:c-delta/w].
     Raises IndeterminacyError near [0:1:0], where all components vanish.
+    The image is normalised as by proj_normalize, except on Jets: there it
+    is scaled by a power of two so that its largest modulus lies in
+    [1/2, 2).
     """
     x0, x1, x2 = P
     k = p.k
-    c, neg_d, a, floor = p.coeffs(dps, jet=type(x0) is Jet)
+    jet = type(x0) is Jet
+    c, neg_d, a, floor = p.coeffs(dps, jet=jet)
     # k and every l are even, so the form needs x2 only at even powers and
     # k+1, and x0 only at odd powers: build each once.  Scalars go on the
     # right of every product, so a jet never meets an mpmath number on its
@@ -342,7 +346,14 @@ def eval_f_proj(p, P, dps=None):
     term_scale = max(mods[0], mods[1], *(abs(t) for t in terms))
     if max(mods) <= term_scale * (DEFAULT_TOL if floor is None else floor):
         raise IndeterminacyError("projective image vanishes: input at the indeterminacy point")
-    return _divide_by_largest(img, mods)
+    if not jet:
+        return _divide_by_largest(img, mods)
+    # Jets are rescaled without a division: one exact power-of-two shift of
+    # every exponent puts the largest squared modulus n * 2**e in [1/2, 2),
+    # so the largest modulus lies in [1/2, 2) and converts to a double
+    top = max(mods)
+    shift = -((top.n.bit_length() + top.e) // 2)
+    return tuple(z.ldexp(shift) for z in img)
 
 
 # -- combinatorics at infinity ----------------------------------------------

@@ -5,7 +5,9 @@ suites must pass, and the characteristic polynomial and determinant of f_*
 from the splitting span(S) + T must agree with dense Berkowitz and Bareiss
 on the full matrix.  On all admissible (n, k) with n <= 8 and k <= 12 the
 characteristic polynomial must be chi times the cyclotomic cofactor of the
-pinned cycle type, and chi must pass an exact Salem test.
+pinned cycle type, and chi must pass an exact Salem test.  The chart layer
+(the chart and parabolic suites, at one sample per fiber) must pass on four
+instances beyond the desk: (4,4), (3,6), (2,10) and (5,4).
 
 Admissible means n >= 2, even k >= 2 and n k > k + 2 (Bedford-Kim,
 Thm. 1); dim Pic = 1 + n (2k + 1).
@@ -16,7 +18,9 @@ from fractions import Fraction
 import pytest
 
 from surfauto import exactmat as xm
+from surfauto.charts import CenterTable
 from surfauto.errors import ExactIdentityError
+from surfauto.mapfamily import MapParams
 from surfauto.picard import (
     PicardLattice,
     chi_poly,
@@ -26,12 +30,13 @@ from surfauto.picard import (
     s_class_permutation,
     s_cycle_lengths,
 )
-from surfauto.verify import factorization_suite, lattice_suite
+from surfauto.verify import chart_suite, factorization_suite, lattice_suite, parabolic_suite
 
 MAX_DIM = 60
 CENSUS = [(n, k) for n in range(2, MAX_DIM) for k in range(2, MAX_DIM, 2)
           if n * k > k + 2 and 1 + n * (2 * k + 1) <= MAX_DIM]
 WIDE = [(n, k) for n in range(2, 9) for k in range(2, 13, 2) if n * k > k + 2]
+CHART_CENSUS = [(4, 4), (3, 6), (2, 10), (5, 4)]
 
 
 def _ids(instances):
@@ -48,6 +53,14 @@ def test_census_size():
 def test_exact_suites_pass(nk):
     for suite in (lattice_suite, factorization_suite):
         rep = suite(*nk)
+        assert rep.overall == "pass", [c.to_json_dict() for c in rep.checks if c.status == "fail"]
+
+
+@pytest.mark.parametrize("nk", CHART_CENSUS, ids=_ids(CHART_CENSUS))
+def test_chart_layer_suites_pass(nk):
+    p = MapParams(*nk, c_spec=(1, 1))
+    table = CenterTable.build(p)
+    for rep in (chart_suite(p, table, n_xi=1), parabolic_suite(p, table, points_per_fiber=1)):
         assert rep.overall == "pass", [c.to_json_dict() for c in rep.checks if c.status == "fail"]
 
 

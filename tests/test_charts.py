@@ -131,6 +131,14 @@ def test_plane_to_chart_domain_error(hv):
                               (mp.mpf(0), mp.mpf(0), mp.mpf(1)))
 
 
+def test_plane_to_chart_rejects_levels_outside_the_tower(hv):
+    p, table = hv
+    with mp.workdps(table.dps):
+        with pytest.raises(sa.ParamError):
+            sa.plane_to_chart(table, ChartId("tower", 0, 2 * p.k + 2),
+                              (mp.mpf("0.1"), mp.mpf("0.2"), mp.mpf(1)))
+
+
 def test_sigma2_point_in_base_chart(hv):
     p, table = hv
     with mp.workdps(table.dps):
@@ -312,6 +320,48 @@ def test_route_prefers_deep_chart(fig1):
         P = sa.chart_to_plane(table, cid, ChartPoint(mp.mpf("0.62"), mp.mpf("1e-4")))
         best = sa.route_chart(table, P)
     assert best == cid
+
+
+def _reference_route(table, P):
+    """route_chart as one plane_to_chart call per chart: every chart of
+    table.chart_ids inverted on table.double with no floor, ranked by
+    (-depth, margin), the first of equal keys kept."""
+    Pf = tuple(complex(z) for z in P)
+    x0, x1, x2 = Pf
+    best, best_key = None, None
+    for cid in table.chart_ids:
+        try:
+            u, v = sa.plane_to_chart(table.double, cid, Pf, floor=0.0)
+        except ZeroDivisionError:
+            continue
+        m = max(abs(u), abs(v))
+        if m != m or m > 1e3:
+            continue
+        near = (cid.kind == "tower" and abs(v) < 0.05
+                and abs(x0 / (x2 if cid.s == 0 else x1)) < 0.05)
+        key = (-(cid.j if near else 0), m)
+        if best_key is None or key < best_key:
+            best_key, best = key, cid
+    return best
+
+
+ROUTE_TABLES = (CenterTable.build(sa.figure1_params()), DESK34)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(0, 1), st.integers(0, 10 ** 6), st.floats(-7.0, 0.3),
+       st.floats(0.0, 2 * math.pi), st.floats(-7.0, -0.3), st.floats(0.0, 2 * math.pi))
+def test_route_walks_match_chart_by_chart_ranking(which, pick, du, phase_u, dv, phase_v):
+    """Walking each limb once picks the chart that ranking every chart
+    separately picks, for points near the centers and down to v = 1e-7."""
+    table = ROUTE_TABLES[which]
+    cid = table.chart_ids[pick % len(table.chart_ids)]
+    with mp.workdps(table.dps):
+        center = table.beta.get((cid.s, cid.j), 0) if cid.kind == "tower" else 0
+        u = center + mp.mpf(10) ** du * mp.expjpi(phase_u / math.pi)
+        v = mp.mpf(10) ** dv * mp.expjpi(phase_v / math.pi)
+        P = sa.chart_to_plane(table, cid, ChartPoint(u, v))
+        assert sa.route_chart(table, P) == _reference_route(table, P), cid
 
 
 def test_route_affine_for_finite_points(fig1):

@@ -130,6 +130,26 @@ def test_verify_preset(capsys, tmp_path):
     assert suites == {"lattice", "charts", "factorizations", "parabolic", "fixed-points"}
 
 
+# sha256 of the figure-1 chart-layer outputs, as written when projective
+# points were normalised by dividing by their largest entry and Richardson
+# extrapolation ran in mpmath: verify.json with --points 2 --n-xi 3, and
+# charts.json at its defaults
+CHART_LAYER_DIGESTS = {
+    "verify": ("verify.json", ["--points", "2", "--n-xi", "3"],
+               "0d50b85b73f825b9906e609a237769f17e07cb79c42842c373aae8e6e41bc5eb"),
+    "charts": ("charts.json", [],
+               "a3dda3259b75f943251ef0a4d311fa2d4e17fe53b1f07cb5f4c017484e951d3f"),
+}
+
+
+@pytest.mark.parametrize("sub", sorted(CHART_LAYER_DIGESTS))
+def test_chart_layer_outputs_pinned(sub, capsys, tmp_path):
+    name, flags, digest = CHART_LAYER_DIGESTS[sub]
+    rc, _, _ = run_cli([sub, "--params", str(PRESET), *flags, "--out", str(tmp_path)], capsys)
+    assert rc == 0
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
 def test_verify_flags_only_instance(capsys):
     # the k=2, n=3 member configured purely from flags
     rc, out, _ = run_cli(["verify", "--n", "3", "--k", "2", "--points", "2",

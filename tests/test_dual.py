@@ -5,6 +5,7 @@ at the origin: value a, partials dx and dy.  Each operation must give the
 value and partials of the corresponding operation on functions.
 """
 
+import math
 from fractions import Fraction
 
 import mpmath as mp
@@ -13,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import surfauto as sa
-from surfauto.charts import CenterTable, ChartId, ChartPoint, parabolic_check
-from surfauto.dual import Dual2, Jet, jet_bits
+from surfauto.charts import EPS_SEQ, CenterTable, ChartId, ChartPoint, _lift_limit, parabolic_check
+from surfauto.dual import Dual2, Jet, jet_bits, richardson
+from surfauto.errors import ExtrapolationError
 
 DPS = 50
 TOL = mp.mpf(10) ** (-(DPS - 10))
@@ -235,6 +237,60 @@ def test_modulus_exact_values():
     assert complex(tiny) == 0j  # double precision underflows; the modulus does not
     # a product of moduli is the modulus of the product
     assert abs(tiny) * five == abs(tiny * 5)
+
+
+def test_modulus_to_float():
+    assert float(abs(Jet.const(3 + 4j, BITS))) == 5.0
+    assert float(abs(Jet.const(0, BITS))) == 0.0
+    with mp.workdps(DPS):
+        for x in ("1e-200", "7.3e-320", "2.5e300", "0.1"):
+            want = float(mp.mpf(x))
+            got = float(abs(Jet.const(mp.mpf(x) * (0.6 - 0.8j), BITS)))
+            assert abs(got - want) <= 1e-15 * want, x
+        # below the smallest double the float is 0; the Modulus compares exactly
+        assert float(abs(Jet.const(mp.mpf("1e-400"), BITS))) == 0.0
+
+
+# -- Richardson extrapolation on Jets ----------------------------------------------------
+
+
+def _ulps_close(got, want, scale, ulps=8):
+    """got (a Jet) within `ulps` units in the last place at BITS bits of
+    scale, in the value and both partials."""
+    with mp.workdps(2 * DPS):
+        for g, w in zip(got.mpc(), (want.a, want.dx, want.dy)):
+            assert abs(g - w) <= ulps * mp.ldexp(scale, -BITS), (g, w)
+
+
+@settings(deadline=None)
+@given(duals, duals, duals)
+def test_richardson_is_exact_on_quadratics(a, b, c):
+    """Order-2 extrapolation over three lifts reproduces a for
+    v(eps) = a + b eps + c eps^2, in the value and both partials, and its
+    gap is what the order-1 extrapolant over the first two lifts misses,
+    c eps0 eps1."""
+    eps = [Jet.const(e, BITS) for e in EPS_SEQ]
+    ja, jb, jc = _jet(a), _jet(b), _jet(c)
+    vals = [ja + jb * e + jc * e * e for e in eps]
+    lim, gap = richardson(eps, vals)
+    with mp.workdps(2 * DPS):
+        scale = max(_size(a), _size(b), _size(c), mp.mpf(2) ** -40)
+        _ulps_close(lim, a, scale)
+        e0, e1 = (mp.mpf(e) for e in EPS_SEQ[:2])
+        _ulps_close(gap, Dual2(c.a * e0 * e1, c.dx * e0 * e1, c.dy * e0 * e1), scale)
+        first, _ = richardson(eps[:2], vals[:2])
+        _ulps_close(lim - first, Dual2(*gap.mpc()), scale)
+
+
+def test_extrapolation_error_reports_a_float():
+    """A lift that never settles raises ExtrapolationError naming by how
+    much, as a plain finite float."""
+    table = CenterTable.build(sa.figure1_params())
+    with pytest.raises(ExtrapolationError) as info:
+        _lift_limit(table, 0.5, lambda xi, eps: xi + 1 / eps, "probe")
+    msg = str(info.value)
+    moved = float(msg.split("moving by ")[1].split(" >")[0])
+    assert msg.startswith("probe ") and math.isfinite(moved) and moved > 1.0
 
 
 @settings(deadline=None)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import surfauto as sa
+from surfauto.charts import CenterTable, ChartPoint
 from surfauto.dual import Jet, jet_bits
 from surfauto.mapfamily import q_value
 
@@ -207,6 +208,62 @@ def test_proj_indeterminacy_check_survives_underflow(kind):
         img = sa.proj_normalize(tuple(z * scalar(mp.ldexp(mp.mpf(3), -1200))
                                       for z in (scalar(mp.mpf(1)),) * 3))
         assert [complex(z) for z in img] == [1, 1, 1]
+
+
+def _unscaled(p, P, dps, monkeypatch):
+    """eval_f_proj's Jet image before its power-of-two rescaling."""
+    with monkeypatch.context() as m:
+        m.setattr(Jet, "ldexp", lambda self, d: self)
+        return sa.eval_f_proj(p, P, dps=dps)
+
+
+def _desk34_points():
+    """Jet points of the (3,4) desk instance on every chart, near the
+    centers and down to v = 1e-7, with their table."""
+    p = sa.MapParams(3, 4, c_spec=(1, 1), a={2: 0.4})
+    table = CenterTable.build(p)
+    rng = random.Random(11)
+    pts = []
+    with mp.workdps(table.dps):
+        for cid in table.chart_ids:
+            center = complex(table.beta.get((cid.s, cid.j), 0)) if cid.kind == "tower" else 0
+            for dv in (-1, -4, -7):
+                u = center + cmath.rect(rng.uniform(0.01, 0.5), rng.uniform(0, 2 * math.pi))
+                v = cmath.rect(10.0 ** dv, rng.uniform(0, 2 * math.pi))
+                pt = ChartPoint(Jet.of(u, 1, 0, table.bits), Jet.of(v, 0, 1, table.bits))
+                pts.append(sa.chart_to_plane(table.jet, cid, pt))
+    return p, table, pts
+
+
+def test_proj_jet_image_rescaled_by_a_power_of_two(monkeypatch):
+    """On Jets the image is the homogeneous form times one exact power of
+    two (mantissas kept), and its largest modulus lies in [1/2, 2)."""
+    p, table, pts = _desk34_points()
+    with mp.workdps(table.dps):
+        for P in pts:
+            img = sa.eval_f_proj(p, P, dps=table.dps)
+            raw = _unscaled(p, P, table.dps, monkeypatch)
+            assert len({z.e - r.e for z, r in zip(img, raw)}) == 1
+            for z, r in zip(img, raw):
+                assert (z.ar, z.ai, z.xr, z.xi, z.yr, z.yi) == (r.ar, r.ai, r.xr, r.xi, r.yr, r.yi)
+            top = max(abs(z) for z in img)
+            assert 0.5 <= top < 2
+
+
+def test_proj_jet_image_routes_after_underflow(monkeypatch):
+    """A point scaled by 2^-300 has an image form of degree 5 below 1e-300
+    in every entry, under the smallest double; rescaled, it is the image
+    of the unscaled point exactly and routes to the same chart."""
+    p, table, pts = _desk34_points()
+    with mp.workdps(table.dps):
+        for P in pts[::7]:
+            tiny = tuple(z.ldexp(-300) for z in P)
+            raw = _unscaled(p, tiny, table.dps, monkeypatch)
+            assert all(abs(z) < 1e-300 and complex(z) == 0 for z in raw)
+            img = sa.eval_f_proj(p, tiny, dps=table.dps)
+            want = sa.eval_f_proj(p, P, dps=table.dps)
+            assert [z.mpc() for z in img] == [z.mpc() for z in want]
+            assert sa.route_chart(table, img) == sa.route_chart(table, want)
 
 
 # -- orbit at infinity ------------------------------------------------------------
