@@ -60,6 +60,7 @@ from .picard import (
     gamma_closed_form,
     minimality_report,
     pushforward_char_poly,
+    pushforward_columns,
     pushforward_det,
     pushforward_matrix,
     restricted_action,

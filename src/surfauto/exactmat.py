@@ -1,7 +1,8 @@
 """Exact integer / rational matrix and polynomial helpers.
 
 Everything here is arbitrary-precision: python ints and Fractions only.
-Matrices are lists of row lists.  Polynomials are coefficient lists in
+Matrices are lists of row lists, except lattice maps, which are kept in
+the column form described below.  Polynomials are coefficient lists in
 descending degree order with integer entries unless noted.
 """
 
@@ -23,8 +24,7 @@ def transpose(A):
 
 def mat_mul(A, B):
     """Exact product.  Zero entries of A are skipped: each row accumulates
-    a * B[t] over the nonzero a = A[i][t] only, so permutation and
-    reflection factors cost little."""
+    a * B[t] over the nonzero a = A[i][t] only."""
     p = len(B[0])
     out = []
     for row in A:
@@ -40,15 +40,51 @@ def mat_vec(A, v):
     return [sum(map(mul, row, v)) for row in A]
 
 
-def sparse_rows(A):
-    """The nonzero (j, A[i][j]) of each row i of A, as tuples."""
-    return tuple(tuple((j, a) for j, a in enumerate(row) if a) for row in A)
+# -- lattice maps in column form ------------------------------------------------
+# A square integer matrix M is kept as the tuple of its columns: column j is
+# the zero-free tuple of (i, a) with a = (M e_j)_i, sorted by i.  A basis
+# permutation has one entry per column and a quadratic reflection changes
+# four columns, so applying and composing them costs their nonzero entries.
 
 
-def sparse_mat_vec(rows, v):
-    """A v for A in the form returned by sparse_rows: each row costs its
-    nonzero entries only."""
-    return [sum(a * v[j] for j, a in row) for row in rows]
+def sparse(v):
+    """The zero-free (i, v[i]) of a vector, as a tuple: one column."""
+    return tuple((i, a) for i, a in enumerate(v) if a)
+
+
+def col_apply(cols, v):
+    """M v for M in column form and a dense v."""
+    out = [0] * len(cols)
+    for col, x in zip(cols, v):
+        if x:
+            for i, a in col:
+                out[i] += a * x
+    return out
+
+
+def col_compose(A, B):
+    """A B in column form: column j is A applied to column j of B.  A column
+    of B that is one basis vector e_t picks column t of A as it is."""
+    out = []
+    for col in B:
+        if len(col) == 1 and col[0][1] == 1:
+            out.append(A[col[0][0]])
+            continue
+        acc = {}
+        for t, b in col:
+            for i, a in A[t]:
+                acc[i] = acc.get(i, 0) + a * b
+        out.append(tuple(sorted((i, x) for i, x in acc.items() if x)))
+    return tuple(out)
+
+
+def col_dense(cols):
+    """The dense view of a map in column form: a fresh list of row lists."""
+    rows = [[0] * len(cols) for _ in cols]
+    for j, col in enumerate(cols):
+        for i, a in col:
+            rows[i][j] = a
+    return rows
 
 
 def perm_cycles(perm):
@@ -68,18 +104,6 @@ def perm_cycles(perm):
             b = perm[b]
         cycles.append(cyc)
     return cycles
-
-
-def mat_pow(A, m):
-    d = len(A)
-    out = identity(d)
-    base = A
-    while m:
-        if m & 1:
-            out = mat_mul(out, base)
-        base = mat_mul(base, base)
-        m >>= 1
-    return out
 
 
 def mat_eq(A, B):

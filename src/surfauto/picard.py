@@ -4,6 +4,10 @@ Basis ordering everywhere: e_0 first, then limbs s = 0..n-1, within a limb
 levels j = 1..2k+1.  All arithmetic in this module is exact (python ints
 and Fractions); floating point appears only in root solving.
 
+Lattice maps are kept in the column form of exactmat, the sparse images
+of the basis vectors: pushforward_columns is f_* in that form, and
+pushforward_matrix its dense view, for dense oracles such as Berkowitz.
+
 The exact objects of one (n, k) -- the lattice, the pushforward, its
 characteristic polynomial, the LDL^T factor of the S Gram, the TSpace and
 the action on the splitting span(S) + T -- are built once per process and
@@ -72,11 +76,14 @@ class PicardLattice:
         return sum(ui * q * vi for ui, q, vi in zip(u, self.qdiag, v))
 
     def gram(self, vectors):
-        """Gram matrix of integer vectors, as a sum over the basis of the
-        products of the vectors' nonzero entries there."""
+        """Gram matrix of integer vectors given as columns (xm.sparse), as a
+        sum over the basis of the products of their entries there."""
+        at = [[] for _ in self.qdiag]
+        for a, u in enumerate(vectors):
+            for i, x in u:
+                at[i].append((a, x))
         G = [[0] * len(vectors) for _ in vectors]
-        for i, q in enumerate(self.qdiag):
-            entries = [(a, u[i]) for a, u in enumerate(vectors) if u[i]]
+        for q, entries in zip(self.qdiag, at):
             for a, x in entries:
                 for b, y in entries:
                     G[a][b] += x * q * y
@@ -86,10 +93,10 @@ class PicardLattice:
         return [[self.qdiag[i] if i == j else 0 for j in range(self.dim)] for i in range(self.dim)]
 
     def s_gram(self):
-        return self.gram([self.strict[key] for key in self.s_keys])
+        return self.gram([xm.sparse(self.strict[key]) for key in self.s_keys])
 
     def limb_gram(self, s):
-        return self.gram([self.strict[("F", s, j)] for j in range(1, 2 * self.k + 1)])
+        return self.gram([xm.sparse(self.strict[("F", s, j)]) for j in range(1, 2 * self.k + 1)])
 
     def s_gram_factor(self):
         """Exact LDL^T of the S Gram of the (n, k) lattice as built."""
@@ -207,7 +214,16 @@ def strict_coords(n, k, v):
 
 
 @functools.cache
-def _pushforward(n, k):
+def pushforward_columns(n, k):
+    """The induced automorphism f_* in column form, built once per (n, k).
+
+    Defined by the permutation of the invariant configuration (limb shift,
+    with the level flip j -> 2k+2-j on the return limb) plus the two
+    exceptional assignments: the class of {x2=0} goes to the top fiber of
+    limb 0 and the top fiber of the last limb goes to the class of {x1=0}.
+    So f_*(e_j) = sum_t c_t image(key_t), where c = strict_coords(e_j), by
+    integer forward substitution.
+    """
     lat = _lattice(n, k)
 
     def image(key):
@@ -216,41 +232,20 @@ def _pushforward(n, k):
         _, s, j = key
         if j == 2 * k + 1:
             return lat.strict[("L", 0)] if s == n - 1 else lat.strict[("F", s + 1, j)]
-        if j == 1:
-            return lat.strict[("F", (s + 1) % n, 1)]
-        if s < n - 1:
-            return lat.strict[("F", s + 1, j)]
+        if j == 1 or s < n - 1:
+            return lat.strict[("F", (s + 1) % n, j)]
         return lat.strict[("F", 0, 2 * k + 2 - j)]
 
-    Bimg = xm.transpose([image(key) for key in _strict_order(n, k)])
-    Binv = xm.transpose([strict_coords(n, k, e) for e in xm.identity(lat.dim)])
-    return tuple(map(tuple, xm.mat_mul(Bimg, Binv)))
-
-
-@functools.cache
-def _pushforward_rows(n, k):
-    """The pushforward in xm.sparse_rows form."""
-    return xm.sparse_rows(_pushforward(n, k))
+    images = tuple(xm.sparse(image(key)) for key in _strict_order(n, k))
+    coords = tuple(xm.sparse(strict_coords(n, k, [int(i == j) for i in range(lat.dim)]))
+                   for j in range(lat.dim))
+    return xm.col_compose(images, coords)
 
 
 def pushforward_matrix(n, k):
-    """Matrix of the induced automorphism on the geometric basis.
-
-    Defined by the permutation of the invariant configuration (limb shift,
-    with the level flip j -> 2k+2-j on the return limb) plus the two
-    exceptional assignments: the class of {x2=0} goes to the top fiber of
-    limb 0 and the top fiber of the last limb goes to the class of {x1=0}.
-    It is Bimg B^-1, where the strict-transform basis B is unit
-    lower-triangular, so B^-1 comes from integer forward substitution.
-    Built once per (n, k); each call returns a fresh list of lists.
-    """
-    return [list(row) for row in _pushforward(n, k)]
-
-
-def inverse_isometry(lat, M):
-    """Inverse of a form-preserving matrix: Q M^T Q."""
-    Q = lat.q_matrix()
-    return xm.mat_mul(Q, xm.mat_mul(xm.transpose(M), Q))
+    """The matrix of f_* on the geometric basis, a fresh list of row lists:
+    the dense view of pushforward_columns."""
+    return xm.col_dense(pushforward_columns(n, k))
 
 
 def chi_poly(n, k):
@@ -266,17 +261,17 @@ def char_poly(M):
     return xm.charpoly(M)
 
 
-def s_class_permutation(lat, rows):
+def s_class_permutation(lat, cols):
     """The permutation a lattice map induces on the S classes of lat.
 
-    rows is the map in xm.sparse_rows form.  Entry i is the position in
-    lat.s_keys of the image of the class lat.s_keys[i], found by an exact
-    matvec.  Raises ExactIdentityError when an image is not an S class or
-    two classes have the same image."""
+    cols is the map in column form.  Entry i is the position in lat.s_keys
+    of the image of the class lat.s_keys[i], found by xm.col_apply.
+    Raises ExactIdentityError when an image is not an S class or two
+    classes have the same image."""
     where = {tuple(lat.strict[key]): i for i, key in enumerate(lat.s_keys)}
     perm = []
     for key in lat.s_keys:
-        i = where.get(tuple(xm.sparse_mat_vec(rows, lat.strict[key])))
+        i = where.get(tuple(xm.col_apply(cols, lat.strict[key])))
         if i is None:
             raise ExactIdentityError(f"the image of the S class {key} is not an S class")
         perm.append(i)
@@ -294,7 +289,7 @@ def s_cycle_lengths(n, k):
     nondegenerate span(S), which the complete LDL^T of the S Gram proves."""
     if not _s_gram_ldl(n, k).complete:
         raise ExactIdentityError(f"(n,k)=({n},{k}): the S Gram is singular")
-    perm = s_class_permutation(_lattice(n, k), _pushforward_rows(n, k))
+    perm = s_class_permutation(_lattice(n, k), pushforward_columns(n, k))
     return tuple(len(c) for c in xm.perm_cycles(perm))
 
 
@@ -357,13 +352,13 @@ def entropy(n, k):
 def degree_sequence(n, k, m):
     """d_i = (M^i e0) . e0 for i = 0..m, exact integers."""
     lat = _lattice(n, k)
-    rows = _pushforward_rows(n, k)
+    F = pushforward_columns(n, k)
     e0 = lat.e0()
     v = e0
     out = []
     for _ in range(m + 1):
         out.append(lat.ip(v, e0))
-        v = xm.sparse_mat_vec(rows, v)
+        v = xm.col_apply(F, v)
     return out
 
 
@@ -389,8 +384,7 @@ class TSpace:
     def __init__(self, lat):
         self.lat = lat
         self.s_vectors = tuple(tuple(lat.strict[key]) for key in lat.s_keys)
-        self._s_support = tuple(tuple((i, x) for i, x in enumerate(u) if x)
-                                for u in self.s_vectors)
+        self._s_support = tuple(xm.sparse(u) for u in self.s_vectors)
         self.factor = lat.s_gram_factor()
         tops = [lat.strict[("F", s, 2 * lat.k + 1)] for s in range(lat.n)]
         self.gammas = tuple(tuple(self.project(top)) for top in tops)
@@ -462,8 +456,8 @@ def restricted_action(n, k):
 @functools.cache
 def _restricted_action(n, k):
     ts = t_space(n, k)
-    rows = _pushforward_rows(n, k)
-    cols = [ts.gamma_coords(xm.sparse_mat_vec(rows, ts.lat.strict[("F", s, 2 * k + 1)]))
+    F = pushforward_columns(n, k)
+    cols = [ts.gamma_coords(xm.col_apply(F, ts.lat.strict[("F", s, 2 * k + 1)]))
             for s in range(n)]
     out = []
     for row in xm.transpose(cols):
@@ -481,9 +475,8 @@ def _config_combination(lat, fiber_weights):
     each strict transform adds only its nonzero entries."""
     v = [0] * lat.dim
     for (s, j), w in fiber_weights.items():
-        for i, a in enumerate(lat.strict[("F", s, j)]):
-            if a:
-                v[i] += w * a
+        for i, a in xm.sparse(lat.strict[("F", s, j)]):
+            v[i] += w * a
     return v
 
 
@@ -574,10 +567,6 @@ def gamma_closed_form(n, k, s=0):
     disp_int_other = Fraction(-4 * (k ** 3 - 4 * k + 1)) / den2
     exact_int_strict_same = ts._ipf([Fraction(t) for t in lat.strict[("F", s, 2 * k)]], g)
     exact_int_strict_other = ts._ipf([Fraction(t) for t in lat.strict[("F", other, 2 * k)]], g)
-    e2k_s = [Fraction(0)] * lat.dim
-    e2k_s[lat.idx(s, 2 * k)] = Fraction(1)
-    e2k_o = [Fraction(0)] * lat.dim
-    e2k_o[lat.idx(other, 2 * k)] = Fraction(1)
 
     report = {
         "n": n, "k": k, "s": s,
@@ -594,7 +583,8 @@ def gamma_closed_form(n, k, s=0):
         },
         "intersection_displayed": (disp_int_same, disp_int_other),
         "intersection_exact_strict": (exact_int_strict_same, exact_int_strict_other),
-        "intersection_exact_geometric": (ts._ipf(e2k_s, g), ts._ipf(e2k_o, g)),
+        "intersection_exact_geometric": (ts._ipf(lat.basis_vector(s, 2 * k), g),
+                                         ts._ipf(lat.basis_vector(other, 2 * k), g)),
     }
     return report
 

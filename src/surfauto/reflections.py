@@ -5,67 +5,58 @@ involution J (reflection in e0 - e^1 - e^(k+1) - e^(2k+1) on one limb) and
 basis permutations; and the n-dimensional complement T, where it is a
 Coxeter element of the reflection group with Cartan matrix 2 on the
 diagonal and -k off it.
+
+On the full lattice every map -- f_*, a basis permutation, a quadratic
+reflection -- is in the column form of exactmat: no dense matrix is built.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import islice
 
 from . import exactmat as xm
 from .errors import ExactIdentityError
 from .picard import (
     PicardLattice,
     chi_poly,
-    inverse_isometry,
-    pushforward_matrix,
+    pushforward_columns,
     restricted_action,
     t_space,
 )
 
 
-@dataclass(frozen=True)
-class NamedIsometry:
-    label: str
-    matrix: tuple  # tuple of row tuples
-
-    def rows(self):
-        return [list(r) for r in self.matrix]
-
-
-def _freeze(M):
-    return tuple(tuple(r) for r in M)
-
-
-def _perm_matrix(lat, emap):
-    """Permutation of the geometric basis; e0 fixed."""
-    M = [[0] * lat.dim for _ in range(lat.dim)]
-    M[0][0] = 1
+def basis_map(lat, emap):
+    """The basis permutation fixing e0 and sending e(s, j) to e(emap(s, j))."""
+    cols = [((0, 1),)]
     for s in range(lat.n):
         for j in range(1, 2 * lat.k + 2):
-            s2, j2 = emap(s, j)
-            M[lat.idx(s2, j2)][lat.idx(s, j)] = 1
-    return M
+            cols.append(((lat.idx(*emap(s, j)), 1),))
+    return tuple(cols)
 
 
 def reflection_in(lat, root):
-    """x -> x + (root . x) root for a root of square -2; exact isometry."""
-    if lat.ip(root, root) != -2:
-        raise ExactIdentityError(f"root square {lat.ip(root, root)}, expected -2")
-    M = []
-    for col in range(lat.dim):
-        e = [0] * lat.dim
-        e[col] = 1
-        d = lat.ip(root, e)
-        M.append([e[i] + d * root[i] for i in range(lat.dim)])
-    return xm.transpose(M)
+    """x -> x + (root . x) root for a root of square -2, given as a column
+    (xm.sparse); exact isometry.  Column j is e_j + (root . e_j) root, so
+    only the columns on the root's support differ from the identity's."""
+    square = sum(a * lat.qdiag[i] * a for i, a in root)
+    if square != -2:
+        raise ExactIdentityError(f"root square {square}, expected -2")
+    cols = [((j, 1),) for j in range(lat.dim)]
+    for j, rj in root:
+        col = {i: rj * lat.qdiag[j] * a for i, a in root}
+        col[j] += 1
+        cols[j] = tuple((i, x) for i, x in sorted(col.items()) if x)
+    return tuple(cols)
 
 
 def quadratic_reflection(lat, triple):
-    """Reflection in e0 - e_a - e_b - e_c for three basis slots (s, j)."""
-    root = [0] * lat.dim
-    root[0] = 1
+    """Reflection in e0 - e_a - e_b - e_c for three basis slots (s, j).  A
+    repeated slot gives a root of square other than -2, which raises."""
+    root = {0: 1}
     for (s, j) in triple:
-        root[lat.idx(s, j)] = -1
-    return reflection_in(lat, root)
+        i = lat.idx(s, j)
+        root[i] = root.get(i, 0) - 1
+    return reflection_in(lat, tuple(sorted(root.items())))
 
 
 def _tau_perm(k):
@@ -86,44 +77,46 @@ def _phi_perm(k):
     return p
 
 
+def _generators(lat, sig_dir, tau_limb, phi_limb):
+    """J and the basis permutations of one placement: sigma_h shifts limbs
+    by sig_dir, tau_v and phi_v act on the levels of one limb each."""
+    n, k = lat.n, lat.k
+    tau, phi = _tau_perm(k), _phi_perm(k)
+    return {
+        "J": quadratic_reflection(lat, [(0, 1), (0, k + 1), (0, 2 * k + 1)]),
+        "sigma_h": basis_map(lat, lambda s, j: ((s + sig_dir) % n, j)),
+        "tau_v": basis_map(lat, lambda s, j: (s, tau[j] if s == tau_limb else j)),
+        "phi_v": basis_map(lat, lambda s, j: (s, phi[j] if s == phi_limb else j)),
+    }
+
+
 def weyl_generators(n, k):
-    """The named isometries of the full-lattice factorization.
+    """The named isometries of the full-lattice factorization, in column
+    form.
 
     J reflects in e0 - e^1_0 - e^(k+1)_0 - e^(2k+1)_0; sigma_h shifts limbs
     s -> s+1; tau_v and phi_v permute levels inside a single limb (built
     here on limb 0; the checker also tries the last limb, since the source
     formulas are ambiguous about the placement).
     """
-    lat = PicardLattice.build(n, k)
-    J = quadratic_reflection(lat, [(0, 1), (0, k + 1), (0, 2 * k + 1)])
-    sig = _perm_matrix(lat, lambda s, j: ((s + 1) % n, j))
-    tau = _tau_perm(k)
-    phi = _phi_perm(k)
-    tau_v = _perm_matrix(lat, lambda s, j: (s, tau[j] if s == 0 else j))
-    phi_v = _perm_matrix(lat, lambda s, j: (s, phi[j] if s == 0 else j))
-    return {
-        "J": NamedIsometry("J", _freeze(J)),
-        "sigma_h": NamedIsometry("sigma_h", _freeze(sig)),
-        "tau_v": NamedIsometry("tau_v", _freeze(tau_v)),
-        "phi_v": NamedIsometry("phi_v", _freeze(phi_v)),
-    }
+    return _generators(PicardLattice.build(n, k), 1, 0, 0)
 
 
-def _is_basis_permutation(lat, M):
-    for row in M:
-        if any(x not in (0, 1) for x in row) or sum(row) != 1:
-            return False
-    return all(sum(M[i][j] for i in range(lat.dim)) == 1 for j in range(lat.dim)) and M[0][0] == 1
+def _slot(k, i):
+    """The (s, j) label of basis index i >= 1."""
+    return ((i - 1) // (2 * k + 1), (i - 1) % (2 * k + 1) + 1)
 
 
-def _perm_cycles(lat, M):
-    """The nontrivial cycles of a basis permutation, in (s, j) labels."""
-    perm = [next(r for r in range(lat.dim) if M[r][col] == 1) for col in range(lat.dim)]
-
-    def lab(i):
-        return ((i - 1) // (2 * lat.k + 1), (i - 1) % (2 * lat.k + 1) + 1)
-
-    return [[lab(i) for i in cyc] for cyc in xm.perm_cycles(perm) if len(cyc) > 1]
+def _descent_triple(dim, col0):
+    """The indices of the three largest m_i in the column d e0 - sum m_i e_i,
+    and their sum.  Indices rank by (m_i, i) over all i in 1..dim-1, so ties
+    go to the larger index: the nonzero entries compete with the three
+    largest indices whose entry is zero."""
+    mults = {i: -a for i, a in col0 if i}
+    zeros = islice((i for i in range(dim - 1, 0, -1) if i not in mults), 3)
+    top = sorted([(m, i) for i, m in mults.items()] + [(0, i) for i in zeros],
+                 reverse=True)[:3]
+    return [i for _, i in top], sum(m for m, _ in top)
 
 
 def noether_chain(n, k):
@@ -132,40 +125,33 @@ def noether_chain(n, k):
     image of e0 until the degree drops to 1; the residue is a basis
     permutation.
 
-    Returns (triples, residual_cycles, matrices) with the exact identity
-    M = J_1 ... J_r . P.
+    Returns (triples, residual_cycles, factors), the factors R_1, ..., R_r
+    and P in column form, with the exact identity M = R_1 ... R_r . P.
     """
     lat = PicardLattice.build(n, k)
-    M = pushforward_matrix(n, k)
-    cur = [row[:] for row in M]
-    triples = []
-    mats = []
-    while cur[0][0] > 1:
-        col0 = [cur[i][0] for i in range(lat.dim)]
-        mults = sorted(((-col0[i], i) for i in range(1, lat.dim)), reverse=True)
-        chosen = [i for (m, i) in mults[:3]]
-        msum = sum(m for (m, i) in mults[:3])
-        d = cur[0][0]
+    M = pushforward_columns(n, k)
+    cur, triples, factors = M, [], []
+    while (d := dict(cur[0]).get(0, 0)) > 1:
+        chosen, msum = _descent_triple(lat.dim, cur[0])
         if 2 * d - msum >= d:
             raise ExactIdentityError("degree descent stalled; not a Cremona-type isometry")
-
-        def lab(i):
-            return ((i - 1) // (2 * k + 1), (i - 1) % (2 * k + 1) + 1)
-
-        triple = [lab(i) for i in chosen]
+        triple = [_slot(k, i) for i in chosen]
         R = quadratic_reflection(lat, triple)
-        cur = xm.mat_mul(R, cur)
+        cur = xm.col_compose(R, cur)
         triples.append(triple)
-        mats.append(R)
-    if not _is_basis_permutation(lat, cur):
+        factors.append(R)
+    # the residue must send each e_j to one e_perm[j], bijectively, fixing e0
+    perm = [col[0][0] if len(col) == 1 and col[0][1] == 1 else None for col in cur]
+    if None in perm or len(set(perm)) < len(perm) or perm[0] != 0:
         raise ExactIdentityError("descent residue is not a basis permutation")
     # rebuild and verify: M = R_1 ... R_r . P
-    acc = [row[:] for row in cur]
-    for R in reversed(mats):
-        acc = xm.mat_mul(R, acc)
-    if not xm.mat_eq(acc, M):
+    acc = cur
+    for R in reversed(factors):
+        acc = xm.col_compose(R, acc)
+    if acc != M:
         raise ExactIdentityError("reflection chain does not recompose the pushforward")
-    return triples, _perm_cycles(lat, cur), mats + [cur]
+    residual = [[_slot(k, i) for i in cyc] for cyc in xm.perm_cycles(perm) if len(cyc) > 1]
+    return triples, residual, factors + [cur]
 
 
 def weyl_factorization_check(n, k):
@@ -174,30 +160,29 @@ def weyl_factorization_check(n, k):
 
     The literal identity tried is  f = phi_v . J . (tau_v . J)^(k/2) . sigma_h
     (composition right to left), with tau_v / phi_v placed on limb 0 or the
-    last limb and the limb shift in either direction.  For k = 2 one of
-    these passes.  For k >= 4 none does: the minimal number of quadratic
-    reflections is k, not k/2 + 1 (verified by exhaustive search at k = 4),
-    so the repaired result is the degree-descent chain of k reflections
-    times a basis permutation, regrouped in the same shape with per-slot
-    level permutations.
+    last limb and the limb shift in either direction: eight words, each
+    applied to the basis vectors and compared with the columns of f_*.
+    When several match, the last in loop order (sigma direction 1 then -1,
+    tau limb and then phi limb 0 then n-1) is reported: at k = 2 phi_v is
+    the identity, so both phi limbs match and (3, 2) reports phi_limb 2.
+    For k >= 4 no word matches: the minimal number of quadratic reflections
+    is k, not k/2 + 1 (verified by exhaustive search at k = 4), so the
+    repaired result is the degree-descent chain of k reflections times a
+    basis permutation, regrouped in the same shape with per-slot level
+    permutations.
     """
     lat = PicardLattice.build(n, k)
-    M = pushforward_matrix(n, k)
-    J = quadratic_reflection(lat, [(0, 1), (0, k + 1), (0, 2 * k + 1)])
-    tau = _tau_perm(k)
-    phi = _phi_perm(k)
+    M = pushforward_columns(n, k)
     matched_variant = None
     for sig_dir in (1, -1):
-        sig = _perm_matrix(lat, lambda s, j, d=sig_dir: ((s + d) % n, j))
         for tau_limb in (0, n - 1):
-            tv = _perm_matrix(lat, lambda s, j, L=tau_limb: (s, tau[j] if s == L else j))
             for phi_limb in (0, n - 1):
-                pv = _perm_matrix(lat, lambda s, j, L=phi_limb: (s, phi[j] if s == L else j))
-                seq = [pv, J] + [tv, J] * (k // 2) + [sig]
-                comp = xm.identity(lat.dim)
-                for A in seq:
-                    comp = xm.mat_mul(comp, A)
-                if xm.mat_eq(comp, M):
+                g = _generators(lat, sig_dir, tau_limb, phi_limb)
+                comp = g["sigma_h"]
+                word = [g["phi_v"], g["J"]] + [g["tau_v"], g["J"]] * (k // 2)
+                for A in reversed(word):
+                    comp = xm.col_compose(A, comp)
+                if comp == M:
                     matched_variant = {
                         "sigma_direction": sig_dir,
                         "tau_limb": tau_limb,
@@ -210,7 +195,7 @@ def weyl_factorization_check(n, k):
         "repaired": None,
     }
     if matched_variant is None:
-        triples, residual, mats = noether_chain(n, k)
+        triples, residual, _ = noether_chain(n, k)
         result["repaired"] = {
             "reflection_triples": triples,
             "reflection_count": len(triples),
@@ -275,12 +260,8 @@ def coxeter_factorization_check(n, k):
     data = t_reflections(n, k)
     rho_last, taus = data["rhos"][n - 1], data["taus"]
     word = [rho_last] + list(reversed(taus))  # rho_{n-1}, tau_{n-2}, ..., tau_0
-    right_to_left = xm.identity(n)
-    for A in word:
-        right_to_left = xm.mat_mul(right_to_left, A)
-    left_to_right = xm.identity(n)
-    for A in reversed(word):
-        left_to_right = xm.mat_mul(left_to_right, A)
+    right_to_left = reduce(xm.mat_mul, word)
+    left_to_right = reduce(xm.mat_mul, reversed(word))
     order = None
     if xm.mat_eq(left_to_right, C):
         order = "left-to-right"
@@ -306,24 +287,24 @@ def coxeter_factorization_check(n, k):
 def rho_pushforward(n, k):
     """Induced action of the coordinate swap (x,y) -> (y,x): limb s goes to
     limb n-1-s with levels fixed; exact permutation isometry."""
-    lat = PicardLattice.build(n, k)
-    return _perm_matrix(lat, lambda s, j: (n - 1 - s, j))
+    return basis_map(PicardLattice.build(n, k), lambda s, j: (n - 1 - s, j))
 
 
 def reversibility_check(n, k):
     """rho^2 = Id and rho f rho = f^(-1), exactly; for n = 2 also the
     infinite-dihedral relation (rho f)^2 = Id."""
     lat = PicardLattice.build(n, k)
-    M = pushforward_matrix(n, k)
+    M = pushforward_columns(n, k)
     R = rho_pushforward(n, k)
-    Minv = inverse_isometry(lat, M)
+    ident = basis_map(lat, lambda s, j: (s, j))
+    RM = xm.col_compose(R, M)
     out = {
-        "involution": xm.mat_eq(xm.mat_mul(R, R), xm.identity(lat.dim)),
-        "isometry": xm.mat_eq(xm.mat_mul(xm.transpose(R), xm.mat_mul(lat.q_matrix(), R)),
-                              lat.q_matrix()),
-        "conjugates_to_inverse": xm.mat_eq(xm.mat_mul(R, xm.mat_mul(M, R)), Minv),
+        "involution": xm.col_compose(R, R) == ident,
+        "isometry": lat.gram(R) == lat.q_matrix(),
+        # rho f rho = f^(-1) exactly when rho f rho f = Id
+        "conjugates_to_inverse": xm.col_compose(RM, RM) == ident,
     }
     if n == 2:
-        RF = xm.mat_mul(R, M)
-        out["dihedral"] = xm.mat_eq(xm.mat_mul(RF, RF), xm.identity(lat.dim))
+        # (rho f)^2 = rho f rho f: the same identity, read as a relation
+        out["dihedral"] = out["conjugates_to_inverse"]
     return out

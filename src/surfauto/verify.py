@@ -28,8 +28,8 @@ from .picard import (
     degree_sequence,
     gamma_closed_form,
     minimality_report,
+    pushforward_columns,
     pushforward_det,
-    pushforward_matrix,
     restricted_action,
     spectral_radius,
     t_space,
@@ -104,13 +104,12 @@ def lattice_suite(n, k):
         K = [-3] + [1] * (lat.dim - 1)
     _exact(rep, "canonical-square", lat.ip(K, K) == 9 - n * (2 * k + 1))
 
-    M = pushforward_matrix(n, k)
-    Q = lat.q_matrix()
-    _exact(rep, "isometry", xm.mat_eq(xm.mat_mul(xm.transpose(M), xm.mat_mul(Q, M)), Q))
-    _exact(rep, "canonical-invariance", xm.mat_vec(M, K) == K)
+    F = pushforward_columns(n, k)
+    _exact(rep, "isometry", lat.gram(F) == lat.q_matrix())
+    _exact(rep, "canonical-invariance", xm.col_apply(F, K) == K)
     _exact(rep, "unimodular", pushforward_det(n, k) in (1, -1))
     _exact(rep, "exceptional-image",
-           xm.mat_vec(M, lat.strict[("L", n - 1)]) == lat.strict[("F", 0, 2 * k + 1)])
+           xm.col_apply(F, lat.strict[("L", n - 1)]) == lat.strict[("F", 0, 2 * k + 1)])
 
     divides, cofactor, worst = char_poly_factor_check(n, k)
     _exact(rep, "entropy-factor-divides", divides)

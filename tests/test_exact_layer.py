@@ -216,4 +216,4 @@ def test_lattice_suite_reports_canonical_class_failure(monkeypatch):
 def test_reflection_in_rejects_a_non_root():
     lat = PicardLattice.build(2, 4)
     with pytest.raises(sa.ExactIdentityError):
-        reflection_in(lat, lat.e0())                   # square 1, not -2
+        reflection_in(lat, xm.sparse(lat.e0()))        # square 1, not -2

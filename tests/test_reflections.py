@@ -3,45 +3,52 @@ import pytest
 import surfauto as sa
 from surfauto import exactmat as xm
 from surfauto.picard import PicardLattice
-from surfauto.reflections import quadratic_reflection
+from surfauto.reflections import basis_map, quadratic_reflection
 
 DESK = [(2, 4), (2, 6), (3, 2), (3, 4), (4, 2)]
+
+
+def _identity(lat):
+    return basis_map(lat, lambda s, j: (s, j))
+
+
+def _cycle_lengths(P):
+    """The cycle lengths of a basis permutation in column form."""
+    return sorted(len(c) for c in xm.perm_cycles([col[0][0] for col in P]))
 
 
 def test_generators_are_isometries_and_involutions():
     for (n, k) in [(3, 2), (2, 4)]:
         lat = PicardLattice.build(n, k)
         gens = sa.weyl_generators(n, k)
-        Q = lat.q_matrix()
         for g in gens.values():
-            M = g.rows()
-            assert xm.mat_eq(xm.mat_mul(xm.transpose(M), xm.mat_mul(Q, M)), Q)
-        J = gens["J"].rows()
-        assert xm.mat_eq(xm.mat_mul(J, J), xm.identity(lat.dim))
+            assert lat.gram(g) == lat.q_matrix()
+        J = gens["J"]
+        assert xm.col_compose(J, J) == _identity(lat)
         # J(e0) = 2 e0 - e^1 - e^(k+1) - e^(2k+1) on limb 0
-        img = xm.mat_vec(J, lat.e0())
+        img = xm.col_apply(J, lat.e0())
         expect = [0] * lat.dim
         expect[0] = 2
         for j in (1, k + 1, 2 * k + 1):
             expect[lat.idx(0, j)] = -1
         assert img == expect
-        # the limb shift has order n
-        sig = gens["sigma_h"].rows()
-        assert xm.mat_eq(xm.mat_pow(sig, n), xm.identity(lat.dim))
+        # the limb shift has order n: e0 fixed, 2k + 1 cycles of length n
+        sig = gens["sigma_h"]
+        assert _cycle_lengths(sig) == [1] + [n] * (2 * k + 1)
         if n > 2:
-            assert not xm.mat_eq(sig, xm.identity(lat.dim))
+            assert sig != _identity(lat)
 
 
 def test_vertical_permutation_orders():
     n, k = 2, 4
     lat = PicardLattice.build(n, k)
     gens = sa.weyl_generators(n, k)
-    tau = gens["tau_v"].rows()
-    # two k-cycles: order k
-    assert xm.mat_eq(xm.mat_pow(tau, k), xm.identity(lat.dim))
-    assert not xm.mat_eq(xm.mat_pow(tau, k // 2), xm.identity(lat.dim))
-    phi = gens["phi_v"].rows()
-    assert xm.mat_eq(xm.mat_mul(phi, phi), xm.identity(lat.dim))
+    # two k-cycles, the rest fixed: order k, not k/2
+    assert _cycle_lengths(gens["tau_v"]) == [1] * (lat.dim - 2 * k) + [k, k]
+    # the reversal of two blocks of length k - 1: an involution
+    phi = gens["phi_v"]
+    assert phi != _identity(lat)
+    assert xm.col_compose(phi, phi) == _identity(lat)
 
 
 @pytest.mark.parametrize("nk", [(3, 2), (4, 2)])
@@ -69,19 +76,18 @@ def test_noether_chain_recomposes():
         M = sa.pushforward_matrix(n, k)
         acc = mats[-1]
         for R in reversed(mats[:-1]):
-            acc = xm.mat_mul(R, acc)
-        assert xm.mat_eq(acc, M)
+            acc = xm.col_compose(R, acc)
+        assert xm.col_dense(acc) == M
         # each factor is an exact involution isometry
-        Q = lat.q_matrix()
         for R in mats[:-1]:
-            assert xm.mat_eq(xm.mat_mul(R, R), xm.identity(lat.dim))
-            assert xm.mat_eq(xm.mat_mul(xm.transpose(R), xm.mat_mul(Q, R)), Q)
+            assert xm.col_compose(R, R) == _identity(lat)
+            assert lat.gram(R) == lat.q_matrix()
 
 
 def test_quadratic_reflection_root():
     lat = PicardLattice.build(2, 4)
     R = quadratic_reflection(lat, [(0, 2), (1, 3), (1, 7)])
-    assert xm.mat_eq(xm.mat_mul(R, R), xm.identity(lat.dim))
+    assert xm.col_compose(R, R) == _identity(lat)
 
 
 # -- T-space Coxeter picture -----------------------------------------------------
@@ -121,7 +127,7 @@ def test_rho_swaps_limbs():
     R = sa.rho_pushforward(n, k)
     for s in range(n):
         for j in range(1, 2 * k + 2):
-            img = xm.mat_vec(R, lat.basis_vector(s, j))
+            img = xm.col_apply(R, lat.basis_vector(s, j))
             assert img == lat.basis_vector(n - 1 - s, j)
 
 
@@ -129,6 +135,6 @@ def test_rho_fixes_invariant_line_class():
     for (n, k) in [(2, 4), (3, 2)]:
         lat = PicardLattice.build(n, k)
         R = sa.rho_pushforward(n, k)
-        assert xm.mat_vec(R, lat.strict["sigma0"]) == lat.strict["sigma0"]
+        assert xm.col_apply(R, lat.strict["sigma0"]) == lat.strict["sigma0"]
         # swaps the two contracted lines
-        assert xm.mat_vec(R, lat.strict[("L", 0)]) == lat.strict[("L", n - 1)]
+        assert xm.col_apply(R, lat.strict[("L", 0)]) == lat.strict[("L", n - 1)]
