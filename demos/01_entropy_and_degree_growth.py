@@ -28,7 +28,7 @@ for (n, k) in [(3, 2), (2, 4), (4, 2)]:
     cp = sa.char_poly(M)
     divides, cofactor, worst = sa.char_poly_factor_check(n, k, cp)
     print(f"   char poly degree {len(cp) - 1}; entropy factor divides: {divides}; "
-          f"cofactor roots off the unit circle by at most {worst:.2e}")
+          f"cofactor a product of x^L - 1 (roots of unity): {worst == 0.0}")
 
     d = sa.degree_sequence(n, k, 24)
     print(f"   degrees d_0..d_12: {d[:13]}")

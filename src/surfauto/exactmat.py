@@ -199,73 +199,6 @@ def poly_derivative(coeffs):
     return [coeffs[i] * (n - i) for i in range(n)] if n > 0 else [0]
 
 
-def _poly_rem_frac(a, b):
-    a = [Fraction(x) for x in a]
-    b = [Fraction(x) for x in b]
-    while len(a) >= len(b) and any(a):
-        c = a[0] / b[0]
-        for i in range(len(b)):
-            a[i] -= c * b[i]
-        a.pop(0)
-        while a and a[0] == 0 and len(a) >= len(b):
-            a.pop(0)
-    while a and a[0] == 0:
-        a.pop(0)
-    return a
-
-
-def poly_gcd(a, b):
-    """Monic gcd over the rationals, returned as a primitive integer poly."""
-    a = [Fraction(x) for x in a if True]
-    b = [Fraction(x) for x in b if True]
-    while b and any(b):
-        a, b = b, _poly_rem_frac(a, b)
-    if not a:
-        return [1]
-    lead = a[0]
-    monic = [x / lead for x in a]
-    from math import gcd as igcd
-
-    den = 1
-    for x in monic:
-        den = den * x.denominator // igcd(den, x.denominator)
-    ints = [int(x * den) for x in monic]
-    content = 0
-    for x in ints:
-        content = igcd(content, abs(x))
-    return [x // max(content, 1) for x in ints]
-
-
-def poly_squarefree_part(coeffs):
-    """coeffs / gcd(coeffs, coeffs'), primitive integer result."""
-    from math import gcd as igcd
-
-    g = poly_gcd(coeffs, poly_derivative(coeffs))
-    if len(g) == 1:
-        return list(coeffs)
-    num = [Fraction(x) for x in coeffs]
-    den = [Fraction(x) for x in g]
-    q = []
-    while len(num) >= len(den):
-        c = num[0] / den[0]
-        q.append(c)
-        for i in range(len(den)):
-            num[i] -= c * den[i]
-        num.pop(0)
-    if any(num):
-        raise ExactIdentityError("square-free division must be exact")
-    d = 1
-    for x in q:
-        d = d * x.denominator // igcd(d, x.denominator)
-    ints = [int(x * d) for x in q]
-    content = 0
-    for x in ints:
-        content = igcd(content, abs(x))
-    content = max(content, 1)
-    out = [x // content for x in ints]
-    return [-x for x in out] if out[0] < 0 else out
-
-
 def frac_solve(A, rhs_cols):
     """Solve A X = B exactly over Fractions; B given as list of columns."""
     d = len(A)

@@ -2,7 +2,8 @@
 
 Basis ordering everywhere: e_0 first, then limbs s = 0..n-1, within a limb
 levels j = 1..2k+1.  All arithmetic in this module is exact (python ints
-and Fractions); floating point appears only in root solving.
+and Fractions); the one float, the dynamical degree, is rounded once,
+correctly, from exact signs of the entropy polynomial.
 
 Lattice maps are kept in the column form of exactmat, the sparse images
 of the basis vectors: pushforward_columns is f_* in that form, and
@@ -25,7 +26,6 @@ from types import MappingProxyType
 
 from . import exactmat as xm
 from .errors import DegenerateError, ExactIdentityError, ParamError
-from .polyroots import aberth_roots
 
 
 def _check_nk(n, k):
@@ -294,6 +294,16 @@ def s_cycle_lengths(n, k):
 
 
 @functools.cache
+def _cycle_product(n, k):
+    """prod (x^L - 1) over the cycle lengths L of s_cycle_lengths: the
+    characteristic polynomial of f_* on span(S), descending; a tuple."""
+    out = [1]
+    for L in s_cycle_lengths(n, k):
+        out = xm.poly_mul(out, [1] + [0] * (L - 1) + [-1])
+    return tuple(out)
+
+
+@functools.cache
 def pushforward_char_poly(n, k):
     """det(x I - f_*), descending, from the invariant splitting; a tuple,
     computed once.
@@ -304,14 +314,10 @@ def pushforward_char_poly(n, k):
     permutation on span(S), and C = restricted_action(n, k), the gamma
     coordinates of the T-components of the images of the gammas.  Hence
     det(x I - f_*) = charpoly(C) * prod (x^L - 1) over the cycle lengths L
-    of s_cycle_lengths.  Berkowitz on the full matrix
+    of s_cycle_lengths (_cycle_product).  Berkowitz on the full matrix
     (char_poly(pushforward_matrix(n, k))) gives the same polynomial and is
     the tests' cross-check."""
-    lengths = s_cycle_lengths(n, k)
-    cp = char_poly(_restricted_action(n, k))
-    for L in lengths:
-        cp = xm.poly_mul(cp, [1] + [0] * (L - 1) + [-1])
-    return tuple(cp)
+    return tuple(xm.poly_mul(char_poly(_restricted_action(n, k)), _cycle_product(n, k)))
 
 
 def pushforward_det(n, k):
@@ -322,27 +328,49 @@ def pushforward_det(n, k):
 
 
 def char_poly_factor_check(n, k, cp=None):
-    """Divide out the entropy factor and check the cofactor roots sit on the
-    unit circle; returns (divisible, cofactor, max | |root|-1 |).
-
-    The cofactor has repeated cyclotomic-type roots, which no direct root
-    solver resolves to high accuracy, so the modulus test runs on its exact
-    square-free part (same root set, all simple)."""
+    """Divide out the entropy factor and check that the cofactor is the
+    product of x^L - 1 over the cycle type of f_* on the S classes, so that
+    all its roots are roots of unity; returns (divisible, cofactor,
+    residual), the residual 0.0 on a match and inf otherwise."""
     cp = cp or pushforward_char_poly(n, k)
-    chi = chi_poly(n, k)
-    quo, rem = xm.poly_divmod(list(cp), chi)
-    divides = all(r == 0 for r in rem)
-    if not divides:
+    quo, rem = xm.poly_divmod(list(cp), chi_poly(n, k))
+    if any(rem):
         return False, quo, float("inf")
-    roots = aberth_roots(xm.poly_squarefree_part(quo))
-    worst = max(abs(abs(r) - 1.0) for r in roots) if len(roots) else 0.0
-    return True, quo, float(worst)
+    return True, quo, 0.0 if tuple(quo) == _cycle_product(n, k) else float("inf")
+
+
+def _sign_at(coeffs, x):
+    """The sign of a polynomial (descending integer coefficients) at a
+    rational x = p/q, q > 0: the sign of q^deg times its value, by one
+    integer Horner pass."""
+    p, q = x.as_integer_ratio()
+    acc, qi = coeffs[0], 1
+    for c in coeffs[1:]:
+        qi *= q
+        acc = acc * p + c * qi
+    return (acc > 0) - (acc < 0)
 
 
 def spectral_radius(n, k):
-    """Largest real root of the entropy polynomial, taken as its root of
-    largest modulus from aberth_roots: the dynamical degree, which is real."""
-    return float(max(aberth_roots(chi_poly(n, k)), key=abs).real)
+    """The dynamical degree, the root of chi in (1, k + 1), correctly
+    rounded to a float.
+
+    chi(0) = 1 > 0, chi(1) = 2 - k(n - 1) < 0 and chi(k + 1) = k + 2 > 0,
+    and chi has two sign changes, so by Descartes' rule it has one root in
+    (1, oo), and that root lies in (1, k + 1).  Bisection over floats keeps
+    chi(lo) < 0 < chi(hi) by exact signs until lo and hi are adjacent; the
+    sign at their exact midpoint then picks the nearer.  It is never zero
+    there: chi's only rational candidate roots are +-1."""
+    chi = chi_poly(n, k)
+    lo, hi = 1.0, float(k + 1)
+    mid = (lo + hi) / 2
+    while lo < mid < hi:
+        if _sign_at(chi, mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+        mid = (lo + hi) / 2
+    return lo if _sign_at(chi, (Fraction(lo) + Fraction(hi)) / 2) > 0 else hi
 
 
 def entropy(n, k):
@@ -383,8 +411,7 @@ class TSpace:
 
     def __init__(self, lat):
         self.lat = lat
-        self.s_vectors = tuple(tuple(lat.strict[key]) for key in lat.s_keys)
-        self._s_support = tuple(xm.sparse(u) for u in self.s_vectors)
+        self._s_support = tuple(xm.sparse(lat.strict[key]) for key in lat.s_keys)
         self.factor = lat.s_gram_factor()
         tops = [lat.strict[("F", s, 2 * lat.k + 1)] for s in range(lat.n)]
         self.gammas = tuple(tuple(self.project(top)) for top in tops)
@@ -398,10 +425,13 @@ class TSpace:
         """The form on rational vectors, as a Fraction."""
         return Fraction(sum(ui * q * vi for ui, q, vi in zip(u, self.lat.qdiag, v) if ui and vi))
 
-    def project(self, v):
+    def s_pairings(self, v):
+        """The pairings of v with the S classes, over their supports."""
         q = self.lat.qdiag
-        rhs = [sum(x * q[i] * v[i] for i, x in support) for support in self._s_support]
-        coef = self.factor.solve(rhs)
+        return [sum(x * q[i] * v[i] for i, x in support) for support in self._s_support]
+
+    def project(self, v):
+        coef = self.factor.solve(self.s_pairings(v))
         out = [Fraction(x) for x in v]
         for c, support in zip(coef, self._s_support):
             if c:
@@ -526,7 +556,7 @@ def gamma_closed_form(n, k, s=0):
         varrho.append(r)
 
     # membership: varrho in T (orthogonal to every S generator)
-    in_T = all(all(lat.ip(r, sv) == 0 for sv in ts.s_vectors) for r in varrho)
+    in_T = not any(any(ts.s_pairings(r)) for r in varrho)
 
     x = Fraction(2, k) - n + 2
     C = Fraction(2 * (2 - (n - 2) * k) - (n - 1) * k * k)

@@ -190,12 +190,6 @@ def test_exact_identity_error_is_a_package_error():
     assert not issubclass(sa.ExactIdentityError, AssertionError)
 
 
-def test_squarefree_part_raises_typed_error(monkeypatch):
-    monkeypatch.setattr(xm, "poly_gcd", lambda a, b: [1, 5])   # not a divisor of x^2 - 1
-    with pytest.raises(sa.ExactIdentityError):
-        xm.poly_squarefree_part([1, 0, -1])
-
-
 def test_canonical_class_raises_typed_error():
     lat = PicardLattice.build(2, 4)
     lat.strict["sigma0"][0] = 2

@@ -5,7 +5,9 @@ import pytest
 
 import surfauto as sa
 from surfauto import exactmat as xm
+from surfauto import picard
 from surfauto.picard import TSpace, degree_recurrence_residuals
+from surfauto.verify import lattice_suite
 
 DESK = [(2, 4), (2, 6), (3, 2), (3, 4), (4, 2)]
 
@@ -143,6 +145,44 @@ def test_char_poly_division_and_cofactor(pushforwards):
         assert worst < 1e-9
 
 
+CYCLE_TYPE_2_4 = [1, 2, 2, 4, 4, 4]    # the cycle lengths of f_* on the S classes at (2, 4)
+
+
+def _cycle_product(lengths, plus_one=()):
+    """The product of x^L - 1 over lengths, with x^L + 1 at the positions in
+    plus_one."""
+    out = [1]
+    for i, L in enumerate(lengths):
+        out = xm.poly_mul(out, [1] + [0] * (L - 1) + [1 if i in plus_one else -1])
+    return out
+
+
+def test_factor_check_accepts_only_the_cycle_type_cofactor():
+    n, k = 2, 4
+    chi = sa.chi_poly(n, k)
+    cofactor = _cycle_product(CYCLE_TYPE_2_4)
+    assert sa.char_poly_factor_check(n, k, xm.poly_mul(chi, cofactor)) == (True, cofactor, 0.0)
+    # not divisible by chi
+    cp = xm.poly_mul(chi, cofactor)
+    cp[-1] += 1
+    divides, _, worst = sa.char_poly_factor_check(n, k, cp)
+    assert not divides and worst == math.inf
+    # divisible, but one x^4 - 1 of the cofactor is x^4 + 1: its roots lie on
+    # the unit circle, yet they are not those of the cycle type
+    other = _cycle_product(CYCLE_TYPE_2_4, plus_one={3})
+    assert sa.char_poly_factor_check(n, k, xm.poly_mul(chi, other)) == (True, other, math.inf)
+
+
+def test_lattice_suite_fails_a_wrong_cofactor(monkeypatch):
+    n, k = 2, 4
+    wrong = tuple(xm.poly_mul(sa.chi_poly(n, k), _cycle_product(CYCLE_TYPE_2_4, plus_one={3})))
+    monkeypatch.setattr(picard, "pushforward_char_poly", lambda n_, k_: wrong)
+    checks = {c.id: c for c in lattice_suite(n, k).checks}
+    assert checks["entropy-factor-divides"].status == "pass"
+    assert checks["cofactor-unit-modulus"].status == "fail"
+    assert checks["cofactor-unit-modulus"].residual == math.inf
+
+
 def test_chi_poly_values():
     assert sa.chi_poly(3, 2) == [1, -2, -2, 1]
     assert sa.chi_poly(2, 4) == [1, -4, 1]
@@ -164,6 +204,27 @@ def test_spectral_radius_values():
         rr = np.roots(sa.chi_poly(n, k))
         assert lam == pytest.approx(max(r.real for r in rr if abs(r.imag) < 1e-9), abs=1e-9)
         assert lam > 1
+
+
+def test_spectral_radius_is_correctly_rounded():
+    """lambda is the float nearest the root of chi in (1, oo): chi, which is
+    negative below that root and positive above it there, must be negative
+    at the exact midpoint to the float below and positive at the one to the
+    float above.  Evaluated in Fractions, apart from the bisection."""
+    pairs = [(n, k) for n in range(2, 21) for k in range(2, 41, 2) if n * k > k + 2]
+    assert len(pairs) == 379
+    for n, k in pairs:
+        lam = sa.spectral_radius(n, k)
+        chi = sa.chi_poly(n, k)
+        below = (Fraction(math.nextafter(lam, 0)) + Fraction(lam)) / 2
+        above = (Fraction(lam) + Fraction(math.nextafter(lam, math.inf))) / 2
+        assert xm.poly_eval(chi, below) < 0 < xm.poly_eval(chi, above), (n, k)
+    # an approximate complex root solver misrounds these two by one ulp; the
+    # correctly rounded root is also the float of d_40 / d_39 there
+    for (n, k), text in [((6, 4), "0x1.3fe6cbb640fe0p+2"), ((7, 18), "0x1.2fffff93e3c0ep+4")]:
+        assert sa.spectral_radius(n, k).hex() == text
+        d = sa.degree_sequence(n, k, 40)
+        assert d[40] / d[39] == float.fromhex(text)
 
 
 def test_entropy_value():
