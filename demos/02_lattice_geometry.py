@@ -14,7 +14,7 @@ from surfauto import exactmat as xm
 from surfauto.picard import TSpace
 
 n, k = 3, 2
-lat = sa.build_lattice(n, k)
+lat = sa.PicardLattice.build(n, k)
 print(f"Pic dimension: {lat.dim}   (1 + n(2k+1) = {1 + n * (2 * k + 1)})")
 print(f"invariant span S dimension: {len(lat.s_keys)}")
 

@@ -51,7 +51,6 @@ from .charts import (
 from .picard import (
     PicardLattice,
     TSpace,
-    build_lattice,
     char_poly,
     char_poly_factor_check,
     chi_poly,

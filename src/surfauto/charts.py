@@ -78,6 +78,7 @@ class CenterTable:
     w: tuple          # w_1 .. w_{n-1}
     b: tuple          # b_0 .. b_2k
     beta: dict        # (s, j) -> center on F^j_s, 1 <= j <= 2k
+    floor: object     # chart-inversion floor (see plane_to_chart)
 
     @classmethod
     def build(cls, p, dps=None):
@@ -97,13 +98,8 @@ class CenterTable:
                     else:
                         sign = -1 if (1 - j) % 2 else 1
                         beta[(s, j)] = sign * W ** (j - 2) * base
-        return cls(n=p.n, k=p.k, dps=dps, w=tuple(w), b=tuple(b), beta=beta)
-
-    @cached_property
-    def floor(self):
-        """Default chart-inversion floor 10^-(dps-8) (see plane_to_chart)."""
-        with mp.workdps(self.dps):
-            return mp.mpf(10) ** (-(self.dps - 8))
+        return cls(n=p.n, k=p.k, dps=dps, w=tuple(w), b=tuple(b), beta=beta,
+                   floor=p.coeffs(dps).floor)
 
     @cached_property
     def bits(self):
@@ -112,17 +108,19 @@ class CenterTable:
 
     @cached_property
     def jet(self):
-        """The same table with w and the centers as Jet constants: the copy
-        that jet orbits and lifted samples run on."""
+        """The same table with w and the centers as Jet constants and the
+        floor as the Modulus that Jet moduli compare with: the copy that jet
+        orbits and lifted samples run on."""
         return replace(self, w=tuple(Jet.const(x, self.bits) for x in self.w),
-                       beta={key: Jet.const(v, self.bits) for key, v in self.beta.items()})
+                       beta={key: Jet.const(v, self.bits) for key, v in self.beta.items()},
+                       floor=abs(Jet.const(self.floor, self.bits)))
 
     @cached_property
     def double(self):
-        """The same table with w and the centers as python complex: the
-        double-precision copy that chart routing inverts with."""
+        """The same table with w and the centers as python complex and no
+        floor: the double-precision copy that chart routing inverts with."""
         return replace(self, w=tuple(complex(x) for x in self.w),
-                       beta={key: complex(v) for key, v in self.beta.items()})
+                       beta={key: complex(v) for key, v in self.beta.items()}, floor=0.0)
 
     @cached_property
     def chart_ids(self):
@@ -176,36 +174,37 @@ def _one(sample):
     return sample * 0 + 1
 
 
-def plane_to_chart(table, cid, P, floor=None):
+def plane_to_chart(table, cid, P):
     """Invert chart_to_plane; ChartDomainError when a division degenerates.
 
-    The floor defaults to 10^-(dps-8): far below any legitimate transverse
-    scale at the working precision, so only genuinely blown-down points
-    trip it.  Scalars may be mpmath numbers, Jets (with table.jet) or python
-    complex (with table.double); with floor=0.0 an exact zero divisor raises
-    ZeroDivisionError instead.
+    A divisor below table.floor degenerates.  The floor is the map's
+    indeterminacy floor 10^-(dps-8) (MapParams.coeffs): far below any
+    legitimate transverse scale at the working precision, so only genuinely
+    blown-down points trip it.  Scalars may be mpmath numbers, Jets (with
+    table.jet, whose floor is a Modulus) or python complex (with
+    table.double, which has no floor: an exact zero divisor raises
+    ZeroDivisionError instead).
     """
-    if floor is None:
-        floor = table.floor
     if cid.kind == "affine":
         x0, x1, x2 = P
-        _check_divisor(x0, floor, cid)
+        _check_divisor(x0, table.floor, cid)
         r = 1 / x0
         return ChartPoint(x1 * r, x2 * r)
     level = 0 if cid.kind == "base" else cid.j
-    for depth, pt in enumerate(_limb_walk(table, cid.s, P, floor, cid)):
+    for depth, pt in enumerate(_limb_walk(table, cid.s, P, cid)):
         if depth == level:
             return pt
     raise ParamError(f"chart {cid} outside the tower")
 
 
-def _limb_walk(table, s, P, floor, cid):
+def _limb_walk(table, s, P, cid):
     """The coordinates of P in the charts of limb s, shallowest first: the
     base chart (depth 0), then tower levels 1 .. 2k+1 (depth j).
 
     Each level past the first is one more step of xi <- (xi - beta(s, m)) / x,
     so a reader that stops at level j has walked the limb once, up to j.
-    A divisor below floor raises ChartDomainError naming cid."""
+    A divisor below table.floor raises ChartDomainError naming cid."""
+    floor = table.floor
     x0, x1, x2 = P
     den, num = (x2, x1) if s == 0 else (x1, x2)
     _check_divisor(den, floor, cid)
@@ -384,12 +383,12 @@ def route_chart(table, P):
             keys.append((-depth, m, index))
 
     try:
-        u, v = plane_to_chart(dt, ChartId("affine"), Pf, floor=0.0)
+        u, v = plane_to_chart(dt, ChartId("affine"), Pf)
         rank(u, v, 0, 0)
     except ZeroDivisionError:
         pass
     for s in range(n):
-        walk = _limb_walk(dt, s, Pf, 0.0, ChartId("base", s))
+        walk = _limb_walk(dt, s, Pf, ChartId("base", s))
         first = 1 + n + s * levels  # index of level 1 of limb s
         try:
             along, t = next(walk)

@@ -1,15 +1,12 @@
-"""First-order jets with two independent perturbation directions.
+"""The chart layer's first-order jet, with two independent perturbation
+directions.
 
-Two jet types share the rules of forward-mode differentiation:
-
-* :class:`Jet` is the chart layer's jet.  It holds the value and both
-  partials as Gaussian-integer mantissas with one shared binary exponent,
-  rounded to a fixed number of bits after every operation, so that each
-  operation costs a handful of Python integer products instead of mpmath's
-  per-operation overhead.  Its modulus (:class:`Modulus`) compares exactly,
-  and :func:`richardson` extrapolates Jets, value and partials at once.
-* :class:`Dual2` is a jet over any scalar type that supports +,-,*,/; the
-  dynamics layer runs it over python complex for Jacobians.
+:class:`Jet` holds the value and both partials as Gaussian-integer
+mantissas with one shared binary exponent, rounded to a fixed number of bits
+after every operation, so that each operation costs a handful of Python
+integer products instead of mpmath's per-operation overhead.  Its modulus
+(:class:`Modulus`) compares exactly, and :func:`richardson` extrapolates
+Jets, value and partials at once.
 """
 
 import math
@@ -24,87 +21,6 @@ def jet_bits(dps):
     """Mantissa width of a Jet at working precision dps: mpmath's binary
     precision at that dps plus JET_GUARD_BITS."""
     return mp.libmp.dps_to_prec(dps) + JET_GUARD_BITS
-
-
-class Dual2:
-    """a + dx*e1 + dy*e2 with e1^2 = e2^2 = e1*e2 = 0.
-
-    A scalar operand costs one component operation per component, a Dual2
-    operand the full product rule.  Keep the Dual2 on the left of a mixed
-    product (``jet * c``, not ``c * jet``): with an mpmath scalar on the
-    left, mpmath first tries and fails to convert the jet -- building its
-    repr for the error message -- before Python falls back to ``__rmul__``.
-    """
-
-    __slots__ = ("a", "dx", "dy")
-
-    def __init__(self, a, dx=0, dy=0):
-        self.a = a
-        self.dx = dx
-        self.dy = dy
-
-    def __add__(self, o):
-        if isinstance(o, Dual2):
-            return Dual2(self.a + o.a, self.dx + o.dx, self.dy + o.dy)
-        return Dual2(self.a + o, self.dx, self.dy)
-
-    __radd__ = __add__
-
-    def __sub__(self, o):
-        if isinstance(o, Dual2):
-            return Dual2(self.a - o.a, self.dx - o.dx, self.dy - o.dy)
-        return Dual2(self.a - o, self.dx, self.dy)
-
-    def __rsub__(self, o):
-        return Dual2(o - self.a, -self.dx, -self.dy)
-
-    def __mul__(self, o):
-        if isinstance(o, Dual2):
-            a, oa = self.a, o.a
-            return Dual2(a * oa, a * o.dx + self.dx * oa, a * o.dy + self.dy * oa)
-        return Dual2(self.a * o, self.dx * o, self.dy * o)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, o):
-        if not isinstance(o, Dual2):
-            return Dual2(self.a / o, self.dx / o, self.dy / o)
-        inv = 1 / o.a
-        q = self.a * inv
-        return Dual2(q, (self.dx - q * o.dx) * inv, (self.dy - q * o.dy) * inv)
-
-    def __rtruediv__(self, o):
-        inv = 1 / self.a
-        q = o * inv
-        r = -q * inv
-        return Dual2(q, r * self.dx, r * self.dy)
-
-    def __pow__(self, m):
-        if not isinstance(m, int) or m < 0:
-            raise TypeError("only nonnegative integer powers")
-        if m == 0:
-            return Dual2(self.a * 0 + 1)
-        out = None
-        base = self
-        while m:
-            if m & 1:
-                out = base if out is None else out * base
-            m >>= 1
-            if m:
-                base = base * base
-        return out
-
-    def __neg__(self):
-        return Dual2(-self.a, -self.dx, -self.dy)
-
-    def __abs__(self):
-        return abs(self.a)
-
-    def __repr__(self):
-        return f"Dual2({self.a!r}, {self.dx!r}, {self.dy!r})"
-
-
-# -- the chart layer's jet -------------------------------------------------------
 
 
 def _mpf_man_exp(t):

@@ -2,12 +2,12 @@
 manifolds of the plane maps."""
 
 import cmath
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .dual import Dual2
 from .errors import DegenerateError, NotSaddleError, NumericCheckError, ParamError, PoleError
 from .mapfamily import MAGNITUDE_CAP, MapParams, eval_f
 from .polyroots import aberth_roots, cluster_roots
@@ -54,16 +54,6 @@ def jacobian(p, pt):
         d2 -= l * complex(al) / y ** (l + 1)
     d2 -= p.k / y ** (p.k + 1)
     return np.array([[0, 1], [-complex(p.delta), d2]], dtype=complex)
-
-
-def jacobian_dual(p, pt):
-    """Same Jacobian by forward-mode differentiation of eval_f; used as a
-    consistency oracle for the closed form."""
-    x, y = pt
-    xd = Dual2(complex(x), 1, 0)
-    yd = Dual2(complex(y), 0, 1)
-    fx, fy = eval_f(p, (xd, yd))
-    return np.array([[fx.dx, fx.dy], [fy.dx, fy.dy]], dtype=complex)
 
 
 def _classify(zeta, trace, delta):
@@ -159,18 +149,58 @@ def _match_traces(ref_zetas, p):
 def trace_set_separation(p, p_hat):
     """Whether two parameter choices have distinguishable trace multisets.
 
-    Optimal matching distance (Hungarian assignment on |t_i - t_hat_j|);
-    returns (separated, distance)."""
+    Optimal matching distance: the largest |t_i - t_hat_j| over a min-sum
+    assignment of the two multisets; returns (separated, distance)."""
     if (p.n, p.k) != (p_hat.n, p_hat.k):
         raise ParamError("trace separation compares members of one family")
-    from scipy.optimize import linear_sum_assignment
-
     t1 = np.array(_traces_for(p))
     t2 = np.array(_traces_for(p_hat))
-    cost = np.abs(t1[:, None] - t2[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    dist = float(cost[rows, cols].max())
+    cost = np.abs(t1[:, None] - t2[None, :]).tolist()
+    dist = max(row[j] for row, j in zip(cost, _min_sum_assignment(cost)))
     return dist > 1e-8, dist
+
+
+def _min_sum_assignment(cost):
+    """The column assigned to each row by a min-sum assignment of the square
+    matrix cost (a list of rows): Kuhn-Munkres with potentials, O(m^3).
+
+    Row potentials u and column potentials v keep cost[i][j] - u[i] - v[j]
+    nonnegative; each row joins along a shortest augmenting path in those
+    reduced costs.  Index 0 of u, v and the column arrays is the free slot
+    the new row starts from; rows and columns count from 1."""
+    m = len(cost)
+    u, v = [0.0] * (m + 1), [0.0] * (m + 1)
+    row_of = [0] * (m + 1)     # row assigned to each column, 0 when none
+    way = [0] * (m + 1)        # previous column on the augmenting path
+    for i in range(1, m + 1):
+        row_of[0], j0 = i, 0
+        minv = [math.inf] * (m + 1)
+        used = [False] * (m + 1)
+        while row_of[j0]:
+            used[j0] = True
+            i0, step, j1 = row_of[j0], math.inf, 0
+            for j in range(1, m + 1):
+                if not used[j]:
+                    cur = cost[i0 - 1][j - 1] - u[i0] - v[j]
+                    if cur < minv[j]:
+                        minv[j], way[j] = cur, j0
+                    if minv[j] < step:
+                        step, j1 = minv[j], j
+            for j in range(m + 1):
+                if used[j]:
+                    u[row_of[j]] += step
+                    v[j] -= step
+                else:
+                    minv[j] -= step
+            j0 = j1
+        while j0:
+            j1 = way[j0]
+            row_of[j0] = row_of[j1]
+            j0 = j1
+    cols = [0] * m
+    for j in range(1, m + 1):
+        cols[row_of[j] - 1] = j - 1
+    return cols
 
 
 # -- orbits and manifolds -------------------------------------------------------

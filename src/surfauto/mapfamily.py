@@ -11,14 +11,14 @@ of an iterated blowup of the plane; the blowup data is modelled in
 :mod:`surfauto.charts` and :mod:`surfauto.picard`.
 
 Evaluation routines are generic over the scalar type, since only field
-operations are used: python complex and Dual2 jets over it (the dynamics
-layer), mpmath numbers, and the chart layer's Jets.  c is kept symbolic
-(j, n, sign) when given as a pair.  Its value, -delta, the a_l and the
-indeterminacy floor are computed once per (params, dps) and cached on the
-params (:meth:`MapParams.coeffs`), where every routine reads them, with a
-second copy converted to Jet constants for the chart layer; the affine
-formula is written once, on the coefficients, and :func:`eval_f` and the
-orbit stepper share it.
+operations are used: python complex (the dynamics layer), mpmath numbers,
+and the chart layer's Jets.  c is kept symbolic (j, n, sign) when given as
+a pair.  Its value, -delta, the a_l and the indeterminacy floor are
+computed once per (params, dps) and cached on the params
+(:meth:`MapParams.coeffs`), where every routine reads them, with a second
+copy converted to Jet constants for the chart layer; the affine formula is
+written once, on the coefficients, and :func:`eval_f`,
+:func:`eval_f_inverse` and the orbit stepper share it.
 """
 
 import json
@@ -104,7 +104,7 @@ class MapCoeffs(NamedTuple):
 
     def _next_y(self, k, x, y):
         """Second component of f(x, y), unchecked: the one formula of the
-        map, shared by eval_f and the orbit stepper."""
+        map, shared by eval_f, eval_f_inverse and the orbit stepper."""
         yinv = 1 / y
         out = self.neg_delta * x + self.c * y + yinv ** k
         for l, al in self.a:
@@ -252,7 +252,7 @@ def eval_f(p, pt, dps=None):
 
     Raises PoleError for |y| below DEFAULT_TOL and OverflowEscape past the
     magnitude cap.  Works on any field-like scalars (complex, mpmath,
-    Dual2 jets).
+    jets).
     """
     x, y = pt
     if abs(y) < DEFAULT_TOL:
@@ -264,16 +264,15 @@ def eval_f(p, pt, dps=None):
 
 
 def eval_f_inverse(p, pt, dps=None):
-    """Inverse map; for delta=1 this equals swap . f . swap."""
+    """Inverse map, through the map's one formula: solving
+    Y = next_y(x, X) for x gives f^-1(X, Y) = (next_y(Y/delta, X)/delta, X).
+    For delta=1 this equals swap . f . swap."""
     X, Y = pt
     if abs(X) < DEFAULT_TOL:
         raise PoleError(f"x={X} within tol of the inverse pole line")
-    c, neg_d, a, _ = p.coeffs(dps)
-    xinv = 1 / X
-    out = c * X + xinv ** p.k - Y
-    for l, al in a:
-        out = out + al * xinv ** l
-    out = out / -neg_d
+    co = p.coeffs(dps)
+    delta = -co.neg_delta
+    out = co._next_y(p.k, Y / delta, X) / delta
     if abs(out) > MAGNITUDE_CAP:
         raise OverflowEscape("image magnitude exceeds cap")
     return (out, X)

@@ -12,14 +12,14 @@ pushforward_matrix its dense view, for dense oracles such as Berkowitz.
 The exact objects of one (n, k) -- the lattice, the pushforward, its
 characteristic polynomial, the LDL^T factor of the S Gram, the TSpace and
 the action on the splitting span(S) + T -- are built once per process and
-shared.  Shared objects hold tuples only; PicardLattice.build,
-pushforward_matrix and restricted_action hand out copies that callers may
-change.
+shared.  They are immutable (tuples, and a read-only mapping for the strict
+classes), so PicardLattice.build and restricted_action hand them out as
+built; pushforward_matrix, the dense view, is a fresh list of lists.
 """
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from types import MappingProxyType
@@ -43,17 +43,16 @@ class PicardLattice:
     k: int
     dim: int
     qdiag: tuple          # diagonal of the intersection form: (1, -1, ..., -1)
-    strict: dict          # ('sigma0') | ('F', s, j) | ('L', s) -> int vector
+    strict: dict          # ('sigma0') | ('F', s, j) | ('L', s) -> int tuple; read-only
     s_keys: tuple         # basis keys of the invariant span S
 
     # -- construction ---------------------------------------------------------
 
     @classmethod
     def build(cls, n, k):
-        """The (n, k) lattice.  Built once; each call returns a copy whose
-        strict vectors are fresh lists."""
-        lat = _lattice(n, k)
-        return replace(lat, strict={key: list(v) for key, v in lat.strict.items()})
+        """The (n, k) lattice, built once and shared: its strict vectors are
+        tuples in a read-only mapping."""
+        return _lattice(n, k)
 
     @staticmethod
     def _idx_static(n, k, s, j):
@@ -188,10 +187,6 @@ def _s_gram_ldl(n, k):
     return xm.ldl(_lattice(n, k).s_gram())
 
 
-def build_lattice(n, k):
-    return PicardLattice.build(n, k)
-
-
 # -- the induced lattice automorphism -----------------------------------------
 
 
@@ -317,14 +312,14 @@ def pushforward_char_poly(n, k):
     of s_cycle_lengths (_cycle_product).  Berkowitz on the full matrix
     (char_poly(pushforward_matrix(n, k))) gives the same polynomial and is
     the tests' cross-check."""
-    return tuple(xm.poly_mul(char_poly(_restricted_action(n, k)), _cycle_product(n, k)))
+    return tuple(xm.poly_mul(char_poly(restricted_action(n, k)), _cycle_product(n, k)))
 
 
 def pushforward_det(n, k):
     """det f_* from the same splitting: det(C) times the sign of the
     permutation of the S classes, -1 to the number of its even cycles."""
     even = sum(1 for L in s_cycle_lengths(n, k) if L % 2 == 0)
-    return xm.det_bareiss(_restricted_action(n, k)) * (-1) ** even
+    return xm.det_bareiss(restricted_action(n, k)) * (-1) ** even
 
 
 def char_poly_factor_check(n, k, cp=None):
@@ -473,18 +468,14 @@ def t_space(n, k):
     return TSpace(_lattice(n, k))
 
 
+@functools.cache
 def restricted_action(n, k):
     """Matrix of the induced map on T in the gamma basis, exact.
 
     Must be the cyclic companion form gamma_s -> gamma_{s+1} with last
     column (-1, k, ..., k), whose characteristic polynomial is the entropy
-    polynomial.  Built once per (n, k); each call returns a fresh list of
-    lists."""
-    return [list(row) for row in _restricted_action(n, k)]
-
-
-@functools.cache
-def _restricted_action(n, k):
+    polynomial.  Built once per (n, k) and shared, as a tuple of row
+    tuples."""
     ts = t_space(n, k)
     F = pushforward_columns(n, k)
     cols = [ts.gamma_coords(xm.col_apply(F, ts.lat.strict[("F", s, 2 * k + 1)]))

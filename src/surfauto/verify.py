@@ -109,7 +109,7 @@ def lattice_suite(n, k):
     _exact(rep, "canonical-invariance", xm.col_apply(F, K) == K)
     _exact(rep, "unimodular", pushforward_det(n, k) in (1, -1))
     _exact(rep, "exceptional-image",
-           xm.col_apply(F, lat.strict[("L", n - 1)]) == lat.strict[("F", 0, 2 * k + 1)])
+           xm.col_apply(F, lat.strict[("L", n - 1)]) == list(lat.strict[("F", 0, 2 * k + 1)]))
 
     divides, cofactor, worst = char_poly_factor_check(n, k)
     _exact(rep, "entropy-factor-divides", divides)

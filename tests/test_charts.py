@@ -15,6 +15,7 @@ from surfauto.charts import (
     reversor_transition_closed,
     reversor_transition_numeric,
 )
+from surfauto.dual import Jet, Modulus
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +121,26 @@ def test_chart_round_trip_property(ur, ui, vr, vi, double):
             back = sa.plane_to_chart(table, cid, sa.chart_to_plane(table, cid, ChartPoint(u, v)))
             assert abs(back.u - u) <= tol * (1 + abs(u)), cid
             assert abs(back.v - v) <= tol * (1 + abs(v)), cid
+
+
+def test_table_copies_hold_the_floor_in_their_type():
+    """One floor per table copy: the map's indeterminacy floor as an mpf on
+    the table, as the Modulus that Jet moduli compare with on .jet, and no
+    floor on .double, where only an exact zero divisor fails."""
+    p = sa.MapParams(3, 4, c_spec=(1, 1), a={2: 0.4})
+    table = CenterTable.build(p)
+    floor = p.coeffs(table.dps).floor
+    assert table.floor == floor
+    assert isinstance(table.jet.floor, Modulus) and table.jet.floor == floor
+    assert table.double.floor == 0.0
+    affine = ChartId("affine")
+    with mp.workdps(table.dps):
+        with pytest.raises(sa.ChartDomainError):
+            sa.plane_to_chart(table.jet, affine, (Jet.const(floor / 2, table.bits), 1, 1))
+        sa.plane_to_chart(table.jet, affine, (Jet.const(floor * 2, table.bits), 1, 1))
+    sa.plane_to_chart(table.double, affine, (1e-300, 1.0, 1.0))
+    with pytest.raises(ZeroDivisionError):
+        sa.plane_to_chart(table.double, affine, (0.0, 1.0, 1.0))
 
 
 def test_plane_to_chart_domain_error(hv):
@@ -331,7 +352,7 @@ def _reference_route(table, P):
     best, best_key = None, None
     for cid in table.chart_ids:
         try:
-            u, v = sa.plane_to_chart(table.double, cid, Pf, floor=0.0)
+            u, v = sa.plane_to_chart(table.double, cid, Pf)
         except ZeroDivisionError:
             continue
         m = max(abs(u), abs(v))

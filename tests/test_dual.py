@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 
 import surfauto as sa
 from surfauto.charts import EPS_SEQ, CenterTable, ChartId, ChartPoint, _lift_limit, parabolic_check
-from surfauto.dual import Dual2, Jet, jet_bits, richardson
+from surfauto.dual import Jet, jet_bits, richardson
 from surfauto.errors import ExtrapolationError
+
+from jet_oracles import Dual2
 
 DPS = 50
 TOL = mp.mpf(10) ** (-(DPS - 10))

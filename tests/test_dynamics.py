@@ -1,11 +1,18 @@
 import hashlib
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import surfauto as sa
 import surfauto.dynamics as dyn
-from surfauto.dynamics import fixed_point_polynomial, jacobian_dual
+from surfauto.dynamics import fixed_point_polynomial
+
+from jet_oracles import Dual2, jacobian_dual
 
 
 def fig1():
@@ -67,7 +74,6 @@ def test_trace_multiset_reversor_invariance():
     for r in sa.fixed_points(p):
         z = r.zeta
         # Df^(-1) at a fixed point of an area-preserving map has equal trace
-        from surfauto.dual import Dual2
         xd, yd = Dual2(z, 1, 0), Dual2(z, 0, 1)
         gx, gy = sa.eval_f_inverse(p, (xd, yd))
         tr_inv = gx.dx + gy.dy
@@ -94,6 +100,43 @@ def test_trace_set_separation():
     assert sep and dist > 1e-8
     same, dist0 = sa.trace_set_separation(base, base)
     assert not same and dist0 < 1e-12
+
+
+# distances recorded with scipy.optimize.linear_sum_assignment on the same
+# cost matrix, before the assignment moved into the package
+@pytest.mark.parametrize("n, k, a, a_hat, dist", [
+    (2, 4, {2: 0.01}, {2: 0.02}, 0.03065077181096076),
+    (3, 4, {2: 0.4}, {2: 0.3}, 0.2812525621177816),
+    (2, 6, {2: 0.1 + 0.2j, 4: -0.3j}, {2: 0.15 - 0.1j, 4: 0.2}, 1.8754794149190885),
+], ids=["figure-1", "3-4", "2-6-complex"])
+def test_trace_set_separation_pinned(n, k, a, a_hat, dist):
+    sep, got = sa.trace_set_separation(sa.MapParams(n=n, k=k, c_spec=(1, 1), a=a),
+                                       sa.MapParams(n=n, k=k, c_spec=(1, 1), a=a_hat))
+    assert sep and got == dist
+
+
+def test_min_sum_assignment_against_all_permutations():
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        m = int(rng.integers(1, 7))
+        # entries rounded to 1-3 digits: ties, and several optimal assignments, are common
+        cost = np.round(rng.uniform(0, 1, (m, m)), int(rng.integers(1, 4))).tolist()
+        cols = dyn._min_sum_assignment(cost)
+        assert sorted(cols) == list(range(m))
+        best = min(sum(row[j] for row, j in zip(cost, perm))
+                   for perm in itertools.permutations(range(m)))
+        assert sum(row[j] for row, j in zip(cost, cols)) == pytest.approx(best, abs=1e-12)
+
+
+def test_trace_set_separation_does_not_load_scipy():
+    code = ("import sys\n"
+            "import surfauto as sa\n"
+            "p = sa.MapParams(n=2, k=4, c_spec=(1, 1), a={2: 0.01})\n"
+            "sa.trace_set_separation(p, sa.figure1_params())\n"
+            "sys.exit('scipy' in sys.modules)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_orbit_of_fixed_point_is_constant():

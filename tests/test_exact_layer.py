@@ -8,6 +8,7 @@ dense rational inverses were replaced; every status, residual and detail
 string must stay the same.
 """
 
+import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -35,6 +36,8 @@ def test_desk_suites_pinned(nk, name, suite):
 
 
 def test_cached_objects_are_not_aliased():
+    """The dense pushforward is a fresh list per call; the shared lattice
+    and restricted action are handed out as built and cannot be changed."""
     M = pushforward_matrix(2, 4)
     expect = [row[:] for row in M]
     M[0][0] += 7
@@ -42,12 +45,21 @@ def test_cached_objects_are_not_aliased():
     assert pushforward_matrix(2, 4) == expect
 
     lat = PicardLattice.build(2, 4)
-    sigma0 = list(lat.strict["sigma0"])
-    lat.strict["sigma0"][0] = 99
-    lat.strict.pop(("L", 0))
-    fresh = PicardLattice.build(2, 4)
-    assert fresh.strict["sigma0"] == sigma0
-    assert ("L", 0) in fresh.strict
+    assert PicardLattice.build(2, 4) is lat
+    with pytest.raises(TypeError):
+        lat.strict["sigma0"][0] = 99
+    with pytest.raises(TypeError):
+        lat.strict[("L", 0)] = ()
+    with pytest.raises(AttributeError):
+        lat.strict.pop(("L", 0))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        lat.strict = {}
+    C = sa.restricted_action(2, 4)
+    assert sa.restricted_action(2, 4) is C
+    with pytest.raises(TypeError):
+        C[0][0] = 7
+    with pytest.raises(TypeError):
+        C[0] = (7, 7)
     assert lattice_suite(2, 4).to_json_dict() == PINNED["2,4"]["lattice"]
 
 
@@ -192,9 +204,10 @@ def test_exact_identity_error_is_a_package_error():
 
 def test_canonical_class_raises_typed_error():
     lat = PicardLattice.build(2, 4)
-    lat.strict["sigma0"][0] = 2
+    strict = dict(lat.strict)
+    strict["sigma0"] = (2,) + strict["sigma0"][1:]
     with pytest.raises(sa.ExactIdentityError):
-        lat.canonical_class()
+        dataclasses.replace(lat, strict=strict).canonical_class()
 
 
 def test_lattice_suite_reports_canonical_class_failure(monkeypatch):

@@ -122,7 +122,7 @@ def test_pushforward_columns_send_the_configuration(nk):
     M = pushforward_matrix(n, k)
     assert xm.col_dense(F) == M
     for key in _strict_order(n, k):
-        image = lat.strict[_configuration_image(n, k, key)]
+        image = list(lat.strict[_configuration_image(n, k, key)])
         assert xm.col_apply(F, lat.strict[key]) == xm.mat_vec(M, lat.strict[key]) == image
 
 

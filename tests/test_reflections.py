@@ -135,6 +135,6 @@ def test_rho_fixes_invariant_line_class():
     for (n, k) in [(2, 4), (3, 2)]:
         lat = PicardLattice.build(n, k)
         R = sa.rho_pushforward(n, k)
-        assert xm.col_apply(R, lat.strict["sigma0"]) == lat.strict["sigma0"]
+        assert xm.col_apply(R, lat.strict["sigma0"]) == list(lat.strict["sigma0"])
         # swaps the two contracted lines
-        assert xm.col_apply(R, lat.strict[("L", 0)]) == lat.strict[("L", n - 1)]
+        assert xm.col_apply(R, lat.strict[("L", 0)]) == list(lat.strict[("L", n - 1)])
