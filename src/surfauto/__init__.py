@@ -20,8 +20,6 @@ from .errors import (
     SurfautoError,
 )
 from .mapfamily import (
-    BCoefficients,
-    InfinityOrbit,
     MapParams,
     admissible_c,
     candidate_c,
@@ -65,6 +63,7 @@ from .picard import (
     restricted_action,
     s_cycle_lengths,
     spectral_radius,
+    strict_image,
     t_space,
 )
 from .reflections import (

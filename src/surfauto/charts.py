@@ -35,6 +35,7 @@ import mpmath as mp
 from .dual import Jet, jet_bits, richardson
 from .errors import ChartDomainError, ExtrapolationError, ParamError, PoleError
 from .mapfamily import center_series, eval_f_proj, infinity_orbit
+from .picard import strict_image
 
 
 class ChartId(NamedTuple):
@@ -81,11 +82,11 @@ class CenterTable:
     floor: object     # chart-inversion floor (see plane_to_chart)
 
     @classmethod
-    def build(cls, p, dps=None):
-        dps = dps or default_dps(p.k)
+    def build(cls, p):
+        dps = default_dps(p.k)
         with mp.workdps(dps):
-            w = [mp.mpmathify(x) for x in infinity_orbit(p, dps=dps).w]
-            b = list(center_series(p, dps=dps).b)
+            w = infinity_orbit(p, dps=dps)
+            b = center_series(p, dps=dps)
             beta = {}
             for s in range(p.n):
                 W = mp.mpf(1)
@@ -98,7 +99,7 @@ class CenterTable:
                     else:
                         sign = -1 if (1 - j) % 2 else 1
                         beta[(s, j)] = sign * W ** (j - 2) * base
-        return cls(n=p.n, k=p.k, dps=dps, w=tuple(w), b=tuple(b), beta=beta,
+        return cls(n=p.n, k=p.k, dps=dps, w=w, b=b, beta=beta,
                    floor=p.coeffs(dps).floor)
 
     @cached_property
@@ -238,14 +239,11 @@ POLE_TOL = 1e-12   # closed-form flip branches raise PoleError this close to a p
 
 
 def fiber_target(n, k, s, j):
-    """Where the fiber F^j_s is sent: the scheme of invariant cycles."""
-    if j == 2 * k + 1:
-        return SIGMA1 if s == n - 1 else ("fiber", s + 1, j)
-    if s < n - 1:
-        return ("fiber", s + 1, j)
-    if j == 1:
-        return ("fiber", 0, 1)
-    return ("fiber", 0, 2 * k + 2 - j)
+    """Where the fiber F^j_s, or with s = "sigma2" the line {x2=0}, is sent:
+    picard.strict_image in chart terms, ('fiber', s', j') or SIGMA1 for
+    L(0), the line {x1=0}.  ParamError for a fiber outside the tower."""
+    kind, *at = strict_image(n, k, ("L", n - 1) if s == "sigma2" else ("F", s, j))
+    return SIGMA1 if kind == "L" else ("fiber", *at)
 
 
 def fiber_transition_closed(table, s, j, xi):
@@ -257,11 +255,9 @@ def fiber_transition_closed(table, s, j, xi):
     """
     n, k = table.n, table.k
     b = table.b
-    if s == "sigma2":
-        return ("fiber", 0, 2 * k + 1), xi + b[2 * k]
-    if not (0 <= s < n and 1 <= j <= 2 * k + 1):
-        raise ParamError(f"fiber ({s},{j}) outside the tower")
     tgt = fiber_target(n, k, s, j)
+    if s == "sigma2":
+        return tgt, xi + b[2 * k]
     if s == 0 and n > 1:
         if j == 1:
             return tgt, -xi
@@ -307,7 +303,7 @@ def fiber_transition_numeric(p, table, s, j, xi):
     (over a sliding window of EPS_SEQ, extended by further decades when
     needed) must agree below CONV_TOL; otherwise ExtrapolationError."""
     source = s == "sigma2"
-    tgt = ("fiber", 0, 2 * table.k + 1) if source else fiber_target(table.n, table.k, s, j)
+    tgt = fiber_target(table.n, table.k, s, j)
     jt = table.jet
 
     def sample(xi, eps):
@@ -417,12 +413,9 @@ def _downcast(z):
 class ParabolicReport:
     """Outcome of a tangency check at one point."""
 
-    chart: ChartId
-    point: tuple
-    steps: int
-    max_deviation: float     # max |Df^steps - Id| entrywise
-    fix_residual: float      # |f^steps(pt) - pt| in chart coordinates
-    diag_n: tuple | None     # Df^(steps/2) diagonal when on the invariant line
+    max_deviation: float     # max |Df^(2n) - Id| entrywise
+    fix_residual: float      # |f^(2n)(pt) - pt| in chart coordinates
+    diag_n: tuple | None     # Df^n diagonal when on the invariant line
     converged: bool
 
 
@@ -469,8 +462,7 @@ def parabolic_check(p, table, cid, pt):
             mu, mv = mid
             # (transverse, along) multipliers: expected (+-1, 1)
             diag = (complex(mv[2]), complex(mu[1]))
-            return ParabolicReport(cid, (complex(pt.u), 0.0), steps,
-                                   float(dev), float(fix), diag, True)
+            return ParabolicReport(float(dev), float(fix), diag, True)
         eps = [Jet.const(e, table.bits) for e in EPS_SEQ]
         ends = [_jet_orbit(p, table, cid, pt.u, e, steps) for e in EPS_SEQ]
         u_lim, u_gap = richardson(eps, [u for u, _, _ in ends])
@@ -481,8 +473,7 @@ def parabolic_check(p, table, cid, pt):
         # the gaps' values are the u and v errors, their partials the
         # Jacobian's
         converged = max(abs(g) for g in u_gap.mpc() + v_gap.mpc()) < CONV_TOL
-    return ParabolicReport(cid, (complex(pt.u), 0.0), steps,
-                           float(dev), float(fix), None, converged)
+    return ParabolicReport(float(dev), float(fix), None, converged)
 
 
 def parabolic_levels(k):

@@ -62,7 +62,7 @@ def _out_path(args, name):
 def _load_params(path):
     try:
         return MapParams.load(path)
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         raise ParamError(f"cannot read parameter file: {exc}") from exc
 
 
@@ -80,51 +80,60 @@ def _nk_from(args):
 
 
 def _params_from(args):
+    """The member the flags describe: each flag that is given overrides its
+    value in the --params file; without a file c defaults to 2cos(pi/n)."""
     if args.params:
         p = _load_params(args.params)
-        # each flag that is given overrides its file value
-        original = p.to_json_dict()
-        d = dict(original)
-        if args.n is not None:
-            d["n"] = args.n
-        if args.k is not None:
-            d["k"] = args.k
-        if args.c_j is not None or args.c_sign:
-            c = d["c"] if isinstance(d["c"], dict) else {}
-            if args.c_j is None and not c:
-                raise ParamError("--c-sign needs --c-j when the file gives c as a number")
-            d["c"] = {"j": c["j"] if args.c_j is None else args.c_j,
-                      "sign": args.c_sign or c.get("sign", "+")}
-        if args.a:
-            d["a"] = _parse_a(args.a)
-        if args.delta:
-            d["delta"] = _parse_delta(args.delta)
-        if d != original:
-            p = MapParams.from_json_dict(d)
-        return p
-    if args.n is None or args.k is None:
+        d = p.to_json_dict()
+    elif args.n is None or args.k is None:
         raise ParamError("need --params or both --n and --k")
-    a = _parse_a(args.a) if args.a else {}
-    c = {"j": args.c_j or 1, "sign": args.c_sign or "+"}
-    d = {"n": args.n, "k": args.k, "c": c, "a": a,
-         "delta": _parse_delta(args.delta) if args.delta else [1.0, 0.0]}
-    return MapParams.from_json_dict(d)
+    else:
+        p, d = None, {"c": {"j": 1, "sign": "+"}}
+    original = dict(d)
+    if args.n is not None:
+        d["n"] = args.n
+    if args.k is not None:
+        d["k"] = args.k
+    if args.c_j is not None or args.c_sign:
+        c = d["c"] if isinstance(d["c"], dict) else {}
+        if args.c_j is None and not c:
+            raise ParamError("--c-sign needs --c-j when the file gives c as a number")
+        d["c"] = {"j": c["j"] if args.c_j is None else args.c_j,
+                  "sign": args.c_sign or c.get("sign", "+")}
+    if args.a:
+        d["a"] = _parse_a(args.a)
+    if args.delta:
+        d["delta"] = _parse_complex(args.delta, "--delta")
+    return p if d == original else MapParams.from_json_dict(d)
 
 
 def _parse_a(items):
     out = {}
     for item in items:
         idx, _, val = item.partition("=")
-        parts = val.split(",")
-        re_part = float(parts[0])
-        im_part = float(parts[1]) if len(parts) > 1 else 0.0
-        out[str(int(idx))] = [re_part, im_part]
+        try:
+            l = int(idx)
+        except ValueError:
+            raise ParamError(f"--a expects idx=re[,im], got {item!r}") from None
+        if str(l) in out:
+            raise ParamError(f"--a gives a_{l} twice")
+        out[str(l)] = _parse_complex(val, "--a")
     return out
 
 
+def _parse_complex(text, flag):
+    """re[,im] as [re, im]; anything else is a usage error."""
+    parts = text.split(",")
+    try:
+        re_part, im_part = map(float, parts if len(parts) == 2 else parts + ["0"])
+    except ValueError:
+        raise ParamError(f"{flag} expects re[,im], got {text!r}") from None
+    return [re_part, im_part]
+
+
 def _non_negative(value, flag):
-    if value < 0:
-        raise ParamError(f"{flag} must be >= 0, got {value}")
+    if not 0 <= value < math.inf:
+        raise ParamError(f"{flag} must be finite and >= 0, got {value}")
     return value
 
 
@@ -132,11 +141,6 @@ def _positive(value, flag):
     if value < 1:
         raise ParamError(f"{flag} must be >= 1, got {value}")
     return value
-
-
-def _parse_delta(text):
-    parts = str(text).split(",")
-    return [float(parts[0]), float(parts[1]) if len(parts) > 1 else 0.0]
 
 
 # -- subcommands ------------------------------------------------------------------
@@ -280,6 +284,9 @@ def cmd_orbit(args):
 
 
 def cmd_unstable(args):
+    if not (0 < args.arclen < math.inf and 0 < args.spacing < math.inf):
+        raise ParamError(f"--arclen and --spacing must be finite and > 0, "
+                         f"got {args.arclen} and {args.spacing}")
     p = _params_from(args)
     saddles = [r for r in fixed_points(p)
                if r.type == "saddle" and abs(r.zeta.imag) < 1e-9]

@@ -32,7 +32,7 @@ def fixed_point_polynomial(p):
     """
     if complex(p.delta) != 1 + 0j:
         raise ParamError("diagonal fixed-point polynomial requires delta = 1")
-    c = complex(p.c())
+    c = complex(p.coeffs().c)
     if abs(c - 2) < 1e-14:
         raise DegenerateError("c = 2 degenerates the fixed-point polynomial")
     coeffs = [2 - c] + [0.0] * p.k + [-1.0]
@@ -48,7 +48,7 @@ def jacobian(p, pt):
     x, y = pt
     if abs(y) < 1e-12:
         raise PoleError("jacobian undefined on the pole line")
-    c = complex(p.c())
+    c = complex(p.coeffs().c)
     d2 = c
     for l, al in p.a.items():
         d2 -= l * complex(al) / y ** (l + 1)
@@ -74,7 +74,7 @@ def fixed_points(p):
     (Re, Im); each is validated by direct evaluation of the map."""
     coeffs = fixed_point_polynomial(p)
     roots = aberth_roots(coeffs)
-    clustered = cluster_roots(roots, sep=1e-7)
+    clustered = cluster_roots(roots)
     records = []
     for zeta, mult in clustered:
         img = eval_f(p, (zeta, zeta))

@@ -23,6 +23,7 @@ written once, on the coefficients, and :func:`eval_f`,
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from math import gcd
 from typing import NamedTuple
@@ -38,6 +39,7 @@ from .errors import (
     PeriodicityError,
     PoleError,
 )
+from .picard import check_nk
 
 MAGNITUDE_CAP = 1e100
 DEFAULT_TOL = 1e-9
@@ -131,12 +133,7 @@ class MapParams:
     _coeffs: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ParamError("n must be >= 2")
-        if self.k < 2 or self.k % 2 != 0:
-            raise ParamError("k must be even and >= 2")
-        if self.n * self.k <= self.k + 2:
-            raise ParamError(f"(n,k)=({self.n},{self.k}) has entropy 0; need n*k > k+2")
+        check_nk(self.n, self.k)
         for l in self.a:
             if l % 2 != 0 or not (2 <= l <= self.k - 2):
                 raise ParamError(f"a-index {l} must be even in [2, k-2]")
@@ -147,34 +144,21 @@ class MapParams:
             if sign not in (1, -1):
                 raise ParamError("c sign must be +1 or -1")
         if self.validate and self.delta == 1:
-            cv = self.c(dps=30)
+            cv = self.coeffs(30).c
             ok = any(abs(complex(cv) - u) < 1e-9 for u in admissible_c(self.n))
             if not ok:
                 raise ParamError(f"c={complex(cv)} is not admissible for n={self.n}")
         if self.validate and self.delta != 1:
             infinity_orbit(self)  # raises PeriodicityError if not periodic
 
-    def c(self, dps=None):
-        """The rotation parameter c at the requested precision.
-
-        With dps=None a float is returned; otherwise the mpmath value from
-        the per-dps cache of :meth:`coeffs` (symbolic specs never freeze a
-        low-precision constant: each dps gets its own value).
-        """
-        if dps is not None:
-            return self.coeffs(dps).c
-        if isinstance(self.c_spec, tuple):
-            j, sign = self.c_spec
-            return sign * 2.0 * math.cos(math.pi * j / self.n)
-        return self.c_spec
-
     def coeffs(self, dps=None, jet=False):
         """c, -delta, the a_l and the indeterminacy floor at precision dps.
 
         Computed on the first request for each (dps, jet) and cached on the
-        params.  With dps=None the python scalars, and no floor; with jet
-        the mpmath values converted to Jet constants of jet_bits(dps) bits,
-        and the floor as the Modulus that Jet moduli compare with.
+        params.  With dps=None the python scalars (a float c for a symbolic
+        spec), and no floor; with jet the mpmath values converted to Jet
+        constants of jet_bits(dps) bits, and the floor as the Modulus that
+        Jet moduli compare with.
         """
         got = self._coeffs.get((dps, jet))
         if got is None:
@@ -185,7 +169,11 @@ class MapParams:
                                 tuple((l, Jet.const(al, bits)) for l, al in a),
                                 abs(Jet.const(floor, bits)))
             elif dps is None:
-                got = MapCoeffs(self.c(), -self.delta, tuple(sorted(self.a.items())), None)
+                c = self.c_spec
+                if isinstance(c, tuple):
+                    j, sign = c
+                    c = sign * 2.0 * math.cos(math.pi * j / self.n)
+                got = MapCoeffs(c, -self.delta, tuple(sorted(self.a.items())), None)
             else:
                 with mp.workdps(dps):
                     if isinstance(self.c_spec, tuple):
@@ -218,25 +206,51 @@ class MapParams:
 
     @classmethod
     def from_json_dict(cls, d):
+        """The member a parameter file describes: an object with the
+        integers n and k, c as {"j": integer, "sign": "+" or "-"} (sign
+        "+" when absent) or as a number, and optionally a ({"l": value})
+        and delta (value), each value a number or [re, im].  Any other key,
+        type or shape raises ParamError."""
+        keys = set(d) if isinstance(d, dict) else set()
+        if not ({"n", "k", "c"} <= keys <= {"n", "k", "c", "a", "delta"}
+                and type(d["n"]) is int and type(d["k"]) is int):
+            raise ParamError("parameters must be an object with the integers n and k, c, and "
+                             f"optionally a and delta, got {d!r}")
         c = d["c"]
         if isinstance(c, dict):
-            c_spec = (int(c["j"]), 1 if c.get("sign", "+") == "+" else -1)
+            sign = c.get("sign", "+")
+            if not (set(c) <= {"j", "sign"} and type(c.get("j")) is int and sign in ("+", "-")):
+                raise ParamError(f'c must be {{"j": integer, "sign": "+" or "-"}}, got {c!r}')
+            c_spec = (c["j"], 1 if sign == "+" else -1)
         else:
-            c_spec = float(c)
-        a = {}
-        for key, v in d.get("a", {}).items():
-            a[int(key)] = complex(v[0], v[1]) if isinstance(v, (list, tuple)) else complex(v)
-        a = {l: (v.real if v.imag == 0 else v) for l, v in a.items()}
-        delta = d.get("delta", [1.0, 0.0])
-        delta = complex(delta[0], delta[1]) if isinstance(delta, (list, tuple)) else complex(delta)
-        if delta.imag == 0:
-            delta = delta.real
-        return cls(n=int(d["n"]), k=int(d["k"]), c_spec=c_spec, a=a, delta=delta)
+            c_spec = _json_float(c, "c")
+        a = d.get("a", {})
+        if not (isinstance(a, dict) and all(str(key).removeprefix("-").isdecimal() for key in a)):
+            raise ParamError(f'a must be an object {{"l": value}} with integers l, got {a!r}')
+        a = {int(key): _json_scalar(v, f"a_{key}") for key, v in a.items()}
+        return cls(n=d["n"], k=d["k"], c_spec=c_spec, a=a,
+                   delta=_json_scalar(d.get("delta", 1.0), "delta"))
 
     @classmethod
     def load(cls, path):
         with open(path) as fh:
             return cls.from_json_dict(json.load(fh))
+
+
+def _json_float(v, what):
+    """A finite number other than a bool, as a float; else ParamError."""
+    if type(v) in (int, float) and abs(v) <= sys.float_info.max:
+        return float(v)
+    raise ParamError(f"{what} must be a finite number, got {v!r}")
+
+
+def _json_scalar(v, what):
+    """A number or an [re, im] pair of numbers: a float when im is 0, else a
+    complex; anything else raises ParamError."""
+    re, im = v if isinstance(v, (list, tuple)) and len(v) == 2 else (v, 0.0)
+    what = f"{what} (a number or [re, im])"
+    z = complex(_json_float(re, what), _json_float(im, what))
+    return z.real if z.imag == 0 else z
 
 
 def figure1_params():
@@ -247,7 +261,7 @@ def figure1_params():
 # -- map evaluation ----------------------------------------------------------
 
 
-def eval_f(p, pt, dps=None):
+def eval_f(p, pt):
     """One application of the map to an affine point (x, y).
 
     Raises PoleError for |y| below DEFAULT_TOL and OverflowEscape past the
@@ -257,20 +271,20 @@ def eval_f(p, pt, dps=None):
     x, y = pt
     if abs(y) < DEFAULT_TOL:
         raise PoleError(f"y={y} within tol of the pole line")
-    out = p.coeffs(dps)._next_y(p.k, x, y)
+    out = p.coeffs()._next_y(p.k, x, y)
     if abs(out) > MAGNITUDE_CAP:
         raise OverflowEscape("image magnitude exceeds cap")
     return (y, out)
 
 
-def eval_f_inverse(p, pt, dps=None):
+def eval_f_inverse(p, pt):
     """Inverse map, through the map's one formula: solving
     Y = next_y(x, X) for x gives f^-1(X, Y) = (next_y(Y/delta, X)/delta, X).
     For delta=1 this equals swap . f . swap."""
     X, Y = pt
     if abs(X) < DEFAULT_TOL:
         raise PoleError(f"x={X} within tol of the inverse pole line")
-    co = p.coeffs(dps)
+    co = p.coeffs()
     delta = -co.neg_delta
     out = co._next_y(p.k, Y / delta, X) / delta
     if abs(out) > MAGNITUDE_CAP:
@@ -358,16 +372,10 @@ def eval_f_proj(p, P, dps=None):
 # -- combinatorics at infinity ----------------------------------------------
 
 
-@dataclass
-class InfinityOrbit:
-    """Forward orbit of [0:0:1] along the line at infinity: w_1 .. w_{n-1}."""
-
-    w: list
-    w_star: object  # midpoint value for odd n, else None
-
-
 def infinity_orbit(p, dps=None):
-    """Iterate w -> c - delta/w from w_1 = c; the orbit must end at 0.
+    """The forward orbit of [0:0:1] along the line at infinity, the tuple
+    (w_1, ..., w_{n-1}): iterate w -> c - delta/w from w_1 = c; the orbit
+    must end at 0.
 
     Raises PeriodicityError when |w_{n-1}| >= DEFAULT_TOL, or 10^-(dps-10)
     at a working precision (c not admissible for this n / delta
@@ -387,36 +395,27 @@ def infinity_orbit(p, dps=None):
             raise PeriodicityError(
                 f"orbit at infinity does not return to the base point: |w_{n-1}| = {abs(w[-1])}"
             )
-    w_star = w[(n - 1) // 2 - 1] if n % 2 == 1 else None
-    return InfinityOrbit(w=w, w_star=w_star)
+    return tuple(w)
 
 
 # -- pole coefficients -------------------------------------------------------
 
 
-def q_value(p, x, y, dps=None):
+def q_value(p, x, y):
     """The normalizing polynomial 1 + sum_j a_j y^(k-j) - x y^k + c y^(k+1)."""
     k = p.k
-    c, _, a, _ = p.coeffs(dps)
+    c, _, a, _ = p.coeffs()
     out = 1 + c * y ** (k + 1) - x * y ** k
     for l, al in a:
         out = out + al * y ** (k - l)
     return out
 
 
-@dataclass
-class BCoefficients:
-    """Series coefficients b_0..b_2k of y^k / q(x, y) through order 2k.
-
-    The x-linear part of the order-2k coefficient is exactly 1 and is not
-    stored; b[2k] is its constant part.
-    """
-
-    b: list
-
-
 def center_series(p, dps=None):
-    """Compute the b-coefficients by truncated series inversion of q.
+    """The series coefficients (b_0, ..., b_2k) of y^k / q(x, y) through
+    order 2k, a tuple, by truncated series inversion of q.  The x-linear
+    part of the order-2k coefficient is exactly 1 and is not stored; b_2k
+    is its constant part.
 
     Coefficients are (constant, x-linear) pairs; x only enters q through
     -x*y^k, so no x^2 terms arise below the truncation order and products
@@ -463,4 +462,4 @@ def center_series(p, dps=None):
         for i in range(1, k):
             if not abs(v[i][1]) < 1e-9:
                 raise NumericCheckError(f"order-{i} coefficient of the series depends on x")
-    return BCoefficients(b=b)
+    return tuple(b)

@@ -28,7 +28,8 @@ from . import exactmat as xm
 from .errors import DegenerateError, ExactIdentityError, ParamError
 
 
-def _check_nk(n, k):
+def check_nk(n, k):
+    """ParamError unless n >= 2, k >= 2 is even and n k > k + 2 (Bedford-Kim)."""
     if n < 2 or k < 2 or k % 2:
         raise ParamError("need n >= 2 and even k >= 2")
     if n * k <= k + 2:
@@ -146,7 +147,7 @@ class PicardLattice:
 @functools.cache
 def _lattice(n, k):
     """The shared (n, k) lattice; its strict vectors are tuples."""
-    _check_nk(n, k)
+    check_nk(n, k)
     dim = 1 + n * (2 * k + 1)
     idx = PicardLattice._idx_static
 
@@ -208,30 +209,38 @@ def strict_coords(n, k, v):
     return xm.forward_substitute(_strict_basis(n, k), v)
 
 
+def strict_image(n, k, key):
+    """The key of PicardLattice.strict where f_* sends the class key: limb s
+    goes to limb s+1, and the return limb n-1 -> 0 flips levels j -> 2k+2-j
+    except level 1; the top fiber of the last limb goes to L(0), the class
+    of {x1=0}, and L(n-1), the class of {x2=0}, to the top fiber of limb 0.
+    sigma0 is fixed; any other key raises ParamError.  pushforward_columns
+    and the chart layer's fiber targets (charts.fiber_target) read it."""
+    if key == "sigma0":
+        return key
+    if key == ("L", n - 1):
+        return ("F", 0, 2 * k + 1)
+    if len(key) != 3 or key[0] != "F" or not (0 <= key[1] < n and 1 <= key[2] <= 2 * k + 1):
+        raise ParamError(f"{key} is not a class the rule of f_* names")
+    _, s, j = key
+    if j == 2 * k + 1:
+        return ("L", 0) if s == n - 1 else ("F", s + 1, j)
+    if j == 1 or s < n - 1:
+        return ("F", (s + 1) % n, j)
+    return ("F", 0, 2 * k + 2 - j)
+
+
 @functools.cache
 def pushforward_columns(n, k):
     """The induced automorphism f_* in column form, built once per (n, k).
 
-    Defined by the permutation of the invariant configuration (limb shift,
-    with the level flip j -> 2k+2-j on the return limb) plus the two
-    exceptional assignments: the class of {x2=0} goes to the top fiber of
-    limb 0 and the top fiber of the last limb goes to the class of {x1=0}.
-    So f_*(e_j) = sum_t c_t image(key_t), where c = strict_coords(e_j), by
-    integer forward substitution.
+    strict_image sends each class of the strict-transform basis to a strict
+    class, so f_*(e_j) = sum_t c_t f_*(key_t), where c = strict_coords(e_j),
+    by integer forward substitution.
     """
     lat = _lattice(n, k)
-
-    def image(key):
-        if key == "sigma0":
-            return lat.strict["sigma0"]
-        _, s, j = key
-        if j == 2 * k + 1:
-            return lat.strict[("L", 0)] if s == n - 1 else lat.strict[("F", s + 1, j)]
-        if j == 1 or s < n - 1:
-            return lat.strict[("F", (s + 1) % n, j)]
-        return lat.strict[("F", 0, 2 * k + 2 - j)]
-
-    images = tuple(xm.sparse(image(key)) for key in _strict_order(n, k))
+    images = tuple(xm.sparse(lat.strict[strict_image(n, k, key)])
+                   for key in _strict_order(n, k))
     coords = tuple(xm.sparse(strict_coords(n, k, [int(i == j) for i in range(lat.dim)]))
                    for j in range(lat.dim))
     return xm.col_compose(images, coords)
@@ -245,7 +254,7 @@ def pushforward_matrix(n, k):
 
 def chi_poly(n, k):
     """1 - k(x + ... + x^(n-1)) + x^n, descending integer coefficients."""
-    _check_nk(n, k)
+    check_nk(n, k)
     return [1] + [-k] * (n - 1) + [1]
 
 
@@ -516,7 +525,7 @@ def gamma_closed_form(n, k, s=0):
     strict-transform and geometric readings; mismatches are reported with
     both values, never patched.
     """
-    _check_nk(n, k)
+    check_nk(n, k)
     if k == 2 * n - 2:
         raise DegenerateError(f"(n,k)=({n},{k}): closed-form denominator k-2n+2 vanishes")
     ts = t_space(n, k)
@@ -583,18 +592,9 @@ def gamma_closed_form(n, k, s=0):
         "level2k_same_limb": coords[pos[("F", s, 2 * k)]],
         "level2k_other_limb": coords[pos[("F", other, 2 * k)]],
     }
-    # displayed intersection numbers of the level-2k classes with gamma_0
-    disp_int_same = Fraction(2 * ((n - 4) * k * k + (2 * n - 3) * k + n - 2)) / den2
-    disp_int_other = Fraction(-4 * (k ** 3 - 4 * k + 1)) / den2
-    exact_int_strict_same = ts._ipf([Fraction(t) for t in lat.strict[("F", s, 2 * k)]], g)
-    exact_int_strict_other = ts._ipf([Fraction(t) for t in lat.strict[("F", other, 2 * k)]], g)
-
-    report = {
-        "n": n, "k": k, "s": s,
+    return {
         "membership_T": in_T,
         "closed_form_matches_projection": closed_form_ok,
-        "bracket_coefficient": x,
-        "bracket_denominator": C,
         "displayed": displayed,
         "exact_geometric": exact_geometric,
         "exact_strict": exact_strict,
@@ -602,12 +602,7 @@ def gamma_closed_form(n, k, s=0):
             key: (displayed[key] == exact_geometric[key], displayed[key] == exact_strict[key])
             for key in displayed
         },
-        "intersection_displayed": (disp_int_same, disp_int_other),
-        "intersection_exact_strict": (exact_int_strict_same, exact_int_strict_other),
-        "intersection_exact_geometric": (ts._ipf(lat.basis_vector(s, 2 * k), g),
-                                         ts._ipf(lat.basis_vector(other, 2 * k), g)),
     }
-    return report
 
 
 # -- minimality data -----------------------------------------------------------
@@ -622,7 +617,7 @@ def minimality_report(n, k):
         for j in range(1, 2 * k + 1):
             v = lat.strict[("F", s, j)]
             selfints[("F", s, j)] = lat.ip(v, v)
-    out = {"selfints": selfints, "n": n, "k": k}
+    out = {"selfints": selfints}
     if n == 2:
         sig = lat.strict["sigma0"]
         blown = {}

@@ -47,14 +47,14 @@ def aberth_roots(coeffs):
     return z
 
 
-def cluster_roots(roots, sep=1e-7):
-    """Group near-coincident roots; returns list of (value, multiplicity)."""
+def cluster_roots(roots):
+    """Group roots within 1e-7 of each other into (value, multiplicity) pairs."""
     out = []
     used = np.zeros(len(roots), dtype=bool)
     for i, r in enumerate(roots):
         if used[i]:
             continue
-        close = np.abs(roots - r) < sep
+        close = np.abs(roots - r) < 1e-7
         close &= ~used
         members = roots[close]
         used |= close

@@ -7,7 +7,9 @@ on the full matrix.  On all admissible (n, k) with n <= 8 and k <= 12 the
 characteristic polynomial must be chi times the cyclotomic cofactor of the
 pinned cycle type, and chi must pass an exact Salem test.  The chart layer
 (the chart and parabolic suites, at one sample per fiber) must pass on four
-instances beyond the desk: (4,4), (3,6), (2,10) and (5,4).
+instances beyond the desk: (4,4), (3,6), (2,10) and (5,4).  On every census
+instance f_* sends each fiber class where the chart layer's transitions
+send the fiber.
 
 Admissible means n >= 2, even k >= 2 and n k > k + 2 (Bedford-Kim,
 Thm. 1); dim Pic = 1 + n (2k + 1).
@@ -18,7 +20,7 @@ from fractions import Fraction
 import pytest
 
 from surfauto import exactmat as xm
-from surfauto.charts import CenterTable
+from surfauto.charts import SIGMA1, CenterTable, fiber_target, fiber_transition_closed
 from surfauto.errors import ExactIdentityError
 from surfauto.mapfamily import MapParams
 from surfauto.picard import (
@@ -63,6 +65,28 @@ def test_chart_layer_suites_pass(nk):
     table = CenterTable.build(p)
     for rep in (chart_suite(p, table, n_xi=1), parabolic_suite(p, table, points_per_fiber=1)):
         assert rep.overall == "pass", [c.to_json_dict() for c in rep.checks if c.status == "fail"]
+
+
+# -- one fiber rule for the lattice and the charts ------------------------------------
+
+@pytest.mark.parametrize("nk", CENSUS, ids=_ids(CENSUS))
+def test_lattice_and_charts_agree_on_the_fiber_rule(nk):
+    """f_* sends each strict fiber class F(s, j) to the class that
+    charts.fiber_target names, SIGMA1 being L(0), the class of {x1=0}; and
+    it sends L(n-1), the class of {x2=0}, to the "sigma2" target of the
+    closed-form transitions, F(0, 2k+1)."""
+    n, k = nk
+    lat = PicardLattice.build(n, k)
+    F = pushforward_columns(n, k)
+    for s in range(n):
+        for j in range(1, 2 * k + 2):
+            tgt = fiber_target(n, k, s, j)
+            key = ("L", 0) if tgt == SIGMA1 else ("F",) + tgt[1:]
+            assert xm.col_apply(F, lat.strict[("F", s, j)]) == list(lat.strict[key]), (s, j)
+    table = CenterTable.build(MapParams(n, k, c_spec=(1, 1)))
+    tgt, _ = fiber_transition_closed(table, "sigma2", None, 0.37)
+    assert tgt == ("fiber", 0, 2 * k + 1)
+    assert xm.col_apply(F, lat.strict[("L", n - 1)]) == list(lat.strict[("F", 0, 2 * k + 1)])
 
 
 # -- the splitting against dense elimination --------------------------------------------

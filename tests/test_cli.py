@@ -238,6 +238,51 @@ def test_missing_parameter_file_is_usage_error(command, capsys, tmp_path):
     assert out == ""
 
 
+MEMBER = {"n": 2, "k": 4, "c": {"j": 1, "sign": "+"}, "a": {"2": [-2.64, 0.0]},
+          "delta": [1.0, 0.0]}
+
+
+@pytest.mark.parametrize("params, flags", [
+    pytest.param({**MEMBER, "n": None}, None, id="n-null"),
+    pytest.param({**MEMBER, "n": 2.7}, None, id="n-not-integer"),
+    pytest.param({key: v for key, v in MEMBER.items() if key != "k"}, None, id="k-missing"),
+    pytest.param({**MEMBER, "c": [0.3, 0.1]}, None, id="c-list"),
+    pytest.param({**MEMBER, "c": {"j": 1, "sign": "*"}}, None, id="c-sign"),
+    pytest.param({**MEMBER, "c": {"j": 1.5, "sign": "+"}}, None, id="c-j-not-integer"),
+    pytest.param({**MEMBER, "c": {"j": True, "sign": "+"}}, None, id="c-j-bool"),
+    pytest.param({**MEMBER, "a": [1, 2]}, None, id="a-list"),
+    pytest.param({**MEMBER, "a": {"2": [1]}}, None, id="a-one-number"),
+    pytest.param({**MEMBER, "a": {"x": 1}}, None, id="a-index-text"),
+    pytest.param({**MEMBER, "a": {"2": [float("nan"), 0.0]}}, None, id="a-not-finite"),
+    pytest.param({**MEMBER, "delta": "1"}, None, id="delta-text"),
+    pytest.param({**MEMBER, "extra": 1}, None, id="unknown-key"),
+    pytest.param([MEMBER], None, id="top-level-list"),
+    pytest.param(None, ["--a", "2=x"], id="flag-a-value"),
+    pytest.param(None, ["--a", "x=1"], id="flag-a-index"),
+    pytest.param(None, ["--a", "2=1,2,3"], id="flag-a-three-numbers"),
+    pytest.param(None, ["--a", "2=1", "--a", "2=2"], id="flag-a-twice"),
+    pytest.param(None, ["--c-j", "0"], id="flag-c-j-zero"),
+    pytest.param(None, ["--delta", "abc"], id="flag-delta-text"),
+    pytest.param(None, ["--delta", "1,0,3"], id="flag-delta-three-numbers"),
+])
+def test_malformed_member_is_usage_error(params, flags, capsys, tmp_path):
+    """A parameter file or flag that does not describe a member is a usage
+    error, never a traceback and never silently read as another member."""
+    if params is None:
+        runs = [["fixed-points", "--n", "2", "--k", "4"] + flags]
+    else:
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(params))
+        runs = [[command, "--params", str(path)] for command in ("spectrum", "fixed-points")]
+    out_dir = tmp_path / "out"
+    for argv in runs:
+        rc, out, err = run_cli(argv + ["--out", str(out_dir)], capsys)
+        assert rc == 2, (argv, err)
+        assert err.startswith("error:") and "Traceback" not in err
+        assert out == ""
+        assert not out_dir.exists()
+
+
 def test_charts_zero_tolerance_fails(capsys, tmp_path):
     # --tol 0 is a tolerance, not a request for the default
     rc, _, _ = run_cli(["charts", "--params", str(PRESET), "--tol", "0",
@@ -261,7 +306,17 @@ def test_orbit_zero_steps_writes_the_seeds(capsys, tmp_path):
 
 @pytest.mark.parametrize("argv", [["orbit", "--params", str(PRESET), "--steps", "-1"],
                                   ["charts", "--params", str(PRESET), "--tol", "-0.001"],
-                                  ["verify", "--params", str(PRESET), "--tol", "-0.001"]])
+                                  ["verify", "--params", str(PRESET), "--tol", "-0.001"],
+                                  # tolerances must be finite, lengths finite and positive
+                                  ["charts", "--params", str(PRESET), "--tol", "nan"],
+                                  ["charts", "--params", str(PRESET), "--tol", "inf"],
+                                  ["verify", "--params", str(PRESET), "--tol", "nan"],
+                                  ["unstable", "--params", str(PRESET), "--spacing", "0"],
+                                  ["unstable", "--params", str(PRESET), "--spacing", "-0.05"],
+                                  ["unstable", "--params", str(PRESET), "--spacing", "inf"],
+                                  ["unstable", "--params", str(PRESET), "--arclen", "nan"],
+                                  ["unstable", "--params", str(PRESET), "--arclen", "0"],
+                                  ["unstable", "--params", str(PRESET), "--arclen", "inf"]])
 def test_negative_counts_and_tolerances_are_usage_errors(argv, capsys):
     rc, out, err = run_cli(argv, capsys)
     assert rc == 2

@@ -36,7 +36,7 @@ def test_fixed_point_count_and_residuals():
 
 def test_zero_parameter_roots_on_circle():
     p = sa.MapParams(n=3, k=2, c_spec=(1, 1))
-    c = complex(p.c())
+    c = complex(p.coeffs().c)
     for r in sa.fixed_points(p):
         assert abs(r.zeta ** (p.k + 1) - 1 / (2 - c)) < 1e-10
 
@@ -52,7 +52,7 @@ def test_figure1_fixed_point_census():
 
 def test_trace_formula_at_zero_parameters():
     p = sa.MapParams(n=3, k=2, c_spec=(1, 1))
-    c = complex(p.c())
+    c = complex(p.coeffs().c)
     for r in sa.fixed_points(p):
         assert abs(r.trace - (c - p.k * (2 - c))) < 1e-9
 

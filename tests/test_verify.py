@@ -1,3 +1,5 @@
+import mpmath as mp
+
 import surfauto as sa
 from surfauto.picard import degree_recurrence_residuals
 from surfauto.verify import (
@@ -34,7 +36,7 @@ def test_chart_suite_passes_quick():
 def test_chart_suite_negative_control():
     # corrupting one blowup center must break the chart suite
     p = sa.MapParams(n=3, k=2, c_spec=(1, 1))
-    rep = chart_suite(p, n_xi=2, tamper=(0, p.k + 1, 1.21))
+    rep = chart_suite(p, sa.CenterTable.build(p).tampered(0, p.k + 1, mp.mpf(1.21)), n_xi=2)
     assert rep.overall == "fail"
 
 
