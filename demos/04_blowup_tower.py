@@ -27,7 +27,7 @@ for (s, j), v in sorted(table.beta.items()):
 print("\nclosed-form vs plane-route transitions:")
 for (s, j, xi) in [(0, 2, 1.7), (2, 3, 2.0), (3, 3, 0.8), (3, 5, 0.7)]:
     tgt, closed = sa.fiber_transition_closed(table, s, j, xi)
-    tgt2, numeric, err = sa.fiber_transition_numeric(p, table, s, j, xi)
+    tgt2, numeric, err = sa.fiber_transition_numeric(table, s, j, xi)
     print(f"   ({s},{j}) xi={xi}: -> {tgt}  closed={complex(closed):.9f}  "
           f"|closed - numeric| = {abs(complex(closed) - complex(numeric)):.2e}")
 
@@ -40,13 +40,13 @@ for _ in range(p.n - 1):
     print(f"   -> limb {s}: value {complex(cur)}")
 
 print("\ntangency of the (2n)-th iterate:")
-rep = sa.parabolic_check(p, table, ChartId("base", 0), ChartPoint(0.62, 0.0))
+rep = sa.parabolic_check(table, ChartId("base", 0), ChartPoint(0.62, 0.0))
 print(f"   on the invariant line: half-way differential diag {rep.diag_n}, "
       f"full deviation {rep.max_deviation:.2e}")
 for j in sa.parabolic_levels(p.k):
-    rep = sa.parabolic_check(p, table, ChartId("tower", 1, j), ChartPoint(0.47 + 0.1j, 0.0))
+    rep = sa.parabolic_check(table, ChartId("tower", 1, j), ChartPoint(0.47 + 0.1j, 0.0))
     print(f"   fiber level {j}: |Df^(2n) - Id| = {rep.max_deviation:.2e}, "
           f"fix residual {rep.fix_residual:.2e}")
-rep = sa.parabolic_check(p, table, ChartId("tower", 1, 2), ChartPoint(0.47, 0.0))
+rep = sa.parabolic_check(table, ChartId("tower", 1, 2), ChartPoint(0.47, 0.0))
 print(f"   level 2 (outside the configuration): fixed pointwise "
       f"({rep.fix_residual:.1e}) but not tangent ({rep.max_deviation:.2f})")

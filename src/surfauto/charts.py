@@ -20,21 +20,24 @@ k >= 4.  The centers and the closed forms are computed in mpmath.  Jet
 orbits and lifted samples run on Jets (Python-integer jets of
 jet_bits(dps) bits, see :mod:`surfauto.dual`) through the same generic
 chart and map functions, from the lift to the Richardson-extrapolated
-limit; only limits become mpmath numbers again.  Projective points are
-never normalised by a Jet division: chart_to_plane returns its triple as
-built and eval_f_proj rescales Jets by a power of two.  Chart routing alone
-runs in double precision, one walk up each limb of the tower.
+limit; only limits become mpmath numbers again.  Every chart function
+takes a CenterTable alone: it holds the centers and its member's map
+coefficients, and its .jet and .double copies convert both.  Projective
+points are never normalised by a Jet division: chart_to_plane and
+eval_f_proj return their triples as built, and _f_jet rescales the image
+by a power of two.  Chart routing alone runs in double precision, one walk
+up each limb of the tower.
 """
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import mpmath as mp
 
 from .dual import Jet, jet_bits, richardson
 from .errors import ChartDomainError, ExtrapolationError, ParamError, PoleError
-from .mapfamily import center_series, eval_f_proj, infinity_orbit
+from .mapfamily import MapCoeffs, center_series, eval_f_proj, infinity_orbit
 from .picard import strict_image
 
 
@@ -71,7 +74,8 @@ def default_dps(k):
 
 @dataclass(frozen=True)
 class CenterTable:
-    """Blowup centers beta(s, j) plus the orbit and series data they come from."""
+    """Blowup centers beta(s, j), the orbit and series data they come from,
+    and the map coefficients at dps."""
 
     n: int
     k: int
@@ -79,7 +83,7 @@ class CenterTable:
     w: tuple          # w_1 .. w_{n-1}
     b: tuple          # b_0 .. b_2k
     beta: dict        # (s, j) -> center on F^j_s, 1 <= j <= 2k
-    floor: object     # chart-inversion floor (see plane_to_chart)
+    coeffs: MapCoeffs  # its floor is the chart-inversion floor (see plane_to_chart)
 
     @classmethod
     def build(cls, p):
@@ -99,8 +103,7 @@ class CenterTable:
                     else:
                         sign = -1 if (1 - j) % 2 else 1
                         beta[(s, j)] = sign * W ** (j - 2) * base
-        return cls(n=p.n, k=p.k, dps=dps, w=w, b=b, beta=beta,
-                   floor=p.coeffs(dps).floor)
+        return cls(n=p.n, k=p.k, dps=dps, w=w, b=b, beta=beta, coeffs=p.coeffs(dps))
 
     @cached_property
     def bits(self):
@@ -109,19 +112,24 @@ class CenterTable:
 
     @cached_property
     def jet(self):
-        """The same table with w and the centers as Jet constants and the
-        floor as the Modulus that Jet moduli compare with: the copy that jet
-        orbits and lifted samples run on."""
-        return replace(self, w=tuple(Jet.const(x, self.bits) for x in self.w),
-                       beta={key: Jet.const(v, self.bits) for key, v in self.beta.items()},
-                       floor=abs(Jet.const(self.floor, self.bits)))
+        """The same table with w, the centers and the map coefficients as
+        Jet constants, the floor as the Modulus that Jet moduli compare with:
+        the copy that jet orbits and lifted samples run on."""
+        const = partial(Jet.const, bits=self.bits)
+        return self._converted(const, abs(const(self.coeffs.floor)))
 
     @cached_property
     def double(self):
-        """The same table with w and the centers as python complex and no
-        floor: the double-precision copy that chart routing inverts with."""
-        return replace(self, w=tuple(complex(x) for x in self.w),
-                       beta={key: complex(v) for key, v in self.beta.items()}, floor=0.0)
+        """The same table in python complex with no floor: the
+        double-precision copy that chart routing inverts with."""
+        return self._converted(complex, 0.0)
+
+    def _converted(self, to, floor):
+        co = self.coeffs
+        return replace(self, w=tuple(map(to, self.w)),
+                       beta={key: to(v) for key, v in self.beta.items()},
+                       coeffs=co._replace(c=to(co.c), neg_delta=to(co.neg_delta),
+                                          a=tuple((l, to(al)) for l, al in co.a), floor=floor))
 
     @cached_property
     def chart_ids(self):
@@ -178,8 +186,8 @@ def _one(sample):
 def plane_to_chart(table, cid, P):
     """Invert chart_to_plane; ChartDomainError when a division degenerates.
 
-    A divisor below table.floor degenerates.  The floor is the map's
-    indeterminacy floor 10^-(dps-8) (MapParams.coeffs): far below any
+    A divisor below table.coeffs.floor degenerates: the map's
+    indeterminacy floor 10^-(dps-8) (MapParams.coeffs), far below any
     legitimate transverse scale at the working precision, so only genuinely
     blown-down points trip it.  Scalars may be mpmath numbers, Jets (with
     table.jet, whose floor is a Modulus) or python complex (with
@@ -188,7 +196,7 @@ def plane_to_chart(table, cid, P):
     """
     if cid.kind == "affine":
         x0, x1, x2 = P
-        _check_divisor(x0, table.floor, cid)
+        _check_divisor(x0, table.coeffs.floor, cid)
         r = 1 / x0
         return ChartPoint(x1 * r, x2 * r)
     level = 0 if cid.kind == "base" else cid.j
@@ -204,8 +212,8 @@ def _limb_walk(table, s, P, cid):
 
     Each level past the first is one more step of xi <- (xi - beta(s, m)) / x,
     so a reader that stops at level j has walked the limb once, up to j.
-    A divisor below table.floor raises ChartDomainError naming cid."""
-    floor = table.floor
+    A divisor below table.coeffs.floor raises ChartDomainError naming cid."""
+    floor = table.coeffs.floor
     x0, x1, x2 = P
     den, num = (x2, x1) if s == 0 else (x1, x2)
     _check_divisor(den, floor, cid)
@@ -292,7 +300,7 @@ EPS_SEQ = (1e-3, 1e-4, 1e-5)   # lifts off the fiber, before any extension
 CONV_TOL = 1e-8                 # agreement required of successive extrapolants
 
 
-def fiber_transition_numeric(p, table, s, j, xi):
+def fiber_transition_numeric(table, s, j, xi):
     """Transition recomputed through the plane: lift off the fiber, apply
     the homogeneous map, re-express in the target chart, extrapolate the
     lift to zero.  Independent of the closed forms except for the target
@@ -311,7 +319,7 @@ def fiber_transition_numeric(p, table, s, j, xi):
             P = (_one(xi), xi, eps)
         else:
             P = chart_to_plane(jt, ChartId("tower", s, j), ChartPoint(xi, eps))
-        Q = eval_f_proj(p, P, dps=table.dps)
+        Q = _f_jet(jt, P)
         if tgt == SIGMA1:
             z0, z1, z2 = Q
             return z2 / z0
@@ -319,6 +327,16 @@ def fiber_transition_numeric(p, table, s, j, xi):
         return plane_to_chart(jt, ChartId("tower", s2, j2), Q).u
 
     return (tgt,) + _lift_limit(table, xi, sample, "transition")
+
+
+def _f_jet(jt, P):
+    """eval_f_proj of the Jet point P on the Jet table jt, rescaled without a
+    division: one exact power-of-two shift of every exponent puts the
+    largest modulus in [1/2, 2), where it converts to a double."""
+    img = eval_f_proj(jt.coeffs, P)
+    top = max(abs(z) for z in img)
+    shift = -((top.n.bit_length() + top.e) // 2)
+    return tuple(z.ldexp(shift) for z in img)
 
 
 def _lift_limit(table, xi, sample, what):
@@ -419,7 +437,7 @@ class ParabolicReport:
     converged: bool
 
 
-def _jet_orbit(p, table, cid, u0, v0, steps):
+def _jet_orbit(table, cid, u0, v0, steps):
     """Route a 2-jet through `steps` map applications, ending in the start
     chart.  Runs on Jets and returns the final coordinates as Jets (value,
     d/du0, d/dv0).  For a base-chart start it also returns the half-way
@@ -433,7 +451,7 @@ def _jet_orbit(p, table, cid, u0, v0, steps):
     mid = None
     for step in range(steps):
         P = chart_to_plane(jt, cur, ChartPoint(u, v))
-        Q = eval_f_proj(p, P, dps=table.dps)
+        Q = _f_jet(jt, P)
         cur = cid if step in (steps - 1, half) else route_chart(table, Q)
         u, v = plane_to_chart(jt, cur, Q)
         if step == half:
@@ -441,7 +459,7 @@ def _jet_orbit(p, table, cid, u0, v0, steps):
     return u, v, mid
 
 
-def parabolic_check(p, table, cid, pt):
+def parabolic_check(table, cid, pt):
     """Check that f^(2n) fixes a point of the invariant configuration and is
     tangent to the identity there.
 
@@ -452,10 +470,10 @@ def parabolic_check(p, table, cid, pt):
     EPS_SEQ and the final jets, value and Jacobian together, are
     Richardson-extrapolated to the fiber.
     """
-    steps = 2 * p.n
+    steps = 2 * table.n
     with mp.workdps(table.dps):
         if cid.kind == "base":
-            u, v, mid = _jet_orbit(p, table, cid, pt.u, 0, steps)
+            u, v, mid = _jet_orbit(table, cid, pt.u, 0, steps)
             (ua, udx, udy), (va, vdx, vdy) = u.mpc(), v.mpc()
             dev = max(abs(udx - 1), abs(udy), abs(vdx), abs(vdy - 1))
             fix = max(abs(ua - pt.u), abs(va))
@@ -464,7 +482,7 @@ def parabolic_check(p, table, cid, pt):
             diag = (complex(mv[2]), complex(mu[1]))
             return ParabolicReport(float(dev), float(fix), diag, True)
         eps = [Jet.const(e, table.bits) for e in EPS_SEQ]
-        ends = [_jet_orbit(p, table, cid, pt.u, e, steps) for e in EPS_SEQ]
+        ends = [_jet_orbit(table, cid, pt.u, e, steps) for e in EPS_SEQ]
         u_lim, u_gap = richardson(eps, [u for u, _, _ in ends])
         v_lim, v_gap = richardson(eps, [v for _, v, _ in ends])
         (ua, udx, udy), (va, vdx, vdy) = u_lim.mpc(), v_lim.mpc()

@@ -16,7 +16,7 @@ from pathlib import Path
 from .charts import CenterTable, fiber_transition_closed, fiber_transition_numeric
 from .dynamics import fixed_points, iterate_orbit, unstable_manifold
 from .errors import ParamError, SurfautoError
-from .mapfamily import MapParams, admissible_c
+from .mapfamily import MapParams, _json_float, admissible_c
 from .picard import (
     char_poly_factor_check,
     chi_poly,
@@ -245,12 +245,15 @@ def _load_seeds(args, p):
             raise ParamError(f"cannot read seed file {args.seeds}: expected a list of [x, y] seeds")
         if not data:
             raise ParamError(f"no seeds in {args.seeds}")
+        seeds = []
         for s in data:
-            if not (isinstance(s, list) and len(s) == 2
-                    and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                            and math.isfinite(v) for v in s)):
-                raise ParamError(f"each seed must be [x, y] with finite numbers x and y, got {s!r}")
-        return [(float(x), float(y)) for x, y in data]
+            x, y = s if isinstance(s, list) and len(s) == 2 else (None, None)
+            try:
+                seeds.append((_json_float(x, "x"), _json_float(y, "y")))
+            except ParamError:
+                raise ParamError(f"each seed must be [x, y] with finite numbers x and y, "
+                                 f"got {s!r}") from None
+        return seeds
     recs = [r for r in fixed_points(p) if r.type == "elliptic"]
     if recs:
         z = recs[0].zeta.real
@@ -322,7 +325,7 @@ def cmd_charts(args):
         for j in range(1, 2 * p.k + 2):
             xi = complex(rng.uniform(0.4, 2.0), rng.uniform(-0.6, 0.6))
             tgt, closed = fiber_transition_closed(table, s, j, xi)
-            _, numeric, err = fiber_transition_numeric(p, table, s, j, xi)
+            _, numeric, err = fiber_transition_numeric(table, s, j, xi)
             abs_err = abs(complex(closed) - complex(numeric))
             worst = max(worst, abs_err)
             records.append({

@@ -244,12 +244,12 @@ def iterate_orbit(p, pt0, m, pole_tol=1e-12):
                          a=tuple((l, float(complex(v).real)) for l, v in co.a))
     seq = [x, y]
     status = "completed"
-    k, next_y, append = p.k, co._next_y, seq.append
+    next_y, append = co._next_y, seq.append
     for _ in range(m):
         if abs(y) < pole_tol:
             status = "pole"
             break
-        x, y = y, next_y(k, x, y)
+        x, y = y, next_y(x, y)
         if abs(x) > MAGNITUDE_CAP or abs(y) > MAGNITUDE_CAP:
             status = "escaped"
             break

@@ -15,9 +15,11 @@ operations are used: python complex (the dynamics layer), mpmath numbers,
 and the chart layer's Jets.  c is kept symbolic (j, n, sign) when given as
 a pair.  Its value, -delta, the a_l and the indeterminacy floor are
 computed once per (params, dps) and cached on the params
-(:meth:`MapParams.coeffs`), where every routine reads them, with a second
-copy converted to Jet constants for the chart layer; the affine formula is
-written once, on the coefficients, and :func:`eval_f`,
+(:meth:`MapParams.coeffs`), where every routine reads them.  This module
+knows no Jet: the chart layer converts one member's coefficients once, on
+its center table, and hands them to :func:`eval_f_proj`, which evaluates in
+whatever scalar type its coefficients and point share.  The affine formula
+is written once, on the coefficients, and :func:`eval_f`,
 :func:`eval_f_inverse` and the orbit stepper share it.
 """
 
@@ -30,7 +32,6 @@ from typing import NamedTuple
 
 import mpmath as mp
 
-from .dual import Jet, jet_bits
 from .errors import (
     IndeterminacyError,
     NumericCheckError,
@@ -99,16 +100,17 @@ def admissible_c(n):
 class MapCoeffs(NamedTuple):
     """The coefficients the map kernels use, at one working precision."""
 
+    k: int
     c: object
     neg_delta: object
     a: tuple            # (l, a_l) pairs, ascending l
     floor: object       # indeterminacy floor 10^-(dps-8); None for dps=None
 
-    def _next_y(self, k, x, y):
+    def _next_y(self, x, y):
         """Second component of f(x, y), unchecked: the one formula of the
         map, shared by eval_f, eval_f_inverse and the orbit stepper."""
         yinv = 1 / y
-        out = self.neg_delta * x + self.c * y + yinv ** k
+        out = self.neg_delta * x + self.c * y + yinv ** self.k
         for l, al in self.a:
             out = out + al * yinv ** l
         return out
@@ -151,29 +153,20 @@ class MapParams:
         if self.validate and self.delta != 1:
             infinity_orbit(self)  # raises PeriodicityError if not periodic
 
-    def coeffs(self, dps=None, jet=False):
-        """c, -delta, the a_l and the indeterminacy floor at precision dps.
-
-        Computed on the first request for each (dps, jet) and cached on the
+    def coeffs(self, dps=None):
+        """k, c, -delta, the a_l and the indeterminacy floor at precision
+        dps, computed on the first request for each dps and cached on the
         params.  With dps=None the python scalars (a float c for a symbolic
-        spec), and no floor; with jet the mpmath values converted to Jet
-        constants of jet_bits(dps) bits, and the floor as the Modulus that
-        Jet moduli compare with.
+        spec), and no floor.
         """
-        got = self._coeffs.get((dps, jet))
+        got = self._coeffs.get(dps)
         if got is None:
-            if jet:
-                c, neg_d, a, floor = self.coeffs(dps)
-                bits = jet_bits(dps)
-                got = MapCoeffs(Jet.const(c, bits), Jet.const(neg_d, bits),
-                                tuple((l, Jet.const(al, bits)) for l, al in a),
-                                abs(Jet.const(floor, bits)))
-            elif dps is None:
+            if dps is None:
                 c = self.c_spec
                 if isinstance(c, tuple):
                     j, sign = c
                     c = sign * 2.0 * math.cos(math.pi * j / self.n)
-                got = MapCoeffs(c, -self.delta, tuple(sorted(self.a.items())), None)
+                got = MapCoeffs(self.k, c, -self.delta, tuple(sorted(self.a.items())), None)
             else:
                 with mp.workdps(dps):
                     if isinstance(self.c_spec, tuple):
@@ -181,10 +174,10 @@ class MapParams:
                         c = sign * 2 * mp.cos(mp.pi * j / self.n)
                     else:
                         c = mp.mpmathify(self.c_spec)
-                    got = MapCoeffs(c, -mp.mpmathify(self.delta),
+                    got = MapCoeffs(self.k, c, -mp.mpmathify(self.delta),
                                     tuple((l, mp.mpmathify(v)) for l, v in sorted(self.a.items())),
                                     mp.mpf(10) ** (-(dps - 8)))
-            self._coeffs[(dps, jet)] = got
+            self._coeffs[dps] = got
         return got
 
     # -- JSON parameter files ------------------------------------------------
@@ -194,7 +187,8 @@ class MapParams:
             j, sign = self.c_spec
             cj = {"j": j, "sign": "+" if sign > 0 else "-"}
         else:
-            cj = float(self.c_spec.real if isinstance(self.c_spec, complex) else self.c_spec)
+            c = complex(self.c_spec)
+            cj = [c.real, c.imag] if c.imag else c.real
         d = complex(self.delta)
         return {
             "n": self.n,
@@ -208,7 +202,7 @@ class MapParams:
     def from_json_dict(cls, d):
         """The member a parameter file describes: an object with the
         integers n and k, c as {"j": integer, "sign": "+" or "-"} (sign
-        "+" when absent) or as a number, and optionally a ({"l": value})
+        "+" when absent) or as a value, and optionally a ({"l": value})
         and delta (value), each value a number or [re, im].  Any other key,
         type or shape raises ParamError."""
         keys = set(d) if isinstance(d, dict) else set()
@@ -223,7 +217,7 @@ class MapParams:
                 raise ParamError(f'c must be {{"j": integer, "sign": "+" or "-"}}, got {c!r}')
             c_spec = (c["j"], 1 if sign == "+" else -1)
         else:
-            c_spec = _json_float(c, "c")
+            c_spec = _json_scalar(c, "c")
         a = d.get("a", {})
         if not (isinstance(a, dict) and all(str(key).removeprefix("-").isdecimal() for key in a)):
             raise ParamError(f'a must be an object {{"l": value}} with integers l, got {a!r}')
@@ -271,7 +265,7 @@ def eval_f(p, pt):
     x, y = pt
     if abs(y) < DEFAULT_TOL:
         raise PoleError(f"y={y} within tol of the pole line")
-    out = p.coeffs()._next_y(p.k, x, y)
+    out = p.coeffs()._next_y(x, y)
     if abs(out) > MAGNITUDE_CAP:
         raise OverflowEscape("image magnitude exceeds cap")
     return (y, out)
@@ -286,22 +280,18 @@ def eval_f_inverse(p, pt):
         raise PoleError(f"x={X} within tol of the inverse pole line")
     co = p.coeffs()
     delta = -co.neg_delta
-    out = co._next_y(p.k, Y / delta, X) / delta
+    out = co._next_y(Y / delta, X) / delta
     if abs(out) > MAGNITUDE_CAP:
         raise OverflowEscape("image magnitude exceeds cap")
     return (out, X)
 
 
 def proj_normalize(P):
-    """Scale homogeneous coordinates so the max-modulus entry has modulus 1."""
-    return _divide_by_largest(P, [abs(z) for z in P])
-
-
-def _divide_by_largest(P, mods):
-    """proj_normalize with the moduli of the entries already computed.
+    """Scale homogeneous coordinates so the max-modulus entry has modulus 1.
 
     Only an exact zero is rejected: a tiny vector deep in the tower is
     legitimate, and its modulus may lie far below the smallest double."""
+    mods = [abs(z) for z in P]
     m = max(mods)
     if m == 0:
         raise IndeterminacyError("zero projective vector")
@@ -318,19 +308,16 @@ def proj_equal(P, Q, tol=DEFAULT_TOL):
     return all(abs(c) <= tol * scale * scale for c in cross)
 
 
-def eval_f_proj(p, P, dps=None):
-    """The homogeneous degree-(k+1) form of the map on [x0:x1:x2].
+def eval_f_proj(co, P):
+    """The homogeneous degree-(k+1) form of the map with coefficients co
+    (a MapCoeffs) on [x0:x1:x2], returned as built, unnormalised: the
+    caller normalises (proj_normalize) or rescales.
 
     Maps {x2=0} to [0:0:1] and acts on {x0=0} by [0:1:w] -> [0:1:c-delta/w].
     Raises IndeterminacyError near [0:1:0], where all components vanish.
-    The image is normalised as by proj_normalize, except on Jets: there it
-    is scaled by a power of two so that its largest modulus lies in
-    [1/2, 2).
     """
     x0, x1, x2 = P
-    k = p.k
-    jet = type(x0) is Jet
-    c, neg_d, a, floor = p.coeffs(dps, jet=jet)
+    k, c, neg_d, a, floor = co
     # k and every l are even, so the form needs x2 only at even powers and
     # k+1, and x0 only at odd powers: build each once.  Scalars go on the
     # right of every product, so a jet never meets an mpmath number on its
@@ -359,14 +346,7 @@ def eval_f_proj(p, P, dps=None):
     term_scale = max(mods[0], mods[1], *(abs(t) for t in terms))
     if max(mods) <= term_scale * (DEFAULT_TOL if floor is None else floor):
         raise IndeterminacyError("projective image vanishes: input at the indeterminacy point")
-    if not jet:
-        return _divide_by_largest(img, mods)
-    # Jets are rescaled without a division: one exact power-of-two shift of
-    # every exponent puts the largest squared modulus n * 2**e in [1/2, 2),
-    # so the largest modulus lies in [1/2, 2) and converts to a double
-    top = max(mods)
-    shift = -((top.n.bit_length() + top.e) // 2)
-    return tuple(z.ldexp(shift) for z in img)
+    return img
 
 
 # -- combinatorics at infinity ----------------------------------------------
@@ -383,7 +363,7 @@ def infinity_orbit(p, dps=None):
     """
     n = p.n
     with mp.workdps(dps or mp.mp.dps):
-        c, neg_d, _, _ = p.coeffs(dps)
+        _, c, neg_d, _, _ = p.coeffs(dps)
         w = [c]
         for _ in range(n - 2):
             prev = w[-1]
@@ -403,8 +383,7 @@ def infinity_orbit(p, dps=None):
 
 def q_value(p, x, y):
     """The normalizing polynomial 1 + sum_j a_j y^(k-j) - x y^k + c y^(k+1)."""
-    k = p.k
-    c, _, a, _ = p.coeffs()
+    k, c, _, a, _ = p.coeffs()
     out = 1 + c * y ** (k + 1) - x * y ** k
     for l, al in a:
         out = out + al * y ** (k - l)
@@ -431,7 +410,7 @@ def center_series(p, dps=None):
         return v if v.imag else v.real
 
     with mp.workdps(dps or 15):
-        c, _, a, _ = p.coeffs(dps)
+        _, c, _, a, _ = p.coeffs(dps)
         u = {}
         for l, al in a:
             u[k - l] = (conv(al), zero)

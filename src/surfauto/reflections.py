@@ -252,21 +252,14 @@ def t_reflections(n, k):
 
 def coxeter_factorization_check(n, k):
     """Verify that rho_{n-1} tau_{n-2} ... tau_0 realizes the restricted
-    action on T exactly, as a Coxeter element of the T reflection group.
-
-    Both application orders of the word are tried; the one that matches is
-    reported (the source composes the word left to right)."""
+    action on T exactly, as a Coxeter element of the T reflection group,
+    with the word composed left to right, as in the source."""
     C = restricted_action(n, k)
     data = t_reflections(n, k)
     rho_last, taus = data["rhos"][n - 1], data["taus"]
     word = [rho_last] + list(reversed(taus))  # rho_{n-1}, tau_{n-2}, ..., tau_0
-    right_to_left = reduce(xm.mat_mul, word)
     left_to_right = reduce(xm.mat_mul, reversed(word))
-    order = None
-    if xm.mat_eq(left_to_right, C):
-        order = "left-to-right"
-    elif xm.mat_eq(right_to_left, C):
-        order = "right-to-left"
+    order = "left-to-right" if xm.mat_eq(left_to_right, C) else None
     expected_cartan = [[2 if i == j else -k for j in range(n)] for i in range(n)]
     return {
         "identity": order is not None,

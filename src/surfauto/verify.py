@@ -214,7 +214,7 @@ def chart_suite(p, table=None, n_xi=20, tol=1e-6):
                 xi = complex(rng.uniform(0.3, 2.5), rng.uniform(-0.8, 0.8))
                 try:
                     tgt_c, closed = fiber_transition_closed(table, s, j, xi)
-                    tgt_n, numeric, err = fiber_transition_numeric(p, table, s, j, xi)
+                    tgt_n, numeric, err = fiber_transition_numeric(table, s, j, xi)
                 except (PoleError, ExtrapolationError) as exc:
                     failures.append((s, j, str(exc)))
                     continue
@@ -229,7 +229,7 @@ def chart_suite(p, table=None, n_xi=20, tol=1e-6):
     xv = 0.37
     try:
         _, entry = fiber_transition_closed(table, "sigma2", None, xv)
-        _, entry_num, _ = fiber_transition_numeric(p, table, "sigma2", None, xv)
+        _, entry_num, _ = fiber_transition_numeric(table, "sigma2", None, xv)
         rep.add("contracted-line-entry", abs(complex(entry) - complex(entry_num)) < tol,
                 residual=abs(complex(entry) - complex(entry_num)), bound=tol)
     except (PoleError, ExtrapolationError) as exc:
@@ -323,7 +323,7 @@ def parabolic_suite(p, table=None, points_per_fiber=10):
     worst_dev, worst_fix, diag_ok = 0.0, 0.0, True
     for _ in range(points_per_fiber):
         x = rng.uniform(0.3, 1.8) * rng.choice([1, -1])
-        r = parabolic_check(p, table, ChartId("base", 0), ChartPoint(x, 0.0))
+        r = parabolic_check(table, ChartId("base", 0), ChartPoint(x, 0.0))
         worst_dev = max(worst_dev, r.max_deviation)
         worst_fix = max(worst_fix, r.fix_residual)
         if r.diag_n is None:
@@ -345,7 +345,7 @@ def parabolic_suite(p, table=None, points_per_fiber=10):
         for s in range(n):
             for _ in range(points_per_fiber):
                 u = complex(rng.uniform(0.2, 1.8), rng.uniform(-0.5, 0.5))
-                r = parabolic_check(p, table, ChartId("tower", s, j), ChartPoint(u, 0.0))
+                r = parabolic_check(table, ChartId("tower", s, j), ChartPoint(u, 0.0))
                 worst_dev = max(worst_dev, r.max_deviation)
                 worst_fix = max(worst_fix, r.fix_residual)
                 if r.max_deviation >= DEV_TOL or r.fix_residual >= FIX_TOL:
@@ -357,10 +357,10 @@ def parabolic_suite(p, table=None, points_per_fiber=10):
              bound=DEV_TOL, detail=f"failing fibers: {sorted(set(bad))}" if bad else "")
 
     # outside the configuration: measured, not required
-    r = parabolic_check(p, table, ChartId("tower", 0, 2 * k + 1), ChartPoint(0.9, 0.0))
+    r = parabolic_check(table, ChartId("tower", 0, 2 * k + 1), ChartPoint(0.9, 0.0))
     rep.report("top-fiber-outside-configuration", residual=r.max_deviation,
                detail=f"fix residual {r.fix_residual:.3e}")
-    r = parabolic_check(p, table, ChartId("tower", 0, 2), ChartPoint(0.9, 0.0))
+    r = parabolic_check(table, ChartId("tower", 0, 2), ChartPoint(0.9, 0.0))
     rep.report("level-2-transverse-multiplier", residual=r.max_deviation,
                detail=f"fixed pointwise to {r.fix_residual:.3e}, not tangent")
     return rep

@@ -3,7 +3,7 @@ import random
 
 import mpmath as mp
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import surfauto as sa
@@ -106,19 +106,30 @@ _away = st.floats(min_value=0.5, max_value=1.5) | st.floats(min_value=-1.5, max_
 
 @settings(deadline=None, max_examples=50)
 @given(_away, st.floats(-2.0, 2.0), _away, st.floats(-0.5, 0.5), st.booleans())
+@example(-1.0, 0.0, -1.0, 0.0, False)
+@example(-1.0, 0.0, -1.0, 0.0, True)
 def test_chart_round_trip_property(ur, ui, vr, vi, double):
     """plane_to_chart inverts chart_to_plane on every chart, at working
     precision and on the double-precision copy that routing uses.  Both
     coordinates stay off zero: the centers vanish through level k, so u = 0
-    on a shallow level maps onto the blown-down base point."""
+    on a shallow level maps onto the blown-down base point.  Deeper levels
+    contract curves of their own onto it (on level 2k-1 of the desk
+    instance, 1 + v^2 u = 0, met at u = v = -1): there the plane point has
+    x0 = 0 below the floor and the inversion must refuse it."""
     table = DESK34.double if double else DESK34
     tol = 1e-9 if double else mp.mpf(10) ** -60
+    refused = ZeroDivisionError if double else sa.ChartDomainError
     with mp.workdps(table.dps):
         u, v = complex(ur, ui), complex(vr, vi)
         if not double:
             u, v = mp.mpmathify(u), mp.mpmathify(v)
         for cid in table.chart_ids:
-            back = sa.plane_to_chart(table, cid, sa.chart_to_plane(table, cid, ChartPoint(u, v)))
+            P = sa.chart_to_plane(table, cid, ChartPoint(u, v))
+            if abs(P[0]) <= table.coeffs.floor:
+                with pytest.raises(refused):
+                    sa.plane_to_chart(table, cid, P)
+                continue
+            back = sa.plane_to_chart(table, cid, P)
             assert abs(back.u - u) <= tol * (1 + abs(u)), cid
             assert abs(back.v - v) <= tol * (1 + abs(v)), cid
 
@@ -126,13 +137,26 @@ def test_chart_round_trip_property(ur, ui, vr, vi, double):
 def test_table_copies_hold_the_floor_in_their_type():
     """One floor per table copy: the map's indeterminacy floor as an mpf on
     the table, as the Modulus that Jet moduli compare with on .jet, and no
-    floor on .double, where only an exact zero divisor fails."""
+    floor on .double, where only an exact zero divisor fails.  The Jet copy
+    holds the map coefficients at the table's dps as Jet constants."""
     p = sa.MapParams(3, 4, c_spec=(1, 1), a={2: 0.4})
     table = CenterTable.build(p)
-    floor = p.coeffs(table.dps).floor
-    assert table.floor == floor
-    assert isinstance(table.jet.floor, Modulus) and table.jet.floor == floor
-    assert table.double.floor == 0.0
+    co = p.coeffs(table.dps)
+    floor = co.floor
+    assert table.coeffs == co
+
+    def mantissas(z):
+        return [getattr(z, slot) for slot in Jet.__slots__]
+
+    def const(x):
+        return mantissas(Jet.const(x, table.bits))
+
+    jco = table.jet.coeffs
+    assert jco.k == co.k == p.k
+    assert [mantissas(x) for x in (jco.c, jco.neg_delta)] == [const(co.c), const(co.neg_delta)]
+    assert [(l, mantissas(al)) for l, al in jco.a] == [(l, const(al)) for l, al in co.a]
+    assert isinstance(jco.floor, Modulus) and jco.floor == floor
+    assert table.double.coeffs.floor == 0.0
     affine = ChartId("affine")
     with mp.workdps(table.dps):
         with pytest.raises(sa.ChartDomainError):
@@ -190,7 +214,7 @@ def test_closed_vs_numeric_all_fibers(fix, request):
         for _ in range(3):
             xi = complex(rng.uniform(0.3, 2.5), rng.uniform(-0.8, 0.8))
             tgt_c, closed = sa.fiber_transition_closed(table, s, j, xi)
-            tgt_n, numeric, err = sa.fiber_transition_numeric(p, table, s, j, xi)
+            tgt_n, numeric, err = sa.fiber_transition_numeric(table, s, j, xi)
             assert tgt_c == tgt_n
             diff = abs(complex(closed) - complex(numeric))
             worst = max(worst, diff)
@@ -211,7 +235,7 @@ def test_closed_vs_numeric_at_random_xi(s, j, re, im):
     poles = [0.0, 1.0] + [complex(b) for b in table.b[p.k + 1:]]
     assume(min(abs(xi - z) for z in poles) > 0.2)
     tgt_c, closed = sa.fiber_transition_closed(table, s, j, xi)
-    tgt_n, numeric, err = sa.fiber_transition_numeric(p, table, s, j, xi)
+    tgt_n, numeric, err = sa.fiber_transition_numeric(table, s, j, xi)
     assert tgt_c == tgt_n
     assert abs(complex(closed) - complex(numeric)) < 1e-6, (s, j, xi)
     assert err < 1e-8
@@ -222,13 +246,13 @@ def test_named_transition_values(fig1, n4k2):
     # sign flip limb 0 -> 1 at level 2
     tgt, val = sa.fiber_transition_closed(table, 0, 2, 1.7)
     assert tgt == ("fiber", 1, 2) and complex(val) == pytest.approx(-1.7)
-    _, num, _ = sa.fiber_transition_numeric(p, table, 0, 2, 1.7)
+    _, num, _ = sa.fiber_transition_numeric(table, 0, 2, 1.7)
     assert complex(num) == pytest.approx(-1.7, abs=1e-8)
     # entry from the contracted line: x + b_2k
     tgt, val = sa.fiber_transition_closed(table, "sigma2", None, 0.3)
     assert tgt == ("fiber", 0, 2 * p.k + 1)
     assert complex(val) == pytest.approx(0.3 + complex(table.b[2 * p.k]), abs=1e-12)
-    _, num, _ = sa.fiber_transition_numeric(p, table, "sigma2", None, 0.3)
+    _, num, _ = sa.fiber_transition_numeric(table, "sigma2", None, 0.3)
     assert complex(num) == pytest.approx(complex(val), abs=1e-7)
     # middle-limb multiplier w_2^(j-2) for n=4
     p4, t4 = n4k2
@@ -251,7 +275,7 @@ def test_middle_flip_and_exit(fig1):
     tgt, val = sa.fiber_transition_closed(table, p.n - 1, 2 * k + 1, 0.7)
     assert tgt == SIGMA1
     assert complex(val) == pytest.approx(0.7 - complex(table.b[2 * k]), abs=1e-12)
-    _, num, err = sa.fiber_transition_numeric(p, table, p.n - 1, 2 * k + 1, 0.7)
+    _, num, err = sa.fiber_transition_numeric(table, p.n - 1, 2 * k + 1, 0.7)
     assert complex(num) == pytest.approx(complex(val), abs=1e-7)
 
 
@@ -326,7 +350,7 @@ def test_tampered_centers_break_transitions(fig1):
     bad = table.tampered(0, p.k + 1, mp.mpf("1.25"))
     tgt, closed = sa.fiber_transition_closed(bad, 0, p.k + 2, 0.9)
     try:
-        _, numeric, err = sa.fiber_transition_numeric(p, bad, 0, p.k + 2, 0.9)
+        _, numeric, err = sa.fiber_transition_numeric(bad, 0, p.k + 2, 0.9)
         assert abs(complex(closed) - complex(numeric)) > 1e-6
     except sa.ExtrapolationError:
         pass  # corrupted geometry: the lift diverges instead of converging
@@ -395,7 +419,7 @@ def test_route_affine_for_finite_points(fig1):
 @pytest.mark.parametrize("fix", ["hv", "fig1"])
 def test_parabolic_on_invariant_line(fix, request):
     p, table = request.getfixturevalue(fix)
-    rep = sa.parabolic_check(p, table, ChartId("base", 0), ChartPoint(0.731, 0.0))
+    rep = sa.parabolic_check(table, ChartId("base", 0), ChartPoint(0.731, 0.0))
     assert rep.fix_residual < 1e-8
     assert rep.max_deviation < 1e-6
     du, dv = rep.diag_n
@@ -407,7 +431,7 @@ def test_parabolic_on_fibers(hv):
     p, table = hv
     for j in sa.parabolic_levels(p.k):
         for s in range(p.n):
-            rep = sa.parabolic_check(p, table, ChartId("tower", s, j),
+            rep = sa.parabolic_check(table, ChartId("tower", s, j),
                                      ChartPoint(0.47 + 0.13j, 0.0))
             assert rep.fix_residual < 1e-8, (s, j, rep)
             assert rep.max_deviation < 1e-6, (s, j, rep)
@@ -415,14 +439,14 @@ def test_parabolic_on_fibers(hv):
 
 def test_level_2_fixed_but_not_tangent(hv):
     p, table = hv
-    rep = sa.parabolic_check(p, table, ChartId("tower", 0, 2), ChartPoint(0.47, 0.0))
+    rep = sa.parabolic_check(table, ChartId("tower", 0, 2), ChartPoint(0.47, 0.0))
     assert rep.fix_residual < 1e-8
     assert rep.max_deviation > 1e-3
 
 
 def test_top_fiber_reported_only(hv):
     p, table = hv
-    rep = sa.parabolic_check(p, table, ChartId("tower", 0, 2 * p.k + 1),
+    rep = sa.parabolic_check(table, ChartId("tower", 0, 2 * p.k + 1),
                              ChartPoint(0.47, 0.0))
     # outside the tangency configuration: nothing required, values reported
     assert rep.max_deviation >= 0.0

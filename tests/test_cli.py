@@ -401,6 +401,7 @@ def test_escaped_orbit_csv_pinned(kind, capsys, tmp_path):
     pytest.param("[[0.1, 0.2, 0.3]]", "each seed must be [x, y]", id="three-numbers"),
     pytest.param('[[0.1, "y"]]', "each seed must be [x, y]", id="not-a-number"),
     pytest.param("[[0.1, NaN]]", "each seed must be [x, y]", id="not-finite"),
+    pytest.param("[[1" + "0" * 400 + ", 0.1]]", "each seed must be [x, y]", id="huge-integer"),
     pytest.param("[]", "no seeds", id="empty"),
 ])
 def test_bad_seed_file_is_usage_error(content, message, capsys, tmp_path):

@@ -320,6 +320,6 @@ def test_chart_kernel_keeps_jets_on_the_left(monkeypatch):
         raise AssertionError("Jet.__repr__ called")
 
     monkeypatch.setattr(Jet, "__repr__", no_repr)
-    r = parabolic_check(p, table, ChartId("tower", 0, 3), ChartPoint(1.1 + 0.2j, 0.0))
+    r = parabolic_check(table, ChartId("tower", 0, 3), ChartPoint(1.1 + 0.2j, 0.0))
     assert r.max_deviation < 1e-6
     assert r.fix_residual < 1e-8

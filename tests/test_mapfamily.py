@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import random
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import surfauto as sa
-from surfauto.charts import CenterTable, ChartPoint
+from surfauto.charts import CenterTable, ChartPoint, _f_jet
 from surfauto.dual import Jet, jet_bits
 from surfauto.mapfamily import q_value
 
@@ -155,7 +156,7 @@ def test_jacobian_determinant_is_delta():
 def test_proj_collapses_pole_line():
     p = fig1()
     for x in (0.0, 1.3, -2.0 + 0.5j):
-        img = sa.eval_f_proj(p, (1.0, x, 0.0))
+        img = sa.proj_normalize(sa.eval_f_proj(p.coeffs(), (1.0, x, 0.0)))
         assert sa.proj_equal(img, (0.0, 0.0, 1.0))
 
 
@@ -163,13 +164,13 @@ def test_proj_rotation_at_infinity():
     p = sa.MapParams(n=4, k=2, c_spec=(1, 1))
     c = p.coeffs().c
     for w in (0.7, -1.2, 2.0 + 1.0j):
-        img = sa.eval_f_proj(p, (0.0, 1.0, w))
+        img = sa.proj_normalize(sa.eval_f_proj(p.coeffs(), (0.0, 1.0, w)))
         assert sa.proj_equal(img, (0.0, 1.0, c - 1.0 / w), tol=1e-12)
 
 
 def test_proj_matches_affine_chart():
     p = hv_params()
-    img = sa.eval_f_proj(p, (1.0, 1.0, 1.0))
+    img = sa.proj_normalize(sa.eval_f_proj(p.coeffs(), (1.0, 1.0, 1.0)))
     aff = sa.eval_f(p, (1.0, 1.0))
     assert sa.proj_equal(img, (1.0, aff[0], aff[1]), tol=1e-12)
     rng = random.Random(31)
@@ -177,7 +178,7 @@ def test_proj_matches_affine_chart():
         for _ in range(25):
             pt = (rng.uniform(-2, 2) + 1j * rng.uniform(-1, 1),
                   rng.uniform(0.3, 2) + 1j * rng.uniform(-1, 1))
-            img = sa.eval_f_proj(q, (1.0, pt[0], pt[1]))
+            img = sa.proj_normalize(sa.eval_f_proj(q.coeffs(), (1.0, pt[0], pt[1])))
             aff = sa.eval_f(q, pt)
             assert sa.proj_equal(img, (1.0, aff[0], aff[1]), tol=1e-10)
 
@@ -185,7 +186,7 @@ def test_proj_matches_affine_chart():
 def test_proj_indeterminacy():
     p = hv_params()
     with pytest.raises(sa.IndeterminacyError):
-        sa.eval_f_proj(p, (0.0, 1.0, 0.0))
+        sa.eval_f_proj(p.coeffs(), (0.0, 1.0, 0.0))
 
 
 def _deep(scalar, dps):
@@ -198,23 +199,24 @@ def _deep(scalar, dps):
 
 @pytest.mark.parametrize("kind", ["mpmath", "jet"])
 def test_proj_indeterminacy_check_survives_underflow(kind):
-    p = sa.MapParams(n=2, k=4, c_spec=(1, 1))
-    dps = 122
+    table = CenterTable.build(sa.MapParams(n=2, k=4, c_spec=(1, 1)))
+    dps = table.dps
     scalar = (lambda x: x) if kind == "mpmath" else (lambda x: Jet.const(x, jet_bits(dps)))
+    co = table.coeffs if kind == "mpmath" else table.jet.coeffs
     with mp.workdps(dps):
         with pytest.raises(sa.IndeterminacyError):
-            sa.eval_f_proj(p, _deep(scalar, dps), dps=dps)
+            sa.eval_f_proj(co, _deep(scalar, dps))
         # a tiny vector is still a point: normalising it does not underflow
         img = sa.proj_normalize(tuple(z * scalar(mp.ldexp(mp.mpf(3), -1200))
                                       for z in (scalar(mp.mpf(1)),) * 3))
         assert [complex(z) for z in img] == [1, 1, 1]
 
 
-def _unscaled(p, P, dps, monkeypatch):
-    """eval_f_proj's Jet image before its power-of-two rescaling."""
+def _unscaled(table, P, monkeypatch):
+    """The map's Jet image before its power-of-two rescaling."""
     with monkeypatch.context() as m:
         m.setattr(Jet, "ldexp", lambda self, d: self)
-        return sa.eval_f_proj(p, P, dps=dps)
+        return _f_jet(table.jet, P)
 
 
 def _desk34_points():
@@ -238,11 +240,11 @@ def _desk34_points():
 def test_proj_jet_image_rescaled_by_a_power_of_two(monkeypatch):
     """On Jets the image is the homogeneous form times one exact power of
     two (mantissas kept), and its largest modulus lies in [1/2, 2)."""
-    p, table, pts = _desk34_points()
+    _, table, pts = _desk34_points()
     with mp.workdps(table.dps):
         for P in pts:
-            img = sa.eval_f_proj(p, P, dps=table.dps)
-            raw = _unscaled(p, P, table.dps, monkeypatch)
+            img = _f_jet(table.jet, P)
+            raw = _unscaled(table, P, monkeypatch)
             assert len({z.e - r.e for z, r in zip(img, raw)}) == 1
             for z, r in zip(img, raw):
                 assert (z.ar, z.ai, z.xr, z.xi, z.yr, z.yi) == (r.ar, r.ai, r.xr, r.xi, r.yr, r.yi)
@@ -254,14 +256,14 @@ def test_proj_jet_image_routes_after_underflow(monkeypatch):
     """A point scaled by 2^-300 has an image form of degree 5 below 1e-300
     in every entry, under the smallest double; rescaled, it is the image
     of the unscaled point exactly and routes to the same chart."""
-    p, table, pts = _desk34_points()
+    _, table, pts = _desk34_points()
     with mp.workdps(table.dps):
         for P in pts[::7]:
             tiny = tuple(z.ldexp(-300) for z in P)
-            raw = _unscaled(p, tiny, table.dps, monkeypatch)
+            raw = _unscaled(table, tiny, monkeypatch)
             assert all(abs(z) < 1e-300 and complex(z) == 0 for z in raw)
-            img = sa.eval_f_proj(p, tiny, dps=table.dps)
-            want = sa.eval_f_proj(p, P, dps=table.dps)
+            img = _f_jet(table.jet, tiny)
+            want = _f_jet(table.jet, P)
             assert [z.mpc() for z in img] == [z.mpc() for z in want]
             assert sa.route_chart(table, img) == sa.route_chart(table, want)
 
@@ -403,11 +405,25 @@ def test_json_round_trip(tmp_path):
     q = sa.MapParams.from_json_dict(d)
     assert (q.n, q.k, q.c_spec) == (p.n, p.k, p.c_spec)
     assert all(abs(complex(q.a[l]) - complex(p.a[l])) < 1e-15 for l in p.a)
-    import json
     fp = tmp_path / "params.json"
     fp.write_text(json.dumps(d))
     r = sa.MapParams.load(fp)
     assert r.k == 6 and r.a[4] == -1.0
+
+
+def test_json_round_trip_complex_c(tmp_path):
+    """An explicit complex c is written as [re, im] and read back as the
+    same member; a real c stays a bare number."""
+    delta = cmath.exp(2j * math.pi / 3)
+    p = sa.MapParams(n=3, k=4, c_spec=cmath.sqrt(delta), delta=delta)
+    d = p.to_json_dict()
+    assert d["c"] == [p.c_spec.real, p.c_spec.imag]
+    fp = tmp_path / "params.json"
+    fp.write_text(json.dumps(d))
+    assert sa.MapParams.load(fp) == p
+    real = sa.MapParams(n=2, k=4, c_spec=0.0, a={2: -2.64})
+    assert real.to_json_dict()["c"] == 0.0
+    assert sa.MapParams.from_json_dict(real.to_json_dict()) == real
 
 
 def test_explicit_c_for_nonunit_delta():
