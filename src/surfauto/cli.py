@@ -6,6 +6,7 @@ counts so identical configurations produce byte-identical files.
 """
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -410,7 +411,9 @@ _MEMBER_FLAGS = tuple(_FLAGS)                      # one member of the family
 _NK_FLAGS = ("--n", "--k", "--params", "--out")    # its (n, k) only
 
 
+@functools.cache
 def build_parser():
+    """The surfauto parser, built on the first call and shared."""
     ap = argparse.ArgumentParser(prog="surfauto",
                                  description="rational surface automorphism toolkit")
     sub = ap.add_subparsers(dest="command", required=True)

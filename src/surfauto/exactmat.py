@@ -260,30 +260,13 @@ class LDL:
 
     @property
     def complete(self):
-        """Every pivot is nonzero, so A is invertible and solve() works."""
+        """Every pivot is nonzero, so A is invertible."""
         return len(self.lower) == self.size
 
     def leading_minors(self):
         """The leading principal minors of A, as prefix products of the
         pivots, up to the first zero one."""
         return [int(m) for m in accumulate(self.pivots, mul)]
-
-    def solve(self, b):
-        """The exact solution x of A x = b, as Fractions."""
-        if not self.complete:
-            raise ZeroDivisionError("singular matrix")
-        x = [Fraction(v) for v in b]
-        for j, col in enumerate(self.lower):
-            xj = x[j]
-            if xj:
-                for i, l in col:
-                    x[i] -= l * xj
-        for j, p in enumerate(self.pivots):
-            x[j] /= p
-        for j in range(self.size - 1, -1, -1):
-            for i, l in self.lower[j]:
-                x[j] -= l * x[i]
-        return x
 
 
 def ldl(A):

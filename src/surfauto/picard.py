@@ -9,6 +9,9 @@ Lattice maps are kept in the column form of exactmat, the sparse images
 of the basis vectors: pushforward_columns is f_* in that form, and
 pushforward_matrix its dense view, for dense oracles such as Berkowitz.
 
+The complement T = S-perp is read in n x n integer algebra from the n
+auxiliary classes varrho_t (TSpace); no vector is projected onto it.
+
 The exact objects of one (n, k) -- the lattice, the pushforward, its
 characteristic polynomial, the LDL^T factor of the S Gram, the TSpace and
 the action on the splitting span(S) + T -- are built once per process and
@@ -234,16 +237,19 @@ def strict_image(n, k, key):
 def pushforward_columns(n, k):
     """The induced automorphism f_* in column form, built once per (n, k).
 
-    strict_image sends each class of the strict-transform basis to a strict
-    class, so f_*(e_j) = sum_t c_t f_*(key_t), where c = strict_coords(e_j),
-    by integer forward substitution.
+    strict_image sends each class key_t of the strict-transform basis to a
+    strict class, and key_t = e_t + sum_{i>t} a_i e_i (_strict_basis), so
+    f_*(e_t) = f_*(key_t) - sum_{i>t} a_i f_*(e_i), from the last t back.
     """
-    lat = _lattice(n, k)
-    images = tuple(xm.sparse(lat.strict[strict_image(n, k, key)])
-                   for key in _strict_order(n, k))
-    coords = tuple(xm.sparse(strict_coords(n, k, [int(i == j) for i in range(lat.dim)]))
-                   for j in range(lat.dim))
-    return xm.col_compose(images, coords)
+    lat, keys, lower = _lattice(n, k), _strict_order(n, k), _strict_basis(n, k)
+    cols = [()] * lat.dim
+    for t in reversed(range(lat.dim)):
+        acc = dict(xm.sparse(lat.strict[strict_image(n, k, keys[t])]))
+        for i, a in lower[t]:
+            for r, b in cols[i]:
+                acc[r] = acc.get(r, 0) - a * b
+        cols[t] = tuple(sorted((r, x) for r, x in acc.items() if x))
+    return tuple(cols)
 
 
 def pushforward_matrix(n, k):
@@ -382,14 +388,12 @@ def entropy(n, k):
 
 
 def degree_sequence(n, k, m):
-    """d_i = (M^i e0) . e0 for i = 0..m, exact integers."""
-    lat = _lattice(n, k)
+    """d_i = (M^i e0) . e0 = (M^i e0)_0 for i = 0..m, exact integers."""
     F = pushforward_columns(n, k)
-    e0 = lat.e0()
-    v = e0
+    v = _lattice(n, k).e0()
     out = []
     for _ in range(m + 1):
-        out.append(lat.ip(v, e0))
+        out.append(v[0])
         v = xm.col_apply(F, v)
     return out
 
@@ -408,54 +412,96 @@ def degree_recurrence_residuals(n, k, m=40):
 # -- the orthogonal complement of the invariant span ---------------------------
 
 
+@functools.cache
+def _varrho(n, k):
+    """The auxiliary classes varrho_t, t = 0..n-1, as integer tuples: in
+    the strict basis, -k on sigma0, j - 1 on F(t, j) and -k min(max(j-1, 1), k)
+    on F(i, j), i != t; that is, -k sigma0 - k sum_{i != t} (v_i + k F(i,2k+1))
+    + u_t + 2k F(t,2k+1) with v_i = F(i,1) + sum_{j=2..k} (j-1) F(i,j)
+    + k sum_{j>k} F(i,j) and u_t = sum_{j=2..2k} (j-1) F(t,j)."""
+    own = [j - 1 for j in range(1, 2 * k + 2)]
+    other = [-k * min(max(j - 1, 1), k) for j in range(1, 2 * k + 2)]
+    out = []
+    for t in range(n):
+        w = [-k] + [x for i in range(n) for x in (own if i == t else other)]
+        r = list(w)
+        for wj, col in zip(w, _strict_basis(n, k)):
+            for i, a in col:
+                r[i] += a * wj
+        out.append(tuple(r))
+    return tuple(out)
+
+
+def _k_weights(n, k):
+    """k M, with M the n x n matrix of the closed form (x = 2/k - n + 2 on the
+    diagonal, 1 elsewhere), and its denominator C = 2(2-(n-2)k) - (n-1)k^2:
+    gamma_s = sum_t M[t][s] varrho_t / C."""
+    delta = 2 - (n - 2) * k
+    kM = [[delta if i == j else k for j in range(n)] for i in range(n)]
+    return kM, 2 * delta - (n - 1) * k * k
+
+
 class TSpace:
-    """Exact orthogonal projection onto T = S-perp, with the gamma basis
-    (projections of the top fibers).  Projections solve with the LDL^T
-    factor of the S Gram; t_space(n, k) is the shared instance."""
+    """T = S-perp with the gamma basis, gamma_s = sum_t M[t][s] varrho_t / C
+    (_k_weights), read from the n x n integer matrices R = (varrho_a .
+    varrho_b) and P = (varrho_t . F(s, 2k+1)).  The constructor raises
+    ExactIdentityError unless each varrho_t is orthogonal to S and
+    C P = R M with det R != 0 (closed_form_checks).  Then the varrho_t are a
+    basis of T (dim T = n: the S classes are part of the strict basis), and
+    F(s, 2k+1) - gamma_s is orthogonal to them, so gamma_s is the projection
+    of the top fiber.  t_space(n, k) is the shared instance."""
 
     def __init__(self, lat):
+        n, k = lat.n, lat.k
         self.lat = lat
         self._s_support = tuple(xm.sparse(lat.strict[key]) for key in lat.s_keys)
-        self.factor = lat.s_gram_factor()
-        tops = [lat.strict[("F", s, 2 * lat.k + 1)] for s in range(lat.n)]
-        self.gammas = tuple(tuple(self.project(top)) for top in tops)
-        # each gamma lies in T, so it pairs with gamma_s as with the top
-        # fiber it projects, a single basis vector
-        self.gamma_gram = tuple(tuple(self._ipf(a, top) for top in tops) for a in self.gammas)
-        # the Gram is symmetric, so the columns of its inverse are its rows
-        self._gram_inverse = xm.frac_solve(self.gamma_gram, xm.identity(lat.n))
-
-    def _ipf(self, u, v):
-        """The form on rational vectors, as a Fraction."""
-        return Fraction(sum(ui * q * vi for ui, q, vi in zip(u, self.lat.qdiag, v) if ui and vi))
+        self._rho_dense = _varrho(n, k)
+        self._rho = tuple(xm.sparse(r) for r in self._rho_dense)
+        self._rho_gram = lat.gram(self._rho)
+        tops = [lat.idx(s, 2 * k + 1) for s in range(n)]
+        self._rho_tops = [[lat.qdiag[i] * r[i] for i in tops] for r in self._rho_dense]
+        in_t, closed_form = self.closed_form_checks()
+        if not in_t:
+            raise ExactIdentityError(f"(n,k)=({n},{k}): an auxiliary class is not orthogonal to S")
+        if not closed_form:
+            raise ExactIdentityError(f"(n,k)=({n},{k}): the closed form of the gammas "
+                                     "is not the projection of the top fibers")
+        kM, C = _k_weights(n, k)
+        # gamma_a lies in T, so gamma_a . gamma_s = gamma_a . F(s, 2k+1); M is symmetric
+        self.gamma_gram = tuple(tuple(Fraction(x, k * C) for x in row)
+                                for row in xm.mat_mul(kM, self._rho_tops))
+        # the rows of P^-1 are the columns of (P^T)^-1
+        self._tops_inverse = xm.frac_solve(xm.transpose(self._rho_tops), xm.identity(n))
 
     def s_pairings(self, v):
         """The pairings of v with the S classes, over their supports."""
         q = self.lat.qdiag
         return [sum(x * q[i] * v[i] for i, x in support) for support in self._s_support]
 
-    def project(self, v):
-        coef = self.factor.solve(self.s_pairings(v))
-        out = [Fraction(x) for x in v]
-        for c, support in zip(coef, self._s_support):
-            if c:
-                for i, x in support:
-                    out[i] -= c * x
-        return out
+    def closed_form_checks(self):
+        """(every varrho_t is orthogonal to S, C P = R M with det R != 0),
+        the second in integers as C k P = R (k M)."""
+        k = self.lat.k
+        kM, C = _k_weights(self.lat.n, k)
+        R, P = self._rho_gram, self._rho_tops
+        return (not any(any(self.s_pairings(r)) for r in self._rho_dense),
+                xm.det_bareiss(R) != 0 and
+                xm.mat_mul(R, kM) == [[k * C * p for p in row] for row in P])
 
     def gamma_coords(self, v):
-        """Gamma-basis coordinates of the T-component of v.  Each gamma lies
-        in T, so it pairs with v as with that component: v is not projected."""
-        rhs = [self._ipf(g, v) for g in self.gammas]
-        return [sum(map(mul, row, rhs)) for row in self._gram_inverse]
+        """Gamma-basis coordinates of the T-component of v: the solution c of
+        P c = (varrho_t . v)_t, since sum_s c_s gamma_s pairs with each
+        varrho_t as v does.  v is not projected."""
+        q = self.lat.qdiag
+        rhs = [sum(x * q[i] * v[i] for i, x in r) for r in self._rho]
+        return [sum(map(mul, row, rhs)) for row in self._tops_inverse]
 
     def gram_proportionality(self):
         """Exact Gram of the gammas must be a single rational multiple of the
         circulant-like matrix with diagonal 2-(n-2)k and off-diagonal k.
         Returns the scale or None on mismatch."""
         n, k = self.lat.n, self.lat.k
-        delta, eps = 2 - (n - 2) * k, k
-        ref = [[delta if i == j else eps for j in range(n)] for i in range(n)]
+        ref, _ = _k_weights(n, k)
         scale = None
         for i in range(n):
             for j in range(n):
@@ -500,72 +546,33 @@ def restricted_action(n, k):
 # -- closed-form coefficients of the gamma classes ----------------------------
 
 
-def _config_combination(lat, fiber_weights):
-    """sum of w * F(s, j) over fiber_weights {(s, j): w}, an integer vector:
-    each strict transform adds only its nonzero entries."""
-    v = [0] * lat.dim
-    for (s, j), w in fiber_weights.items():
-        for i, a in xm.sparse(lat.strict[("F", s, j)]):
-            v[i] += w * a
-    return v
-
-
 def gamma_closed_form(n, k, s=0):
     """Closed form of gamma_s from the auxiliary classes, with a comparison
-    of the four displayed rational coefficients against the exact
-    projection.
+    of the four displayed rational coefficients against it.
 
     Returns a report dict.  The auxiliary-class route: with
     x = 2/k - n + 2 and C = 2(2-(n-2)k) - (n-1)k^2,
 
         gamma_s = ( x*rho_s + sum_{t != s} rho_t ) / C,
 
-    which is verified exactly.  The four displayed coefficients (on the
+    which is the projection of the top fiber when every rho_t is orthogonal
+    to S and C P = R M with det R != 0 (TSpace.closed_form_checks, whose two
+    answers the report carries).  The four displayed coefficients (on the
     top-level and level-2k basis classes) are evaluated under both the
-    strict-transform and geometric readings; mismatches are reported with
-    both values, never patched.
+    strict-transform and geometric readings of gamma_s, built densely here
+    and only here; mismatches are reported with both values, never patched.
     """
     check_nk(n, k)
     if k == 2 * n - 2:
         raise DegenerateError(f"(n,k)=({n},{k}): closed-form denominator k-2n+2 vanishes")
     ts = t_space(n, k)
     lat = ts.lat
-
-    # the auxiliary classes are integer vectors; only gamma has denominators
-    v_cls, u_cls = [], []
-    for t in range(n):
-        fw = {(t, 1): 1}
-        for i in range(2, k + 1):
-            fw[(t, i)] = i - 1
-        for i in range(k + 1, 2 * k + 1):
-            fw[(t, i)] = k
-        v_cls.append(_config_combination(lat, fw))
-        u_cls.append(_config_combination(lat, {(t, i): i - 1 for i in range(2, 2 * k + 1)}))
-    varrho = []
-    for t in range(n):
-        # varpi_t = -k sigma0 - k sum_{i != t} v_i + u_t, then varrho_t adds the top fibers
-        r = [-k * x for x in lat.strict["sigma0"]]
-        for i in range(n):
-            if i != t:
-                r = [a - k * b for a, b in zip(r, v_cls[i])]
-        r = [a + b for a, b in zip(r, u_cls[t])]
-        for i in range(n):
-            top = lat.strict[("F", i, 2 * k + 1)]
-            coef = 2 * k if i == t else -k * k
-            r = [a + coef * b for a, b in zip(r, top)]
-        varrho.append(r)
-
-    # membership: varrho in T (orthogonal to every S generator)
-    in_T = not any(any(ts.s_pairings(r)) for r in varrho)
-
-    x = Fraction(2, k) - n + 2
-    C = Fraction(2 * (2 - (n - 2) * k) - (n - 1) * k * k)
-    gamma_via_rho = [Fraction(0)] * lat.dim
-    for t in range(n):
-        coef = x if t == s else Fraction(1)
-        gamma_via_rho = [a + coef * b for a, b in zip(gamma_via_rho, varrho[t])]
-    gamma_via_rho = [a / C for a in gamma_via_rho]
-    closed_form_ok = tuple(gamma_via_rho) == ts.gammas[s]
+    in_T, closed_form_ok = ts.closed_form_checks()
+    kM, C = _k_weights(n, k)
+    g = [0] * lat.dim
+    for t, r in enumerate(_varrho(n, k)):
+        g = [a + kM[t][s] * b for a, b in zip(g, r)]
+    g = [Fraction(a, k * C) for a in g]
 
     den1 = Fraction(k * (k + 2) * (k - 2 * n + 2))
     den2 = Fraction(k * k * (k + 2) * (k - 2 * n + 2))
@@ -576,7 +583,6 @@ def gamma_closed_form(n, k, s=0):
         "level2k_other_limb": Fraction(2 * (4 * k - 2 - k ** 3)) / den2,
     }
     other = (s + 1) % n
-    g = ts.gammas[s]
     exact_geometric = {
         "top_same_limb": g[lat.idx(s, 2 * k + 1)],
         "top_other_limb": g[lat.idx(other, 2 * k + 1)],

@@ -10,6 +10,7 @@ On the full lattice every map -- f_*, a basis permutation, a quadratic
 reflection -- is in the column form of exactmat: no dense matrix is built.
 """
 
+import math
 from fractions import Fraction
 from functools import reduce
 from itertools import islice
@@ -212,7 +213,11 @@ def t_reflections(n, k):
     """Reflections in the roots alpha_s = lambda_s - gamma_s and in the
     differences gamma_s - gamma_{s+1}, as exact matrices in the gamma basis,
     plus the Cartan matrix."""
+    # reflections and Cartan entries are ratios of values of the form, so an
+    # integer multiple of the gamma Gram gives them
     G = t_space(n, k).gamma_gram
+    den = math.lcm(*(x.denominator for row in G for x in row))
+    G = [[int(x * den) for x in row] for row in G]
 
     def gram_times(v):
         return [sum(G[i][j] * v[j] for j in range(n)) for i in range(n)]
@@ -223,7 +228,7 @@ def t_reflections(n, k):
     def refl(root):
         g_root = gram_times(root)           # g_root[s] = form(root, e_s): G is symmetric
         rr = dot(root, g_root)
-        cols = [[int(i == s) - 2 * g_root[s] / rr * root[i] for i in range(n)]
+        cols = [[int(i == s) - Fraction(2 * g_root[s] * root[i], rr) for i in range(n)]
                 for s in range(n)]
         out = []
         for row in xm.transpose(cols):
@@ -232,17 +237,9 @@ def t_reflections(n, k):
             out.append([int(x) for x in row])
         return out
 
-    alphas = []
-    for s in range(n):
-        a = [Fraction(k)] * n
-        a[s] = Fraction(-2)
-        alphas.append(a)
+    alphas = [[-2 if i == s else k for i in range(n)] for s in range(n)]
     rhos = [refl(a) for a in alphas]
-    taus = []
-    for s in range(n - 1):
-        r = [Fraction(0)] * n
-        r[s], r[s + 1] = Fraction(1), Fraction(-1)
-        taus.append(refl(r))
+    taus = [refl([(i == s) - (i == s + 1) for i in range(n)]) for s in range(n - 1)]
     g_alphas = [gram_times(a) for a in alphas]
     cartan = [[Fraction(2 * dot(alphas[i], g_alphas[j]), dot(alphas[i], g_alphas[i]))
                for j in range(n)] for i in range(n)]

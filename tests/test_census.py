@@ -1,9 +1,14 @@
 """The exact claims beyond the desk instances.
 
-On every admissible (n, k) with dim Pic <= 60 the lattice and factorization
-suites must pass, and the characteristic polynomial and determinant of f_*
-from the splitting span(S) + T must agree with dense Berkowitz and Bareiss
-on the full matrix.  On all admissible (n, k) with n <= 8 and k <= 12 the
+On every admissible (n, k) with dim Pic <= 120 the lattice and
+factorization suites must pass; with dim Pic <= 60 the characteristic
+polynomial and determinant of f_* from the splitting span(S) + T must also
+agree with dense Berkowitz and Bareiss on the full matrix, and on those
+and the wide census below T, read from the auxiliary classes varrho_t,
+must give the gammas, their Gram and the action of f_* of the projection
+oracle.  On every admissible (n, k) with n <= 8 and k <= 24 the integer
+identity behind T holds: each varrho_t is orthogonal to S, C < 0,
+det R != 0 and C P = R M.  On all admissible (n, k) with n <= 8 and k <= 12 the
 characteristic polynomial must be chi times the cyclotomic cofactor of the
 pinned cycle type, and chi must pass an exact Salem test.  The chart layer
 (the chart and parabolic suites, at one sample per fiber) must pass on four
@@ -20,6 +25,7 @@ from fractions import Fraction
 import pytest
 
 from surfauto import exactmat as xm
+from surfauto import picard
 from surfauto.charts import SIGMA1, CenterTable, fiber_target, fiber_transition_closed
 from surfauto.errors import ExactIdentityError
 from surfauto.mapfamily import MapParams
@@ -30,15 +36,26 @@ from surfauto.picard import (
     pushforward_columns,
     pushforward_det,
     pushforward_matrix,
+    restricted_action,
     s_class_permutation,
     s_cycle_lengths,
+    t_space,
 )
 from surfauto.verify import chart_suite, factorization_suite, lattice_suite, parabolic_suite
 
-MAX_DIM = 60
-CENSUS = [(n, k) for n in range(2, MAX_DIM) for k in range(2, MAX_DIM, 2)
-          if n * k > k + 2 and 1 + n * (2 * k + 1) <= MAX_DIM]
+from exact_oracles import projected_t
+
+
+def _admissible(max_dim):
+    return [(n, k) for n in range(2, max_dim) for k in range(2, max_dim, 2)
+            if n * k > k + 2 and 1 + n * (2 * k + 1) <= max_dim]
+
+
+CENSUS = _admissible(60)
+SUITE_CENSUS = _admissible(120)
 WIDE = [(n, k) for n in range(2, 9) for k in range(2, 13, 2) if n * k > k + 2]
+T_CENSUS = sorted(set(CENSUS) | set(WIDE))
+IDENTITY_GRID = [(n, k) for n in range(2, 9) for k in range(2, 25, 2) if n * k > k + 2]
 CHART_CENSUS = [(4, 4), (3, 6), (2, 10), (5, 4)]
 
 
@@ -49,10 +66,13 @@ def _ids(instances):
 def test_census_size():
     assert len(CENSUS) == 22
     assert (3, 2) in CENSUS and (2, 14) in CENSUS and (11, 2) in CENSUS
+    assert len(SUITE_CENSUS) == 66 and set(CENSUS) < set(SUITE_CENSUS)
+    assert (23, 2) in SUITE_CENSUS and (7, 8) in SUITE_CENSUS and (2, 28) in SUITE_CENSUS
     assert len(WIDE) == 41 and (8, 12) in WIDE
+    assert len(T_CENSUS) == 45 and len(IDENTITY_GRID) == 83
 
 
-@pytest.mark.parametrize("nk", CENSUS, ids=_ids(CENSUS))
+@pytest.mark.parametrize("nk", SUITE_CENSUS, ids=_ids(SUITE_CENSUS))
 def test_exact_suites_pass(nk):
     for suite in (lattice_suite, factorization_suite):
         rep = suite(*nk)
@@ -118,6 +138,42 @@ def test_s_image_outside_the_s_classes_raises():
     F = F[:j] + (tuple(sorted(col.items())),) + F[j + 1:]
     with pytest.raises(ExactIdentityError, match=r"\('F', 0, 1\) is not an S class"):
         s_class_permutation(lat, F)
+
+
+# -- T from the auxiliary classes ---------------------------------------------------------
+
+@pytest.mark.parametrize("nk", T_CENSUS, ids=_ids(T_CENSUS))
+def test_t_space_matches_projection(nk):
+    n, k = nk
+    gammas, gram, action = projected_t(n, k)
+    assert list(map(list, t_space(n, k).gamma_gram)) == gram
+    assert list(map(list, restricted_action(n, k))) == action
+    x, C = Fraction(2, k) - n + 2, 2 * (2 - (n - 2) * k) - (n - 1) * k * k
+    rho = picard._varrho(n, k)
+    for s, gamma in enumerate(gammas):
+        weights = [x if t == s else 1 for t in range(n)]
+        assert [sum(w * r[i] for w, r in zip(weights, rho)) / C
+                for i in range(len(gamma))] == gamma
+
+
+@pytest.mark.parametrize("nk", IDENTITY_GRID, ids=_ids(IDENTITY_GRID))
+def test_auxiliary_classes_give_the_projection(nk):
+    """Each varrho_t is orthogonal to S, C < 0, det R != 0 and C P = R M,
+    with R the Gram of the varrho_t, P[t][s] = varrho_t . F(s, 2k+1) and M
+    the closed form's weights, x = 2/k - n + 2 on the diagonal, 1 elsewhere."""
+    n, k = nk
+    lat = PicardLattice.build(n, k)
+    rho = picard._varrho(n, k)
+    supports = [xm.sparse(lat.strict[key]) for key in lat.s_keys]
+    assert all(sum(a * lat.qdiag[i] * r[i] for i, a in support) == 0
+               for r in rho for support in supports)
+    x, C = Fraction(2, k) - n + 2, 2 * (2 - (n - 2) * k) - (n - 1) * k * k
+    assert C < 0
+    R = [[lat.ip(a, b) for b in rho] for a in rho]
+    assert xm.det_bareiss(R) != 0
+    P = [[lat.ip(r, lat.strict[("F", s, 2 * k + 1)]) for s in range(n)] for r in rho]
+    M = [[x if i == j else 1 for j in range(n)] for i in range(n)]
+    assert [[C * p for p in row] for row in P] == xm.mat_mul(R, M)
 
 
 # -- the wide census: cofactor and Salem test ----------------------------------------------

@@ -9,6 +9,8 @@ from surfauto import picard
 from surfauto.picard import TSpace, degree_recurrence_residuals
 from surfauto.verify import lattice_suite
 
+from exact_oracles import project
+
 DESK = [(2, 4), (2, 6), (3, 2), (3, 4), (4, 2)]
 
 
@@ -245,9 +247,8 @@ def test_degree_growth(pushforwards):
 
 def test_projection_kills_s(lattices):
     lat = lattices[(3, 2)]
-    ts = TSpace(lat)
     for key in lat.s_keys:
-        assert all(x == 0 for x in ts.project(lat.strict[key]))
+        assert all(x == 0 for x in project(lat, lat.strict[key]))
 
 
 def test_line_class_projection(lattices):
@@ -329,6 +330,30 @@ def test_gamma_closed_form_all_limbs():
     for s in range(3):
         rep = sa.gamma_closed_form(3, 2, s)
         assert rep["closed_form_matches_projection"]
+
+
+def test_a_changed_auxiliary_class_is_refused(monkeypatch):
+    """One changed entry of one varrho_t breaks its orthogonality to S, and
+    varrho_0 + varrho_1 in place of varrho_0, still in T, breaks C P = R M:
+    TSpace refuses both."""
+    n, k = 3, 2
+    lat = sa.PicardLattice.build(n, k)
+    rho = picard._varrho(n, k)
+
+    def use(classes):
+        monkeypatch.setattr(picard, "_varrho", lambda n, k: classes)
+
+    for i in (0, lat.idx(1, 1), lat.idx(1, 2 * k + 1), lat.dim - 1):
+        changed = list(rho[1])
+        changed[i] += 1
+        use((rho[0], tuple(changed), rho[2]))
+        with pytest.raises(sa.ExactIdentityError, match="not orthogonal to S"):
+            TSpace(lat)
+    use((tuple(a + b for a, b in zip(rho[0], rho[1])),) + rho[1:])
+    with pytest.raises(sa.ExactIdentityError, match="not the projection"):
+        TSpace(lat)
+    use(rho)
+    assert TSpace(lat).closed_form_checks() == (True, True)
 
 
 # -- minimality -------------------------------------------------------------------------
