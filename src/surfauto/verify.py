@@ -1,5 +1,9 @@
 """Verification suites aggregating every computable claim about one family
 member, producing machine-readable verdicts for the CLI and tests."""
+import contextlib
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -16,7 +20,7 @@ from .charts import (
     reversor_transition_numeric,
 )
 from .dynamics import fixed_points, jacobian, trace_map_rank
-from .errors import ExactIdentityError, ExtrapolationError, PoleError
+from .errors import ExactIdentityError, ExtrapolationError, PoleError, SurfautoError
 from .mapfamily import eval_f, q_value
 from .picard import (
     PicardLattice,
@@ -83,6 +87,77 @@ def _sampled(rep, cid, samples, ok, residual=None, bound=None, detail=""):
         _exact(rep, cid, ok, detail)
     else:
         rep.add(cid, ok, residual=residual, bound=bound, detail=detail)
+
+
+def fork_map(fn, items):
+    """[fn(x) for x in items], with the items dealt round-robin between this
+    process and one forked child for each further CPU in its affinity mask.
+
+    fn must be pure: what it changes in a child stays there.  Each child
+    pickles its share's results, or the exception that stopped it, into a
+    pipe and leaves with os._exit; the parent merges the shares in item
+    order and re-raises a child's exception.  On an error or interrupt the
+    children still running are killed; every child is reaped before this
+    returns or raises.  With one CPU or one item, or on a platform without
+    os.sched_getaffinity (Linux has it, and os.fork), it is the list
+    comprehension.
+
+    numpy's BLAS threads may be running when this forks, and a child has
+    none of them: the suites' jobs are interpreter arithmetic, no BLAS."""
+    items = list(items)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    width = min(cpus, len(items))
+    if width <= 1:
+        return [fn(x) for x in items]
+    children = []   # (pid, read end of its pipe), in share order, until reaped
+    try:
+        for share in range(1, width):
+            pipe_r, pipe_w = (os.fdopen(fd, mode) for fd, mode in zip(os.pipe(), ("rb", "wb")))
+            pid = os.fork()
+            if pid == 0:
+                pipe_r.close()
+                _serve_share(fn, items[share::width], pipe_w)
+            pipe_w.close()
+            children.append((pid, pipe_r))
+        results = [None] * len(items)
+        results[::width] = [fn(x) for x in items[::width]]
+        for share in range(1, width):
+            pid, pipe_r = children[0]
+            with pipe_r:
+                data = pipe_r.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(0)
+            if status != 0 or not data:
+                raise SurfautoError(f"worker process {pid} exited with status {status} "
+                                    "without sending its results")
+            payload = pickle.loads(data)
+            if isinstance(payload, BaseException):
+                raise payload
+            results[share::width] = payload
+        return results
+    finally:
+        for pid, pipe_r in children:
+            pipe_r.close()
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+
+
+def _serve_share(fn, share, pipe_w):
+    """In a forked child: pickle [fn(x) for x in share], or the exception
+    that stopped it, into pipe_w and exit without returning."""
+    status = 1
+    try:
+        try:
+            payload = [fn(x) for x in share]
+        except BaseException as exc:  # the parent re-raises it
+            payload = exc
+        pipe_w.write(pickle.dumps(payload))
+        pipe_w.close()
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def lattice_suite(n, k):
@@ -205,24 +280,30 @@ def chart_suite(p, table=None, n_xi=20, tol=1e-6):
     rep.add("series-defining-identity", worst < 10.0, residual=worst,
             detail="residual scaled by the truncation order")
 
+    def transition(job):
+        """|closed - numeric| of one fiber transition, or the error that
+        stopped it as text."""
+        s, j, xi = job
+        try:
+            _, closed = fiber_transition_closed(table, s, j, xi)
+            _, numeric, _ = fiber_transition_numeric(table, s, j, xi)
+        except (PoleError, ExtrapolationError) as exc:
+            return str(exc)
+        return abs(complex(closed) - complex(numeric))
+
     rng = random.Random(CHART_SEED + 1)
+    jobs = [(s, j, complex(rng.uniform(0.3, 2.5), rng.uniform(-0.8, 0.8)))
+            for s in range(n) for j in range(1, 2 * k + 2) for _ in range(n_xi)]
     worst = 0.0
     failures = []
-    for s in range(n):
-        for j in range(1, 2 * k + 2):
-            for _ in range(n_xi):
-                xi = complex(rng.uniform(0.3, 2.5), rng.uniform(-0.8, 0.8))
-                try:
-                    tgt_c, closed = fiber_transition_closed(table, s, j, xi)
-                    tgt_n, numeric, err = fiber_transition_numeric(table, s, j, xi)
-                except (PoleError, ExtrapolationError) as exc:
-                    failures.append((s, j, str(exc)))
-                    continue
-                diff = abs(complex(closed) - complex(numeric))
-                worst = max(worst, diff)
-                if diff >= tol:
-                    failures.append((s, j, diff))
-    _sampled(rep, "fiber-transitions", n * (2 * k + 1) * n_xi, worst < tol and not failures,
+    for (s, j, _), diff in zip(jobs, fork_map(transition, jobs)):
+        if isinstance(diff, str):
+            failures.append((s, j, diff))
+            continue
+        worst = max(worst, diff)
+        if diff >= tol:
+            failures.append((s, j, diff))
+    _sampled(rep, "fiber-transitions", len(jobs), worst < tol and not failures,
              residual=worst, bound=tol, detail=f"failures: {failures[:4]}" if failures else "")
 
     # entry and exit coordinates
@@ -319,11 +400,19 @@ def parabolic_suite(p, table=None, points_per_fiber=10):
     table = table or CenterTable.build(p)
     n, k = p.n, p.k
     rng = random.Random(5150)
+    line = [(ChartId("base", 0), ChartPoint(rng.uniform(0.3, 1.8) * rng.choice([1, -1]), 0.0))
+            for _ in range(points_per_fiber)]
+    levels = parabolic_levels(k)
+    fibers = [(ChartId("tower", s, j), ChartPoint(complex(rng.uniform(0.2, 1.8),
+                                                          rng.uniform(-0.5, 0.5)), 0.0))
+              for j in levels for s in range(n) for _ in range(points_per_fiber)]
+    # outside the configuration: measured, not required
+    outside = [(ChartId("tower", 0, 2 * k + 1), ChartPoint(0.9, 0.0)),
+               (ChartId("tower", 0, 2), ChartPoint(0.9, 0.0))]
+    reports = fork_map(lambda job: parabolic_check(table, *job), line + fibers + outside)
 
     worst_dev, worst_fix, diag_ok = 0.0, 0.0, True
-    for _ in range(points_per_fiber):
-        x = rng.uniform(0.3, 1.8) * rng.choice([1, -1])
-        r = parabolic_check(table, ChartId("base", 0), ChartPoint(x, 0.0))
+    for r in reports[:len(line)]:
         worst_dev = max(worst_dev, r.max_deviation)
         worst_fix = max(worst_fix, r.fix_residual)
         if r.diag_n is None:
@@ -332,37 +421,29 @@ def parabolic_suite(p, table=None, points_per_fiber=10):
             dt, da = r.diag_n
             diag_ok = diag_ok and min(abs(dt - 1), abs(dt + 1)) < DEV_TOL \
                 and abs(da - 1) < DEV_TOL
-    _sampled(rep, "invariant-line-fixed", points_per_fiber, worst_fix < FIX_TOL,
+    _sampled(rep, "invariant-line-fixed", len(line), worst_fix < FIX_TOL,
              residual=worst_fix, bound=FIX_TOL)
-    _sampled(rep, "invariant-line-tangent", points_per_fiber, worst_dev < DEV_TOL,
+    _sampled(rep, "invariant-line-tangent", len(line), worst_dev < DEV_TOL,
              residual=worst_dev, bound=DEV_TOL)
-    _sampled(rep, "invariant-line-half-diagonal", points_per_fiber, diag_ok)
+    _sampled(rep, "invariant-line-half-diagonal", len(line), diag_ok)
 
     worst_dev, worst_fix = 0.0, 0.0
     bad = []
-    levels = parabolic_levels(k)
-    for j in levels:
-        for s in range(n):
-            for _ in range(points_per_fiber):
-                u = complex(rng.uniform(0.2, 1.8), rng.uniform(-0.5, 0.5))
-                r = parabolic_check(table, ChartId("tower", s, j), ChartPoint(u, 0.0))
-                worst_dev = max(worst_dev, r.max_deviation)
-                worst_fix = max(worst_fix, r.fix_residual)
-                if r.max_deviation >= DEV_TOL or r.fix_residual >= FIX_TOL:
-                    bad.append((s, j))
-    samples = len(levels) * n * points_per_fiber
-    _sampled(rep, "fibers-fixed", samples, worst_fix < FIX_TOL, residual=worst_fix,
+    for (cid, _), r in zip(fibers, reports[len(line):]):
+        worst_dev = max(worst_dev, r.max_deviation)
+        worst_fix = max(worst_fix, r.fix_residual)
+        if r.max_deviation >= DEV_TOL or r.fix_residual >= FIX_TOL:
+            bad.append((cid.s, cid.j))
+    _sampled(rep, "fibers-fixed", len(fibers), worst_fix < FIX_TOL, residual=worst_fix,
              bound=FIX_TOL)
-    _sampled(rep, "fibers-tangent", samples, worst_dev < DEV_TOL, residual=worst_dev,
+    _sampled(rep, "fibers-tangent", len(fibers), worst_dev < DEV_TOL, residual=worst_dev,
              bound=DEV_TOL, detail=f"failing fibers: {sorted(set(bad))}" if bad else "")
 
-    # outside the configuration: measured, not required
-    r = parabolic_check(table, ChartId("tower", 0, 2 * k + 1), ChartPoint(0.9, 0.0))
-    rep.report("top-fiber-outside-configuration", residual=r.max_deviation,
-               detail=f"fix residual {r.fix_residual:.3e}")
-    r = parabolic_check(table, ChartId("tower", 0, 2), ChartPoint(0.9, 0.0))
-    rep.report("level-2-transverse-multiplier", residual=r.max_deviation,
-               detail=f"fixed pointwise to {r.fix_residual:.3e}, not tangent")
+    top, level2 = reports[-2:]
+    rep.report("top-fiber-outside-configuration", residual=top.max_deviation,
+               detail=f"fix residual {top.fix_residual:.3e}")
+    rep.report("level-2-transverse-multiplier", residual=level2.max_deviation,
+               detail=f"fixed pointwise to {level2.fix_residual:.3e}, not tangent")
     return rep
 
 

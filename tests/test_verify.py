@@ -1,14 +1,44 @@
+import os
+import time
+
 import mpmath as mp
+import pytest
 
 import surfauto as sa
+from surfauto.errors import SurfautoError
 from surfauto.picard import degree_recurrence_residuals
 from surfauto.verify import (
     chart_suite,
     factorization_suite,
     fixed_point_suite,
+    fork_map,
     lattice_suite,
     parabolic_suite,
 )
+
+
+def _set_cpus(monkeypatch, cpus):
+    """Make fork_map see `cpus` CPUs in this process's affinity mask."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def _count_forks(monkeypatch):
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_lattice_suite_passes():
@@ -99,3 +129,93 @@ def test_fixed_point_suite():
     rep = fixed_point_suite(sa.figure1_params())
     assert rep.overall == "pass"
     assert any(c.id == "real-census" for c in rep.checks)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_fork_map_keeps_item_order(monkeypatch, cpus):
+    _set_cpus(monkeypatch, cpus)
+    forks = _count_forks(monkeypatch)
+    got = fork_map(lambda x: (x * x, os.getpid()), range(10))
+    _assert_no_children()
+    assert [v for v, _ in got] == [x * x for x in range(10)]
+    # round-robin: item i runs in share i % cpus, share 0 in this process
+    pids = [pid for _, pid in got]
+    assert pids[::cpus] == [os.getpid()] * len(pids[::cpus])
+    assert len(forks) == cpus - 1
+    for share, pid in enumerate(forks, 1):
+        assert set(pids[share::cpus]) == {pid}
+
+
+def test_fork_map_one_item_never_forks(monkeypatch):
+    _set_cpus(monkeypatch, 3)
+    forks = _count_forks(monkeypatch)
+    assert fork_map(lambda x: x + 1, [41]) == [42]
+    assert fork_map(lambda x: x, []) == []
+    assert forks == []
+
+
+def test_fork_map_reraises_a_child_exception(monkeypatch):
+    _set_cpus(monkeypatch, 2)
+
+    def fn(x):
+        if x == 3:      # item 3 is in the child's share
+            raise ValueError(f"bad item {x}")
+        return x
+
+    with pytest.raises(ValueError, match="bad item 3"):
+        fork_map(fn, range(6))
+    _assert_no_children()
+
+
+def test_fork_map_child_exiting_without_results(monkeypatch):
+    _set_cpus(monkeypatch, 2)
+    with pytest.raises(SurfautoError, match="status 3"):
+        fork_map(lambda x: os._exit(3) if x == 1 else x, range(4))
+    _assert_no_children()
+
+
+def test_fork_map_interrupt_leaves_no_child(monkeypatch):
+    _set_cpus(monkeypatch, 3)
+
+    def fn(x):
+        if x == 0:      # this process's own share
+            raise KeyboardInterrupt
+        time.sleep(60)  # the children's shares; they are killed, not waited for
+        return x
+
+    t0 = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        fork_map(fn, range(3))
+    _assert_no_children()
+    assert time.perf_counter() - t0 < 30
+
+
+@pytest.mark.parametrize("member", ["figure1", "desk-3-4"])
+def test_suites_serial_and_forked_agree(monkeypatch, member):
+    p = sa.figure1_params() if member == "figure1" else \
+        sa.MapParams(3, 4, c_spec=(1, 1), a={2: 0.4})
+    table = sa.CenterTable.build(p)
+    got = {}
+    for cpus in (1, 2):
+        _set_cpus(monkeypatch, cpus)
+        forks = _count_forks(monkeypatch)
+        got[cpus] = [chart_suite(p, table=table, n_xi=2).to_json_dict(),
+                     parabolic_suite(p, table=table, points_per_fiber=2).to_json_dict()]
+        _assert_no_children()
+        assert len(forks) == 2 * (cpus - 1)
+    assert got[1] == got[2]
+    assert [s["overall"] for s in got[1]] == ["pass", "pass"]
+
+
+def test_chart_suite_negative_control_forked(monkeypatch):
+    # the tampered table is the one the children check: their share of the
+    # fiber transitions fails exactly as in one process
+    p = sa.MapParams(n=3, k=2, c_spec=(1, 1))
+    table = sa.CenterTable.build(p).tampered(0, p.k + 1, mp.mpf(1.21))
+    got = {}
+    for cpus in (1, 2):
+        _set_cpus(monkeypatch, cpus)
+        got[cpus] = chart_suite(p, table, n_xi=2)
+        _assert_no_children()
+    assert got[2].overall == "fail"
+    assert got[2].to_json_dict() == got[1].to_json_dict()
