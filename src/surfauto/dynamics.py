@@ -3,13 +3,13 @@ manifolds of the plane maps."""
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
 from .errors import DegenerateError, NotSaddleError, NumericCheckError, ParamError, PoleError
-from .mapfamily import MAGNITUDE_CAP, MapParams, eval_f
+from .mapfamily import MAGNITUDE_CAP, eval_f
 from .polyroots import aberth_roots, cluster_roots
 
 _ELLIPTIC_MARGIN = 1e-9
@@ -27,9 +27,9 @@ class FixedPointRecord:
 def fixed_point_polynomial(p):
     """(2-c) z^(k+1) - sum_j a_j z^(k-j) - 1, descending coefficients.
 
-    The diagonal fixed-point equation cleared of denominators.  Only valid
-    for delta = 1, where fixed points sit on the diagonal.
-    """
+    The diagonal fixed-point equation cleared of denominators.  f(x, y) =
+    (y, .) puts every fixed point on the diagonal for any delta; only the
+    leading 2 - c (1 + delta - c in general) assumes delta = 1."""
     if complex(p.delta) != 1 + 0j:
         raise ParamError("diagonal fixed-point polynomial requires delta = 1")
     c = complex(p.coeffs().c)
@@ -122,8 +122,8 @@ def trace_map_rank(p):
                         dtype=complex)
     numeric = np.zeros_like(analytic)
     for col, l in enumerate(params):
-        plus = MapParams(p.n, p.k, p.c_spec, {l: FD_STEP}, p.delta, validate=False)
-        minus = MapParams(p.n, p.k, p.c_spec, {l: -FD_STEP}, p.delta, validate=False)
+        plus = replace(p, a={l: FD_STEP})
+        minus = replace(p, a={l: -FD_STEP})
         tp = _match_traces(zetas, plus)
         tm = _match_traces(zetas, minus)
         numeric[:, col] = (np.array(tp) - np.array(tm)) / (2 * FD_STEP)
@@ -234,14 +234,13 @@ def iterate_orbit(p, pt0, m, pole_tol=1e-12):
     ``seq = [x0, y0, y1, ...]``; the x of the next point is the y already
     stored, the same Python object."""
     co = p.coeffs()
-    real = (all(complex(v).imag == 0 for v in (pt0[0], pt0[1], co.c, *(al for _, al in co.a)))
+    # with delta == 1, c is a float (MapParams takes it by (j, sign) only)
+    real = (all(complex(v).imag == 0 for v in (pt0[0], pt0[1], *(al for _, al in co.a)))
             and complex(p.delta) == 1)
     x, y = (float(complex(pt0[0]).real), float(complex(pt0[1]).real)) if real \
         else (complex(pt0[0]), complex(pt0[1]))
     if real:
-        # real data require delta == 1
-        co = co._replace(c=float(complex(co.c).real), neg_delta=-1.0,
-                         a=tuple((l, float(complex(v).real)) for l, v in co.a))
+        co = co._replace(neg_delta=-1.0, a=tuple((l, float(complex(v).real)) for l, v in co.a))
     seq = [x, y]
     status = "completed"
     next_y, append = co._next_y, seq.append

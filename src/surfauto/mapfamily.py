@@ -46,55 +46,31 @@ MAGNITUDE_CAP = 1e100
 DEFAULT_TOL = 1e-9
 
 
-def _euler_phi(n):
-    return sum(1 for j in range(1, n + 1) if gcd(j, n) == 1)
-
-
 def candidate_c(n):
-    """Values of c for which w -> c - 1/w has period n on the line at infinity.
-
-    Returns the distinct values 2*cos(j*pi/n) over 0 < j < n coprime to n,
-    sorted descending.  The set is symmetric under negation since
-    2*cos((n-j)*pi/n) = -2*cos(j*pi/n).
-    """
+    """Values of c for which w -> c - 1/w has period n on the line at
+    infinity: 2*cos(j*pi/n) over 0 < j < n coprime to n, sorted descending,
+    a set symmetric under negation (2*cos((n-j)*pi/n) = -2*cos(j*pi/n))."""
     if n < 2:
         raise ParamError("n must be >= 2")
-    vals = []
-    for j in range(1, n):
-        if gcd(j, n) == 1:
-            v = 2.0 * math.cos(math.pi * j / n)
-            if not any(abs(v - u) < 1e-12 for u in vals):
-                vals.append(v)
-    return sorted(vals, reverse=True)
+    return sorted((2.0 * math.cos(math.pi * j / n) for j in range(1, n) if gcd(j, n) == 1),
+                  reverse=True)
+
+
+def _admissible(n, j, sign):
+    """Whether c = sign*2*cos(j*pi/n), j coprime to n, is admissible.  With
+    theta = j*pi/n the orbit w -> c - 1/w from w_1 = c is w_i =
+    sin((i+1)*theta)/sin(i*theta): it reaches 0 at w_(n-1), and for odd n
+    its midpoint w_((n-1)/2) = (-1)^(j+1) must be 1.  Sign -1 is index n - j."""
+    return n % 2 == 0 or (j + (sign == -1)) % 2 == 1
 
 
 def admissible_c(n):
-    """The subset of candidate_c(n) whose orbit at infinity closes up correctly.
-
-    For even n every candidate qualifies (phi(n) values).  For odd n only
-    the candidates whose orbit midpoint equals 1 survive (phi(n)/2 values).
-    A count disagreeing with phi(n) resp. phi(n)/2 is reported, not forced.
-    """
-    cands = candidate_c(n)
-    if n % 2 == 0:
-        out = list(cands)
-    else:
-        out = []
-        for c in cands:
-            w = c
-            for _ in range((n - 1) // 2 - 1):
-                w = c - 1.0 / w
-            if abs(w - 1.0) < math.sqrt(DEFAULT_TOL):
-                out.append(c)
-    expected = _euler_phi(n) if n % 2 == 0 else _euler_phi(n) // 2
-    if len(out) != expected:
-        import warnings
-
-        warnings.warn(
-            f"admissible c count {len(out)} differs from expected {expected} for n={n}",
-            stacklevel=2,
-        )
-    return out
+    """The candidate_c(n) admitted by :func:`_admissible`: all phi(n) of
+    them for even n, the phi(n)/2 with odd j for odd n; sorted descending."""
+    if n < 2:
+        raise ParamError("n must be >= 2")
+    return sorted((2.0 * math.cos(math.pi * j / n) for j in range(1, n)
+                   if gcd(j, n) == 1 and _admissible(n, j, 1)), reverse=True)
 
 
 class MapCoeffs(NamedTuple):
@@ -122,8 +98,10 @@ class MapParams:
 
     c_spec is either a (j, sign) pair meaning c = sign*2*cos(j*pi/n),
     stored symbolically and evaluated once per working precision (see
-    :meth:`coeffs`), or an explicit scalar (the jacobian-root variant with
-    user-supplied c).
+    :meth:`coeffs`), or, only with delta != 1 (the jacobian-root
+    variant), an explicit scalar.  With delta = 1 the pair must pass
+    :func:`_admissible`, else ParamError; with delta != 1 the orbit at
+    infinity must close (:func:`infinity_orbit`, else PeriodicityError).
     """
 
     n: int
@@ -131,7 +109,6 @@ class MapParams:
     c_spec: object
     a: dict = field(default_factory=dict)
     delta: complex = 1
-    validate: bool = True
     _coeffs: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -145,13 +122,12 @@ class MapParams:
                 raise ParamError(f"c index j={j} must be coprime to n and in (0, n)")
             if sign not in (1, -1):
                 raise ParamError("c sign must be +1 or -1")
-        if self.validate and self.delta == 1:
-            cv = self.coeffs(30).c
-            ok = any(abs(complex(cv) - u) < 1e-9 for u in admissible_c(self.n))
-            if not ok:
-                raise ParamError(f"c={complex(cv)} is not admissible for n={self.n}")
-        if self.validate and self.delta != 1:
+        if self.delta != 1:
             infinity_orbit(self)  # raises PeriodicityError if not periodic
+        elif not isinstance(self.c_spec, tuple):
+            raise ParamError("with delta = 1, c must be given as (j, sign), not by value")
+        elif not _admissible(self.n, j, sign):
+            raise ParamError(f"c = {sign}*2cos({j}*pi/{self.n}) is not admissible for n={self.n}")
 
     def coeffs(self, dps=None):
         """k, c, -delta, the a_l and the indeterminacy floor at precision
@@ -202,9 +178,9 @@ class MapParams:
     def from_json_dict(cls, d):
         """The member a parameter file describes: an object with the
         integers n and k, c as {"j": integer, "sign": "+" or "-"} (sign
-        "+" when absent) or as a value, and optionally a ({"l": value})
-        and delta (value), each value a number or [re, im].  Any other key,
-        type or shape raises ParamError."""
+        "+" when absent) or, with a delta other than 1, as a value, and
+        optionally a ({"l": value}) and delta (value, default 1), each value
+        a number or [re, im].  Anything else raises ParamError."""
         keys = set(d) if isinstance(d, dict) else set()
         if not ({"n", "k", "c"} <= keys <= {"n", "k", "c", "a", "delta"}
                 and type(d["n"]) is int and type(d["k"]) is int):

@@ -283,6 +283,19 @@ def test_malformed_member_is_usage_error(params, flags, capsys, tmp_path):
         assert not out_dir.exists()
 
 
+def test_c_by_value_with_unit_delta_is_usage_error(capsys, tmp_path):
+    # with delta = 1 c is admissible by its (j, sign) alone, never by value
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"n": 4, "k": 4, "c": 1.4142135623730951}))
+    out_dir = tmp_path / "out"
+    for command in ("fixed-points", "charts"):
+        rc, out, err = run_cli([command, "--params", str(path), "--out", str(out_dir)], capsys)
+        assert rc == 2, (command, err)
+        assert err.startswith("error:") and "Traceback" not in err
+        assert out == ""
+        assert not out_dir.exists()
+
+
 def test_charts_zero_tolerance_fails(capsys, tmp_path):
     # --tol 0 is a tolerance, not a request for the default
     rc, _, _ = run_cli(["charts", "--params", str(PRESET), "--tol", "0",

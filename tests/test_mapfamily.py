@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import json
 import math
 import random
@@ -38,6 +39,60 @@ def test_admissible_c_counts_and_values():
     for n, ph in phi.items():
         expected = ph if n % 2 == 0 else ph // 2
         assert len(sa.admissible_c(n)) == expected
+
+
+def _midpoint_admissible_c(n):
+    """Reference oracle, the float rule admissible_c used before its closed
+    form: dedupe the candidates, then keep, for odd n, those whose orbit
+    at infinity has midpoint w_((n-1)/2) within sqrt(1e-9) of 1."""
+    cands = []
+    for j in range(1, n):
+        if math.gcd(j, n) == 1:
+            v = 2.0 * math.cos(math.pi * j / n)
+            if not any(abs(v - u) < 1e-12 for u in cands):
+                cands.append(v)
+    out = []
+    for c in sorted(cands, reverse=True):
+        w = c
+        for _ in range((n - 1) // 2 - 1):
+            w = c - 1.0 / w
+        if n % 2 == 0 or abs(w - 1.0) < math.sqrt(1e-9):
+            out.append(c)
+    return out
+
+
+def test_admissible_c_matches_midpoint_oracle():
+    for n in range(2, 301):
+        assert sa.admissible_c(n) == _midpoint_admissible_c(n), n
+
+
+def test_parity_rule_matches_midpoint_oracle():
+    # a (j, sign) member exists exactly when the oracle admits its c
+    for n in range(2, 61):
+        oracle = _midpoint_admissible_c(n)
+        for j in range(1, n):
+            if math.gcd(j, n) != 1:
+                continue
+            for sign in (1, -1):
+                c = sign * 2 * math.cos(math.pi * j / n)
+                admitted = any(abs(c - u) < 1e-9 for u in oracle)
+                try:
+                    sa.MapParams(n, 4, (j, sign))
+                    accepted = True
+                except sa.ParamError:
+                    accepted = False
+                assert accepted == admitted, (n, j, sign)
+
+
+def test_copies_are_members_too():
+    p = sa.MapParams(3, 4, (1, 1))
+    with pytest.raises(sa.ParamError):
+        dataclasses.replace(p, c_spec=(2, 1))    # c = -1: midpoint -1
+
+
+def test_c_by_value_needs_nonunit_delta():
+    with pytest.raises(sa.ParamError):
+        sa.MapParams(4, 4, math.sqrt(2))
 
 
 def test_bad_params_rejected():
@@ -124,7 +179,7 @@ _y_off = st.floats(min_value=0.5, max_value=2.0) | st.floats(min_value=-2.0, max
 @given(_re, _re, _y_off, _re)
 def test_inverse_undoes_map_with_complex_delta(xr, xi, yr, yi):
     # delta != 1 and complex: the inverse divides by delta (as -neg_delta)
-    p = sa.MapParams(n=2, k=4, c_spec=(1, 1), a={2: -2.64}, delta=0.8 + 0.3j, validate=False)
+    p = sa.MapParams(n=2, k=4, c_spec=(1, 1), a={2: -2.64}, delta=0.8 + 0.3j)
     pt = (complex(xr, xi), complex(yr, yi))
     back = sa.eval_f_inverse(p, sa.eval_f(p, pt))
     assert abs(back[0] - pt[0]) < 1e-11 and back[1] == pt[1]
@@ -310,11 +365,10 @@ def test_orbit_pairing_invariant():
 
 
 def test_orbit_rejects_inadmissible():
-    p = sa.MapParams(n=5, k=2, c_spec=(1, 1), validate=False)
-    bad = sa.MapParams(n=5, k=2, c_spec=0.37, a={}, delta=1, validate=False)
+    p = sa.MapParams(n=5, k=2, c_spec=(1, 1))
     sa.infinity_orbit(p)  # fine
     with pytest.raises(sa.PeriodicityError):
-        sa.infinity_orbit(bad)
+        sa.MapParams(n=5, k=2, c_spec=0.37, a={}, delta=0.5)
 
 
 # -- q and the b-coefficients -------------------------------------------------------
@@ -421,7 +475,7 @@ def test_json_round_trip_complex_c(tmp_path):
     fp = tmp_path / "params.json"
     fp.write_text(json.dumps(d))
     assert sa.MapParams.load(fp) == p
-    real = sa.MapParams(n=2, k=4, c_spec=0.0, a={2: -2.64})
+    real = sa.MapParams(n=2, k=4, c_spec=0.0, a={2: -2.64}, delta=0.5)
     assert real.to_json_dict()["c"] == 0.0
     assert sa.MapParams.from_json_dict(real.to_json_dict()) == real
 

@@ -131,6 +131,16 @@ def test_fixed_point_suite():
     assert any(c.id == "real-census" for c in rep.checks)
 
 
+def test_fixed_point_suite_zero_a_spellings_agree():
+    # a_2 = 0 spelled out is the same member as no a at all: the trace-rank
+    # checks run on both
+    def verdicts(a):
+        return [(c.id, c.status) for c in fixed_point_suite(sa.MapParams(2, 4, (1, 1), a)).checks]
+
+    assert verdicts({2: 0.0}) == verdicts({})
+    assert ("trace-rank", "pass") in verdicts({})
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_fork_map_keeps_item_order(monkeypatch, cpus):
     _set_cpus(monkeypatch, cpus)
