@@ -87,10 +87,14 @@ class CenterTable:
 
     @classmethod
     def build(cls, p):
+        """The table of the member p at default_dps(p.k).  Membership was
+        decided when p was made, so closure is not decided again here:
+        chart_suite's orbit-closure check reports |w_{n-1}|."""
         dps = default_dps(p.k)
         with mp.workdps(dps):
-            w = infinity_orbit(p, dps=dps)
-            b = center_series(p, dps=dps)
+            co = p.coeffs(dps)
+            w = infinity_orbit(co, p.n)
+            b = center_series(co)
             beta = {}
             for s in range(p.n):
                 W = mp.mpf(1)
@@ -103,7 +107,7 @@ class CenterTable:
                     else:
                         sign = -1 if (1 - j) % 2 else 1
                         beta[(s, j)] = sign * W ** (j - 2) * base
-        return cls(n=p.n, k=p.k, dps=dps, w=w, b=b, beta=beta, coeffs=p.coeffs(dps))
+        return cls(n=p.n, k=p.k, dps=dps, w=w, b=b, beta=beta, coeffs=co)
 
     @cached_property
     def bits(self):

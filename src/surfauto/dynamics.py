@@ -25,17 +25,15 @@ class FixedPointRecord:
 
 
 def fixed_point_polynomial(p):
-    """(2-c) z^(k+1) - sum_j a_j z^(k-j) - 1, descending coefficients.
+    """(1+delta-c) z^(k+1) - sum_j a_j z^(k-j) - 1, descending coefficients.
 
-    The diagonal fixed-point equation cleared of denominators.  f(x, y) =
-    (y, .) puts every fixed point on the diagonal for any delta; only the
-    leading 2 - c (1 + delta - c in general) assumes delta = 1."""
-    if complex(p.delta) != 1 + 0j:
-        raise ParamError("diagonal fixed-point polynomial requires delta = 1")
-    c = complex(p.coeffs().c)
-    if abs(c - 2) < 1e-14:
-        raise DegenerateError("c = 2 degenerates the fixed-point polynomial")
-    coeffs = [2 - c] + [0.0] * p.k + [-1.0]
+    The diagonal fixed-point equation cleared of denominators: f(x, y) =
+    (y, .) puts every fixed point on the diagonal, for any delta."""
+    co = p.coeffs()
+    lead = 1 - complex(co.neg_delta) - complex(co.c)
+    if abs(lead) < 1e-14:
+        raise DegenerateError("1 + delta - c = 0 degenerates the fixed-point polynomial")
+    coeffs = [lead] + [0.0] * p.k + [-1.0]
     for l, al in p.a.items():
         # a_l z^(k-l): position k+1-(k-l) from the left
         coeffs[l + 1] = -complex(al)

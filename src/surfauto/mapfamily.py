@@ -14,13 +14,14 @@ Evaluation routines are generic over the scalar type, since only field
 operations are used: python complex (the dynamics layer), mpmath numbers,
 and the chart layer's Jets.  c is kept symbolic (j, n, sign) when given as
 a pair.  Its value, -delta, the a_l and the indeterminacy floor are
-computed once per (params, dps) and cached on the params
+computed once per working precision and cached on the params
 (:meth:`MapParams.coeffs`), where every routine reads them.  This module
 knows no Jet: the chart layer converts one member's coefficients once, on
-its center table, and hands them to :func:`eval_f_proj`, which evaluates in
-whatever scalar type its coefficients and point share.  The affine formula
-is written once, on the coefficients, and :func:`eval_f`,
-:func:`eval_f_inverse` and the orbit stepper share it.
+its center table.  :func:`eval_f_proj`, :func:`infinity_orbit`,
+:func:`center_series` and :func:`q_value` take a MapCoeffs and evaluate in
+whatever scalar type it carries, so each reads c, delta and the a_l the
+same way.  The affine formula is written once, on the coefficients, and
+:func:`eval_f`, :func:`eval_f_inverse` and the orbit stepper share it.
 """
 
 import json
@@ -80,7 +81,7 @@ class MapCoeffs(NamedTuple):
     c: object
     neg_delta: object
     a: tuple            # (l, a_l) pairs, ascending l
-    floor: object       # indeterminacy floor 10^-(dps-8); None for dps=None
+    floor: object       # indeterminacy floor; None for the python scalars
 
     def _next_y(self, x, y):
         """Second component of f(x, y), unchecked: the one formula of the
@@ -101,7 +102,9 @@ class MapParams:
     :meth:`coeffs`), or, only with delta != 1 (the jacobian-root
     variant), an explicit scalar.  With delta = 1 the pair must pass
     :func:`_admissible`, else ParamError; with delta != 1 the orbit at
-    infinity must close (:func:`infinity_orbit`, else PeriodicityError).
+    infinity (:func:`infinity_orbit`) must end within DEFAULT_TOL of 0, else
+    PeriodicityError.  This is the one membership rule: everything built
+    from a member trusts it.
     """
 
     n: int
@@ -123,7 +126,13 @@ class MapParams:
             if sign not in (1, -1):
                 raise ParamError("c sign must be +1 or -1")
         if self.delta != 1:
-            infinity_orbit(self)  # raises PeriodicityError if not periodic
+            try:
+                end = abs(infinity_orbit(self.coeffs(), self.n)[-1])
+            except ZeroDivisionError:
+                raise PeriodicityError("orbit at infinity hit the pole early") from None
+            if end >= DEFAULT_TOL:
+                raise PeriodicityError("orbit at infinity does not return to the base point: "
+                                       f"|w_{self.n - 1}| = {end}")
         elif not isinstance(self.c_spec, tuple):
             raise ParamError("with delta = 1, c must be given as (j, sign), not by value")
         elif not _admissible(self.n, j, sign):
@@ -328,93 +337,69 @@ def eval_f_proj(co, P):
 # -- combinatorics at infinity ----------------------------------------------
 
 
-def infinity_orbit(p, dps=None):
-    """The forward orbit of [0:0:1] along the line at infinity, the tuple
-    (w_1, ..., w_{n-1}): iterate w -> c - delta/w from w_1 = c; the orbit
-    must end at 0.
-
-    Raises PeriodicityError when |w_{n-1}| >= DEFAULT_TOL, or 10^-(dps-10)
-    at a working precision (c not admissible for this n / delta
-    combination).
+def infinity_orbit(co, n):
+    """The forward orbit of [0:0:1] along the line at infinity under the
+    map with coefficients co (a MapCoeffs) and period n, the tuple
+    (w_1, ..., w_{n-1}) in co's scalar type: iterate w -> c - delta/w from
+    w_1 = c.  For a member it ends at w_{n-1} = 0, to DEFAULT_TOL in the
+    python scalars (the membership rule, :class:`MapParams`).  An orbit that
+    reaches 0 before w_{n-1} raises ZeroDivisionError.
     """
-    n = p.n
-    with mp.workdps(dps or mp.mp.dps):
-        _, c, neg_d, _, _ = p.coeffs(dps)
-        w = [c]
-        for _ in range(n - 2):
-            prev = w[-1]
-            if abs(prev) == 0:
-                raise PeriodicityError("orbit at infinity hit the pole early")
-            w.append(c + neg_d / prev)
-        end_tol = DEFAULT_TOL if dps is None else float(mp.mpf(10) ** (-(dps - 10)))
-        if abs(w[-1]) >= end_tol:
-            raise PeriodicityError(
-                f"orbit at infinity does not return to the base point: |w_{n-1}| = {abs(w[-1])}"
-            )
+    _, c, neg_d, _, _ = co
+    w = [c]
+    for _ in range(n - 2):
+        w.append(c + neg_d / w[-1])
     return tuple(w)
 
 
 # -- pole coefficients -------------------------------------------------------
 
 
-def q_value(p, x, y):
-    """The normalizing polynomial 1 + sum_j a_j y^(k-j) - x y^k + c y^(k+1)."""
-    k, c, _, a, _ = p.coeffs()
-    out = 1 + c * y ** (k + 1) - x * y ** k
+def q_value(co, x, y):
+    """The normalizing polynomial y^k * (second component of f(x, y)) =
+    1 + sum_l a_l y^(k-l) - delta x y^k + c y^(k+1), for the map with
+    coefficients co (a MapCoeffs)."""
+    k, c, neg_d, a, _ = co
+    out = 1 + c * y ** (k + 1) + neg_d * x * y ** k
     for l, al in a:
         out = out + al * y ** (k - l)
     return out
 
 
-def center_series(p, dps=None):
+def center_series(co):
     """The series coefficients (b_0, ..., b_2k) of y^k / q(x, y) through
-    order 2k, a tuple, by truncated series inversion of q.  The x-linear
-    part of the order-2k coefficient is exactly 1 and is not stored; b_2k
-    is its constant part.
+    order 2k, a tuple in the scalar type of the coefficients co (a
+    MapCoeffs), by truncated series inversion of q.  The x-linear part of
+    the order-2k coefficient is exactly delta and is not stored; b_2k is its
+    constant part.
 
     Coefficients are (constant, x-linear) pairs; x only enters q through
-    -x*y^k, so no x^2 terms arise below the truncation order and products
-    may drop them.
+    -delta*x*y^k, so no x^2 terms arise below the truncation order and
+    products may drop them.
     """
-    k = p.k
-    zero = mp.mpf(0) if dps is not None else 0.0
+    k, c, neg_d, a, _ = co
+    zero = c * 0
+    u = {k - l: (al, zero) for l, al in a}
+    u[k] = (zero, neg_d)
+    u[k + 1] = (c, zero)
 
-    def conv(v):
-        if dps is not None:
-            return mp.mpmathify(v)
-        v = complex(v)
-        return v if v.imag else v.real
+    order = 2 * k
+    v = [(zero + 1, zero)] + [None] * order
+    for m in range(1, order + 1):
+        c0 = zero
+        c1 = zero
+        for i, (a0, a1) in u.items():
+            if 1 <= i <= m:
+                b0, b1 = v[m - i]
+                c0 = c0 + a0 * b0
+                c1 = c1 + a0 * b1 + a1 * b0  # x^2 cross term dropped
+        v[m] = (-c0, -c1)
 
-    with mp.workdps(dps or 15):
-        _, c, _, a, _ = p.coeffs(dps)
-        u = {}
-        for l, al in a:
-            u[k - l] = (conv(al), zero)
-        const, _ = u.get(k, (zero, zero))
-        u[k] = (const, conv(-1))
-        const, xlin = u.get(k + 1, (zero, zero))
-        u[k + 1] = (const + conv(c), xlin)
-
-        order = 2 * k
-        v = [(conv(1), zero)] + [None] * order
-        for m in range(1, order + 1):
-            c0 = zero
-            c1 = zero
-            for i, (a0, a1) in u.items():
-                if 1 <= i <= m:
-                    b0, b1 = v[m - i]
-                    c0 = c0 + a0 * b0
-                    c1 = c1 + a0 * b1 + a1 * b0  # x^2 cross term dropped
-            v[m] = (-c0, -c1)
-
-        b = [zero] * (2 * k + 1)
-        b[k] = conv(1)
-        for i in range(1, k + 1):
-            b[k + i] = v[i][0]
-        # structural checks: pure-x normalization and parity
-        if not abs(v[k][1] - 1) < 1e-9:
-            raise NumericCheckError("x-linear part of the order-2k coefficient must be 1")
-        for i in range(1, k):
-            if not abs(v[i][1]) < 1e-9:
-                raise NumericCheckError(f"order-{i} coefficient of the series depends on x")
+    b = [zero] * k + [v[i][0] for i in range(k + 1)]
+    # structural checks: pure-x normalization and parity
+    if not abs(v[k][1] + neg_d) < 1e-9:
+        raise NumericCheckError("x-linear part of the order-2k coefficient must be delta")
+    for i in range(1, k):
+        if not abs(v[i][1]) < 1e-9:
+            raise NumericCheckError(f"order-{i} coefficient of the series depends on x")
     return tuple(b)

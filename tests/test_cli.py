@@ -296,6 +296,15 @@ def test_c_by_value_with_unit_delta_is_usage_error(capsys, tmp_path):
         assert not out_dir.exists()
 
 
+def test_fixed_points_with_nonunit_delta(capsys, tmp_path):
+    # the fixed-point polynomial leads with 1 + delta - c, for any delta
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"n": 2, "k": 4, "c": 1e-12, "delta": 0.5}))
+    rc, out, err = run_cli(["fixed-points", "--params", str(path)], capsys)
+    assert rc == 0, err
+    assert out.startswith("5 fixed points")
+
+
 def test_charts_zero_tolerance_fails(capsys, tmp_path):
     # --tol 0 is a tolerance, not a request for the default
     rc, _, _ = run_cli(["charts", "--params", str(PRESET), "--tol", "0",

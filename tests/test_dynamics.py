@@ -20,9 +20,14 @@ def fig1():
 
 
 def test_fixed_point_count_and_residuals():
+    # fixed points are diagonal for every delta; with delta != 1 they are
+    # left unclassified
     for p in (fig1(), sa.MapParams(n=3, k=2, c_spec=(1, 1)),
-              sa.MapParams(n=2, k=6, c_spec=(1, 1), a={2: 0.4, 4: -0.7})):
+              sa.MapParams(n=2, k=6, c_spec=(1, 1), a={2: 0.4, 4: -0.7}),
+              sa.MapParams(n=2, k=4, c_spec=0.0, delta=0.5),
+              sa.MapParams(n=2, k=4, c_spec=(1, 1), a={2: -2.64}, delta=0.8 + 0.3j)):
         recs = sa.fixed_points(p)
+        assert all(r.type == "complex" for r in recs) or p.delta == 1
         assert sum(r.multiplicity for r in recs) == p.k + 1
         for r in recs:
             img = sa.eval_f(p, (r.zeta, r.zeta))
@@ -278,7 +283,8 @@ def test_degenerate_c_rejected():
     # 2cos(pi/n) is within 1e-14 of 2 at this n
     with pytest.raises(sa.DegenerateError):
         fixed_point_polynomial(sa.MapParams(40_000_000, 2, (1, 1)))
-    with pytest.raises(sa.ParamError):
+    # the leading coefficient is 1 + delta - c, which vanishes here
+    with pytest.raises(sa.DegenerateError):
         fixed_point_polynomial(sa.MapParams(2, 4, 0.0, delta=-1))
 
 

@@ -327,14 +327,15 @@ def test_proj_jet_image_routes_after_underflow(monkeypatch):
 
 def test_orbit_n2():
     p = sa.MapParams(n=2, k=4, c_spec=(1, 1))
-    w = sa.infinity_orbit(p)
+    w = sa.infinity_orbit(p.coeffs(), p.n)
     assert len(w) == 1
     assert abs(w[0]) < 1e-12
 
 
 def test_orbit_n4():
     p = sa.MapParams(n=4, k=2, c_spec=(1, 1))
-    w = sa.infinity_orbit(p, dps=40)
+    with mp.workdps(40):
+        w = sa.infinity_orbit(p.coeffs(40), p.n)
     r2 = math.sqrt(2)
     assert abs(complex(w[0]) - r2) < 1e-12
     assert abs(complex(w[1]) - r2 / 2) < 1e-12
@@ -343,7 +344,8 @@ def test_orbit_n4():
 
 
 def test_orbit_n3():
-    w = sa.infinity_orbit(hv_params())
+    p = hv_params()
+    w = sa.infinity_orbit(p.coeffs(), p.n)
     # w_1 is also the midpoint w_((n-1)/2) of this odd-n orbit, which is 1
     assert abs(complex(w[0]) - 1) < 1e-12
     assert abs(complex(w[1])) < 1e-9
@@ -359,58 +361,73 @@ def test_orbit_pairing_invariant():
                         if abs(sign * 2 * math.cos(math.pi * j / n) - c) < 1e-9:
                             p = sa.MapParams(n=n, k=4, c_spec=(j, sign))
             assert p is not None
-            w = [complex(x) for x in sa.infinity_orbit(p, dps=40)]
+            with mp.workdps(40):
+                w = [complex(x) for x in sa.infinity_orbit(p.coeffs(40), n)]
             for j in range(1, n - 1):
                 assert abs(w[j - 1] * w[n - 1 - j - 1] - 1) < 1e-12
 
 
 def test_orbit_rejects_inadmissible():
     p = sa.MapParams(n=5, k=2, c_spec=(1, 1))
-    sa.infinity_orbit(p)  # fine
+    sa.infinity_orbit(p.coeffs(), p.n)  # fine
     with pytest.raises(sa.PeriodicityError):
         sa.MapParams(n=5, k=2, c_spec=0.37, a={}, delta=0.5)
+    # w_1 = c = 0 reaches the base point before w_{n-1}
+    with pytest.raises(sa.PeriodicityError, match="early"):
+        sa.MapParams(n=3, k=2, c_spec=0.0, delta=0.5)
 
 
 # -- q and the b-coefficients -------------------------------------------------------
 
 def test_q_constant_term():
-    p = hv_params()
-    assert q_value(p, 0.0, 0.0) == pytest.approx(1.0)
+    co = hv_params().coeffs()
+    assert q_value(co, 0.0, 0.0) == pytest.approx(1.0)
     # k=2, no a: q = 1 - x y^2 + c y^3
     x, y = 0.7, 1.3
-    assert q_value(p, x, y) == pytest.approx(1 - x * y ** 2 + 1.0 * y ** 3, abs=1e-12)
+    assert q_value(co, x, y) == pytest.approx(1 - x * y ** 2 + 1.0 * y ** 3, abs=1e-12)
 
 
 def test_q_index_bookkeeping_k4():
-    p = fig1()
+    co = fig1().coeffs()
     a2 = -2.64
     x, y = 0.4, 0.9
     expect = 1 + a2 * y ** 2 - x * y ** 4 + 0.0 * y ** 5
-    assert q_value(p, x, y) == pytest.approx(expect, abs=1e-12)
+    assert q_value(co, x, y) == pytest.approx(expect, abs=1e-12)
+
+
+def test_q_value_is_y_k_times_the_map():
+    # q reads -delta from the coefficients: y^k times the second component of f
+    rng = random.Random(19)
+    for delta in (0.5, -1, 1j, 0.8 + 0.3j):
+        co = sa.MapParams(n=2, k=4, c_spec=(1, 1), a={2: -2.64}, delta=delta).coeffs()
+        for _ in range(10):
+            x = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+            y = complex(rng.uniform(0.3, 2), rng.uniform(-1, 1))
+            assert abs(q_value(co, x, y) - y ** 4 * co._next_y(x, y)) < 1e-11
 
 
 def test_b_series_k2():
-    b = [complex(v) for v in sa.center_series(hv_params())]
+    b = [complex(v) for v in sa.center_series(hv_params().coeffs())]
     assert b == pytest.approx([0, 0, 1, 0, 0], abs=1e-12)
 
 
 def test_b_series_k4():
     a2 = -2.64
-    b = [complex(v) for v in sa.center_series(fig1())]
+    b = [complex(v) for v in sa.center_series(fig1().coeffs())]
     assert b == pytest.approx([0, 0, 0, 0, 1, 0, -a2, 0, a2 ** 2], abs=1e-12)
 
 
 def test_b_series_k6():
     a2, a4 = 0.31, -1.2
     p = sa.MapParams(n=2, k=6, c_spec=(1, 1), a={2: a2, 4: a4})
-    b = [complex(v) for v in sa.center_series(p)]
+    b = [complex(v) for v in sa.center_series(p.coeffs())]
     expect = [0, 0, 0, 0, 0, 0, 1, 0, -a4, 0, a4 ** 2 - a2, 0, 2 * a2 * a4 - a4 ** 3]
     assert b == pytest.approx(expect, abs=1e-12)
 
 
 def test_b_odd_indices_vanish():
     for p in (fig1(), sa.MapParams(n=2, k=6, c_spec=(1, 1), a={2: 1.1, 4: 0.3})):
-        b = sa.center_series(p)
+        b = sa.center_series(p.coeffs())
         for i in range(1, 2 * p.k + 1, 2):
             assert abs(complex(b[i])) < 1e-12
 
@@ -431,19 +448,23 @@ def _poly_mul_trunc(P, Q, ymax):
     dict(n=3, k=2, c_spec=(1, 1)),
     dict(n=2, k=4, c_spec=(1, 1), a={2: -2.64}),
     dict(n=2, k=6, c_spec=(1, 1), a={2: 0.31, 4: -1.2}),
+    dict(n=2, k=4, c_spec=1e-12, a={2: -2.64}, delta=0.5),
+    dict(n=2, k=6, c_spec=(1, 1), a={2: 0.31, 4: -1.2}, delta=0.8 + 0.3j),
 ])
 def test_b_defining_identity(params):
     """q(x,y) * (series of y^k/q) = y^k through order 2k, in the constant
-    and x-linear parts, checked with an independent polynomial multiply."""
+    and x-linear parts, checked with an independent polynomial multiply.
+    The x-linear part of the series is delta * x * y^2k."""
     p = sa.MapParams(**params)
     k = p.k
     c = p.coeffs().c
-    q_dict = {(0, 0): 1.0, (1, k): -1.0, (0, k + 1): c}
+    delta = complex(p.delta)
+    q_dict = {(0, 0): 1.0, (1, k): -delta, (0, k + 1): c}
     for l, al in p.a.items():
         q_dict[(0, k - l)] = q_dict.get((0, k - l), 0) + al
-    b = [complex(v) for v in sa.center_series(p)]
+    b = [complex(v) for v in sa.center_series(p.coeffs())]
     series = {(0, i): b[i] for i in range(2 * k + 1) if abs(b[i]) > 0}
-    series[(1, 2 * k)] = 1.0
+    series[(1, 2 * k)] = delta
     prod = _poly_mul_trunc(q_dict, series, 2 * k)
     assert prod.get((0, k), 0) == pytest.approx(1.0, abs=1e-10)
     for key, v in prod.items():
@@ -486,7 +507,7 @@ def test_explicit_c_for_nonunit_delta():
     eps = cmath.sqrt(delta)
     c = 2 * eps * math.cos(math.pi / 2)   # n = 2 analogue: c = 0
     p = sa.MapParams(n=2, k=4, c_spec=complex(c), delta=complex(delta))
-    w = sa.infinity_orbit(p)
+    w = sa.infinity_orbit(p.coeffs(), p.n)
     assert abs(complex(w[0])) < 1e-9
     out = sa.eval_f(p, (1.0, 1.0))
     assert abs(out[1] - (-delta + c + 1)) < 1e-12

@@ -63,6 +63,18 @@ def test_chart_suite_passes_quick():
     assert rep.overall == "pass"
 
 
+def test_chart_suite_nonunit_delta_member_closes():
+    # membership is decided once, by MapParams at 1e-9: a delta != 1 member
+    # whose |w_{n-1}| is 1e-12 builds its table and passes orbit-closure
+    p = sa.MapParams.from_json_dict({"n": 2, "k": 4, "c": 1e-12, "delta": 0.5})
+    table = sa.CenterTable.build(p)
+    assert abs(complex(table.w[-1])) == pytest.approx(1e-12, rel=1e-9)
+    checks = {c.id: c for c in chart_suite(p, table, n_xi=1).checks}
+    assert checks["orbit-closure"].status == "pass"
+    assert checks["orbit-closure"].residual == pytest.approx(1e-12, rel=1e-9)
+    assert checks["series-defining-identity"].status == "pass"
+
+
 def test_chart_suite_negative_control():
     # corrupting one blowup center must break the chart suite
     p = sa.MapParams(n=3, k=2, c_spec=(1, 1))
