@@ -27,7 +27,7 @@ for r in records:
     print(f"   {r.type:9s} zeta = {r.zeta:.12f}   trace = {r.trace:.6f}")
 
 elliptic = [r for r in records if r.type == "elliptic"][0]
-saddles = [r for r in records if r.type == "saddle" and abs(r.zeta.imag) < 1e-9]
+saddles = [r for r in records if r.type == "saddle"]
 
 rows = ["seed_id,step,x,y"]
 z = elliptic.zeta.real

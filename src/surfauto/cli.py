@@ -10,11 +10,12 @@ import functools
 import itertools
 import json
 import math
+import random
 import sys
 from contextlib import nullcontext
 from pathlib import Path
 
-from .charts import CenterTable, fiber_transition_closed, fiber_transition_numeric
+from .charts import CenterTable
 from .dynamics import fixed_points, iterate_orbit, unstable_manifold
 from .errors import ParamError, SurfautoError
 from .mapfamily import MapParams, _json_float, admissible_c
@@ -26,7 +27,8 @@ from .picard import (
     spectral_radius,
 )
 from .reflections import coxeter_factorization_check, reversibility_check, weyl_factorization_check
-from .verify import chart_suite, factorization_suite, fixed_point_suite, lattice_suite, parabolic_suite
+from .verify import (chart_suite, compare_transitions, factorization_suite, fixed_point_suite,
+                     lattice_suite, parabolic_suite)
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
@@ -144,6 +146,12 @@ def _positive(value, flag):
     return value
 
 
+def _check_line(c):
+    """One check of a verdict report as `[status] id residual=... detail`."""
+    res = "" if c.residual is None else f" residual={c.residual:.3e}"
+    return f"[{c.status}] {c.id}{res} {c.detail}".rstrip()
+
+
 # -- subcommands ------------------------------------------------------------------
 
 
@@ -200,8 +208,7 @@ def cmd_verify(args):
         print(f"{s.suite}: {s.overall}")
         for c in s.checks:
             if c.status != "pass":
-                res = "" if c.residual is None else f" residual={c.residual:.3e}"
-                print(f"  [{c.status}] {c.id}{res} {c.detail}".rstrip())
+                print("  " + _check_line(c))
     _write_json(payload, _out_path(args, "verify.json"))
     return 0 if overall else CHECK_FAILURE
 
@@ -292,8 +299,7 @@ def cmd_unstable(args):
         raise ParamError(f"--arclen and --spacing must be finite and > 0, "
                          f"got {args.arclen} and {args.spacing}")
     p = _params_from(args)
-    saddles = [r for r in fixed_points(p)
-               if r.type == "saddle" and abs(r.zeta.imag) < 1e-9]
+    saddles = [r for r in fixed_points(p) if r.type == "saddle"]
     if not saddles:
         print("error: no real saddle fixed points", file=sys.stderr)
         return USAGE_ERROR
@@ -316,27 +322,23 @@ def cmd_unstable(args):
 def cmd_charts(args):
     tol = _non_negative(args.tol, "--tol")
     p = _params_from(args)
-    table = CenterTable.build(p)
-    import random
-
     rng = random.Random(314)
+    jobs = [("fiber", s, j, complex(rng.uniform(0.4, 2.0), rng.uniform(-0.6, 0.6)))
+            for s in range(p.n) for j in range(1, 2 * p.k + 2)]
     records = []
     worst = 0.0
-    for s in range(p.n):
-        for j in range(1, 2 * p.k + 2):
-            xi = complex(rng.uniform(0.4, 2.0), rng.uniform(-0.6, 0.6))
-            tgt, closed = fiber_transition_closed(table, s, j, xi)
-            _, numeric, err = fiber_transition_numeric(table, s, j, xi)
-            abs_err = abs(complex(closed) - complex(numeric))
+    for (_, s, j, xi), result in zip(jobs, compare_transitions(CenterTable.build(p), jobs)):
+        rec = {"chart": [s, j], "xi": _fmt_complex(xi)}
+        if isinstance(result, str):
+            rec["error"] = result
+        else:
+            closed, numeric = result
+            abs_err = abs(closed - numeric)
             worst = max(worst, abs_err)
-            records.append({
-                "chart": [s, j],
-                "xi": _fmt_complex(xi),
-                "closed": _fmt_complex(closed),
-                "numeric": _fmt_complex(numeric),
-                "abs_err": float(f"{abs_err:.3e}"),
-            })
-    ok = worst < tol
+            rec.update(closed=_fmt_complex(closed), numeric=_fmt_complex(numeric),
+                       abs_err=float(f"{abs_err:.3e}"))
+        records.append(rec)
+    ok = worst < tol and all("error" not in rec for rec in records)
     payload = {"params": p.to_json_dict(), "records": records,
                "worst": float(f"{worst:.3e}"), "overall": "pass" if ok else "fail"}
     print(f"{len(records)} transitions, worst |closed - numeric| = {worst:.3e}")
@@ -349,8 +351,7 @@ def cmd_parabolic(args):
     p = _params_from(args)
     rep = parabolic_suite(p, points_per_fiber=points)
     for c in rep.checks:
-        res = "" if c.residual is None else f" residual={c.residual:.3e}"
-        print(f"[{c.status}] {c.id}{res} {c.detail}".rstrip())
+        print(_check_line(c))
     _write_json(rep.to_json_dict(), _out_path(args, "parabolic.json"))
     return 0 if rep.overall == "pass" else CHECK_FAILURE
 
@@ -371,7 +372,7 @@ def cmd_weyl(args):
             "reflection_count": repaired["reflection_count"],
         },
         "coxeter_identity": cox["identity"],
-        "dihedral": rev.get("dihedral", rev["conjugates_to_inverse"]),
+        "dihedral": rev["conjugates_to_inverse"],
     }
     _write_json(verdict, _out_path(args, f"weyl_{n}_{k}.json"))
     ok = (weyl["literal_identity"] or (repaired and repaired["verified"])) \

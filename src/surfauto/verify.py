@@ -3,6 +3,7 @@ member, producing machine-readable verdicts for the CLI and tests."""
 import contextlib
 import os
 import pickle
+import random
 import signal
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -245,14 +246,44 @@ def lattice_suite(n, k):
     return rep
 
 
+def compare_transitions(table, jobs):
+    """Each transition job (kind, s, j, xi), kind "fiber" or "reversor", as
+    (closed form, route through the plane) in python complex, or as the text
+    of the PoleError or ExtrapolationError that stopped it; in job order,
+    through fork_map."""
+    def compare(job):
+        kind, s, j, xi = job
+        closed_form, through_plane = (
+            (fiber_transition_closed, fiber_transition_numeric) if kind == "fiber"
+            else (reversor_transition_closed, reversor_transition_numeric))
+        try:
+            _, closed = closed_form(table, s, j, xi)
+            _, numeric, _ = through_plane(table, s, j, xi)
+        except (PoleError, ExtrapolationError) as exc:
+            return str(exc)
+        return complex(closed), complex(numeric)
+
+    return fork_map(compare, jobs)
+
+
+def _transition_check(rep, cid, jobs, results, tol):
+    """The check `cid` over transition jobs and their results: it passes when
+    every |closed - numeric| is below tol (a NaN is not) and no job stopped.
+    The first failures, as (s, j, difference or error text), go in the detail."""
+    diffs = [r if isinstance(r, str) else abs(r[0] - r[1]) for r in results]
+    worst = max([0.0] + [d for d in diffs if not isinstance(d, str)])
+    failures = [(s, j, d) for (_, s, j, _), d in zip(jobs, diffs)
+                if isinstance(d, str) or not d < tol]
+    _sampled(rep, cid, len(jobs), worst < tol and not failures, residual=worst, bound=tol,
+             detail=f"failures: {failures[:4]}" if failures else "")
+
+
 CHART_SEED = 1234
 
 
 def chart_suite(p, table=None, n_xi=20, tol=1e-6):
     """Numeric verification of the blowup tower: transitions, centers,
     defining series identity, orbit invariants."""
-    import random
-
     rep = VerdictReport(suite="charts")
     table = table or CenterTable.build(p)
     n, k = p.n, p.k
@@ -283,41 +314,17 @@ def chart_suite(p, table=None, n_xi=20, tol=1e-6):
     rep.add("series-defining-identity", worst < 10.0, residual=worst,
             detail="residual scaled by the truncation order")
 
-    def transition(job):
-        """|closed - numeric| of one fiber transition, or the error that
-        stopped it as text."""
-        s, j, xi = job
-        try:
-            _, closed = fiber_transition_closed(table, s, j, xi)
-            _, numeric, _ = fiber_transition_numeric(table, s, j, xi)
-        except (PoleError, ExtrapolationError) as exc:
-            return str(exc)
-        return abs(complex(closed) - complex(numeric))
-
     rng = random.Random(CHART_SEED + 1)
-    jobs = [(s, j, complex(rng.uniform(0.3, 2.5), rng.uniform(-0.8, 0.8)))
-            for s in range(n) for j in range(1, 2 * k + 2) for _ in range(n_xi)]
-    worst = 0.0
-    failures = []
-    for (s, j, _), diff in zip(jobs, fork_map(transition, jobs)):
-        if isinstance(diff, str):
-            failures.append((s, j, diff))
-            continue
-        worst = max(worst, diff)
-        if diff >= tol:
-            failures.append((s, j, diff))
-    _sampled(rep, "fiber-transitions", len(jobs), worst < tol and not failures,
-             residual=worst, bound=tol, detail=f"failures: {failures[:4]}" if failures else "")
-
-    # entry and exit coordinates
-    xv = 0.37
-    try:
-        _, entry = fiber_transition_closed(table, "sigma2", None, xv)
-        _, entry_num, _ = fiber_transition_numeric(table, "sigma2", None, xv)
-        rep.add("contracted-line-entry", abs(complex(entry) - complex(entry_num)) < tol,
-                residual=abs(complex(entry) - complex(entry_num)), bound=tol)
-    except (PoleError, ExtrapolationError) as exc:
-        rep.add("contracted-line-entry", False, detail=str(exc))
+    fibers = [("fiber", s, j, complex(rng.uniform(0.3, 2.5), rng.uniform(-0.8, 0.8)))
+              for s in range(n) for j in range(1, 2 * k + 2) for _ in range(n_xi)]
+    entry = [("fiber", "sigma2", None, 0.37)]   # entry coordinate of the contracted line
+    # the reversor's action on middle-limb fibers
+    reversor = [("reversor", s, j, 1.37 - 0.21j)
+                for s in range(1, n - 1) for j in (1, 2, min(3, 2 * k + 1))]
+    m = len(fibers)
+    results = compare_transitions(table, fibers + entry + reversor)
+    _transition_check(rep, "fiber-transitions", fibers, results[:m], tol)
+    _transition_check(rep, "contracted-line-entry", entry, results[m:m + 1], tol)
 
     # centers propagate and the nonzero ones close up over the limb cycle
     worst = 0.0
@@ -349,15 +356,8 @@ def chart_suite(p, table=None, n_xi=20, tol=1e-6):
         worst = max(worst, abs(complex(val) - xi0)) if (s, jj) == (0, j) else float("inf")
     rep.add("cycle-identity", worst < 1e-8, residual=worst, bound=1e-8)
 
-    # reversor action on middle-limb fibers
-    if n >= 3:
-        worst = 0.0
-        for s in range(1, n - 1):
-            for j in (1, 2, min(3, 2 * k + 1)):
-                _, closed = reversor_transition_closed(table, s, j, 1.37 - 0.21j)
-                _, numeric, _ = reversor_transition_numeric(table, s, j, 1.37 - 0.21j)
-                worst = max(worst, abs(complex(closed) - complex(numeric)))
-        rep.add("reversor-fiber-action", worst < tol, residual=worst, bound=tol)
+    if reversor:
+        _transition_check(rep, "reversor-fiber-action", reversor, results[m + 1:], tol)
     return rep
 
 
@@ -397,8 +397,6 @@ DEV_TOL = 1e-6   # max |Df^(2n) - Id| entrywise
 def parabolic_suite(p, table=None, points_per_fiber=10):
     """Tangent-to-identity checks on the invariant line and the interior
     fibers; the excluded top fibers are measured and reported only."""
-    import random
-
     rep = VerdictReport(suite="parabolic")
     table = table or CenterTable.build(p)
     n, k = p.n, p.k

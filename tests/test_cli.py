@@ -77,6 +77,20 @@ def test_charts_command(capsys, tmp_path):
     assert set(rec) == {"chart", "xi", "closed", "numeric", "abs_err"}
 
 
+def test_charts_records_a_stopped_transition(capsys, tmp_path):
+    # a delta != 1 member: some lifts do not converge under the delta = 1
+    # closed forms; each becomes an error record and the file is still written
+    params = tmp_path / "delta_half.json"
+    params.write_text('{"n": 2, "k": 4, "c": 1e-12, "delta": 0.5}')
+    rc, _, err = run_cli(["charts", "--params", str(params), "--out", str(tmp_path)], capsys)
+    assert rc == 1 and err == ""
+    data = json.loads((tmp_path / "charts.json").read_text())
+    assert data["overall"] == "fail"
+    stopped = [rec for rec in data["records"] if "error" in rec]
+    assert stopped and all(set(rec) == {"chart", "xi", "error"} for rec in stopped)
+    assert "extrapolants keep moving" in stopped[0]["error"]
+
+
 def test_orbit_csv(capsys, tmp_path):
     seeds = tmp_path / "seeds.json"
     seeds.write_text("[[0.1, 0.1], [0.2, 0.3]]")

@@ -1,10 +1,13 @@
+import hashlib
 import os
 import time
+from pathlib import Path
 
 import mpmath as mp
 import pytest
 
 import surfauto as sa
+from surfauto.cli import main
 from surfauto.errors import SurfautoError
 from surfauto.picard import degree_recurrence_residuals
 from surfauto.verify import (
@@ -15,6 +18,8 @@ from surfauto.verify import (
     lattice_suite,
     parabolic_suite,
 )
+
+FIGURE1 = Path(__file__).resolve().parents[1] / "demos" / "figure1.json"
 
 
 def _set_cpus(monkeypatch, cpus):
@@ -80,6 +85,18 @@ def test_chart_suite_negative_control():
     p = sa.MapParams(n=3, k=2, c_spec=(1, 1))
     rep = chart_suite(p, sa.CenterTable.build(p).tampered(0, p.k + 1, mp.mpf(1.21)), n_xi=2)
     assert rep.overall == "fail"
+
+
+def test_chart_suite_reports_a_stopped_reversor_transition():
+    # the reversor's closed form is that of delta = 1: on this delta != 1
+    # member one of its lifts does not converge, and the check fails with
+    # the extrapolation error in its detail instead of stopping the suite
+    p = sa.MapParams.from_json_dict({"n": 3, "k": 4, "c": 0.7071067811865476, "delta": 0.5})
+    checks = {c.id: c for c in chart_suite(p, n_xi=1).checks}
+    reversor = checks["reversor-fiber-action"]
+    assert reversor.status == "fail"
+    assert "(1, 1, 'reversor extrapolants keep moving by" in reversor.detail
+    assert checks["fiber-transitions"].status == "fail"
 
 
 def test_sampled_checks_without_samples_fail():
@@ -212,21 +229,41 @@ def test_fork_map_interrupt_leaves_no_child(monkeypatch):
     assert time.perf_counter() - t0 < 30
 
 
-@pytest.mark.parametrize("member", ["figure1", "desk-3-4"])
-def test_suites_serial_and_forked_agree(monkeypatch, member):
-    p = sa.figure1_params() if member == "figure1" else \
-        sa.MapParams(3, 4, c_spec=(1, 1), a={2: 0.4})
-    table = sa.CenterTable.build(p)
+# sha256 of figure 1's charts.json at its defaults, as tests/test_cli.py pins it
+CHARTS_FIGURE1 = "a3dda3259b75f943251ef0a4d311fa2d4e17fe53b1f07cb5f4c017484e951d3f"
+
+
+@pytest.mark.parametrize("member", ["figure1", "desk-3-4", "charts-figure1"])
+def test_suites_serial_and_forked_agree(monkeypatch, tmp_path, member):
+    if member == "charts-figure1":
+        # `surfauto charts` forks once
+        def run(cpus):
+            out = tmp_path / str(cpus)
+            assert main(["charts", "--params", str(FIGURE1), "--out", str(out)]) == 0
+            return hashlib.sha256((out / "charts.json").read_bytes()).hexdigest()
+        forks_per_cpu = 1
+    else:
+        # the chart and parabolic suites fork once each
+        p = sa.figure1_params() if member == "figure1" else \
+            sa.MapParams(3, 4, c_spec=(1, 1), a={2: 0.4})
+        table = sa.CenterTable.build(p)
+
+        def run(cpus):
+            return [chart_suite(p, table=table, n_xi=2).to_json_dict(),
+                    parabolic_suite(p, table=table, points_per_fiber=2).to_json_dict()]
+        forks_per_cpu = 2
     got = {}
     for cpus in (1, 2):
         _set_cpus(monkeypatch, cpus)
         forks = _count_forks(monkeypatch)
-        got[cpus] = [chart_suite(p, table=table, n_xi=2).to_json_dict(),
-                     parabolic_suite(p, table=table, points_per_fiber=2).to_json_dict()]
+        got[cpus] = run(cpus)
         _assert_no_children()
-        assert len(forks) == 2 * (cpus - 1)
+        assert len(forks) == forks_per_cpu * (cpus - 1)
     assert got[1] == got[2]
-    assert [s["overall"] for s in got[1]] == ["pass", "pass"]
+    if member == "charts-figure1":
+        assert got[1] == CHARTS_FIGURE1
+    else:
+        assert [s["overall"] for s in got[1]] == ["pass", "pass"]
 
 
 def test_chart_suite_negative_control_forked(monkeypatch):
