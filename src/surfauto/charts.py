@@ -396,7 +396,10 @@ def route_chart(table, P):
     keys = []   # (-depth, margin, index in table.chart_ids) of accepting charts
 
     def rank(u, v, depth, index):
-        m = max(abs(u), abs(v))
+        try:
+            m = max(abs(u), abs(v))
+        except OverflowError:   # a modulus past the double range: rejected, as NaN is
+            return
         if m <= _ROUTE_CAP:  # NaN fails this too
             keys.append((-depth, m, index))
 

@@ -12,7 +12,7 @@ import json
 import math
 import random
 import sys
-from contextlib import nullcontext
+from contextlib import closing, nullcontext
 from pathlib import Path
 
 from .charts import CenterTable
@@ -28,7 +28,7 @@ from .picard import (
 )
 from .reflections import coxeter_factorization_check, reversibility_check, weyl_factorization_check
 from .verify import (chart_suite, compare_transitions, factorization_suite, fixed_point_suite,
-                     lattice_suite, parabolic_suite)
+                     fork_map, lattice_suite, parabolic_suite)
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
@@ -269,6 +269,26 @@ def _load_seeds(args, p):
     return [(0.1, 0.1)]
 
 
+ORBIT_BLOCK = 4096  # CSV rows per block of text an orbit job returns
+
+
+def _orbit_rows(p, sid, seed, steps):
+    """The orbit of seed `sid` as its status, its row count and its CSV rows
+    in blocks of ORBIT_BLOCK rows."""
+    orb = iterate_orbit(p, seed, steps)
+    status = orb.status
+    # point i is (seq[i], seq[i+1]), so each number is formatted once
+    txt = list(map("{:.15e}".format, orb.seq))
+    del orb
+    head = f"{sid},"
+    rows = zip(itertools.count(), txt, itertools.islice(txt, 1, None))
+    blocks = []
+    while block := "".join([f"{head}{i},{x},{y}\n"
+                            for i, x, y in itertools.islice(rows, ORBIT_BLOCK)]):
+        blocks.append(block)
+    return status, len(txt) - 1, blocks
+
+
 def cmd_orbit(args):
     steps = _non_negative(args.steps, "--steps")
     p = _params_from(args)
@@ -276,18 +296,16 @@ def cmd_orbit(args):
     path = _out_path(args, "orbits.csv")
     statuses = {}
     rows = 0
-    with open(path, "w") if path else nullcontext(sys.stdout) as fh:
+    # the header is still buffered when fork_map forks: its children leave
+    # through os._exit, so they never flush it
+    with open(path, "w") if path else nullcontext(sys.stdout) as fh, \
+            closing(fork_map(lambda job: _orbit_rows(p, *job, steps),
+                             enumerate(seeds))) as orbits:
         fh.write("seed_id,step,x,y\n")
-        for sid, seed in enumerate(seeds):
-            orb = iterate_orbit(p, seed, steps)
-            statuses[sid] = orb.status
-            # point i is (seq[i], seq[i+1]), so each number is formatted once;
-            # one chunk per seed keeps the whole file out of memory
-            txt = list(map("{:.15e}".format, orb.seq))
-            head = f"{sid},"
-            fh.write("".join([f"{head}{i},{x},{y}\n"
-                              for i, x, y in zip(itertools.count(), txt, txt[1:])]))
-            rows += len(txt) - 1
+        for sid, (status, count, blocks) in enumerate(orbits):
+            statuses[sid] = status
+            fh.writelines(blocks)
+            rows += count
     if path:
         print(f"wrote {path} ({rows} rows)")
     print(json.dumps({"statuses": statuses}, sort_keys=True))

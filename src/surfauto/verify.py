@@ -91,25 +91,35 @@ def _sampled(rep, cid, samples, ok, residual=None, bound=None, detail=""):
 
 
 def fork_map(fn, items):
-    """[fn(x) for x in items], with the items dealt round-robin between this
-    process and one forked child for each further CPU in its affinity mask.
+    """Yield fn(x) for each x in items, in item order, with the items dealt
+    round-robin between this process and one forked child for each further
+    CPU in its affinity mask.
 
     fn must be pure: what it changes in a child stays there.  Each child
-    pickles its share's results, or the exception that stopped it, into a
-    pipe and leaves with os._exit; the parent merges the shares in item
-    order and re-raises a child's exception.  On an error or interrupt the
-    children still running are killed; every child is reaped before this
-    returns or raises.  With one CPU or one item, or on a platform without
-    os.sched_getaffinity (Linux has it, and os.fork), it is the list
-    comprehension.
+    pickles each result into its pipe as soon as it has it, one flushed
+    pickle per item, then the exception that stopped it, if one did, and
+    leaves with os._exit.  The parent computes its own items in turn and
+    reads a child's next result when that item's turn comes, so results
+    arrive one at a time and a child's exception is raised in its item's
+    place, after every earlier result.  Memory: the parent holds one
+    result it has not yet yielded; a child holds the result it is computing
+    or writing, and its writes wait while its pipe's buffer (64 KiB on
+    Linux) is full.  When the generator raises, or is closed before the
+    end (a consumer that may stop early, by an error or an interrupt,
+    closes it with contextlib.closing), the children still running are
+    killed; every child is reaped before it finishes.  With one CPU or one
+    item, or on a platform without os.sched_getaffinity (Linux has it, and
+    os.fork), it is map(fn, items).
 
     numpy's BLAS threads may be running when this forks, and a child has
-    none of them: the suites' jobs are interpreter arithmetic, no BLAS."""
+    none of them: the suites' and `surfauto orbit`'s jobs are interpreter
+    arithmetic, no BLAS."""
     items = list(items)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     width = min(cpus, len(items))
     if width <= 1:
-        return [fn(x) for x in items]
+        yield from map(fn, items)
+        return
     children = []   # (pid, read end of its pipe), in share order, until reaped
     try:
         for share in range(1, width):
@@ -120,22 +130,22 @@ def fork_map(fn, items):
                 _serve_share(fn, items[share::width], pipe_w)
             pipe_w.close()
             children.append((pid, pipe_r))
-        results = [None] * len(items)
-        results[::width] = [fn(x) for x in items[::width]]
-        for share in range(1, width):
-            pid, pipe_r = children[0]
-            with pipe_r:
-                data = pipe_r.read()
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            children.pop(0)
-            if status != 0 or not data:
+        for i, x in enumerate(items):
+            if i % width == 0:
+                yield fn(x)
+                continue
+            child = pid, pipe_r = children[i % width - 1]
+            try:
+                done, result = pickle.load(pipe_r)
+            except EOFError:    # it exited early; reap it here, the rest below
+                children.remove(child)
+                pipe_r.close()
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                 raise SurfautoError(f"worker process {pid} exited with status {status} "
-                                    "without sending its results")
-            payload = pickle.loads(data)
-            if isinstance(payload, BaseException):
-                raise payload
-            results[share::width] = payload
-        return results
+                                    "before sending all its results") from None
+            if not done:
+                raise result
+            yield result
     finally:
         for pid, pipe_r in children:
             pipe_r.close()
@@ -146,15 +156,17 @@ def fork_map(fn, items):
 
 
 def _serve_share(fn, share, pipe_w):
-    """In a forked child: pickle [fn(x) for x in share], or the exception
-    that stopped it, into pipe_w and exit without returning."""
+    """In a forked child: pickle (True, fn(x)) into pipe_w for each x of
+    share as soon as it is computed, or (False, exc) for the exception that
+    stopped it, and exit without returning."""
     status = 1
     try:
         try:
-            payload = [fn(x) for x in share]
+            for x in share:
+                pipe_w.write(pickle.dumps((True, fn(x))))
+                pipe_w.flush()
         except BaseException as exc:  # the parent re-raises it
-            payload = exc
-        pipe_w.write(pickle.dumps(payload))
+            pipe_w.write(pickle.dumps((False, exc)))
         pipe_w.close()
         status = 0
     finally:
@@ -263,7 +275,7 @@ def compare_transitions(table, jobs):
             return str(exc)
         return complex(closed), complex(numeric)
 
-    return fork_map(compare, jobs)
+    return list(fork_map(compare, jobs))
 
 
 def _transition_check(rep, cid, jobs, results, tol):
@@ -410,7 +422,8 @@ def parabolic_suite(p, table=None, points_per_fiber=10):
     # outside the configuration: measured, not required
     outside = [(ChartId("tower", 0, 2 * k + 1), ChartPoint(0.9, 0.0)),
                (ChartId("tower", 0, 2), ChartPoint(0.9, 0.0))]
-    reports = fork_map(lambda job: parabolic_check(table, *job), line + fibers + outside)
+    reports = list(fork_map(lambda job: parabolic_check(table, *job),
+                            line + fibers + outside))
 
     worst_dev, worst_fix, diag_ok = 0.0, 0.0, True
     for r in reports[:len(line)]:

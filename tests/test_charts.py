@@ -416,6 +416,21 @@ def test_route_affine_for_finite_points(fig1):
     assert best.kind == "affine"
 
 
+def test_route_rejects_a_chart_past_the_double_range(fig1, monkeypatch):
+    """A chart whose double-precision coordinates have a modulus past the
+    float range (abs() raises OverflowError) is rejected, as a NaN one is."""
+    p, table = fig1
+
+    def route(u):
+        monkeypatch.setattr("surfauto.charts.plane_to_chart", lambda dt, cid, P: (u, 0.0))
+        with mp.workdps(table.dps):
+            return sa.route_chart(table, (mp.mpf(1), mp.mpf("0.3"), mp.mpf("0.8")))
+
+    with pytest.raises(OverflowError):
+        abs(complex(1.5e308, 1.5e308))
+    assert route(complex(1.5e308, 1.5e308)) == route(complex("nan")) != ChartId("affine")
+
+
 @pytest.mark.parametrize("fix", ["hv", "fig1"])
 def test_parabolic_on_invariant_line(fix, request):
     p, table = request.getfixturevalue(fix)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -381,8 +382,13 @@ ORBIT_CSV_DIGESTS = {
 }
 
 
+def _set_cpus(monkeypatch, cpus):
+    """Make fork_map see `cpus` CPUs in this process's affinity mask."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
 @pytest.mark.parametrize("kind", sorted(ORBIT_CSV_DIGESTS))
-def test_orbit_csv_pinned(kind, capsys, tmp_path):
+def test_orbit_csv_pinned(kind, monkeypatch, capsys, tmp_path):
     params = PRESET
     if kind == "complex-delta":
         params = tmp_path / "params.json"
@@ -390,12 +396,35 @@ def test_orbit_csv_pinned(kind, capsys, tmp_path):
                                       "a": {"2": [-2.64, 0.0]}, "delta": [0.5, 0.1]}))
     seeds = tmp_path / "seeds.json"
     seeds.write_text(ORBIT_SEEDS)
-    rc, out, _ = run_cli(["orbit", "--params", str(params), "--steps", "300",
-                          "--seeds", str(seeds), "--out", str(tmp_path)], capsys)
-    assert rc == 0
-    assert '"2": "pole"' in out
-    text = (tmp_path / "orbits.csv").read_bytes()
-    assert hashlib.sha256(text).hexdigest() == ORBIT_CSV_DIGESTS[kind]
+    # the seeds in this process alone, or dealt between it and two children
+    for cpus in (1, 3):
+        _set_cpus(monkeypatch, cpus)
+        out_dir = tmp_path / f"cpus-{cpus}"
+        rc, out, _ = run_cli(["orbit", "--params", str(params), "--steps", "300",
+                              "--seeds", str(seeds), "--out", str(out_dir)], capsys)
+        assert rc == 0
+        assert '"2": "pole"' in out
+        text = (out_dir / "orbits.csv").read_bytes()
+        assert hashlib.sha256(text).hexdigest() == ORBIT_CSV_DIGESTS[kind], cpus
+
+
+def test_orbit_to_stdout_has_one_header(tmp_path):
+    # with stdout block-buffered, the header is still in its buffer when the
+    # seeds are dealt to forked children: a child that flushed it on exit
+    # would repeat it
+    seeds = tmp_path / "seeds.json"
+    seeds.write_text(ORBIT_SEEDS)
+    code = ("import os, sys; os.sched_getaffinity = lambda pid: set(range(3)); "
+            "from surfauto.cli import main; sys.exit(main(sys.argv[1:]))")
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(PRESET.parents[1] / "src")
+    run = subprocess.run([sys.executable, "-c", code, "orbit", "--params", str(PRESET),
+                          "--steps", "300", "--seeds", str(seeds)],
+                         capture_output=True, check=True, env=env)
+    csv, statuses = run.stdout.rstrip(b"\n").rsplit(b"\n", 1)
+    assert csv.count(b"seed_id,step,x,y") == 1
+    assert hashlib.sha256(csv + b"\n").hexdigest() == ORBIT_CSV_DIGESTS["real"]
+    assert json.loads(statuses)["statuses"]["2"] == "pole"
 
 
 # [0.1, 1e200] trips the magnitude cap on step 1; under delta = 2 the
@@ -411,7 +440,7 @@ ESCAPE_CSV_DIGESTS = {
 
 
 @pytest.mark.parametrize("kind", sorted(ESCAPE_CSV_DIGESTS))
-def test_escaped_orbit_csv_pinned(kind, capsys, tmp_path):
+def test_escaped_orbit_csv_pinned(kind, monkeypatch, capsys, tmp_path):
     params = PRESET
     statuses = {"0": "escaped", "1": "completed", "2": "completed"}
     if kind == "expanding-delta":
@@ -421,12 +450,15 @@ def test_escaped_orbit_csv_pinned(kind, capsys, tmp_path):
         statuses["1"] = "escaped"
     seeds = tmp_path / "seeds.json"
     seeds.write_text(ESCAPE_SEEDS)
-    rc, out, _ = run_cli(["orbit", "--params", str(params), "--steps", "300",
-                          "--seeds", str(seeds), "--out", str(tmp_path)], capsys)
-    assert rc == 0
-    assert json.loads(out.splitlines()[-1]) == {"statuses": statuses}
-    text = (tmp_path / "orbits.csv").read_bytes()
-    assert hashlib.sha256(text).hexdigest() == ESCAPE_CSV_DIGESTS[kind]
+    for cpus in (1, 3):
+        _set_cpus(monkeypatch, cpus)
+        out_dir = tmp_path / f"cpus-{cpus}"
+        rc, out, _ = run_cli(["orbit", "--params", str(params), "--steps", "300",
+                              "--seeds", str(seeds), "--out", str(out_dir)], capsys)
+        assert rc == 0
+        assert json.loads(out.splitlines()[-1]) == {"statuses": statuses}
+        text = (out_dir / "orbits.csv").read_bytes()
+        assert hashlib.sha256(text).hexdigest() == ESCAPE_CSV_DIGESTS[kind], cpus
 
 
 @pytest.mark.parametrize("content, message", [

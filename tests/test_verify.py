@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import os
 import time
@@ -174,7 +175,7 @@ def test_fixed_point_suite_zero_a_spellings_agree():
 def test_fork_map_keeps_item_order(monkeypatch, cpus):
     _set_cpus(monkeypatch, cpus)
     forks = _count_forks(monkeypatch)
-    got = fork_map(lambda x: (x * x, os.getpid()), range(10))
+    got = list(fork_map(lambda x: (x * x, os.getpid()), range(10)))
     _assert_no_children()
     assert [v for v, _ in got] == [x * x for x in range(10)]
     # round-robin: item i runs in share i % cpus, share 0 in this process
@@ -188,8 +189,8 @@ def test_fork_map_keeps_item_order(monkeypatch, cpus):
 def test_fork_map_one_item_never_forks(monkeypatch):
     _set_cpus(monkeypatch, 3)
     forks = _count_forks(monkeypatch)
-    assert fork_map(lambda x: x + 1, [41]) == [42]
-    assert fork_map(lambda x: x, []) == []
+    assert list(fork_map(lambda x: x + 1, [41])) == [42]
+    assert list(fork_map(lambda x: x, [])) == []
     assert forks == []
 
 
@@ -201,15 +202,18 @@ def test_fork_map_reraises_a_child_exception(monkeypatch):
             raise ValueError(f"bad item {x}")
         return x
 
+    got = []
     with pytest.raises(ValueError, match="bad item 3"):
-        fork_map(fn, range(6))
+        got.extend(fork_map(fn, range(6)))
+    # the results before item 3 arrive before its exception
+    assert got == [0, 1, 2]
     _assert_no_children()
 
 
 def test_fork_map_child_exiting_without_results(monkeypatch):
     _set_cpus(monkeypatch, 2)
     with pytest.raises(SurfautoError, match="status 3"):
-        fork_map(lambda x: os._exit(3) if x == 1 else x, range(4))
+        list(fork_map(lambda x: os._exit(3) if x == 1 else x, range(4)))
     _assert_no_children()
 
 
@@ -224,7 +228,40 @@ def test_fork_map_interrupt_leaves_no_child(monkeypatch):
 
     t0 = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
-        fork_map(fn, range(3))
+        list(fork_map(fn, range(3)))
+    _assert_no_children()
+    assert time.perf_counter() - t0 < 30
+
+
+def test_fork_map_consumer_stopping_early_leaves_no_child(monkeypatch):
+    _set_cpus(monkeypatch, 3)
+
+    def fn(x):
+        if x:
+            time.sleep(60)  # the children's shares; they are killed, not waited for
+        return x
+
+    t0 = time.perf_counter()
+    with pytest.raises(RuntimeError, match="consumer failed"):
+        with contextlib.closing(fork_map(fn, range(3))) as results:
+            for _ in results:
+                raise RuntimeError("consumer failed")
+    _assert_no_children()
+    assert time.perf_counter() - t0 < 30
+
+
+def test_fork_map_streams_each_result(monkeypatch):
+    _set_cpus(monkeypatch, 2)
+
+    def fn(x):
+        if x == 3:      # the child's second item keeps it busy
+            time.sleep(60)
+        return x
+
+    t0 = time.perf_counter()
+    with contextlib.closing(fork_map(fn, range(4))) as results:
+        # item 1 arrives while the child is still on item 3
+        assert [next(results) for _ in range(3)] == [0, 1, 2]
     _assert_no_children()
     assert time.perf_counter() - t0 < 30
 
