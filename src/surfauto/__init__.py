@@ -3,7 +3,15 @@
 Exact Picard-lattice models of an iterated-blowup family of plane
 birational maps, numeric verification of the blowup-chart structure, and
 plane dynamics (fixed points, orbits, invariant manifolds).
+
+Importing the package loads the exact layer and the map family only.  The
+chart layer (:mod:`surfauto.charts`, on mpmath) and the plane dynamics
+(:mod:`surfauto.dynamics`, on numpy) are imported on first use of one of
+their names here, so ``surfauto.CenterTable`` or ``surfauto.fixed_points``
+costs its import when it is first read.
 """
+
+import importlib
 
 from .errors import (
     ChartDomainError,
@@ -32,19 +40,6 @@ from .mapfamily import (
     proj_equal,
     proj_normalize,
     q_value,
-)
-from .charts import (
-    CenterTable,
-    ChartId,
-    ChartPoint,
-    chart_to_plane,
-    fiber_target,
-    fiber_transition_closed,
-    fiber_transition_numeric,
-    parabolic_check,
-    parabolic_levels,
-    plane_to_chart,
-    route_chart,
 )
 from .picard import (
     PicardLattice,
@@ -75,16 +70,45 @@ from .reflections import (
     weyl_factorization_check,
     weyl_generators,
 )
-from .dynamics import (
-    FixedPointRecord,
-    OrbitResult,
-    Polyline,
-    fixed_points,
-    iterate_orbit,
-    jacobian,
-    trace_map_rank,
-    trace_set_separation,
-    unstable_manifold,
-)
 
 __version__ = "0.1.0"
+
+# name -> the submodule that defines it, imported on first use
+_LAZY = dict.fromkeys((
+    "CenterTable",
+    "ChartId",
+    "ChartPoint",
+    "chart_to_plane",
+    "fiber_target",
+    "fiber_transition_closed",
+    "fiber_transition_numeric",
+    "parabolic_check",
+    "parabolic_levels",
+    "plane_to_chart",
+    "route_chart",
+), "charts") | dict.fromkeys((
+    "FixedPointRecord",
+    "OrbitResult",
+    "Polyline",
+    "fixed_points",
+    "iterate_orbit",
+    "jacobian",
+    "trace_map_rank",
+    "trace_set_separation",
+    "unstable_manifold",
+), "dynamics")
+_LAZY_MODULES = ("charts", "dual", "dynamics", "polyroots")
+
+
+def __getattr__(name):
+    """A chart-layer or dynamics name, or one of their modules, importing
+    its module on first use (PEP 562)."""
+    if name in _LAZY_MODULES:
+        return importlib.import_module(f".{name}", __name__)
+    if name in _LAZY:
+        return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY) | set(_LAZY_MODULES))

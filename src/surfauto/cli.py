@@ -1,8 +1,18 @@
 """Command-line interface: verification suites and data emission.
 
 Exit codes: 0 success / all checks pass, 1 verification failure,
-2 usage or configuration error.  All numeric output uses fixed digit
-counts so identical configurations produce byte-identical files.
+2 usage or configuration error, 141 (128 + SIGPIPE, as a shell reports a
+process that SIGPIPE stopped) when the reader of standard output went
+away, which ends the command without a traceback.  All numeric output uses
+fixed digit counts so identical configurations produce byte-identical
+files.
+
+Each command imports the layer it runs when it runs: the exact-layer
+commands (spectrum, degrees, weyl, cn) load neither mpmath nor numpy,
+verify, charts and parabolic load the chart layer (mpmath), and the plane
+dynamics (fixed-points, orbit, unstable, and verify's fixed-point suite)
+load numpy.  A command that deals jobs to forked children through
+fork_map imports their code before it forks.
 """
 
 import argparse
@@ -10,13 +20,12 @@ import functools
 import itertools
 import json
 import math
+import os
 import random
 import sys
 from contextlib import closing, nullcontext
 from pathlib import Path
 
-from .charts import CenterTable
-from .dynamics import fixed_points, iterate_orbit, unstable_manifold
 from .errors import ParamError, SurfautoError
 from .mapfamily import MapParams, _json_float, admissible_c
 from .picard import (
@@ -32,6 +41,7 @@ from .verify import (chart_suite, compare_transitions, factorization_suite, fixe
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
+READER_GONE = 141
 
 
 def _fmt(x):
@@ -188,6 +198,8 @@ def cmd_cn(args):
 
 
 def cmd_verify(args):
+    from .charts import CenterTable
+
     tol = _non_negative(args.tol, "--tol")
     n_xi = _positive(args.n_xi, "--n-xi")
     points = _positive(args.points, "--points")
@@ -214,6 +226,8 @@ def cmd_verify(args):
 
 
 def cmd_fixed_points(args):
+    from .dynamics import fixed_points
+
     p = _params_from(args)
     recs = fixed_points(p)
     rows = [{
@@ -262,6 +276,8 @@ def _load_seeds(args, p):
                 raise ParamError(f"each seed must be [x, y] with finite numbers x and y, "
                                  f"got {s!r}") from None
         return seeds
+    from .dynamics import fixed_points
+
     recs = [r for r in fixed_points(p) if r.type == "elliptic"]
     if recs:
         z = recs[0].zeta.real
@@ -274,22 +290,23 @@ ORBIT_BLOCK = 4096  # CSV rows per block of text an orbit job returns
 
 def _orbit_rows(p, sid, seed, steps):
     """The orbit of seed `sid` as its status, its row count and its CSV rows
-    in blocks of ORBIT_BLOCK rows."""
+    in blocks of ORBIT_BLOCK rows, each block formatted as it is built."""
+    from .dynamics import iterate_orbit
+
     orb = iterate_orbit(p, seed, steps)
-    status = orb.status
-    # point i is (seq[i], seq[i+1]), so each number is formatted once
-    txt = list(map("{:.15e}".format, orb.seq))
-    del orb
-    head = f"{sid},"
-    rows = zip(itertools.count(), txt, itertools.islice(txt, 1, None))
-    blocks = []
-    while block := "".join([f"{head}{i},{x},{y}\n"
-                            for i, x, y in itertools.islice(rows, ORBIT_BLOCK)]):
-        blocks.append(block)
-    return status, len(txt) - 1, blocks
+    seq, head, blocks = orb.seq, f"{sid},", []
+    # row i is (seq[i], seq[i+1]): a block of rows from `start` formats the
+    # ORBIT_BLOCK + 1 numbers it reads, the last again in the next block
+    for start in range(0, len(seq) - 1, ORBIT_BLOCK):
+        txt = list(map("{:.15e}".format, seq[start:start + ORBIT_BLOCK + 1]))
+        blocks.append("".join([f"{head}{i},{x},{y}\n" for i, x, y in
+                               zip(itertools.count(start), txt, itertools.islice(txt, 1, None))]))
+    return orb.status, len(seq) - 1, blocks
 
 
 def cmd_orbit(args):
+    from . import dynamics  # imported here, before fork_map forks, not in each child
+
     steps = _non_negative(args.steps, "--steps")
     p = _params_from(args)
     seeds = _load_seeds(args, p)
@@ -306,6 +323,7 @@ def cmd_orbit(args):
             statuses[sid] = status
             fh.writelines(blocks)
             rows += count
+            del blocks  # written: not kept while the next seed's orbit runs
     if path:
         print(f"wrote {path} ({rows} rows)")
     print(json.dumps({"statuses": statuses}, sort_keys=True))
@@ -316,6 +334,8 @@ def cmd_unstable(args):
     if not (0 < args.arclen < math.inf and 0 < args.spacing < math.inf):
         raise ParamError(f"--arclen and --spacing must be finite and > 0, "
                          f"got {args.arclen} and {args.spacing}")
+    from .dynamics import fixed_points, unstable_manifold
+
     p = _params_from(args)
     saddles = [r for r in fixed_points(p) if r.type == "saddle"]
     if not saddles:
@@ -338,6 +358,8 @@ def cmd_unstable(args):
 
 
 def cmd_charts(args):
+    from .charts import CenterTable
+
     tol = _non_negative(args.tol, "--tol")
     p = _params_from(args)
     rng = random.Random(314)
@@ -482,7 +504,13 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # stdout now writes to os.devnull, so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return READER_GONE
     except ParamError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -15,7 +15,9 @@ operations are used: python complex (the dynamics layer), mpmath numbers,
 and the chart layer's Jets.  c is kept symbolic (j, n, sign) when given as
 a pair.  Its value, -delta, the a_l and the indeterminacy floor are
 computed once per working precision and cached on the params
-(:meth:`MapParams.coeffs`), where every routine reads them.  This module
+(:meth:`MapParams.coeffs`), where every routine reads them; mpmath is
+imported there, on the first request for a working precision, so the
+exact layer and the plane dynamics never load it.  This module
 knows no Jet: the chart layer converts one member's coefficients once, on
 its center table.  :func:`eval_f_proj`, :func:`infinity_orbit`,
 :func:`center_series` and :func:`q_value` take a MapCoeffs and evaluate in
@@ -30,8 +32,6 @@ import sys
 from dataclasses import dataclass, field
 from math import gcd
 from typing import NamedTuple
-
-import mpmath as mp
 
 from .errors import (
     IndeterminacyError,
@@ -153,6 +153,8 @@ class MapParams:
                     c = sign * 2.0 * math.cos(math.pi * j / self.n)
                 got = MapCoeffs(self.k, c, -self.delta, tuple(sorted(self.a.items())), None)
             else:
+                import mpmath as mp
+
                 with mp.workdps(dps):
                     if isinstance(self.c_spec, tuple):
                         j, sign = self.c_spec

@@ -1,5 +1,10 @@
 """Verification suites aggregating every computable claim about one family
-member, producing machine-readable verdicts for the CLI and tests."""
+member, producing machine-readable verdicts for the CLI and tests.
+
+The exact suites need only the lattice layer.  The chart-layer suites
+import :mod:`surfauto.charts` (and so mpmath) and the fixed-point suite
+:mod:`surfauto.dynamics` (numpy) when they run; a suite that deals its
+jobs through fork_map imports them before it forks."""
 import contextlib
 import os
 import pickle
@@ -9,18 +14,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import exactmat as xm
-from .charts import (
-    CenterTable,
-    ChartId,
-    ChartPoint,
-    fiber_transition_closed,
-    fiber_transition_numeric,
-    parabolic_check,
-    parabolic_levels,
-    reversor_transition_closed,
-    reversor_transition_numeric,
-)
-from .dynamics import fixed_points, jacobian, trace_map_rank
 from .errors import ExactIdentityError, ExtrapolationError, PoleError, SurfautoError
 from .mapfamily import eval_f, q_value
 from .picard import (
@@ -111,8 +104,10 @@ def fork_map(fn, items):
     item, or on a platform without os.sched_getaffinity (Linux has it, and
     os.fork), it is map(fn, items).
 
-    numpy's BLAS threads may be running when this forks, and a child has
-    none of them: the suites' and `surfauto orbit`'s jobs are interpreter
+    numpy is loaded only by the plane dynamics, but it may be when this
+    forks (`surfauto orbit` finds its default seeds with it, and a caller
+    may have imported it); its BLAS threads, if running, do not exist in a
+    child, and the suites' and `surfauto orbit`'s jobs are interpreter
     arithmetic, no BLAS."""
     items = list(items)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -263,6 +258,9 @@ def compare_transitions(table, jobs):
     (closed form, route through the plane) in python complex, or as the text
     of the PoleError or ExtrapolationError that stopped it; in job order,
     through fork_map."""
+    from .charts import (fiber_transition_closed, fiber_transition_numeric,
+                         reversor_transition_closed, reversor_transition_numeric)
+
     def compare(job):
         kind, s, j, xi = job
         closed_form, through_plane = (
@@ -296,6 +294,8 @@ CHART_SEED = 1234
 def chart_suite(p, table=None, n_xi=20, tol=1e-6):
     """Numeric verification of the blowup tower: transitions, centers,
     defining series identity, orbit invariants."""
+    from .charts import CenterTable, fiber_transition_closed
+
     rep = VerdictReport(suite="charts")
     table = table or CenterTable.build(p)
     n, k = p.n, p.k
@@ -409,6 +409,8 @@ DEV_TOL = 1e-6   # max |Df^(2n) - Id| entrywise
 def parabolic_suite(p, table=None, points_per_fiber=10):
     """Tangent-to-identity checks on the invariant line and the interior
     fibers; the excluded top fibers are measured and reported only."""
+    from .charts import CenterTable, ChartId, ChartPoint, parabolic_check, parabolic_levels
+
     rep = VerdictReport(suite="parabolic")
     table = table or CenterTable.build(p)
     n, k = p.n, p.k
@@ -463,6 +465,8 @@ def parabolic_suite(p, table=None, points_per_fiber=10):
 
 def fixed_point_suite(p):
     """Fixed points, multipliers, and the parameter-dependence rank."""
+    from .dynamics import fixed_points, jacobian, trace_map_rank
+
     rep = VerdictReport(suite="fixed-points")
     recs = fixed_points(p)
     _exact(rep, "count", sum(r.multiplicity for r in recs) == p.k + 1,

@@ -1,13 +1,18 @@
 import hashlib
+import itertools
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from surfauto.cli import _params_from, build_parser, main
+import surfauto
+from surfauto.cli import ORBIT_BLOCK, READER_GONE, _orbit_rows, _params_from, build_parser, main
+from surfauto.dynamics import fixed_points, iterate_orbit
+from surfauto.mapfamily import MapParams, figure1_params
 
 PRESET = Path(__file__).resolve().parents[1] / "demos" / "figure1.json"
 
@@ -503,3 +508,157 @@ def test_charts_at_2_10_survive_deep_underflow(capsys, tmp_path):
     payload = json.loads((tmp_path / "charts.json").read_text())
     assert payload["overall"] == "pass"
     assert len(payload["records"]) == 2 * 21
+
+
+def _env():
+    """The environment of a fresh interpreter on this checkout's package."""
+    return dict(os.environ, PYTHONPATH=str(PRESET.parents[1] / "src"))
+
+
+def _python(code, *args):
+    """Run `code` with `args` in a fresh interpreter."""
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          check=True, env=_env(), timeout=120)
+
+
+# the modules of the chart layer (mpmath, charts, dual) and of the plane
+# dynamics (numpy, dynamics, polyroots)
+LAYER_MODULES = ("mpmath", "numpy", "surfauto.charts", "surfauto.dual", "surfauto.dynamics",
+                 "surfauto.polyroots")
+DYNAMICS_MODULES = ["numpy", "surfauto.dynamics", "surfauto.polyroots"]
+PROBE = ("import json, sys\n{}\n"
+         f"print(json.dumps([m for m in {LAYER_MODULES!r} if m in sys.modules]))")
+
+
+def test_importing_the_cli_loads_no_chart_or_dynamics_layer():
+    run = _python(PROBE.format("import surfauto, surfauto.cli"))
+    assert json.loads(run.stdout) == []
+
+
+# each command's arguments, and the modules of LAYER_MODULES it loads
+COMMAND_LAYERS = {
+    "spectrum": (["--n", "2", "--k", "4"], []),
+    "degrees": (["--n", "2", "--k", "4"], []),
+    "weyl": (["--n", "2", "--k", "4"], []),
+    "cn": (["--n", "5"], []),
+    "fixed-points": (["--params", str(PRESET)], DYNAMICS_MODULES),
+    "unstable": (["--params", str(PRESET), "--arclen", "0.5"], DYNAMICS_MODULES),
+    "orbit": (["--params", str(PRESET), "--steps", "10"], DYNAMICS_MODULES),
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_LAYERS)
+def test_each_command_loads_only_its_layer(command, tmp_path):
+    args, loaded = COMMAND_LAYERS[command]
+    code = PROBE.format("from surfauto.cli import main; assert main(sys.argv[1:]) == 0")
+    run = _python(code, command, *args, "--out", str(tmp_path))
+    assert json.loads(run.stdout.splitlines()[-1]) == loaded
+
+
+# every name `import surfauto` bound before the chart layer and the plane
+# dynamics were imported on first use
+PACKAGE_NAMES = """
+    CenterTable ChartDomainError ChartId ChartPoint DegenerateError ExactIdentityError
+    ExtrapolationError FixedPointRecord IndeterminacyError MapParams NotSaddleError
+    NumericCheckError OrbitResult OverflowEscape ParamError PeriodicityError PicardLattice
+    PoleError Polyline SurfautoError TSpace admissible_c candidate_c center_series char_poly
+    char_poly_factor_check chart_to_plane charts chi_poly coxeter_factorization_check
+    degree_sequence dual dynamics entropy errors eval_f eval_f_inverse eval_f_proj exactmat
+    fiber_target fiber_transition_closed fiber_transition_numeric figure1_params fixed_points
+    gamma_closed_form infinity_orbit iterate_orbit jacobian mapfamily minimality_report
+    noether_chain parabolic_check parabolic_levels picard plane_to_chart polyroots proj_equal
+    proj_normalize pushforward_char_poly pushforward_columns pushforward_det pushforward_matrix
+    q_value reflections restricted_action reversibility_check rho_pushforward route_chart
+    s_cycle_lengths spectral_radius strict_image t_reflections t_space trace_map_rank
+    trace_set_separation unstable_manifold weyl_factorization_check weyl_generators
+""".split()
+
+
+def test_every_package_name_still_resolves():
+    for name in PACKAGE_NAMES:
+        value = getattr(surfauto, name)
+        module = getattr(value, "__module__", None) or value.__name__
+        assert module.startswith("surfauto."), name
+        assert name in dir(surfauto)
+    assert surfauto.fixed_points is fixed_points
+    with pytest.raises(AttributeError):
+        surfauto.no_such_name
+
+
+def test_a_reader_that_closes_the_pipe_ends_the_command_without_traceback():
+    # about 6 MB of CSV: the write after the reader has gone raises EPIPE
+    with subprocess.Popen([sys.executable, "-m", "surfauto.cli", "orbit", "--params",
+                           str(PRESET), "--steps", "20000"], env=_env(),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        try:
+            assert proc.stdout.readline() == b"seed_id,step,x,y\n"
+            proc.stdout.close()
+            rc = proc.wait(timeout=60)
+        except BaseException:
+            proc.kill()
+            raise
+        err = proc.stderr.read()
+    assert rc == READER_GONE
+    assert err == b""
+
+
+def _whole_seed_orbit_rows(p, sid, seed, steps):
+    """_orbit_rows as it was when all of a seed's numbers were formatted
+    before its first block was built: the oracle of the block-wise one."""
+    orb = iterate_orbit(p, seed, steps)
+    txt = list(map("{:.15e}".format, orb.seq))
+    head = f"{sid},"
+    rows = zip(itertools.count(), txt, itertools.islice(txt, 1, None))
+    blocks = []
+    while block := "".join([f"{head}{i},{x},{y}\n"
+                            for i, x, y in itertools.islice(rows, ORBIT_BLOCK)]):
+        blocks.append(block)
+    return orb.status, len(txt) - 1, blocks
+
+
+def _figure1_default_seed():
+    z = next(r for r in fixed_points(figure1_params()) if r.type == "elliptic").zeta.real
+    return z + 1e-3, z + 1.3e-3
+
+
+ORBIT_CASES = {
+    "real": (figure1_params(), _figure1_default_seed(), "completed"),
+    "complex-a": (MapParams(n=2, k=4, c_spec=(1, 1), a={2: -2.64 + 0.3j}), (0.2, 0.3),
+                  "completed"),
+    # delta = 2 expands: escapes on step 67
+    "escaping": (MapParams(n=2, k=4, c_spec=(1, 1), a={2: -2.64}, delta=2.0), (1e90, 1e90),
+                 "escaped"),
+    "pole": (figure1_params(), (0.3, 1e-13), "pole"),
+}
+
+
+@pytest.mark.parametrize("steps", [0, 1, ORBIT_BLOCK - 1, ORBIT_BLOCK, ORBIT_BLOCK + 1,
+                                   3 * ORBIT_BLOCK + 7])
+@pytest.mark.parametrize("kind", sorted(ORBIT_CASES))
+def test_orbit_blocks_match_the_whole_seed_oracle(kind, steps):
+    p, seed, status = ORBIT_CASES[kind]
+    got, want = _orbit_rows(p, 3, seed, steps), _whole_seed_orbit_rows(p, 3, seed, steps)
+    assert got[:2] == want[:2]
+    assert "".join(got[2]) == "".join(want[2])
+    assert [block.count("\n") for block in got[2][:-1]] == [ORBIT_BLOCK] * (len(got[2]) - 1)
+    assert 1 <= got[2][-1].count("\n") <= ORBIT_BLOCK
+    if steps > 100:
+        assert got[0] == status
+
+
+# tracemalloc peak of one 50 000-step figure-1 orbit job: 6.77 MB when every
+# number of the seed was formatted before the first block, 4.83 MB block by block
+ORBIT_JOB_PEAK_MB = 5.8
+
+
+def test_orbit_job_holds_one_block_of_formatted_numbers():
+    p, seed = figure1_params(), _figure1_default_seed()
+    _orbit_rows(p, 0, seed, 10)
+    tracemalloc.start()
+    try:
+        status, count, blocks = _orbit_rows(p, 0, seed, 50_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (status, count, len(blocks)) == ("completed", 50_001, 13)
+    assert peak / 2**20 < ORBIT_JOB_PEAK_MB
