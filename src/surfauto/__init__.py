@@ -85,7 +85,6 @@ _LAZY = dict.fromkeys((
     "parabolic_check",
     "parabolic_levels",
     "plane_to_chart",
-    "route_chart",
 ), "charts") | dict.fromkeys((
     "FixedPointRecord",
     "OrbitResult",

@@ -22,11 +22,10 @@ jet_bits(dps) bits, see :mod:`surfauto.dual`) through the same generic
 chart and map functions, from the lift to the Richardson-extrapolated
 limit; only limits become mpmath numbers again.  Every chart function
 takes a CenterTable alone: it holds the centers and its member's map
-coefficients, and its .jet and .double copies convert both.  Projective
-points are never normalised by a Jet division: chart_to_plane and
-eval_f_proj return their triples as built, and _f_jet rescales the image
-by a power of two.  Chart routing alone runs in double precision, one walk
-up each limb of the tower.
+coefficients, and its .jet copy converts both.  A jet orbit stays in the
+plane: each image is normalised by one Jet division (proj_normalize), and
+only its end points are read in a chart.  A lifted sample is one map step,
+so _f_jet rescales its image by a power of two instead of dividing.
 """
 
 from dataclasses import dataclass, replace
@@ -37,7 +36,8 @@ import mpmath as mp
 
 from .dual import Jet, jet_bits, richardson
 from .errors import ChartDomainError, ExtrapolationError, ParamError, PoleError
-from .mapfamily import MapCoeffs, center_series, eval_f_proj, infinity_orbit
+from .mapfamily import (MapCoeffs, center_series, eval_f_proj, infinity_orbit, one_like,
+                        proj_normalize)
 from .picard import strict_image
 
 
@@ -120,28 +120,12 @@ class CenterTable:
         Jet constants, the floor as the Modulus that Jet moduli compare with:
         the copy that jet orbits and lifted samples run on."""
         const = partial(Jet.const, bits=self.bits)
-        return self._converted(const, abs(const(self.coeffs.floor)))
-
-    @cached_property
-    def double(self):
-        """The same table in python complex with no floor: the
-        double-precision copy that chart routing inverts with."""
-        return self._converted(complex, 0.0)
-
-    def _converted(self, to, floor):
         co = self.coeffs
-        return replace(self, w=tuple(map(to, self.w)),
-                       beta={key: to(v) for key, v in self.beta.items()},
-                       coeffs=co._replace(c=to(co.c), neg_delta=to(co.neg_delta),
-                                          a=tuple((l, to(al)) for l, al in co.a), floor=floor))
-
-    @cached_property
-    def chart_ids(self):
-        """Every chart: affine, the base chart of each limb, every tower level."""
-        ids = [ChartId("affine")]
-        ids += [ChartId("base", s) for s in range(self.n)]
-        ids += [ChartId("tower", s, j) for s in range(self.n) for j in range(1, 2 * self.k + 2)]
-        return tuple(ids)
+        return replace(self, w=tuple(map(const, self.w)),
+                       beta={key: const(v) for key, v in self.beta.items()},
+                       coeffs=co._replace(c=const(co.c), neg_delta=const(co.neg_delta),
+                                          a=tuple((l, const(al)) for l, al in co.a),
+                                          floor=abs(const(co.floor))))
 
     def tampered(self, s, j, value):
         """Copy with one center overridden; negative-control hook for the
@@ -157,11 +141,11 @@ def chart_to_plane(table, cid, pt):
     Points with v = 0 land exactly on the blown-down image (the limb base
     point for tower charts).  The triple is returned as built, unnormalised:
     each branch has an exact 1 among its entries.  Scalars may be mpmath
-    numbers, or Jets with table.jet, or python complex with table.double.
+    numbers, or Jets with table.jet.
     """
     u, v = pt.u, pt.v
     if cid.kind == "affine":
-        return (_one(u), u, v)
+        return (one_like(u), u, v)
     s = cid.s
     if cid.kind == "base":
         t1, along = v, u
@@ -175,67 +159,52 @@ def chart_to_plane(table, cid, pt):
                 xi = xi * x + table.beta[(s, m)]
             t1, e1 = xi, x
         if s == 0:
-            return (t1, t1 * e1, _one(t1))
-        return (t1, _one(t1), t1 * e1 + table.w[s - 1])
+            return (t1, t1 * e1, one_like(t1))
+        return (t1, one_like(t1), t1 * e1 + table.w[s - 1])
     if s == 0:
-        return (t1, along, _one(t1))
-    return (t1, _one(t1), along)
-
-
-def _one(sample):
-    """Multiplicative unit matching the scalar type of sample."""
-    return sample * 0 + 1
+        return (t1, along, one_like(t1))
+    return (t1, one_like(t1), along)
 
 
 def plane_to_chart(table, cid, P):
     """Invert chart_to_plane; ChartDomainError when a division degenerates.
 
-    A divisor below table.coeffs.floor degenerates: the map's
-    indeterminacy floor 10^-(dps-8) (MapParams.coeffs), far below any
-    legitimate transverse scale at the working precision, so only genuinely
-    blown-down points trip it.  Scalars may be mpmath numbers, Jets (with
-    table.jet, whose floor is a Modulus) or python complex (with
-    table.double, which has no floor: an exact zero divisor raises
-    ZeroDivisionError instead).
+    A tower chart is reached by a walk up its limb: the base chart, then
+    one more step of xi <- (xi - beta(s, m)) / x per level, every level
+    dividing by the same x.  A divisor below table.coeffs.floor
+    degenerates: the map's indeterminacy floor 10^-(dps-8)
+    (MapParams.coeffs), far below any legitimate transverse scale at the
+    working precision, so only genuinely blown-down points trip it.
+    Scalars may be mpmath numbers or Jets (with table.jet, whose floor is a
+    Modulus).
     """
-    if cid.kind == "affine":
-        x0, x1, x2 = P
-        _check_divisor(x0, table.coeffs.floor, cid)
-        r = 1 / x0
-        return ChartPoint(x1 * r, x2 * r)
-    level = 0 if cid.kind == "base" else cid.j
-    for depth, pt in enumerate(_limb_walk(table, cid.s, P, cid)):
-        if depth == level:
-            return pt
-    raise ParamError(f"chart {cid} outside the tower")
-
-
-def _limb_walk(table, s, P, cid):
-    """The coordinates of P in the charts of limb s, shallowest first: the
-    base chart (depth 0), then tower levels 1 .. 2k+1 (depth j).
-
-    Each level past the first is one more step of xi <- (xi - beta(s, m)) / x,
-    so a reader that stops at level j has walked the limb once, up to j.
-    A divisor below table.coeffs.floor raises ChartDomainError naming cid."""
     floor = table.coeffs.floor
     x0, x1, x2 = P
+    if cid.kind == "affine":
+        _check_divisor(x0, floor, cid)
+        r = 1 / x0
+        return ChartPoint(x1 * r, x2 * r)
+    s = cid.s
+    if cid.kind == "tower" and not 1 <= cid.j <= 2 * table.k + 1:
+        raise ParamError(f"chart {cid} outside the tower")
     den, num = (x2, x1) if s == 0 else (x1, x2)
     _check_divisor(den, floor, cid)
     r = 1 / den
     t, along = x0 * r, num * r
-    yield ChartPoint(along, t)
+    if cid.kind == "base":
+        return ChartPoint(along, t)
     if s:
         along = along - table.w[s - 1]
     _check_divisor(t, floor, cid)
     x = along / t
-    yield ChartPoint(x, t)
-    # every level divides by the same x: one reciprocal, then products
+    if cid.j == 1:
+        return ChartPoint(x, t)
     _check_divisor(x, floor, cid)
     xinv = 1 / x
     xi = t
-    for m in range(1, 2 * table.k + 1):
+    for m in range(1, cid.j):
         xi = (xi - table.beta[(s, m)]) * xinv
-        yield ChartPoint(xi, x)
+    return ChartPoint(xi, x)
 
 
 def _check_divisor(b, floor, cid):
@@ -320,7 +289,7 @@ def fiber_transition_numeric(table, s, j, xi):
 
     def sample(xi, eps):
         if source:
-            P = (_one(xi), xi, eps)
+            P = (one_like(xi), xi, eps)
         else:
             P = chart_to_plane(jt, ChartId("tower", s, j), ChartPoint(xi, eps))
         Q = _f_jet(jt, P)
@@ -370,68 +339,7 @@ def _lift_limit(table, xi, sample, what):
     raise ExtrapolationError(f"{what} extrapolants keep moving by {float(gap)} > {CONV_TOL}")
 
 
-# -- chart routing and parabolic checks ---------------------------------------
-
-_ROUTE_CAP = 1e3
-
-
-def route_chart(table, P):
-    """Chart with the largest inversion margin for the plane point P.
-
-    A chart accepts the point when its coordinates there stay moderate
-    (within _ROUTE_CAP); among accepting charts the deepest tower level
-    wins, since it fully resolves the infinitely-near structure the point
-    is close to, with smaller coordinates breaking ties, then the order of
-    table.chart_ids.  A point merely near a blowup center looks innocuous
-    in the shallow chart but the deeper levels stay moderate exactly as far
-    as the structure goes.  Candidates are ranked by the chart inversion
-    itself, run in double precision on table.double with no floor (an
-    exact zero divisor rejects the chart and, on a limb, every deeper
-    level): one walk per limb reads all of its levels.  Selection runs in
-    double precision, values never do.
-    """
-    Pf = tuple(_downcast(z) for z in P)
-    dt = table.double
-    n, levels = table.n, 2 * table.k + 1
-    keys = []   # (-depth, margin, index in table.chart_ids) of accepting charts
-
-    def rank(u, v, depth, index):
-        try:
-            m = max(abs(u), abs(v))
-        except OverflowError:   # a modulus past the double range: rejected, as NaN is
-            return
-        if m <= _ROUTE_CAP:  # NaN fails this too
-            keys.append((-depth, m, index))
-
-    try:
-        u, v = plane_to_chart(dt, ChartId("affine"), Pf)
-        rank(u, v, 0, 0)
-    except ZeroDivisionError:
-        pass
-    for s in range(n):
-        walk = _limb_walk(dt, s, Pf, ChartId("base", s))
-        first = 1 + n + s * levels  # index of level 1 of limb s
-        try:
-            along, t = next(walk)
-            rank(along, t, 0, 1 + s)
-            # depth counts only when the point is genuinely near the
-            # blown-up structure: small base offset |t| and small
-            # transverse coordinate
-            near = abs(t) < 0.05
-            for j, (u, v) in enumerate(walk, 1):
-                rank(u, v, j if near and abs(v) < 0.05 else 0, first + j - 1)
-        except ZeroDivisionError:
-            pass
-    if not keys:
-        raise ChartDomainError("no chart accepts this point")
-    return table.chart_ids[min(keys)[2]]
-
-
-def _downcast(z):
-    try:
-        return complex(z)
-    except (OverflowError, ValueError):
-        return complex(float("inf"), 0)
+# -- parabolic checks -----------------------------------------------------------
 
 
 @dataclass
@@ -445,24 +353,24 @@ class ParabolicReport:
 
 
 def _jet_orbit(table, cid, u0, v0, steps):
-    """Route a 2-jet through `steps` map applications, ending in the start
-    chart.  Runs on Jets and returns the final coordinates as Jets (value,
-    d/du0, d/dv0).  For a base-chart start it also returns the half-way
-    point, forced back into the start chart so the half-way differential is
-    readable there, as a pair of mpmath triples; otherwise None."""
+    """Carry a 2-jet through `steps` map applications from the start chart
+    back to it.  The orbit stays in the plane: each image is normalised
+    (proj_normalize, one Jet division), which keeps the partials of the
+    scale from building up, and only the end point, and the half-way point
+    of a base-chart start, are read in the start chart.  Returns the final
+    coordinates as Jets (value, d/du0, d/dv0) and the half-way point as a
+    pair of mpmath triples, or None for a start off the base chart."""
     jt = table.jet
     u = Jet.of(u0, 1, 0, table.bits)
     v = Jet.of(v0, 0, 1, table.bits)
     half = steps // 2 - 1 if cid.kind == "base" else None
-    cur = cid
+    Q = chart_to_plane(jt, cid, ChartPoint(u, v))
     mid = None
     for step in range(steps):
-        P = chart_to_plane(jt, cur, ChartPoint(u, v))
-        Q = _f_jet(jt, P)
-        cur = cid if step in (steps - 1, half) else route_chart(table, Q)
-        u, v = plane_to_chart(jt, cur, Q)
+        Q = proj_normalize(eval_f_proj(jt.coeffs, Q))
         if step == half:
-            mid = (u.mpc(), v.mpc())
+            mid = tuple(z.mpc() for z in plane_to_chart(jt, cid, Q))
+    u, v = plane_to_chart(jt, cid, Q)
     return u, v, mid
 
 

@@ -274,7 +274,9 @@ def eval_f_inverse(p, pt):
 
 
 def proj_normalize(P):
-    """Scale homogeneous coordinates so the max-modulus entry has modulus 1.
+    """Divide homogeneous coordinates by their max-modulus entry: that entry
+    becomes the exact unit of its type (on a jet, with zero partials) and
+    the other two are multiplied by its reciprocal, one division in all.
 
     Only an exact zero is rejected: a tiny vector deep in the tower is
     legitimate, and its modulus may lie far below the smallest double."""
@@ -282,8 +284,15 @@ def proj_normalize(P):
     m = max(mods)
     if m == 0:
         raise IndeterminacyError("zero projective vector")
-    inv = 1 / P[mods.index(m)]
-    return tuple(z * inv for z in P)
+    pivot = mods.index(m)
+    inv = 1 / P[pivot]
+    return tuple(one_like(z) if i == pivot else z * inv for i, z in enumerate(P))
+
+
+def one_like(z):
+    """The multiplicative unit in the scalar type of z, exact, with zero
+    partials on a jet."""
+    return z * 0 + 1
 
 
 def proj_equal(P, Q, tol=DEFAULT_TOL):
@@ -298,7 +307,8 @@ def proj_equal(P, Q, tol=DEFAULT_TOL):
 def eval_f_proj(co, P):
     """The homogeneous degree-(k+1) form of the map with coefficients co
     (a MapCoeffs) on [x0:x1:x2], returned as built, unnormalised: the
-    caller normalises (proj_normalize) or rescales.
+    caller normalises (proj_normalize, as the chart layer's jet orbits do
+    after every step) or rescales (the chart layer's lifted samples).
 
     Maps {x2=0} to [0:0:1] and acts on {x0=0} by [0:1:w] -> [0:1:c-delta/w].
     Raises IndeterminacyError near [0:1:0], where all components vanish.

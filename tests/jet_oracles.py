@@ -4,11 +4,13 @@
 +, -, * and /: over mpmath it is the reference the chart layer's
 :class:`surfauto.dual.Jet` is checked against, and over python complex it
 differentiates the map for :func:`jacobian_dual`, the reference for the
-closed-form :func:`surfauto.jacobian`.
+closed-form :func:`surfauto.jacobian`.  :func:`chart_ids` lists every
+chart of a center table, the sweep of the chart round-trip tests.
 """
 
 import numpy as np
 
+from surfauto.charts import ChartId
 from surfauto.mapfamily import eval_f
 
 
@@ -97,3 +99,11 @@ def jacobian_dual(p, pt):
     yd = Dual2(complex(y), 0, 1)
     fx, fy = eval_f(p, (xd, yd))
     return np.array([[fx.dx, fx.dy], [fy.dx, fy.dy]], dtype=complex)
+
+
+def chart_ids(table):
+    """Every chart of table: affine, the base chart of each limb, every
+    tower level."""
+    n, k = table.n, table.k
+    return ([ChartId("affine")] + [ChartId("base", s) for s in range(n)]
+            + [ChartId("tower", s, j) for s in range(n) for j in range(1, 2 * k + 2)])

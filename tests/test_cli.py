@@ -556,7 +556,8 @@ def test_each_command_loads_only_its_layer(command, tmp_path):
 
 
 # every name `import surfauto` bound before the chart layer and the plane
-# dynamics were imported on first use
+# dynamics were imported on first use, but route_chart, which went with
+# chart routing
 PACKAGE_NAMES = """
     CenterTable ChartDomainError ChartId ChartPoint DegenerateError ExactIdentityError
     ExtrapolationError FixedPointRecord IndeterminacyError MapParams NotSaddleError
@@ -568,7 +569,7 @@ PACKAGE_NAMES = """
     gamma_closed_form infinity_orbit iterate_orbit jacobian mapfamily minimality_report
     noether_chain parabolic_check parabolic_levels picard plane_to_chart polyroots proj_equal
     proj_normalize pushforward_char_poly pushforward_columns pushforward_det pushforward_matrix
-    q_value reflections restricted_action reversibility_check rho_pushforward route_chart
+    q_value reflections restricted_action reversibility_check rho_pushforward
     s_cycle_lengths spectral_radius strict_image t_reflections t_space trace_map_rank
     trace_set_separation unstable_manifold weyl_factorization_check weyl_generators
 """.split()
