@@ -23,7 +23,6 @@ from .errors import (
     NumericCheckError,
     OverflowEscape,
     ParamError,
-    PeriodicityError,
     PoleError,
     SurfautoError,
 )

@@ -123,8 +123,7 @@ class CenterTable:
         co = self.coeffs
         return replace(self, w=tuple(map(const, self.w)),
                        beta={key: const(v) for key, v in self.beta.items()},
-                       coeffs=co._replace(c=const(co.c), neg_delta=const(co.neg_delta),
-                                          a=tuple((l, const(al)) for l, al in co.a),
+                       coeffs=co._replace(c=const(co.c), a=tuple((l, const(al)) for l, al in co.a),
                                           floor=abs(const(co.floor))))
 
     def tampered(self, s, j, value):

@@ -108,19 +108,17 @@ def _params_from(args):
     if args.k is not None:
         d["k"] = args.k
     if args.c_j is not None or args.c_sign:
-        c = d["c"] if isinstance(d["c"], dict) else {}
-        if args.c_j is None and not c:
-            raise ParamError("--c-sign needs --c-j when the file gives c as a number")
+        c = d["c"]
         d["c"] = {"j": c["j"] if args.c_j is None else args.c_j,
-                  "sign": args.c_sign or c.get("sign", "+")}
+                  "sign": args.c_sign or c["sign"]}
     if args.a:
         d["a"] = _parse_a(args.a)
-    if args.delta:
-        d["delta"] = _parse_complex(args.delta, "--delta")
     return p if d == original else MapParams.from_json_dict(d)
 
 
 def _parse_a(items):
+    """The --a items idx=re[,im] as {"idx": [re, im]}; anything else is a
+    usage error."""
     out = {}
     for item in items:
         idx, _, val = item.partition("=")
@@ -130,18 +128,13 @@ def _parse_a(items):
             raise ParamError(f"--a expects idx=re[,im], got {item!r}") from None
         if str(l) in out:
             raise ParamError(f"--a gives a_{l} twice")
-        out[str(l)] = _parse_complex(val, "--a")
+        parts = val.split(",")
+        try:
+            re_part, im_part = map(float, parts if len(parts) == 2 else parts + ["0"])
+        except ValueError:
+            raise ParamError(f"--a expects re[,im], got {val!r}") from None
+        out[str(l)] = [re_part, im_part]
     return out
-
-
-def _parse_complex(text, flag):
-    """re[,im] as [re, im]; anything else is a usage error."""
-    parts = text.split(",")
-    try:
-        re_part, im_part = map(float, parts if len(parts) == 2 else parts + ["0"])
-    except ValueError:
-        raise ParamError(f"{flag} expects re[,im], got {text!r}") from None
-    return [re_part, im_part]
 
 
 def _non_negative(value, flag):
@@ -444,7 +437,6 @@ _FLAGS = {
     "--c-j": {"dest": "c_j", "type": int},
     "--c-sign": {"dest": "c_sign", "choices": ["+", "-"]},
     "--a": {"action": "append", "help": "coefficient as idx=re[,im]; repeatable"},
-    "--delta": {"help": "re[,im]"},
     "--params": {"help": "JSON parameter file"},
     "--out": {"help": "output directory"},
 }

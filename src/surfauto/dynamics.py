@@ -8,7 +8,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateError, NotSaddleError, NumericCheckError, ParamError, PoleError
+from .errors import NotSaddleError, NumericCheckError, ParamError, PoleError
 from .mapfamily import MAGNITUDE_CAP, eval_f
 from .polyroots import aberth_roots, cluster_roots
 
@@ -25,15 +25,12 @@ class FixedPointRecord:
 
 
 def fixed_point_polynomial(p):
-    """(1+delta-c) z^(k+1) - sum_j a_j z^(k-j) - 1, descending coefficients.
+    """(2-c) z^(k+1) - sum_j a_j z^(k-j) - 1, descending coefficients.
 
     The diagonal fixed-point equation cleared of denominators: f(x, y) =
-    (y, .) puts every fixed point on the diagonal, for any delta."""
-    co = p.coeffs()
-    lead = 1 - complex(co.neg_delta) - complex(co.c)
-    if abs(lead) < 1e-14:
-        raise DegenerateError("1 + delta - c = 0 degenerates the fixed-point polynomial")
-    coeffs = [lead] + [0.0] * p.k + [-1.0]
+    (y, .) puts every fixed point on the diagonal.  With c = +-2cos(j*pi/n)
+    and 0 < j < n, |c| < 2, so the leading coefficient is positive."""
+    coeffs = [2 - complex(p.coeffs().c)] + [0.0] * p.k + [-1.0]
     for l, al in p.a.items():
         # a_l z^(k-l): position k+1-(k-l) from the left
         coeffs[l + 1] = -complex(al)
@@ -41,8 +38,8 @@ def fixed_point_polynomial(p):
 
 
 def jacobian(p, pt):
-    """Df at an affine point: [[0, 1], [-delta, d2]] with the closed-form
-    partial in the second slot; determinant is delta identically."""
+    """Df at an affine point: [[0, 1], [-1, d2]] with the closed-form
+    partial in the second slot; determinant is 1 identically."""
     x, y = pt
     if abs(y) < 1e-12:
         raise PoleError("jacobian undefined on the pole line")
@@ -51,13 +48,11 @@ def jacobian(p, pt):
     for l, al in p.a.items():
         d2 -= l * complex(al) / y ** (l + 1)
     d2 -= p.k / y ** (p.k + 1)
-    return np.array([[0, 1], [-complex(p.delta), d2]], dtype=complex)
+    return np.array([[0, 1], [-1, d2]], dtype=complex)
 
 
-def _classify(zeta, trace, delta):
-    if abs(zeta.imag) > 1e-9:
-        return "complex"
-    if abs(complex(delta) - 1) > 1e-12 or abs(trace.imag) > 1e-9:
+def _classify(zeta, trace):
+    if abs(zeta.imag) > 1e-9 or abs(trace.imag) > 1e-9:
         return "complex"
     t = trace.real
     if abs(t) < 2 - _ELLIPTIC_MARGIN:
@@ -81,10 +76,10 @@ def fixed_points(p):
             raise NumericCheckError(f"fixed-point residual {res} at {zeta}")
         J = jacobian(p, (zeta, zeta))
         tr = complex(np.trace(J))
-        disc = cmath.sqrt(tr * tr - 4 * complex(p.delta))
+        disc = cmath.sqrt(tr * tr - 4)
         ev = ((tr + disc) / 2, (tr - disc) / 2)
         records.append(FixedPointRecord(zeta=zeta, trace=tr, eigenvalues=ev,
-                                        type=_classify(zeta, tr, p.delta),
+                                        type=_classify(zeta, tr),
                                         multiplicity=mult))
     records.sort(key=lambda r: (r.zeta.real, r.zeta.imag))
     found = sum(r.multiplicity for r in records)
@@ -226,19 +221,18 @@ def iterate_orbit(p, pt0, m, pole_tol=1e-12):
     """Forward orbit of an affine point, at most m steps; stops before the
     step from a point on the pole line (|y| < pole_tol) and at the first
     image past the magnitude cap, which is not kept.  Real data (real point
-    and coefficients, delta == 1) stay real exactly.
+    and coefficients) stay real exactly.
 
     Each step appends f's second component, ``MapCoeffs._next_y``, to
     ``seq = [x0, y0, y1, ...]``; the x of the next point is the y already
     stored, the same Python object."""
     co = p.coeffs()
-    # with delta == 1, c is a float (MapParams takes it by (j, sign) only)
-    real = (all(complex(v).imag == 0 for v in (pt0[0], pt0[1], *(al for _, al in co.a)))
-            and complex(p.delta) == 1)
+    # c is a float (MapParams takes it by (j, sign) only)
+    real = all(complex(v).imag == 0 for v in (pt0[0], pt0[1], *(al for _, al in co.a)))
     x, y = (float(complex(pt0[0]).real), float(complex(pt0[1]).real)) if real \
         else (complex(pt0[0]), complex(pt0[1]))
     if real:
-        co = co._replace(neg_delta=-1.0, a=tuple((l, float(complex(v).real)) for l, v in co.a))
+        co = co._replace(a=tuple((l, float(complex(v).real)) for l, v in co.a))
     seq = [x, y]
     status = "completed"
     next_y, append = co._next_y, seq.append

@@ -21,10 +21,6 @@ class IndeterminacyError(SurfautoError):
     """Projective evaluation at the indeterminacy point."""
 
 
-class PeriodicityError(SurfautoError):
-    """The orbit at infinity does not close up for the given c."""
-
-
 class ChartDomainError(SurfautoError):
     """Point lies outside the domain of the requested chart."""
 

@@ -2,27 +2,27 @@
 
 The maps have the form
 
-    f(x, y) = (y, -delta*x + c*y + sum_l a_l / y^l + 1 / y^k)
+    f(x, y) = (y, -x + c*y + sum_l a_l / y^l + 1 / y^k)
 
-with even k, the sum over even l in [2, k-2].  For delta = 1 and an
-admissible c (see :func:`admissible_c`), the restriction of f to the line
-at infinity is a rotation of period n and the map lifts to an automorphism
-of an iterated blowup of the plane; the blowup data is modelled in
-:mod:`surfauto.charts` and :mod:`surfauto.picard`.
+with even k, the sum over even l in [2, k-2], and jacobian determinant 1.
+For an admissible c (see :func:`admissible_c`), the restriction of f to
+the line at infinity is a rotation of period n and the map lifts to an
+automorphism of an iterated blowup of the plane; the blowup data is
+modelled in :mod:`surfauto.charts` and :mod:`surfauto.picard`.
 
 Evaluation routines are generic over the scalar type, since only field
 operations are used: python complex (the dynamics layer), mpmath numbers,
-and the chart layer's Jets.  c is kept symbolic (j, n, sign) when given as
-a pair.  Its value, -delta, the a_l and the indeterminacy floor are
-computed once per working precision and cached on the params
-(:meth:`MapParams.coeffs`), where every routine reads them; mpmath is
-imported there, on the first request for a working precision, so the
-exact layer and the plane dynamics never load it.  This module
-knows no Jet: the chart layer converts one member's coefficients once, on
-its center table.  :func:`eval_f_proj`, :func:`infinity_orbit`,
-:func:`center_series` and :func:`q_value` take a MapCoeffs and evaluate in
-whatever scalar type it carries, so each reads c, delta and the a_l the
-same way.  The affine formula is written once, on the coefficients, and
+and the chart layer's Jets.  c is kept symbolic as a pair (j, sign).  Its
+value, the a_l and the indeterminacy floor are computed once per working
+precision and cached on the params (:meth:`MapParams.coeffs`), where every
+routine reads them; mpmath is imported there, on the first request for a
+working precision, so the exact layer and the plane dynamics never load
+it.  This module knows no Jet: the chart layer converts one member's
+coefficients once, on its center table.  :func:`eval_f_proj`,
+:func:`infinity_orbit`, :func:`center_series` and :func:`q_value` take a
+MapCoeffs and evaluate in whatever scalar type it carries, so each reads c
+and the a_l the same way; the -x of the unit jacobian is written into each
+formula.  The affine formula is written once, on the coefficients, and
 :func:`eval_f`, :func:`eval_f_inverse` and the orbit stepper share it.
 """
 
@@ -38,7 +38,6 @@ from .errors import (
     NumericCheckError,
     OverflowEscape,
     ParamError,
-    PeriodicityError,
     PoleError,
 )
 from .picard import check_nk
@@ -79,7 +78,6 @@ class MapCoeffs(NamedTuple):
 
     k: int
     c: object
-    neg_delta: object
     a: tuple            # (l, a_l) pairs, ascending l
     floor: object       # indeterminacy floor; None for the python scalars
 
@@ -87,7 +85,7 @@ class MapCoeffs(NamedTuple):
         """Second component of f(x, y), unchecked: the one formula of the
         map, shared by eval_f, eval_f_inverse and the orbit stepper."""
         yinv = 1 / y
-        out = self.neg_delta * x + self.c * y + yinv ** self.k
+        out = -x + self.c * y + yinv ** self.k
         for l, al in self.a:
             out = out + al * yinv ** l
         return out
@@ -95,23 +93,19 @@ class MapCoeffs(NamedTuple):
 
 @dataclass(frozen=True)
 class MapParams:
-    """One member of the family: (n, k, c, a-coefficients, delta).
+    """One member of the family: (n, k, c, a-coefficients).
 
-    c_spec is either a (j, sign) pair meaning c = sign*2*cos(j*pi/n),
-    stored symbolically and evaluated once per working precision (see
-    :meth:`coeffs`), or, only with delta != 1 (the jacobian-root
-    variant), an explicit scalar.  With delta = 1 the pair must pass
-    :func:`_admissible`, else ParamError; with delta != 1 the orbit at
-    infinity (:func:`infinity_orbit`) must end within DEFAULT_TOL of 0, else
-    PeriodicityError.  This is the one membership rule: everything built
-    from a member trusts it.
+    c_spec is a (j, sign) pair meaning c = sign*2*cos(j*pi/n), stored
+    symbolically and evaluated once per working precision (see
+    :meth:`coeffs`).  The pair must pass :func:`_admissible`, else
+    ParamError.  This is the one membership rule: everything built from a
+    member trusts it.
     """
 
     n: int
     k: int
-    c_spec: object
+    c_spec: tuple
     a: dict = field(default_factory=dict)
-    delta: complex = 1
     _coeffs: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -119,49 +113,32 @@ class MapParams:
         for l in self.a:
             if l % 2 != 0 or not (2 <= l <= self.k - 2):
                 raise ParamError(f"a-index {l} must be even in [2, k-2]")
-        if isinstance(self.c_spec, tuple):
-            j, sign = self.c_spec
-            if gcd(j, self.n) != 1 or not (0 < j < self.n):
-                raise ParamError(f"c index j={j} must be coprime to n and in (0, n)")
-            if sign not in (1, -1):
-                raise ParamError("c sign must be +1 or -1")
-        if self.delta != 1:
-            try:
-                end = abs(infinity_orbit(self.coeffs(), self.n)[-1])
-            except ZeroDivisionError:
-                raise PeriodicityError("orbit at infinity hit the pole early") from None
-            if end >= DEFAULT_TOL:
-                raise PeriodicityError("orbit at infinity does not return to the base point: "
-                                       f"|w_{self.n - 1}| = {end}")
-        elif not isinstance(self.c_spec, tuple):
-            raise ParamError("with delta = 1, c must be given as (j, sign), not by value")
-        elif not _admissible(self.n, j, sign):
+        if not isinstance(self.c_spec, tuple):
+            raise ParamError("c must be given as (j, sign), not by value")
+        j, sign = self.c_spec
+        if gcd(j, self.n) != 1 or not (0 < j < self.n):
+            raise ParamError(f"c index j={j} must be coprime to n and in (0, n)")
+        if sign not in (1, -1):
+            raise ParamError("c sign must be +1 or -1")
+        if not _admissible(self.n, j, sign):
             raise ParamError(f"c = {sign}*2cos({j}*pi/{self.n}) is not admissible for n={self.n}")
 
     def coeffs(self, dps=None):
-        """k, c, -delta, the a_l and the indeterminacy floor at precision
-        dps, computed on the first request for each dps and cached on the
-        params.  With dps=None the python scalars (a float c for a symbolic
-        spec), and no floor.
+        """k, c, the a_l and the indeterminacy floor at precision dps,
+        computed on the first request for each dps and cached on the params.
+        With dps=None the python scalars (a float c), and no floor.
         """
         got = self._coeffs.get(dps)
         if got is None:
+            j, sign = self.c_spec
             if dps is None:
-                c = self.c_spec
-                if isinstance(c, tuple):
-                    j, sign = c
-                    c = sign * 2.0 * math.cos(math.pi * j / self.n)
-                got = MapCoeffs(self.k, c, -self.delta, tuple(sorted(self.a.items())), None)
+                c = sign * 2.0 * math.cos(math.pi * j / self.n)
+                got = MapCoeffs(self.k, c, tuple(sorted(self.a.items())), None)
             else:
                 import mpmath as mp
 
                 with mp.workdps(dps):
-                    if isinstance(self.c_spec, tuple):
-                        j, sign = self.c_spec
-                        c = sign * 2 * mp.cos(mp.pi * j / self.n)
-                    else:
-                        c = mp.mpmathify(self.c_spec)
-                    got = MapCoeffs(self.k, c, -mp.mpmathify(self.delta),
+                    got = MapCoeffs(self.k, sign * 2 * mp.cos(mp.pi * j / self.n),
                                     tuple((l, mp.mpmathify(v)) for l, v in sorted(self.a.items())),
                                     mp.mpf(10) ** (-(dps - 8)))
             self._coeffs[dps] = got
@@ -170,47 +147,40 @@ class MapParams:
     # -- JSON parameter files ------------------------------------------------
 
     def to_json_dict(self):
-        if isinstance(self.c_spec, tuple):
-            j, sign = self.c_spec
-            cj = {"j": j, "sign": "+" if sign > 0 else "-"}
-        else:
-            c = complex(self.c_spec)
-            cj = [c.real, c.imag] if c.imag else c.real
-        d = complex(self.delta)
+        """The parameter file of this member; its "delta" is always the
+        jacobian determinant 1."""
+        j, sign = self.c_spec
         return {
             "n": self.n,
             "k": self.k,
-            "c": cj,
+            "c": {"j": j, "sign": "+" if sign > 0 else "-"},
             "a": {str(l): [complex(v).real, complex(v).imag] for l, v in sorted(self.a.items())},
-            "delta": [d.real, d.imag],
+            "delta": [1.0, 0.0],
         }
 
     @classmethod
     def from_json_dict(cls, d):
         """The member a parameter file describes: an object with the
         integers n and k, c as {"j": integer, "sign": "+" or "-"} (sign
-        "+" when absent) or, with a delta other than 1, as a value, and
-        optionally a ({"l": value}) and delta (value, default 1), each value
-        a number or [re, im].  Anything else raises ParamError."""
+        "+" when absent), and optionally a ({"l": value}), each value a
+        number or [re, im], and delta, the jacobian determinant, which must
+        read as 1.  Anything else raises ParamError."""
         keys = set(d) if isinstance(d, dict) else set()
         if not ({"n", "k", "c"} <= keys <= {"n", "k", "c", "a", "delta"}
                 and type(d["n"]) is int and type(d["k"]) is int):
             raise ParamError("parameters must be an object with the integers n and k, c, and "
                              f"optionally a and delta, got {d!r}")
-        c = d["c"]
-        if isinstance(c, dict):
-            sign = c.get("sign", "+")
-            if not (set(c) <= {"j", "sign"} and type(c.get("j")) is int and sign in ("+", "-")):
-                raise ParamError(f'c must be {{"j": integer, "sign": "+" or "-"}}, got {c!r}')
-            c_spec = (c["j"], 1 if sign == "+" else -1)
-        else:
-            c_spec = _json_scalar(c, "c")
+        c = d["c"] if isinstance(d["c"], dict) else {}
+        sign = c.get("sign", "+")
+        if not (set(c) <= {"j", "sign"} and type(c.get("j")) is int and sign in ("+", "-")):
+            raise ParamError(f'c must be {{"j": integer, "sign": "+" or "-"}}, got {d["c"]!r}')
+        if _json_scalar(d.get("delta", 1.0), "delta") != 1:
+            raise ParamError(f"the family has delta = 1, got delta = {d['delta']!r}")
         a = d.get("a", {})
         if not (isinstance(a, dict) and all(str(key).removeprefix("-").isdecimal() for key in a)):
             raise ParamError(f'a must be an object {{"l": value}} with integers l, got {a!r}')
         a = {int(key): _json_scalar(v, f"a_{key}") for key, v in a.items()}
-        return cls(n=d["n"], k=d["k"], c_spec=c_spec, a=a,
-                   delta=_json_scalar(d.get("delta", 1.0), "delta"))
+        return cls(n=d["n"], k=d["k"], c_spec=(c["j"], 1 if sign == "+" else -1), a=a)
 
     @classmethod
     def load(cls, path):
@@ -260,14 +230,12 @@ def eval_f(p, pt):
 
 def eval_f_inverse(p, pt):
     """Inverse map, through the map's one formula: solving
-    Y = next_y(x, X) for x gives f^-1(X, Y) = (next_y(Y/delta, X)/delta, X).
-    For delta=1 this equals swap . f . swap."""
+    Y = next_y(x, X) for x gives f^-1(X, Y) = (next_y(Y, X), X), that is
+    swap . f . swap."""
     X, Y = pt
     if abs(X) < DEFAULT_TOL:
         raise PoleError(f"x={X} within tol of the inverse pole line")
-    co = p.coeffs()
-    delta = -co.neg_delta
-    out = co._next_y(Y / delta, X) / delta
+    out = p.coeffs()._next_y(Y, X)
     if abs(out) > MAGNITUDE_CAP:
         raise OverflowEscape("image magnitude exceeds cap")
     return (out, X)
@@ -310,11 +278,11 @@ def eval_f_proj(co, P):
     caller normalises (proj_normalize, as the chart layer's jet orbits do
     after every step) or rescales (the chart layer's lifted samples).
 
-    Maps {x2=0} to [0:0:1] and acts on {x0=0} by [0:1:w] -> [0:1:c-delta/w].
+    Maps {x2=0} to [0:0:1] and acts on {x0=0} by [0:1:w] -> [0:1:c-1/w].
     Raises IndeterminacyError near [0:1:0], where all components vanish.
     """
     x0, x1, x2 = P
-    k, c, neg_d, a, floor = co
+    k, c, a, floor = co
     # k and every l are even, so the form needs x2 only at even powers and
     # k+1, and x0 only at odd powers: build each once.  Scalars go on the
     # right of every product, so a jet never meets an mpmath number on its
@@ -329,7 +297,7 @@ def eval_f_proj(co, P):
         x0p[m] = x0p[m - 2] * sq
     y0 = x0 * x2p[k]
     y1 = x2p[k] * x2
-    terms = [x1 * x2p[k] * neg_d, y1 * c, x0p[k + 1]]
+    terms = [x1 * x2p[k] * -1, y1 * c, x0p[k + 1]]
     for l, al in a:
         terms.append(x0p[l + 1] * x2p[k - l] * al)
     y2 = terms[0]
@@ -352,15 +320,15 @@ def eval_f_proj(co, P):
 def infinity_orbit(co, n):
     """The forward orbit of [0:0:1] along the line at infinity under the
     map with coefficients co (a MapCoeffs) and period n, the tuple
-    (w_1, ..., w_{n-1}) in co's scalar type: iterate w -> c - delta/w from
-    w_1 = c.  For a member it ends at w_{n-1} = 0, to DEFAULT_TOL in the
-    python scalars (the membership rule, :class:`MapParams`).  An orbit that
-    reaches 0 before w_{n-1} raises ZeroDivisionError.
+    (w_1, ..., w_{n-1}) in co's scalar type: iterate w -> c - 1/w from
+    w_1 = c.  For a member, w_i = sin((i+1)*theta)/sin(i*theta) (see
+    :func:`_admissible`), so no w_i before the last is 0 and the orbit ends
+    at w_{n-1} = 0 up to rounding.
     """
-    _, c, neg_d, _, _ = co
+    c = co.c
     w = [c]
     for _ in range(n - 2):
-        w.append(c + neg_d / w[-1])
+        w.append(c - 1 / w[-1])
     return tuple(w)
 
 
@@ -369,10 +337,10 @@ def infinity_orbit(co, n):
 
 def q_value(co, x, y):
     """The normalizing polynomial y^k * (second component of f(x, y)) =
-    1 + sum_l a_l y^(k-l) - delta x y^k + c y^(k+1), for the map with
+    1 + sum_l a_l y^(k-l) - x y^k + c y^(k+1), for the map with
     coefficients co (a MapCoeffs)."""
-    k, c, neg_d, a, _ = co
-    out = 1 + c * y ** (k + 1) + neg_d * x * y ** k
+    k, c, a, _ = co
+    out = 1 + c * y ** (k + 1) + -x * y ** k
     for l, al in a:
         out = out + al * y ** (k - l)
     return out
@@ -382,17 +350,17 @@ def center_series(co):
     """The series coefficients (b_0, ..., b_2k) of y^k / q(x, y) through
     order 2k, a tuple in the scalar type of the coefficients co (a
     MapCoeffs), by truncated series inversion of q.  The x-linear part of
-    the order-2k coefficient is exactly delta and is not stored; b_2k is its
+    the order-2k coefficient is exactly 1 and is not stored; b_2k is its
     constant part.
 
     Coefficients are (constant, x-linear) pairs; x only enters q through
-    -delta*x*y^k, so no x^2 terms arise below the truncation order and
-    products may drop them.
+    -x*y^k, so no x^2 terms arise below the truncation order and products
+    may drop them.
     """
-    k, c, neg_d, a, _ = co
+    k, c, a, _ = co
     zero = c * 0
     u = {k - l: (al, zero) for l, al in a}
-    u[k] = (zero, neg_d)
+    u[k] = (zero, zero - 1)
     u[k + 1] = (c, zero)
 
     order = 2 * k
@@ -409,8 +377,8 @@ def center_series(co):
 
     b = [zero] * k + [v[i][0] for i in range(k + 1)]
     # structural checks: pure-x normalization and parity
-    if not abs(v[k][1] + neg_d) < 1e-9:
-        raise NumericCheckError("x-linear part of the order-2k coefficient must be delta")
+    if not abs(v[k][1] - 1) < 1e-9:
+        raise NumericCheckError("x-linear part of the order-2k coefficient must be 1")
     for i in range(1, k):
         if not abs(v[i][1]) < 1e-9:
             raise NumericCheckError(f"order-{i} coefficient of the series depends on x")

@@ -436,9 +436,9 @@ def _k_weights(n, k):
     """k M, with M the n x n matrix of the closed form (x = 2/k - n + 2 on the
     diagonal, 1 elsewhere), and its denominator C = 2(2-(n-2)k) - (n-1)k^2:
     gamma_s = sum_t M[t][s] varrho_t / C."""
-    delta = 2 - (n - 2) * k
-    kM = [[delta if i == j else k for j in range(n)] for i in range(n)]
-    return kM, 2 * delta - (n - 1) * k * k
+    diag = 2 - (n - 2) * k
+    kM = [[diag if i == j else k for j in range(n)] for i in range(n)]
+    return kM, 2 * diag - (n - 1) * k * k
 
 
 class TSpace:

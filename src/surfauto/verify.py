@@ -301,10 +301,9 @@ def chart_suite(p, table=None, n_xi=20, tol=1e-6):
     n, k = p.n, p.k
 
     co = p.coeffs()
-    delta = -co.neg_delta
     w = [complex(x) for x in table.w]
     ok = abs(w[-1]) < 1e-9
-    pair_ok = all(abs(w[j - 1] * w[n - 1 - j - 1] - delta) < 1e-9 for j in range(1, n - 1))
+    pair_ok = all(abs(w[j - 1] * w[n - 1 - j - 1] - 1) < 1e-9 for j in range(1, n - 1))
     rep.add("orbit-closure", ok, residual=abs(w[-1]), bound=1e-9)
     _exact(rep, "orbit-pairing", pair_ok)
 
@@ -314,13 +313,13 @@ def chart_suite(p, table=None, n_xi=20, tol=1e-6):
     _exact(rep, "series-odd-vanish",
            all(abs(b[i]) < 1e-12 for i in range(1, 2 * k + 1, 2)))
     # q * series = y^k through order 2k (constant and x-linear parts; the
-    # x-linear part of the series is delta * x * y^2k)
+    # x-linear part of the series is x * y^2k)
     rng = random.Random(CHART_SEED)
     worst = 0.0
     for _ in range(5):
         xv = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         yv = complex(rng.uniform(0.05, 0.2))
-        series = sum(b[i] * yv ** i for i in range(2 * k + 1)) + delta * xv * yv ** (2 * k)
+        series = sum(b[i] * yv ** i for i in range(2 * k + 1)) + xv * yv ** (2 * k)
         prod = complex(q_value(co, xv, yv)) * series
         worst = max(worst, abs(prod - yv ** k) / abs(yv) ** (2 * k + 1))
     rep.add("series-defining-identity", worst < 10.0, residual=worst,
@@ -480,7 +479,7 @@ def fixed_point_suite(p):
     for r in recs:
         J = jacobian(p, (r.zeta, r.zeta))
         det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
-        worst = max(worst, abs(det - complex(p.delta)))
+        worst = max(worst, abs(det - 1))
     rep.add("jacobian-determinant", worst < 1e-9, residual=worst, bound=1e-9)
 
     if (p.n, p.k) == (2, 4) and abs(complex(p.coeffs().c)) < 1e-12 \

@@ -151,7 +151,7 @@ def test_table_copies_hold_the_floor_in_their_type():
 
     jco = table.jet.coeffs
     assert jco.k == co.k == p.k
-    assert [mantissas(x) for x in (jco.c, jco.neg_delta)] == [const(co.c), const(co.neg_delta)]
+    assert mantissas(jco.c) == const(co.c)
     assert [(l, mantissas(al)) for l, al in jco.a] == [(l, const(al)) for l, al in co.a]
     assert isinstance(jco.floor, Modulus) and jco.floor == floor
     affine = ChartId("affine")

@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 
 import surfauto
+import surfauto.charts as charts
 from surfauto.cli import ORBIT_BLOCK, READER_GONE, _orbit_rows, _params_from, build_parser, main
 from surfauto.dynamics import fixed_points, iterate_orbit
+from surfauto.errors import ExtrapolationError
 from surfauto.mapfamily import MapParams, figure1_params
 
 PRESET = Path(__file__).resolve().parents[1] / "demos" / "figure1.json"
@@ -83,18 +85,31 @@ def test_charts_command(capsys, tmp_path):
     assert set(rec) == {"chart", "xi", "closed", "numeric", "abs_err"}
 
 
-def test_charts_records_a_stopped_transition(capsys, tmp_path):
-    # a delta != 1 member: some lifts do not converge under the delta = 1
-    # closed forms; each becomes an error record and the file is still written
-    params = tmp_path / "delta_half.json"
-    params.write_text('{"n": 2, "k": 4, "c": 1e-12, "delta": 0.5}')
-    rc, _, err = run_cli(["charts", "--params", str(params), "--out", str(tmp_path)], capsys)
-    assert rc == 1 and err == ""
-    data = json.loads((tmp_path / "charts.json").read_text())
-    assert data["overall"] == "fail"
-    stopped = [rec for rec in data["records"] if "error" in rec]
-    assert stopped and all(set(rec) == {"chart", "xi", "error"} for rec in stopped)
-    assert "extrapolants keep moving" in stopped[0]["error"]
+def test_charts_records_a_stopped_transition(monkeypatch, capsys, tmp_path):
+    # a lift that does not converge becomes an error record and the file is
+    # still written, the same in this process alone and dealt to children,
+    # which inherit the patch
+    numeric = charts.fiber_transition_numeric
+
+    def stalls_at_1_3(table, s, j, xi):
+        if (s, j) == (1, 3):
+            raise ExtrapolationError("extrapolants keep moving by 1.0 > 1e-08")
+        return numeric(table, s, j, xi)
+
+    monkeypatch.setattr(charts, "fiber_transition_numeric", stalls_at_1_3)
+    written = []
+    for cpus in (1, 3):
+        _set_cpus(monkeypatch, cpus)
+        out_dir = tmp_path / f"cpus-{cpus}"
+        rc, _, err = run_cli(["charts", "--params", str(PRESET), "--out", str(out_dir)], capsys)
+        assert rc == 1 and err == ""
+        written.append((out_dir / "charts.json").read_bytes())
+        data = json.loads(written[-1])
+        assert data["overall"] == "fail"
+        stopped = [rec for rec in data["records"] if "error" in rec]
+        assert [(rec["chart"], rec["error"], set(rec)) for rec in stopped] == [
+            ([1, 3], "extrapolants keep moving by 1.0 > 1e-08", {"chart", "xi", "error"})]
+    assert written[0] == written[1]
 
 
 def test_orbit_csv(capsys, tmp_path):
@@ -209,8 +224,6 @@ def test_params_file_single_flag_overrides():
         return _params_from(build_parser().parse_args(["fixed-points", "--params", str(PRESET),
                                                        *flags]))
 
-    assert params().delta == 1
-    assert params("--delta", "0.5").delta == 0.5
     p = params("--k", "6")
     assert (p.n, p.k, p.c_spec, p.a) == (2, 6, (1, 1), {2: -2.64})
     assert params("--c-j", "1", "--c-sign", "-").c_spec == (1, -1)
@@ -233,7 +246,7 @@ def test_degrees_negative_count_is_usage_error(capsys):
 @pytest.mark.parametrize("argv", [["orbit", "--params", str(PRESET), "--format", "json"],
                                   ["spectrum", "--n", "2", "--k", "4", "--tol", "1e-3"],
                                   ["spectrum", "--n", "2", "--k", "4", "--a", "2=5"],
-                                  ["weyl", "--n", "2", "--k", "4", "--delta", "0.5"],
+                                  ["weyl", "--n", "2", "--k", "4", "--c-j", "1"],
                                   ["cn", "--n", "4", "--k", "3"]])
 def test_options_a_command_does_not_read_are_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -267,6 +280,7 @@ MEMBER = {"n": 2, "k": 4, "c": {"j": 1, "sign": "+"}, "a": {"2": [-2.64, 0.0]},
     pytest.param({**MEMBER, "n": 2.7}, None, id="n-not-integer"),
     pytest.param({key: v for key, v in MEMBER.items() if key != "k"}, None, id="k-missing"),
     pytest.param({**MEMBER, "c": [0.3, 0.1]}, None, id="c-list"),
+    pytest.param({**MEMBER, "c": 1e-12}, None, id="c-number"),
     pytest.param({**MEMBER, "c": {"j": 1, "sign": "*"}}, None, id="c-sign"),
     pytest.param({**MEMBER, "c": {"j": 1.5, "sign": "+"}}, None, id="c-j-not-integer"),
     pytest.param({**MEMBER, "c": {"j": True, "sign": "+"}}, None, id="c-j-bool"),
@@ -275,6 +289,11 @@ MEMBER = {"n": 2, "k": 4, "c": {"j": 1, "sign": "+"}, "a": {"2": [-2.64, 0.0]},
     pytest.param({**MEMBER, "a": {"x": 1}}, None, id="a-index-text"),
     pytest.param({**MEMBER, "a": {"2": [float("nan"), 0.0]}}, None, id="a-not-finite"),
     pytest.param({**MEMBER, "delta": "1"}, None, id="delta-text"),
+    pytest.param({**MEMBER, "delta": True}, None, id="delta-bool"),
+    pytest.param({**MEMBER, "delta": 0.5}, None, id="delta-half"),
+    pytest.param({**MEMBER, "delta": -1}, None, id="delta-minus-one"),
+    pytest.param({**MEMBER, "delta": [0.5, 0.1]}, None, id="delta-complex"),
+    pytest.param({**MEMBER, "delta": [1.0, 1e-9]}, None, id="delta-near-one"),
     pytest.param({**MEMBER, "extra": 1}, None, id="unknown-key"),
     pytest.param([MEMBER], None, id="top-level-list"),
     pytest.param(None, ["--a", "2=x"], id="flag-a-value"),
@@ -282,8 +301,6 @@ MEMBER = {"n": 2, "k": 4, "c": {"j": 1, "sign": "+"}, "a": {"2": [-2.64, 0.0]},
     pytest.param(None, ["--a", "2=1,2,3"], id="flag-a-three-numbers"),
     pytest.param(None, ["--a", "2=1", "--a", "2=2"], id="flag-a-twice"),
     pytest.param(None, ["--c-j", "0"], id="flag-c-j-zero"),
-    pytest.param(None, ["--delta", "abc"], id="flag-delta-text"),
-    pytest.param(None, ["--delta", "1,0,3"], id="flag-delta-three-numbers"),
 ])
 def test_malformed_member_is_usage_error(params, flags, capsys, tmp_path):
     """A parameter file or flag that does not describe a member is a usage
@@ -304,7 +321,7 @@ def test_malformed_member_is_usage_error(params, flags, capsys, tmp_path):
 
 
 def test_c_by_value_with_unit_delta_is_usage_error(capsys, tmp_path):
-    # with delta = 1 c is admissible by its (j, sign) alone, never by value
+    # c is admissible by its (j, sign) alone, never by value
     path = tmp_path / "params.json"
     path.write_text(json.dumps({"n": 4, "k": 4, "c": 1.4142135623730951}))
     out_dir = tmp_path / "out"
@@ -317,12 +334,17 @@ def test_c_by_value_with_unit_delta_is_usage_error(capsys, tmp_path):
 
 
 def test_fixed_points_with_nonunit_delta(capsys, tmp_path):
-    # the fixed-point polynomial leads with 1 + delta - c, for any delta
+    # the family has delta = 1: a file with another delta is a usage error
+    # (test_malformed_member_is_usage_error has more), and --delta is no flag
     path = tmp_path / "params.json"
-    path.write_text(json.dumps({"n": 2, "k": 4, "c": 1e-12, "delta": 0.5}))
+    path.write_text(json.dumps({**MEMBER, "delta": 0.5}))
     rc, out, err = run_cli(["fixed-points", "--params", str(path)], capsys)
-    assert rc == 0, err
-    assert out.startswith("5 fixed points")
+    assert (rc, out) == (2, "")
+    assert err == "error: the family has delta = 1, got delta = 0.5\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["fixed-points", "--params", str(PRESET), "--delta", "0.5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --delta" in capsys.readouterr().err
 
 
 def test_charts_zero_tolerance_fails(capsys, tmp_path):
@@ -380,10 +402,11 @@ def test_sample_counts_below_one_are_usage_errors(argv, capsys, tmp_path):
 ORBIT_SEEDS = "[[0.1, 0.1], [0.2, 0.3], [0.3, 1e-13], [-0.5, 0.6]]"
 
 # sha256 of orbits.csv for ORBIT_SEEDS and 300 steps, as written when each
-# row was formatted from numpy scalars
+# row was formatted from numpy scalars; complex-a is figure 1 with
+# a_2 = -2.64 + 0.3i
 ORBIT_CSV_DIGESTS = {
     "real": "0145efd1d662546f55c1b18c4ecd854d6e0a90c2cb109314122e08ffdd85c39d",
-    "complex-delta": "6266f9abd870a564138c34c212d8d85a3914c89b7556e65a812d4ce24f6dac3f",
+    "complex-a": "b03052014b4b02d000e75d4256c4086a624e1efa9e497714e5bd7abbcad24800",
 }
 
 
@@ -395,10 +418,9 @@ def _set_cpus(monkeypatch, cpus):
 @pytest.mark.parametrize("kind", sorted(ORBIT_CSV_DIGESTS))
 def test_orbit_csv_pinned(kind, monkeypatch, capsys, tmp_path):
     params = PRESET
-    if kind == "complex-delta":
+    if kind == "complex-a":
         params = tmp_path / "params.json"
-        params.write_text(json.dumps({"n": 2, "k": 4, "c": {"j": 1, "sign": "+"},
-                                      "a": {"2": [-2.64, 0.0]}, "delta": [0.5, 0.1]}))
+        params.write_text(json.dumps({**MEMBER, "a": {"2": [-2.64, 0.3]}}))
     seeds = tmp_path / "seeds.json"
     seeds.write_text(ORBIT_SEEDS)
     # the seeds in this process alone, or dealt between it and two children
@@ -422,7 +444,6 @@ def test_orbit_to_stdout_has_one_header(tmp_path):
     code = ("import os, sys; os.sched_getaffinity = lambda pid: set(range(3)); "
             "from surfauto.cli import main; sys.exit(main(sys.argv[1:]))")
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = str(PRESET.parents[1] / "src")
     run = subprocess.run([sys.executable, "-c", code, "orbit", "--params", str(PRESET),
                           "--steps", "300", "--seeds", str(seeds)],
                          capture_output=True, check=True, env=env)
@@ -432,29 +453,34 @@ def test_orbit_to_stdout_has_one_header(tmp_path):
     assert json.loads(statuses)["statuses"]["2"] == "pole"
 
 
-# [0.1, 1e200] trips the magnitude cap on step 1; under delta = 2 the
-# linear part expands and [1e90, 1e90] escapes on step 67
-ESCAPE_SEEDS = "[[0.1, 1e200], [1e90, 1e90], [0.1, 0.1]]"
+# [0.1, 1e200] trips the magnitude cap on step 1.  On figure 1 (c = 0) the
+# linear part is a quarter turn and [1e90, 1e90] completes; on the (6,4)
+# member with c = 2cos(pi/6) it stretches one coordinate to up to twice the
+# other, and [0.0, 5.2e99] escapes on step 2, after one kept step
+ESCAPE_CASES = {
+    "real": (None, "[[0.1, 1e200], [1e90, 1e90], [0.1, 0.1]]", "completed"),
+    "second-step": ({"n": 6, "k": 4, "c": {"j": 1, "sign": "+"}},
+                    "[[0.1, 1e200], [0.0, 5.2e99], [0.1, 0.1]]", "escaped"),
+}
 
-# sha256 of orbits.csv for ESCAPE_SEEDS and 300 steps, as written when each
-# row was formatted from numpy scalars
+# sha256 of orbits.csv for each of ESCAPE_CASES and 300 steps, as written
+# when each row was formatted from numpy scalars
 ESCAPE_CSV_DIGESTS = {
     "real": "2caae0ca8240f669f2822d47b13cd4a29fad1c71ebf789fe2464ead0aa25991f",
-    "expanding-delta": "0a026f6c4185a3e2382a3f184be12616f4018c49384965a77e894e1bbb089566",
+    "second-step": "20e23d4b307a3ef41d98cf768f6a464f359fc264d29a3bb52a080497a660118d",
 }
 
 
 @pytest.mark.parametrize("kind", sorted(ESCAPE_CSV_DIGESTS))
 def test_escaped_orbit_csv_pinned(kind, monkeypatch, capsys, tmp_path):
+    member, seed_text, second = ESCAPE_CASES[kind]
     params = PRESET
-    statuses = {"0": "escaped", "1": "completed", "2": "completed"}
-    if kind == "expanding-delta":
+    if member:
         params = tmp_path / "params.json"
-        params.write_text(json.dumps({"n": 2, "k": 4, "c": {"j": 1, "sign": "+"},
-                                      "a": {"2": [-2.64, 0.0]}, "delta": [2.0, 0.0]}))
-        statuses["1"] = "escaped"
+        params.write_text(json.dumps(member))
+    statuses = {"0": "escaped", "1": second, "2": "completed"}
     seeds = tmp_path / "seeds.json"
-    seeds.write_text(ESCAPE_SEEDS)
+    seeds.write_text(seed_text)
     for cpus in (1, 3):
         _set_cpus(monkeypatch, cpus)
         out_dir = tmp_path / f"cpus-{cpus}"
@@ -510,15 +536,10 @@ def test_charts_at_2_10_survive_deep_underflow(capsys, tmp_path):
     assert len(payload["records"]) == 2 * 21
 
 
-def _env():
-    """The environment of a fresh interpreter on this checkout's package."""
-    return dict(os.environ, PYTHONPATH=str(PRESET.parents[1] / "src"))
-
-
 def _python(code, *args):
     """Run `code` with `args` in a fresh interpreter."""
     return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
-                          check=True, env=_env(), timeout=120)
+                          check=True, timeout=120)
 
 
 # the modules of the chart layer (mpmath, charts, dual) and of the plane
@@ -557,11 +578,11 @@ def test_each_command_loads_only_its_layer(command, tmp_path):
 
 # every name `import surfauto` bound before the chart layer and the plane
 # dynamics were imported on first use, but route_chart, which went with
-# chart routing
+# chart routing, and PeriodicityError, which went with the delta != 1 members
 PACKAGE_NAMES = """
     CenterTable ChartDomainError ChartId ChartPoint DegenerateError ExactIdentityError
     ExtrapolationError FixedPointRecord IndeterminacyError MapParams NotSaddleError
-    NumericCheckError OrbitResult OverflowEscape ParamError PeriodicityError PicardLattice
+    NumericCheckError OrbitResult OverflowEscape ParamError PicardLattice
     PoleError Polyline SurfautoError TSpace admissible_c candidate_c center_series char_poly
     char_poly_factor_check chart_to_plane charts chi_poly coxeter_factorization_check
     degree_sequence dual dynamics entropy errors eval_f eval_f_inverse eval_f_proj exactmat
@@ -589,7 +610,7 @@ def test_every_package_name_still_resolves():
 def test_a_reader_that_closes_the_pipe_ends_the_command_without_traceback():
     # about 6 MB of CSV: the write after the reader has gone raises EPIPE
     with subprocess.Popen([sys.executable, "-m", "surfauto.cli", "orbit", "--params",
-                           str(PRESET), "--steps", "20000"], env=_env(),
+                           str(PRESET), "--steps", "20000"],
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
         try:
             assert proc.stdout.readline() == b"seed_id,step,x,y\n"
@@ -626,9 +647,8 @@ ORBIT_CASES = {
     "real": (figure1_params(), _figure1_default_seed(), "completed"),
     "complex-a": (MapParams(n=2, k=4, c_spec=(1, 1), a={2: -2.64 + 0.3j}), (0.2, 0.3),
                   "completed"),
-    # delta = 2 expands: escapes on step 67
-    "escaping": (MapParams(n=2, k=4, c_spec=(1, 1), a={2: -2.64}, delta=2.0), (1e90, 1e90),
-                 "escaped"),
+    # escapes on step 2, after one kept step (see ESCAPE_CASES)
+    "escaping": (MapParams(n=6, k=4, c_spec=(1, 1)), (0.0, 5.2e99), "escaped"),
     "pole": (figure1_params(), (0.3, 1e-13), "pole"),
 }
 

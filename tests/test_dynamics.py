@@ -1,9 +1,8 @@
 import hashlib
 import itertools
-import os
+import math
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,23 +19,23 @@ def fig1():
 
 
 def test_fixed_point_count_and_residuals():
-    # fixed points are diagonal for every delta; with delta != 1 they are
-    # left unclassified
+    # fixed points are diagonal; with a complex a_l they are unclassified
     for p in (fig1(), sa.MapParams(n=3, k=2, c_spec=(1, 1)),
               sa.MapParams(n=2, k=6, c_spec=(1, 1), a={2: 0.4, 4: -0.7}),
-              sa.MapParams(n=2, k=4, c_spec=0.0, delta=0.5),
-              sa.MapParams(n=2, k=4, c_spec=(1, 1), a={2: -2.64}, delta=0.8 + 0.3j)):
+              sa.MapParams(n=3, k=4, c_spec=(1, 1), a={2: 0.4}),
+              sa.MapParams(n=2, k=4, c_spec=(1, 1), a={2: -2.64 + 0.3j})):
         recs = sa.fixed_points(p)
-        assert all(r.type == "complex" for r in recs) or p.delta == 1
+        if any(complex(al).imag for al in p.a.values()):
+            assert all(r.type == "complex" for r in recs)
         assert sum(r.multiplicity for r in recs) == p.k + 1
         for r in recs:
             img = sa.eval_f(p, (r.zeta, r.zeta))
             assert abs(img[1] - r.zeta) < 1e-10
             J = sa.jacobian(p, (r.zeta, r.zeta))
             det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
-            assert abs(det - complex(p.delta)) < 1e-9
+            assert abs(det - 1) < 1e-9
             assert abs(r.eigenvalues[0] + r.eigenvalues[1] - r.trace) < 1e-9
-            assert abs(r.eigenvalues[0] * r.eigenvalues[1] - complex(p.delta)) < 1e-9
+            assert abs(r.eigenvalues[0] * r.eigenvalues[1] - 1) < 1e-9
 
 
 def test_zero_parameter_roots_on_circle():
@@ -139,9 +138,7 @@ def test_trace_set_separation_does_not_load_scipy():
             "p = sa.MapParams(n=2, k=4, c_spec=(1, 1), a={2: 0.01})\n"
             "sa.trace_set_separation(p, sa.figure1_params())\n"
             "sys.exit('scipy' in sys.modules)\n")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    subprocess.run([sys.executable, "-c", code], check=True)
 
 
 def test_orbit_of_fixed_point_is_constant():
@@ -178,16 +175,16 @@ def test_orbit_escape_and_pole_status():
     assert orb.status == "escaped"
 
 
-def test_complex_orbit_applies_delta():
-    # the complex branch must use -delta*x, as eval_f does, not -x
-    p = sa.MapParams(n=2, k=4, c_spec=(1, 1), a={2: -2.64}, delta=0.5 + 0.1j)
+def test_complex_orbit_matches_eval_f():
+    # a complex a_l takes the complex branch, which steps as eval_f does
+    p = sa.MapParams(n=2, k=4, c_spec=(1, 1), a={2: -2.64 + 0.3j})
     orb = sa.iterate_orbit(p, (0.3, 0.7), 3)
     assert orb.status == "completed" and orb.points.dtype.kind == "c"
     pt = (0.3, 0.7)
     for row in orb.points[1:]:
         pt = sa.eval_f(p, pt)
         assert abs(row[0] - pt[0]) < 1e-12 and abs(row[1] - pt[1]) < 1e-12
-    assert abs(orb.points[1][1] - (-1.3728238234069146 - 0.03j)) < 1e-12
+    assert abs(orb.points[1][1] - (-1.522823823406914 + 0.6122448979591837j)) < 1e-12
 
 
 def test_orbit_reversor_identity():
@@ -205,15 +202,23 @@ def test_orbit_reversor_identity():
     assert np.max(np.abs(swapped - fwd.points)) < 1e-7
 
 
-@pytest.mark.parametrize("delta, start, steps, pole_tol, status, kind", [
-    (1, (0.35, -0.6), 500, 1e-12, "completed", "f"),
-    (0.5 + 0.1j, (0.3, 0.7), 50, 1e-12, "completed", "c"),
-    (1, (0.35, -0.6), 1000, 0.5, "pole", "f"),
-    (2.0, (1e90, 1e90), 300, 1e-12, "escaped", "c"),
+ORBIT_MEMBERS = {
+    "figure1": sa.figure1_params(),
+    "complex-a": sa.MapParams(n=2, k=4, c_spec=(1, 1), a={2: -2.64 + 0.3j}),
+    # its linear part stretches one coordinate to up to twice the other
+    "n6-k4": sa.MapParams(n=6, k=4, c_spec=(1, 1)),
+}
+
+
+@pytest.mark.parametrize("member, start, steps, pole_tol, status, kind", [
+    ("figure1", (0.35, -0.6), 500, 1e-12, "completed", "f"),
+    ("complex-a", (0.3, 0.7), 50, 1e-12, "completed", "c"),
+    ("figure1", (0.35, -0.6), 1000, 0.5, "pole", "f"),
+    ("n6-k4", (0.0, 5.2e99), 300, 1e-12, "escaped", "f"),
 ])
-def test_orbit_x_is_the_previous_y(delta, start, steps, pole_tol, status, kind):
+def test_orbit_x_is_the_previous_y(member, start, steps, pole_tol, status, kind):
     # f(x, y) = (y, ...): each point's x is bitwise the y of the point before
-    p = sa.MapParams(n=2, k=4, c_spec=(1, 1), a={2: -2.64}, delta=delta)
+    p = ORBIT_MEMBERS[member]
     orb = sa.iterate_orbit(p, start, steps, pole_tol=pole_tol)
     assert orb.status == status and 1 < len(orb.points) <= steps + 1
     assert orb.points.shape == (len(orb.points), 2) and orb.points.dtype.kind == kind
@@ -279,13 +284,24 @@ def test_manifold_leaves_island():
     assert dist.max() > 1.0
 
 
-def test_degenerate_c_rejected():
-    # 2cos(pi/n) is within 1e-14 of 2 at this n
-    with pytest.raises(sa.DegenerateError):
-        fixed_point_polynomial(sa.MapParams(40_000_000, 2, (1, 1)))
-    # the leading coefficient is 1 + delta - c, which vanishes here
-    with pytest.raises(sa.DegenerateError):
-        fixed_point_polynomial(sa.MapParams(2, 4, 0.0, delta=-1))
+def test_fixed_point_polynomial_lead_is_positive():
+    # the lead 2 - c never vanishes: with c = +-2cos(j*pi/n) and 0 < j < n,
+    # 2 - c >= 2 - 2cos(pi/n) > 0, so the polynomial keeps degree k + 1
+    for n in range(2, 61):
+        floor = 2 - 2 * math.cos(math.pi / n)
+        assert floor > 0
+        leads = []
+        for j in range(1, n):
+            for sign in (1, -1):
+                try:
+                    p = sa.MapParams(n, 4, (j, sign))
+                except sa.ParamError:
+                    continue
+                leads.append(fixed_point_polynomial(p)[0])
+        # each admissible c once as (j, +) and once as (n - j, -); the float
+        # values of 2cos(pi/n) and -2cos((n-1)pi/n) may differ in the last bit
+        assert len(leads) == 2 * len(sa.admissible_c(n))
+        assert all(lead.imag == 0 and lead.real >= floor - 1e-15 for lead in leads), n
 
 
 # -- manifold stop reasons and cost --------------------------------------------

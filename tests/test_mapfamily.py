@@ -93,9 +93,13 @@ def test_copies_are_members_too():
         dataclasses.replace(p, c_spec=(2, 1))    # c = -1: midpoint -1
 
 
-def test_c_by_value_needs_nonunit_delta():
-    with pytest.raises(sa.ParamError):
-        sa.MapParams(4, 4, math.sqrt(2))
+def test_c_by_value_is_rejected():
+    # c is given by (j, sign) alone, in code and in a parameter file
+    for c in (math.sqrt(2), 1e-12, complex(math.sqrt(2))):
+        with pytest.raises(sa.ParamError, match="not by value"):
+            sa.MapParams(4, 4, c)
+        with pytest.raises(sa.ParamError, match='c must be {"j": integer'):
+            sa.MapParams.from_json_dict({"n": 4, "k": 4, "c": c.real})
 
 
 def test_bad_params_rejected():
@@ -180,9 +184,9 @@ _y_off = st.floats(min_value=0.5, max_value=2.0) | st.floats(min_value=-2.0, max
 
 @settings(deadline=None)
 @given(_re, _re, _y_off, _re)
-def test_inverse_undoes_map_with_complex_delta(xr, xi, yr, yi):
-    # delta != 1 and complex: the inverse divides by delta (as -neg_delta)
-    p = sa.MapParams(n=2, k=4, c_spec=(1, 1), a={2: -2.64}, delta=0.8 + 0.3j)
+def test_inverse_undoes_map_with_complex_a(xr, xi, yr, yi):
+    # complex points and coefficients: swap . f . swap undoes f
+    p = sa.MapParams(n=2, k=4, c_spec=(1, 1), a={2: -2.64 + 0.3j})
     pt = (complex(xr, xi), complex(yr, yi))
     back = sa.eval_f_inverse(p, sa.eval_f(p, pt))
     assert abs(back[0] - pt[0]) < 1e-11 and back[1] == pt[1]
@@ -198,7 +202,7 @@ def test_reversibility_random_points():
         assert abs(r[1] - pt[0]) < 1e-9 and abs(r[0] - pt[1]) < 1e-9
 
 
-def test_jacobian_determinant_is_delta():
+def test_jacobian_determinant_is_one():
     for p in (hv_params(), fig1()):
         rng = random.Random(5)
         for _ in range(100):
@@ -206,7 +210,7 @@ def test_jacobian_determinant_is_delta():
                   rng.uniform(0.3, 2) + 1j * rng.uniform(-0.5, 0.5))
             J = sa.jacobian(p, pt)
             det = J[0][0] * J[1][1] - J[0][1] * J[1][0]
-            assert abs(det - complex(p.delta)) < 1e-9
+            assert abs(det - 1) < 1e-9
 
 
 # -- projective form -------------------------------------------------------------
@@ -423,12 +427,10 @@ def test_orbit_pairing_invariant():
 
 def test_orbit_rejects_inadmissible():
     p = sa.MapParams(n=5, k=2, c_spec=(1, 1))
-    sa.infinity_orbit(p.coeffs(), p.n)  # fine
-    with pytest.raises(sa.PeriodicityError):
-        sa.MapParams(n=5, k=2, c_spec=0.37, a={}, delta=0.5)
-    # w_1 = c = 0 reaches the base point before w_{n-1}
-    with pytest.raises(sa.PeriodicityError, match="early"):
-        sa.MapParams(n=3, k=2, c_spec=0.0, delta=0.5)
+    assert abs(sa.infinity_orbit(p.coeffs(), p.n)[-1]) < 1e-12
+    # c = 2cos(2pi/5): the orbit closes, but its midpoint w_2 is -1, not 1
+    with pytest.raises(sa.ParamError, match="not admissible"):
+        sa.MapParams(n=5, k=2, c_spec=(2, 1))
 
 
 # -- q and the b-coefficients -------------------------------------------------------
@@ -450,10 +452,11 @@ def test_q_index_bookkeeping_k4():
 
 
 def test_q_value_is_y_k_times_the_map():
-    # q reads -delta from the coefficients: y^k times the second component of f
+    # q reads the coefficients as f does: y^k times the second component of f
     rng = random.Random(19)
-    for delta in (0.5, -1, 1j, 0.8 + 0.3j):
-        co = sa.MapParams(n=2, k=4, c_spec=(1, 1), a={2: -2.64}, delta=delta).coeffs()
+    for p in (fig1(), sa.MapParams(n=4, k=4, c_spec=(1, -1), a={2: 0.4}),
+              sa.MapParams(n=2, k=4, c_spec=(1, 1), a={2: -2.64 + 0.3j})):
+        co = p.coeffs()
         for _ in range(10):
             x = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
             y = complex(rng.uniform(0.3, 2), rng.uniform(-1, 1))
@@ -502,23 +505,22 @@ def _poly_mul_trunc(P, Q, ymax):
     dict(n=3, k=2, c_spec=(1, 1)),
     dict(n=2, k=4, c_spec=(1, 1), a={2: -2.64}),
     dict(n=2, k=6, c_spec=(1, 1), a={2: 0.31, 4: -1.2}),
-    dict(n=2, k=4, c_spec=1e-12, a={2: -2.64}, delta=0.5),
-    dict(n=2, k=6, c_spec=(1, 1), a={2: 0.31, 4: -1.2}, delta=0.8 + 0.3j),
+    dict(n=3, k=4, c_spec=(1, 1), a={2: 0.4}),
+    dict(n=2, k=6, c_spec=(1, 1), a={2: 0.31 + 0.2j, 4: -1.2}),
 ])
 def test_b_defining_identity(params):
     """q(x,y) * (series of y^k/q) = y^k through order 2k, in the constant
     and x-linear parts, checked with an independent polynomial multiply.
-    The x-linear part of the series is delta * x * y^2k."""
+    The x-linear part of the series is x * y^2k."""
     p = sa.MapParams(**params)
     k = p.k
     c = p.coeffs().c
-    delta = complex(p.delta)
-    q_dict = {(0, 0): 1.0, (1, k): -delta, (0, k + 1): c}
+    q_dict = {(0, 0): 1.0, (1, k): -1.0, (0, k + 1): c}
     for l, al in p.a.items():
         q_dict[(0, k - l)] = q_dict.get((0, k - l), 0) + al
     b = [complex(v) for v in sa.center_series(p.coeffs())]
     series = {(0, i): b[i] for i in range(2 * k + 1) if abs(b[i]) > 0}
-    series[(1, 2 * k)] = delta
+    series[(1, 2 * k)] = 1.0
     prod = _poly_mul_trunc(q_dict, series, 2 * k)
     assert prod.get((0, k), 0) == pytest.approx(1.0, abs=1e-10)
     for key, v in prod.items():
@@ -540,28 +542,18 @@ def test_json_round_trip(tmp_path):
     assert r.k == 6 and r.a[4] == -1.0
 
 
-def test_json_round_trip_complex_c(tmp_path):
-    """An explicit complex c is written as [re, im] and read back as the
-    same member; a real c stays a bare number."""
-    delta = cmath.exp(2j * math.pi / 3)
-    p = sa.MapParams(n=3, k=4, c_spec=cmath.sqrt(delta), delta=delta)
-    d = p.to_json_dict()
-    assert d["c"] == [p.c_spec.real, p.c_spec.imag]
-    fp = tmp_path / "params.json"
-    fp.write_text(json.dumps(d))
-    assert sa.MapParams.load(fp) == p
-    real = sa.MapParams(n=2, k=4, c_spec=0.0, a={2: -2.64}, delta=0.5)
-    assert real.to_json_dict()["c"] == 0.0
-    assert sa.MapParams.from_json_dict(real.to_json_dict()) == real
-
-
-def test_explicit_c_for_nonunit_delta():
-    # jacobian-root variant: user-supplied c, periodicity checked numerically
-    delta = cmath.exp(2j * math.pi / 3)
-    eps = cmath.sqrt(delta)
-    c = 2 * eps * math.cos(math.pi / 2)   # n = 2 analogue: c = 0
-    p = sa.MapParams(n=2, k=4, c_spec=complex(c), delta=complex(delta))
-    w = sa.infinity_orbit(p.coeffs(), p.n)
-    assert abs(complex(w[0])) < 1e-9
-    out = sa.eval_f(p, (1.0, 1.0))
-    assert abs(out[1] - (-delta + c + 1)) < 1e-12
+def test_json_delta_is_one():
+    """A parameter file's delta, the jacobian determinant, is written as
+    [1.0, 0.0] and read when absent or 1; any other value is refused."""
+    d = fig1().to_json_dict()
+    assert d["delta"] == [1.0, 0.0]
+    for delta in (1, 1.0, [1.0, 0.0], [1, 0]):
+        assert sa.MapParams.from_json_dict({**d, "delta": delta}) == fig1()
+    del d["delta"]
+    assert sa.MapParams.from_json_dict(d) == fig1()
+    for delta in (0.5, -1, [1.0, 0.1], [-0.5, 0.8660254037844386]):
+        with pytest.raises(sa.ParamError, match="the family has delta = 1"):
+            sa.MapParams.from_json_dict({**d, "delta": delta})
+    for delta in (True, "1", None, [1.0]):
+        with pytest.raises(sa.ParamError, match="delta"):
+            sa.MapParams.from_json_dict({**d, "delta": delta})
