@@ -29,7 +29,7 @@ lead, power = lat.s_gram_det_formula()
 print(f"det Gram(S) = {det} = (1 - nk/(k+2)) ((k+2)k)^n = {lead * power}")
 
 K = lat.canonical_class()
-print("canonical class K has K.K =", lat.ip(K, K), "= 9 - #blowups")
+print("canonical class K has K.K =", lat.ip(xm.sparse(K), xm.sparse(K)), "= 9 - #blowups")
 
 M = sa.pushforward_matrix(n, k)
 Q = lat.q_matrix()

@@ -348,7 +348,6 @@ class ParabolicReport:
     max_deviation: float     # max |Df^(2n) - Id| entrywise
     fix_residual: float      # |f^(2n)(pt) - pt| in chart coordinates
     diag_n: tuple | None     # Df^n diagonal when on the invariant line
-    converged: bool
 
 
 def _jet_orbit(table, cid, u0, v0, steps):
@@ -394,18 +393,15 @@ def parabolic_check(table, cid, pt):
             mu, mv = mid
             # (transverse, along) multipliers: expected (+-1, 1)
             diag = (complex(mv[2]), complex(mu[1]))
-            return ParabolicReport(float(dev), float(fix), diag, True)
+            return ParabolicReport(float(dev), float(fix), diag)
         eps = [Jet.const(e, table.bits) for e in EPS_SEQ]
         ends = [_jet_orbit(table, cid, pt.u, e, steps) for e in EPS_SEQ]
-        u_lim, u_gap = richardson(eps, [u for u, _, _ in ends])
-        v_lim, v_gap = richardson(eps, [v for _, v, _ in ends])
+        u_lim, _ = richardson(eps, [u for u, _, _ in ends])
+        v_lim, _ = richardson(eps, [v for _, v, _ in ends])
         (ua, udx, udy), (va, vdx, vdy) = u_lim.mpc(), v_lim.mpc()
         dev = max(abs(udx - 1), abs(udy), abs(vdx), abs(vdy - 1))
         fix = max(abs(ua - pt.u), abs(va))
-        # the gaps' values are the u and v errors, their partials the
-        # Jacobian's
-        converged = max(abs(g) for g in u_gap.mpc() + v_gap.mpc()) < CONV_TOL
-    return ParabolicReport(float(dev), float(fix), None, converged)
+    return ParabolicReport(float(dev), float(fix), None)
 
 
 def parabolic_levels(k):

@@ -29,8 +29,13 @@ def fixed_point_polynomial(p):
 
     The diagonal fixed-point equation cleared of denominators: f(x, y) =
     (y, .) puts every fixed point on the diagonal.  With c = +-2cos(j*pi/n)
-    and 0 < j < n, |c| < 2, so the leading coefficient is positive."""
-    coeffs = [2 - complex(p.coeffs().c)] + [0.0] * p.k + [-1.0]
+    and 0 < j < n, |c| < 2, so the leading coefficient is positive unless
+    the double c rounds to 2, which raises ParamError."""
+    lead = 2 - complex(p.coeffs().c)
+    if lead == 0:
+        j, sign = p.c_spec
+        raise ParamError(f"c = {sign}*2cos({j}*pi/{p.n}) rounds to 2 in double precision")
+    coeffs = [lead] + [0.0] * p.k + [-1.0]
     for l, al in p.a.items():
         # a_l z^(k-l): position k+1-(k-l) from the left
         coeffs[l + 1] = -complex(al)

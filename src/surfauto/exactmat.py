@@ -2,8 +2,9 @@
 
 Everything here is arbitrary-precision: python ints and Fractions only.
 Matrices are lists of row lists, except lattice maps, which are kept in
-the column form described below.  Polynomials are coefficient lists in
-descending degree order with integer entries unless noted.
+the column form described below, as are the classes they act on.
+Polynomials are coefficient lists in descending degree order with integer
+entries unless noted.
 """
 
 from dataclasses import dataclass
@@ -45,6 +46,7 @@ def mat_vec(A, v):
 # the zero-free tuple of (i, a) with a = (M e_j)_i, sorted by i.  A basis
 # permutation has one entry per column and a quadratic reflection changes
 # four columns, so applying and composing them costs their nonzero entries.
+# A class is one such column, and its image under M is col_compose(M, (v,))[0].
 
 
 def sparse(v):
@@ -220,22 +222,22 @@ def frac_solve(A, rhs_cols):
 
 
 def unit_lower_columns(columns):
-    """Sparse form of a unit lower-triangular integer matrix given by its
-    columns: for column j, the nonzero (i, A[i][j]) with i > j.
+    """The part below the diagonal of a unit lower-triangular integer
+    matrix in column form: column j without its diagonal entry.
 
-    Raises ExactIdentityError unless every diagonal entry is 1 and every
-    entry above the diagonal is 0."""
+    Raises ExactIdentityError unless each column j starts with (j, 1), so
+    that its diagonal entry is 1 and nothing lies above it."""
     out = []
     for j, col in enumerate(columns):
-        if col[j] != 1 or any(col[:j]):
+        if col[:1] != ((j, 1),):
             raise ExactIdentityError(f"column {j} is not unit lower-triangular")
-        out.append(tuple((i, a) for i, a in enumerate(col) if i > j and a))
+        out.append(col[1:])
     return tuple(out)
 
 
 def forward_substitute(lower, b):
-    """Solve A x = b for the unit lower-triangular A in the form returned by
-    unit_lower_columns.  No division: integer data stay integers."""
+    """Solve A x = b, b dense, for the unit lower-triangular A in the form
+    returned by unit_lower_columns.  No division: integer data stay integers."""
     x = list(b)
     for j, col in enumerate(lower):
         xj = x[j]
@@ -269,16 +271,19 @@ class LDL:
         return [int(m) for m in accumulate(self.pivots, mul)]
 
 
-def ldl(A):
-    """Exact LDL^T of a symmetric integer or rational matrix (see LDL).
+def ldl(size, entries):
+    """Exact LDL^T of a symmetric size x size integer or rational matrix
+    given by its nonzero entries, a mapping (i, j) -> A[i][j] (see LDL).
 
     Right-looking elimination on sparse columns: zero entries are neither
     stored nor visited, so a sparse A with little fill-in factors cheaply."""
-    d = len(A)
-    below = [{i: Fraction(A[i][j]) for i in range(j + 1, d) if A[i][j]} for j in range(d)]
-    diag = [Fraction(A[j][j]) for j in range(d)]
+    below = [{} for _ in range(size)]
+    for (i, j), a in entries.items():
+        if i >= j:
+            below[j][i] = Fraction(a)
+    diag = [below[j].pop(j, Fraction(0)) for j in range(size)]
     lower, pivots = [], []
-    for j in range(d):
+    for j in range(size):
         p = diag[j]
         pivots.append(p)
         if p == 0:
@@ -295,4 +300,4 @@ def ldl(A):
                     rest[r] = v
                 else:
                     rest.pop(r, None)
-    return LDL(size=d, lower=tuple(lower), pivots=tuple(pivots))
+    return LDL(size=size, lower=tuple(lower), pivots=tuple(pivots))

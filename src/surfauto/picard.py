@@ -5,9 +5,12 @@ levels j = 1..2k+1.  All arithmetic in this module is exact (python ints
 and Fractions); the one float, the dynamical degree, is rounded once,
 correctly, from exact signs of the entropy polynomial.
 
-Lattice maps are kept in the column form of exactmat, the sparse images
-of the basis vectors: pushforward_columns is f_* in that form, and
+Classes and lattice maps are kept in the column form of exactmat: a class
+is the zero-free sorted tuple of its (i, a), and a map the tuple of the
+images of the basis vectors.  pushforward_columns is f_* in that form, and
 pushforward_matrix its dense view, for dense oracles such as Berkowitz.
+The form is read from the nonzero entries of a Gram (PicardLattice.gram):
+no dim x dim matrix is built for a map or for the form.
 
 The complement T = S-perp is read in n x n integer algebra from the n
 auxiliary classes varrho_t (TSpace); no vector is projected onto it.
@@ -47,15 +50,15 @@ class PicardLattice:
     k: int
     dim: int
     qdiag: tuple          # diagonal of the intersection form: (1, -1, ..., -1)
-    strict: dict          # ('sigma0') | ('F', s, j) | ('L', s) -> int tuple; read-only
+    strict: dict          # ('sigma0') | ('F', s, j) | ('L', s) -> column; read-only
     s_keys: tuple         # basis keys of the invariant span S
 
     # -- construction ---------------------------------------------------------
 
     @classmethod
     def build(cls, n, k):
-        """The (n, k) lattice, built once and shared: its strict vectors are
-        tuples in a read-only mapping."""
+        """The (n, k) lattice, built once and shared: its strict classes are
+        columns in a read-only mapping."""
         return _lattice(n, k)
 
     @staticmethod
@@ -65,41 +68,50 @@ class PicardLattice:
     def idx(self, s, j):
         return self._idx_static(self.n, self.k, s, j)
 
-    def basis_vector(self, s, j):
-        v = [0] * self.dim
-        v[self.idx(s, j)] = 1
-        return v
-
     def e0(self):
         return [1] + [0] * (self.dim - 1)
 
     # -- the form -------------------------------------------------------------
 
     def ip(self, u, v):
-        return sum(ui * q * vi for ui, q, vi in zip(u, self.qdiag, v))
+        """The form on two classes given as columns."""
+        return self.gram((u, v)).get((0, 1), 0)
 
     def gram(self, vectors):
-        """Gram matrix of integer vectors given as columns (xm.sparse), as a
-        sum over the basis of the products of their entries there."""
-        at = [[] for _ in self.qdiag]
+        """The nonzero entries (a, b) -> vectors[a] . vectors[b] of the Gram of
+        columns, summed over the basis from the products of entries there."""
+        at = {}
         for a, u in enumerate(vectors):
             for i, x in u:
-                at[i].append((a, x))
-        G = [[0] * len(vectors) for _ in vectors]
-        for q, entries in zip(self.qdiag, at):
+                at.setdefault(i, []).append((a, x))
+        G = {}
+        for i, entries in at.items():
+            q = self.qdiag[i]
             for a, x in entries:
                 for b, y in entries:
-                    G[a][b] += x * q * y
-        return G
+                    G[a, b] = G.get((a, b), 0) + x * q * y
+        return {ab: x for ab, x in G.items() if x}
+
+    def gram_matrix(self, vectors):
+        """The Gram of a few columns as a dense list of row lists, for a
+        dense oracle."""
+        G, m = self.gram(vectors), len(vectors)
+        return [[G.get((a, b), 0) for b in range(m)] for a in range(m)]
+
+    def is_isometry(self, cols):
+        """A lattice map in column form preserves the form exactly when the
+        Gram of its columns is the form: q_i at (i, i) and nothing else."""
+        return self.gram(cols) == {(i, i): q for i, q in enumerate(self.qdiag)}
 
     def q_matrix(self):
         return [[self.qdiag[i] if i == j else 0 for j in range(self.dim)] for i in range(self.dim)]
 
     def s_gram(self):
-        return self.gram([xm.sparse(self.strict[key]) for key in self.s_keys])
+        """The nonzero entries of the Gram of the S classes."""
+        return self.gram([self.strict[key] for key in self.s_keys])
 
     def limb_gram(self, s):
-        return self.gram([xm.sparse(self.strict[("F", s, j)]) for j in range(1, 2 * self.k + 1)])
+        return self.gram_matrix([self.strict[("F", s, j)] for j in range(1, 2 * self.k + 1)])
 
     def s_gram_factor(self):
         """Exact LDL^T of the S Gram of the (n, k) lattice as built."""
@@ -113,13 +125,10 @@ class PicardLattice:
             all((m > 0) == (i % 2 == 1) for i, m in enumerate(factor.leading_minors()))
 
     def s_gram_det(self):
-        """Product of the LDL^T pivots; Bareiss elimination when a zero
-        pivot stopped the factor early."""
+        """Product of the LDL^T pivots; None when a zero pivot stopped the
+        factor early, so that the S Gram is not negative definite."""
         factor = self.s_gram_factor()
-        minors = factor.leading_minors()
-        if len(minors) == factor.size:
-            return minors[-1]
-        return xm.det_bareiss(self.s_gram())
+        return factor.leading_minors()[-1] if factor.complete else None
 
     def s_gram_det_formula(self):
         n, k = self.n, self.k
@@ -128,19 +137,18 @@ class PicardLattice:
     # -- canonical class ------------------------------------------------------
 
     def canonical_class(self):
-        """K, checked two ways: -K as the weighted sum of the invariant
+        """K, dense, checked two ways: -K as the weighted sum of the invariant
         configuration and as 3e_0 - sum(e).  Both must agree exactly."""
         n, k = self.n, self.k
-        minus_k = [3 * x for x in self.strict["sigma0"]]
+        weights = {"sigma0": 3}
         for s in range(n):
-            for j in range(1, 2 * k + 1):
-                if j == 1:
-                    w = 2
-                elif j <= k + 1:
-                    w = j - 1
-                else:
-                    w = 2 * k + 1 - j
-                minus_k = [a + w * b for a, b in zip(minus_k, self.strict[("F", s, j)])]
+            weights[("F", s, 1)] = 2
+            for j in range(2, 2 * k + 1):
+                weights[("F", s, j)] = min(j - 1, 2 * k + 1 - j)
+        minus_k = [0] * self.dim
+        for key, w in weights.items():
+            for i, a in self.strict[key]:
+                minus_k[i] += w * a
         std = [3] + [-1] * (self.dim - 1)
         if minus_k != std:
             raise ExactIdentityError("canonical class expressions disagree")
@@ -149,46 +157,26 @@ class PicardLattice:
 
 @functools.cache
 def _lattice(n, k):
-    """The shared (n, k) lattice; its strict vectors are tuples."""
+    """The shared (n, k) lattice; its strict classes are columns."""
     check_nk(n, k)
     dim = 1 + n * (2 * k + 1)
-    idx = PicardLattice._idx_static
-
-    def e(s, j):
-        v = [0] * dim
-        v[idx(n, k, s, j)] = 1
-        return v
-
-    strict = {}
-    sigma0 = [0] * dim
-    sigma0[0] = 1
+    idx = functools.partial(PicardLattice._idx_static, n, k)
+    strict = {"sigma0": ((0, 1),) + tuple((idx(s, 1), -1) for s in range(n))}
     for s in range(n):
-        sigma0[idx(n, k, s, 1)] = -1
-    strict["sigma0"] = sigma0
-    for s in range(n):
-        v = e(s, 1)
-        for m in range(2, k + 2):
-            v[idx(n, k, s, m)] = -1
-        strict[("F", s, 1)] = v
+        strict[("F", s, 1)] = ((idx(s, 1), 1),) + tuple((idx(s, m), -1) for m in range(2, k + 2))
         for j in range(2, 2 * k + 1):
-            v = e(s, j)
-            v[idx(n, k, s, j + 1)] = -1
-            strict[("F", s, j)] = v
-        strict[("F", s, 2 * k + 1)] = e(s, 2 * k + 1)
-        lv = [0] * dim
-        lv[0] = 1
-        lv[idx(n, k, s, 1)] = -1
-        lv[idx(n, k, s, 2)] = -1
-        strict[("L", s)] = lv
+            strict[("F", s, j)] = ((idx(s, j), 1), (idx(s, j + 1), -1))
+        strict[("F", s, 2 * k + 1)] = ((idx(s, 2 * k + 1), 1),)
+        strict[("L", s)] = ((0, 1), (idx(s, 1), -1), (idx(s, 2), -1))
     s_keys = tuple(["sigma0"] + [("F", s, j) for s in range(n) for j in range(1, 2 * k + 1)])
     return PicardLattice(n=n, k=k, dim=dim, qdiag=tuple([1] + [-1] * (dim - 1)),
-                         strict=MappingProxyType({key: tuple(v) for key, v in strict.items()}),
-                         s_keys=s_keys)
+                         strict=MappingProxyType(strict), s_keys=s_keys)
 
 
 @functools.cache
 def _s_gram_ldl(n, k):
-    return xm.ldl(_lattice(n, k).s_gram())
+    lat = _lattice(n, k)
+    return xm.ldl(len(lat.s_keys), lat.s_gram())
 
 
 # -- the induced lattice automorphism -----------------------------------------
@@ -200,15 +188,15 @@ def _strict_order(n, k):
 
 @functools.cache
 def _strict_basis(n, k):
-    """The strict-transform basis in the order _strict_order, as columns of
-    a unit lower-triangular integer matrix (xm.unit_lower_columns)."""
+    """The strict-transform basis in the order _strict_order, as the columns
+    of a unit lower-triangular integer matrix (xm.unit_lower_columns)."""
     lat = _lattice(n, k)
     return xm.unit_lower_columns([lat.strict[key] for key in _strict_order(n, k)])
 
 
 def strict_coords(n, k, v):
-    """Coordinates of v in the strict-transform basis [sigma0, F(s, j)],
-    by forward substitution: exact, integer for integer v."""
+    """Coordinates of a dense v in the strict-transform basis [sigma0,
+    F(s, j)], by forward substitution: exact, integer for integer v."""
     return xm.forward_substitute(_strict_basis(n, k), v)
 
 
@@ -244,7 +232,7 @@ def pushforward_columns(n, k):
     lat, keys, lower = _lattice(n, k), _strict_order(n, k), _strict_basis(n, k)
     cols = [()] * lat.dim
     for t in reversed(range(lat.dim)):
-        acc = dict(xm.sparse(lat.strict[strict_image(n, k, keys[t])]))
+        acc = dict(lat.strict[strict_image(n, k, keys[t])])
         for i, a in lower[t]:
             for r, b in cols[i]:
                 acc[r] = acc.get(r, 0) - a * b
@@ -275,13 +263,12 @@ def s_class_permutation(lat, cols):
     """The permutation a lattice map induces on the S classes of lat.
 
     cols is the map in column form.  Entry i is the position in lat.s_keys
-    of the image of the class lat.s_keys[i], found by xm.col_apply.
-    Raises ExactIdentityError when an image is not an S class or two
-    classes have the same image."""
-    where = {tuple(lat.strict[key]): i for i, key in enumerate(lat.s_keys)}
+    of the image of the class lat.s_keys[i].  Raises ExactIdentityError
+    when an image is not an S class or two classes have the same image."""
+    where = {lat.strict[key]: i for i, key in enumerate(lat.s_keys)}
     perm = []
     for key in lat.s_keys:
-        i = where.get(tuple(xm.col_apply(cols, lat.strict[key])))
+        i = where.get(xm.col_compose(cols, (lat.strict[key],))[0])
         if i is None:
             raise ExactIdentityError(f"the image of the S class {key} is not an S class")
         perm.append(i)
@@ -454,12 +441,10 @@ class TSpace:
     def __init__(self, lat):
         n, k = lat.n, lat.k
         self.lat = lat
-        self._s_support = tuple(xm.sparse(lat.strict[key]) for key in lat.s_keys)
-        self._rho_dense = _varrho(n, k)
-        self._rho = tuple(xm.sparse(r) for r in self._rho_dense)
-        self._rho_gram = lat.gram(self._rho)
+        self._rho = _varrho(n, k)
+        self._rho_gram = lat.gram_matrix([xm.sparse(r) for r in self._rho])
         tops = [lat.idx(s, 2 * k + 1) for s in range(n)]
-        self._rho_tops = [[lat.qdiag[i] * r[i] for i in tops] for r in self._rho_dense]
+        self._rho_tops = [[lat.qdiag[i] * r[i] for i in tops] for r in self._rho]
         in_t, closed_form = self.closed_form_checks()
         if not in_t:
             raise ExactIdentityError(f"(n,k)=({n},{k}): an auxiliary class is not orthogonal to S")
@@ -473,10 +458,10 @@ class TSpace:
         # the rows of P^-1 are the columns of (P^T)^-1
         self._tops_inverse = xm.frac_solve(xm.transpose(self._rho_tops), xm.identity(n))
 
-    def s_pairings(self, v):
-        """The pairings of v with the S classes, over their supports."""
+    def rho_pairings(self, v):
+        """(varrho_t . v)_t for a class v given as a column."""
         q = self.lat.qdiag
-        return [sum(x * q[i] * v[i] for i, x in support) for support in self._s_support]
+        return [sum(x * q[i] * r[i] for i, x in v) for r in self._rho]
 
     def closed_form_checks(self):
         """(every varrho_t is orthogonal to S, C P = R M with det R != 0),
@@ -484,16 +469,15 @@ class TSpace:
         k = self.lat.k
         kM, C = _k_weights(self.lat.n, k)
         R, P = self._rho_gram, self._rho_tops
-        return (not any(any(self.s_pairings(r)) for r in self._rho_dense),
+        return (not any(any(self.rho_pairings(self.lat.strict[key])) for key in self.lat.s_keys),
                 xm.det_bareiss(R) != 0 and
                 xm.mat_mul(R, kM) == [[k * C * p for p in row] for row in P])
 
     def gamma_coords(self, v):
-        """Gamma-basis coordinates of the T-component of v: the solution c of
-        P c = (varrho_t . v)_t, since sum_s c_s gamma_s pairs with each
-        varrho_t as v does.  v is not projected."""
-        q = self.lat.qdiag
-        rhs = [sum(x * q[i] * v[i] for i, x in r) for r in self._rho]
+        """Gamma-basis coordinates of the T-component of a class v (a column):
+        the solution c of P c = (varrho_t . v)_t, since sum_s c_s gamma_s
+        pairs with each varrho_t as v does.  v is not projected."""
+        rhs = self.rho_pairings(v)
         return [sum(map(mul, row, rhs)) for row in self._tops_inverse]
 
     def gram_proportionality(self):
@@ -533,7 +517,7 @@ def restricted_action(n, k):
     tuples."""
     ts = t_space(n, k)
     F = pushforward_columns(n, k)
-    cols = [ts.gamma_coords(xm.col_apply(F, ts.lat.strict[("F", s, 2 * k + 1)]))
+    cols = [ts.gamma_coords(xm.col_compose(F, (ts.lat.strict[("F", s, 2 * k + 1)],))[0])
             for s in range(n)]
     out = []
     for row in xm.transpose(cols):

@@ -7,7 +7,8 @@ Coxeter element of the reflection group with Cartan matrix 2 on the
 diagonal and -k off it.
 
 On the full lattice every map -- f_*, a basis permutation, a quadratic
-reflection -- is in the column form of exactmat: no dense matrix is built.
+reflection -- and every class is in the column form of exactmat: no
+dim x dim matrix is built for a map or for the form.
 """
 
 import math
@@ -36,10 +37,10 @@ def basis_map(lat, emap):
 
 
 def reflection_in(lat, root):
-    """x -> x + (root . x) root for a root of square -2, given as a column
-    (xm.sparse); exact isometry.  Column j is e_j + (root . e_j) root, so
-    only the columns on the root's support differ from the identity's."""
-    square = sum(a * lat.qdiag[i] * a for i, a in root)
+    """x -> x + (root . x) root for a root of square -2, given as a column;
+    exact isometry.  Column j is e_j + (root . e_j) root, so only the
+    columns on the root's support differ from the identity's."""
+    square = lat.ip(root, root)
     if square != -2:
         raise ExactIdentityError(f"root square {square}, expected -2")
     cols = [((j, 1),) for j in range(lat.dim)]
@@ -290,7 +291,7 @@ def reversibility_check(n, k):
     RM = xm.col_compose(R, M)
     out = {
         "involution": xm.col_compose(R, R) == ident,
-        "isometry": lat.gram(R) == lat.q_matrix(),
+        "isometry": lat.is_isometry(R),
         # rho f rho = f^(-1) exactly when rho f rho f = Id
         "conjugates_to_inverse": xm.col_compose(RM, RM) == ident,
     }

@@ -1,4 +1,5 @@
-"""Test oracles for the complement T of the invariant span.
+"""Test oracles for the complement T of the invariant span, and the dense
+view of a class.
 
 :func:`project` is the orthogonal projection onto T = S-perp: it solves
 the S Gram system with the pairings of v by the LDL^T factor of the S
@@ -13,6 +14,14 @@ from operator import mul
 
 from surfauto import exactmat as xm
 from surfauto.picard import PicardLattice, pushforward_columns
+
+
+def dense(lat, col):
+    """The dense vector of a class of lat given as a column."""
+    v = [0] * lat.dim
+    for i, a in col:
+        v[i] = a
+    return v
 
 
 def ldl_solve(factor, b):
@@ -35,8 +44,8 @@ def ldl_solve(factor, b):
 
 
 def project(lat, v):
-    """The projection of v onto T = S-perp, as Fractions."""
-    supports = [xm.sparse(lat.strict[key]) for key in lat.s_keys]
+    """The projection of a dense v onto T = S-perp, as Fractions."""
+    supports = [lat.strict[key] for key in lat.s_keys]
     rhs = [sum(x * lat.qdiag[i] * v[i] for i, x in support) for support in supports]
     out = [Fraction(x) for x in v]
     for c, support in zip(ldl_solve(lat.s_gram_factor(), rhs), supports):
@@ -58,7 +67,7 @@ def projected_t(n, k):
     Gram system with those pairings, and the Gram pairs gammas with top
     fibers."""
     lat = PicardLattice.build(n, k)
-    tops = [lat.strict[("F", s, 2 * k + 1)] for s in range(n)]
+    tops = [dense(lat, lat.strict[("F", s, 2 * k + 1)]) for s in range(n)]
     gammas = [project(lat, top) for top in tops]
     gram = [[_pair(lat, a, top) for top in tops] for a in gammas]
     # the Gram is symmetric, so the columns of its inverse are its rows

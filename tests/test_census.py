@@ -102,11 +102,11 @@ def test_lattice_and_charts_agree_on_the_fiber_rule(nk):
         for j in range(1, 2 * k + 2):
             tgt = fiber_target(n, k, s, j)
             key = ("L", 0) if tgt == SIGMA1 else ("F",) + tgt[1:]
-            assert xm.col_apply(F, lat.strict[("F", s, j)]) == list(lat.strict[key]), (s, j)
+            assert xm.col_compose(F, (lat.strict[("F", s, j)],))[0] == lat.strict[key], (s, j)
     table = CenterTable.build(MapParams(n, k, c_spec=(1, 1)))
     tgt, _ = fiber_transition_closed(table, "sigma2", None, 0.37)
     assert tgt == ("fiber", 0, 2 * k + 1)
-    assert xm.col_apply(F, lat.strict[("L", n - 1)]) == list(lat.strict[("F", 0, 2 * k + 1)])
+    assert xm.col_compose(F, (lat.strict[("L", n - 1)],))[0] == lat.strict[("F", 0, 2 * k + 1)]
 
 
 # -- the splitting against dense elimination --------------------------------------------
@@ -164,14 +164,14 @@ def test_auxiliary_classes_give_the_projection(nk):
     n, k = nk
     lat = PicardLattice.build(n, k)
     rho = picard._varrho(n, k)
-    supports = [xm.sparse(lat.strict[key]) for key in lat.s_keys]
-    assert all(sum(a * lat.qdiag[i] * r[i] for i, a in support) == 0
-               for r in rho for support in supports)
+    assert all(sum(a * lat.qdiag[i] * r[i] for i, a in lat.strict[key]) == 0
+               for r in rho for key in lat.s_keys)
     x, C = Fraction(2, k) - n + 2, 2 * (2 - (n - 2) * k) - (n - 1) * k * k
     assert C < 0
-    R = [[lat.ip(a, b) for b in rho] for a in rho]
+    rho_cols = [xm.sparse(r) for r in rho]
+    R = [[lat.ip(a, b) for b in rho_cols] for a in rho_cols]
     assert xm.det_bareiss(R) != 0
-    P = [[lat.ip(r, lat.strict[("F", s, 2 * k + 1)]) for s in range(n)] for r in rho]
+    P = [[lat.ip(r, lat.strict[("F", s, 2 * k + 1)]) for s in range(n)] for r in rho_cols]
     M = [[x if i == j else 1 for j in range(n)] for i in range(n)]
     assert [[C * p for p in row] for row in P] == xm.mat_mul(R, M)
 

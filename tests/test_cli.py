@@ -347,6 +347,17 @@ def test_fixed_points_with_nonunit_delta(capsys, tmp_path):
     assert "unrecognized arguments: --delta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("c_flags", [[], ["--c-j", "999999999", "--c-sign", "-"]],
+                         ids=["2cos(pi/n)", "-2cos((n-1)pi/n)"])
+def test_fixed_points_with_c_rounding_to_two_is_a_usage_error(c_flags, capsys):
+    # 2cos(pi/n) is 2.0 in double precision from n of about 3e8 on, so the
+    # fixed-point polynomial would lose its leading term 2 - c
+    rc, out, err = run_cli(["fixed-points", "--n", "1000000000", "--k", "2"] + c_flags, capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error:") and "rounds to 2 in double precision" in err
+    assert "Traceback" not in err
+
+
 def test_charts_zero_tolerance_fails(capsys, tmp_path):
     # --tol 0 is a tolerance, not a request for the default
     rc, _, _ = run_cli(["charts", "--params", str(PRESET), "--tol", "0",

@@ -23,7 +23,7 @@ from surfauto.picard import PicardLattice, TSpace, pushforward_matrix, strict_co
 from surfauto.reflections import reflection_in
 from surfauto.verify import factorization_suite, lattice_suite
 
-from exact_oracles import ldl_solve, project
+from exact_oracles import dense, ldl_solve, project
 
 DESK = [(2, 4), (2, 6), (3, 2), (3, 4), (4, 2)]
 PINNED = json.loads((Path(__file__).parent / "data" / "exact_suites_desk.json").read_text())
@@ -67,11 +67,23 @@ def test_cached_objects_are_not_aliased():
 
 # -- LDL^T of the S Gram ----------------------------------------------------------------
 
+def _entries(A):
+    """The nonzero entries (i, j) -> A[i][j] of a dense matrix."""
+    return {(i, j): x for i, row in enumerate(A) for j, x in enumerate(row) if x}
+
+
+def _s_gram_dense(lat):
+    """The S Gram as a dense matrix, checked against its nonzero entries."""
+    G = lat.gram_matrix([lat.strict[key] for key in lat.s_keys])
+    assert _entries(G) == lat.s_gram()
+    return G
+
+
 @pytest.mark.parametrize("nk", DESK, ids=[f"{n}-{k}" for n, k in DESK])
 def test_ldl_minors_and_determinant_match_bareiss(nk):
     lat = PicardLattice.build(*nk)
-    G = lat.s_gram()
-    factor = xm.ldl(G)
+    G = _s_gram_dense(lat)
+    factor = xm.ldl(len(G), lat.s_gram())
     assert factor.complete
     reference = [xm.det_bareiss([row[:m] for row in G[:m]]) for m in range(1, len(G) + 1)]
     assert factor.leading_minors() == reference
@@ -83,18 +95,18 @@ def test_ldl_minors_and_determinant_match_bareiss(nk):
 @pytest.mark.parametrize("nk", DESK, ids=[f"{n}-{k}" for n, k in DESK])
 def test_ldl_solve_matches_fraction_elimination(nk):
     lat = PicardLattice.build(*nk)
-    G = lat.s_gram()
+    G = _s_gram_dense(lat)
     b = [(3 * i * i - 7 * i + 1) % 11 - 5 for i in range(len(G))]
-    assert ldl_solve(xm.ldl(G), b) == xm.frac_solve(G, [b])[0]
+    assert ldl_solve(xm.ldl(len(G), lat.s_gram()), b) == xm.frac_solve(G, [b])[0]
 
 
 def test_ldl_zero_pivot_stops_the_factor():
-    factor = xm.ldl([[0, 1], [1, 0]])
+    factor = xm.ldl(2, _entries([[0, 1], [1, 0]]))
     assert not factor.complete
     assert factor.leading_minors() == [0]
     with pytest.raises(ZeroDivisionError):
         ldl_solve(factor, [1, 1])
-    factor = xm.ldl([[-2, 1], [1, -2]])
+    factor = xm.ldl(2, _entries([[-2, 1], [1, -2]]))
     assert factor.complete and factor.leading_minors() == [-2, 3]
     assert ldl_solve(factor, [1, 0]) == [Fraction(-2, 3), Fraction(-1, 3)]
 
@@ -103,14 +115,14 @@ def test_projection_agrees_with_dense_solve():
     lat = PicardLattice.build(3, 4)
     ts = TSpace(lat)
     v = lat.strict[("L", 1)]
-    G = lat.s_gram()
+    G = _s_gram_dense(lat)
     rhs = [lat.ip(lat.strict[key], v) for key in lat.s_keys]
     coef = xm.frac_solve(G, [rhs])[0]
-    expect = [Fraction(x) for x in v]
+    expect = [Fraction(x) for x in dense(lat, v)]
     for c, key in zip(coef, lat.s_keys):
-        expect = [a - c * b for a, b in zip(expect, lat.strict[key])]
-    assert project(lat, v) == expect
-    assert ts.gamma_coords(v) == ts.gamma_coords(expect)
+        expect = [a - c * b for a, b in zip(expect, dense(lat, lat.strict[key]))]
+    assert project(lat, dense(lat, v)) == expect
+    assert ts.gamma_coords(v) == ts.gamma_coords(xm.sparse(expect))
 
 
 # -- exactmat kernels -------------------------------------------------------------------
@@ -175,14 +187,17 @@ def test_mat_eq_compares_values():
 
 
 def test_forward_substitution_is_integral_and_checked():
-    cols = [[1, 2, 0], [0, 1, -3], [0, 0, 1]]        # columns of a unit lower matrix
+    cols = (((0, 1), (1, 2)), ((1, 1), (2, -3)), ((2, 1),))    # a unit lower matrix
     lower = xm.unit_lower_columns(cols)
+    assert lower == (((1, 2),), ((2, -3),), ())
     x = xm.forward_substitute(lower, [1, 0, 0])
     assert x == [1, -2, -6] and all(type(v) is int for v in x)
     with pytest.raises(sa.ExactIdentityError):
-        xm.unit_lower_columns([[2, 0], [0, 1]])        # diagonal entry not 1
+        xm.unit_lower_columns((((0, 2),), ((1, 1),)))      # diagonal entry not 1
     with pytest.raises(sa.ExactIdentityError):
-        xm.unit_lower_columns([[1, 0], [1, 1]])        # entry above the diagonal
+        xm.unit_lower_columns((((0, 1),), ((0, 1), (1, 1))))  # entry above the diagonal
+    with pytest.raises(sa.ExactIdentityError):
+        xm.unit_lower_columns((((0, 1),), ((2, 1),)))      # diagonal entry 0
 
 
 def test_strict_coordinates_recompose():
@@ -193,7 +208,7 @@ def test_strict_coordinates_recompose():
     order = ["sigma0"] + [("F", s, j) for s in range(n) for j in range(1, 2 * k + 2)]
     back = [0] * lat.dim
     for c, key in zip(coords, order):
-        back = [a + c * b for a, b in zip(back, lat.strict[key])]
+        back = [a + c * b for a, b in zip(back, dense(lat, lat.strict[key]))]
     assert back == v
 
 
@@ -207,7 +222,7 @@ def test_exact_identity_error_is_a_package_error():
 def test_canonical_class_raises_typed_error():
     lat = PicardLattice.build(2, 4)
     strict = dict(lat.strict)
-    strict["sigma0"] = (2,) + strict["sigma0"][1:]
+    strict["sigma0"] = ((0, 2),) + strict["sigma0"][1:]
     with pytest.raises(sa.ExactIdentityError):
         dataclasses.replace(lat, strict=strict).canonical_class()
 
@@ -220,6 +235,19 @@ def test_lattice_suite_reports_canonical_class_failure(monkeypatch):
     checks = {c.id: c.status for c in lattice_suite(2, 4).checks}
     assert checks["canonical-class"] == "fail"
     assert checks["canonical-square"] == "pass"
+
+
+def test_incomplete_s_gram_factor_has_no_determinant(monkeypatch):
+    # a zero pivot leaves the determinant unread: gram-determinant fails
+    monkeypatch.setattr(PicardLattice, "s_gram_factor",
+                        lambda self: xm.ldl(2, {(0, 1): 1, (1, 0): 1}))
+    lat = PicardLattice.build(2, 4)
+    assert not lat.s_negative_definite()
+    assert lat.s_gram_det() is None
+    checks = {c.id: c for c in lattice_suite(2, 4).checks}
+    assert checks["negative-definite"].status == "fail"
+    assert checks["gram-determinant"].status == "fail"
+    assert checks["gram-determinant"].detail == "det = None"
 
 
 def test_reflection_in_rejects_a_non_root():

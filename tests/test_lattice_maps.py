@@ -11,6 +11,7 @@ recorded when every factor was a dense dim Pic x dim Pic matrix.  Dense
 
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -36,6 +37,7 @@ from surfauto.reflections import (
     weyl_factorization_check,
 )
 
+from exact_oracles import dense
 from test_census import CENSUS, _ids
 
 PINNED = json.loads((Path(__file__).parent / "data" / "weyl_census.json").read_text())
@@ -71,6 +73,21 @@ def test_weyl_file_pinned_at_dim_397(tmp_path, capsys):
     rc, text = _weyl_file(12, 16, tmp_path, capsys)
     assert rc == 0
     assert hashlib.sha256(text).hexdigest() == WEYL_12_16_DIGEST
+
+
+def test_reversibility_check_builds_no_dim_by_dim_list():
+    # at dim Pic 981 one dense dim x dim list of row lists takes 7.7 MB
+    # for its row slots alone: the check reads the form from the nonzero
+    # entries of the Gram of rho's columns
+    PicardLattice.build(20, 24)
+    pushforward_columns(20, 24)
+    tracemalloc.start()
+    try:
+        assert all(reversibility_check(20, 24).values())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4_000_000, peak
 
 
 # -- the column form against dense products ---------------------------------------------
@@ -122,8 +139,10 @@ def test_pushforward_columns_send_the_configuration(nk):
     M = pushforward_matrix(n, k)
     assert xm.col_dense(F) == M
     for key in _strict_order(n, k):
-        image = list(lat.strict[_configuration_image(n, k, key)])
-        assert xm.col_apply(F, lat.strict[key]) == xm.mat_vec(M, lat.strict[key]) == image
+        image = lat.strict[_configuration_image(n, k, key)]
+        assert xm.col_compose(F, (lat.strict[key],))[0] == image
+        v = dense(lat, lat.strict[key])
+        assert xm.col_apply(F, v) == xm.mat_vec(M, v) == dense(lat, image)
 
 
 # -- quadratic reflections -------------------------------------------------------------
@@ -143,13 +162,15 @@ def test_quadratic_reflection_is_an_involutive_isometry(case):
     lat = PicardLattice.build(n, k)
     R = quadratic_reflection(lat, triple)
     assert xm.col_compose(R, R) == basis_map(lat, lambda s, j: (s, j))
-    assert lat.gram(R) == lat.q_matrix()
+    assert lat.is_isometry(R)
+    assert lat.gram_matrix(R) == lat.q_matrix()
     # x -> x + (r . x) r on dense vectors, r = e0 - e_a - e_b - e_c
     root = lat.e0()
     for slot in triple:
         root[lat.idx(*slot)] = -1
     for x in ([int(i == j) for i in range(lat.dim)] for j in range(lat.dim)):
-        assert xm.col_apply(R, x) == [a + lat.ip(root, x) * b for a, b in zip(x, root)]
+        r_x = lat.ip(xm.sparse(root), xm.sparse(x))
+        assert xm.col_apply(R, x) == [a + r_x * b for a, b in zip(x, root)]
 
 
 @settings(max_examples=30, deadline=None)
