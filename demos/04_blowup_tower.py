@@ -40,13 +40,13 @@ for _ in range(p.n - 1):
     print(f"   -> limb {s}: value {complex(cur)}")
 
 print("\ntangency of the (2n)-th iterate:")
-rep = sa.parabolic_check(table, ChartId("base", 0), ChartPoint(0.62, 0.0))
+rep = sa.parabolic_check(table, ChartId(0, 0), ChartPoint(0.62, 0.0))
 print(f"   on the invariant line: half-way differential diag {rep.diag_n}, "
       f"full deviation {rep.max_deviation:.2e}")
 for j in sa.parabolic_levels(p.k):
-    rep = sa.parabolic_check(table, ChartId("tower", 1, j), ChartPoint(0.47 + 0.1j, 0.0))
+    rep = sa.parabolic_check(table, ChartId(1, j), ChartPoint(0.47 + 0.1j, 0.0))
     print(f"   fiber level {j}: |Df^(2n) - Id| = {rep.max_deviation:.2e}, "
           f"fix residual {rep.fix_residual:.2e}")
-rep = sa.parabolic_check(table, ChartId("tower", 1, 2), ChartPoint(0.47, 0.0))
+rep = sa.parabolic_check(table, ChartId(1, 2), ChartPoint(0.47, 0.0))
 print(f"   level 2 (outside the configuration): fixed pointwise "
       f"({rep.fix_residual:.1e}) but not tangent ({rep.max_deviation:.2f})")

@@ -2,9 +2,11 @@
 fiber-to-fiber maps.
 
 Tower layout: over each of the n orbit points at infinity (limb s) sits a
-chain of 2k+1 exceptional fibers F^j_s.  Level-1 charts are (eta_1, t_1)
-with the fiber at t_1 = 0; level j >= 2 charts are (xi_j, x_j) with the
-fiber at x_j = 0 and the recursion
+chain of 2k+1 exceptional fibers F^j_s, and ChartId(s, j) is limb s's chart
+at level j.  Level 0 is the chart (along, t) before any blowup, with the
+line at infinity at t = 0; level-1 charts are (eta_1, t_1) with the fiber
+at t_1 = 0; level j >= 2 charts are (xi_j, x_j) with the fiber at x_j = 0
+and the recursion
 
     xi_{j}   = xi_{j+1} * x  +  beta(s, j),      x constant down the tower,
 
@@ -16,20 +18,22 @@ next center at every level, which is the whole point of the construction.
 Numeric work runs at a working precision scaled to the tower depth:
 inverting a depth-j chart near a fiber at transverse distance eps cancels
 roughly j*log10(1/eps) digits, which double precision cannot survive for
-k >= 4.  The centers and the closed forms are computed in mpmath.  Jet
-orbits and lifted samples run on Jets (Python-integer jets of
-jet_bits(dps) bits, see :mod:`surfauto.dual`) through the same generic
-chart and map functions, from the lift to the Richardson-extrapolated
-limit; only limits become mpmath numbers again.  Every chart function
-takes a CenterTable alone: it holds the centers and its member's map
-coefficients, and its .jet copy converts both.  A jet orbit stays in the
-plane: each image is normalised by one Jet division (proj_normalize), and
-only its end points are read in a chart.  A lifted sample is one map step,
-so _f_jet rescales its image by a power of two instead of dividing.
+k >= 4.  The CenterTable alone decides it: its dps, the map coefficients
+and floor it makes in mpmath at that dps, and its Jet width.  Jet orbits
+and lifted samples run on Jets (Python-integer jets of jet_bits(dps) bits,
+see :mod:`surfauto.dual`) through the same generic chart and map
+functions, from the lift to the limit of one Richardson ladder
+(_lift_ladder); only limits become mpmath numbers again.  Every chart
+function takes a CenterTable alone: it holds the centers and its member's
+map coefficients, and its .jet copy converts both.  A jet orbit stays in
+the plane: each image is normalised by one Jet division (proj_normalize),
+and only its end points are read in a chart.  A lifted sample is one map
+step, so _f_jet rescales its image by a power of two instead of dividing.
 """
 
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
+from itertools import islice
 from typing import NamedTuple
 
 import mpmath as mp
@@ -42,18 +46,17 @@ from .picard import strict_image
 
 
 class ChartId(NamedTuple):
-    """kind: 'tower' (limb s, level j), 'base' (pre-blowup chart at limb s),
-    or 'affine' (the finite chart [1:x:y])."""
+    """The chart of limb s, 0 <= s < n, at level j: j = 0 before any blowup,
+    1 <= j <= 2k+1 the tower levels."""
 
-    kind: str
-    s: int = 0
-    j: int = 0
+    s: int
+    j: int
 
 
 class ChartPoint(NamedTuple):
-    """u: coordinate along the fiber (xi_j, eta_1, or the base-curve
-    coordinate); v: transverse coordinate (x_j, t_1, or t).  v = 0 lies on
-    the blown-down locus."""
+    """u: coordinate along the fiber (xi_j, eta_1, or, at level 0, along the
+    line at infinity); v: transverse coordinate (x_j, t_1, or t).  v = 0
+    lies on the blown-down locus."""
 
     u: object
     v: object
@@ -75,7 +78,8 @@ def default_dps(k):
 @dataclass(frozen=True)
 class CenterTable:
     """Blowup centers beta(s, j), the orbit and series data they come from,
-    and the map coefficients at dps."""
+    and the map coefficients at dps: the one owner of the chart layer's
+    precision."""
 
     n: int
     k: int
@@ -87,12 +91,16 @@ class CenterTable:
 
     @classmethod
     def build(cls, p):
-        """The table of the member p at default_dps(p.k).  Membership was
-        decided when p was made, so closure is not decided again here:
-        chart_suite's orbit-closure check reports |w_{n-1}|."""
+        """The table of the member p at default_dps(p.k): c, the a_l and
+        the map's indeterminacy floor 10^-(dps-8) in mpmath at that dps.
+        Membership was decided when p was made, so closure is not decided
+        again here: chart_suite's orbit-closure check reports |w_{n-1}|."""
         dps = default_dps(p.k)
+        c_j, c_sign = p.c_spec
         with mp.workdps(dps):
-            co = p.coeffs(dps)
+            co = MapCoeffs(p.k, c_sign * 2 * mp.cos(mp.pi * c_j / p.n),
+                           tuple((l, mp.mpmathify(v)) for l, v in p.coeffs().a),
+                           mp.mpf(10) ** (-(dps - 8)))
             w = infinity_orbit(co, p.n)
             b = center_series(co)
             beta = {}
@@ -101,12 +109,8 @@ class CenterTable:
                 for t in range(1, s):
                     W *= w[t - 1]
                 for j in range(1, 2 * p.k + 1):
-                    base = b[j - 1]
-                    if s == 0:
-                        beta[(s, j)] = base
-                    else:
-                        sign = -1 if (1 - j) % 2 else 1
-                        beta[(s, j)] = sign * W ** (j - 2) * base
+                    sign = -1 if (1 - j) % 2 else 1
+                    beta[(s, j)] = sign * W ** (j - 2) * b[j - 1] if s else b[j - 1]
         return cls(n=p.n, k=p.k, dps=dps, w=w, b=b, beta=beta, coeffs=co)
 
     @cached_property
@@ -134,32 +138,32 @@ class CenterTable:
         return replace(self, beta=beta)
 
 
+def _check_chart(table, cid):
+    """(s, j) of cid, or ParamError for a chart outside table's tower."""
+    s, j = cid
+    if not (0 <= s < table.n and 0 <= j <= 2 * table.k + 1):
+        raise ParamError(f"chart {cid} outside the tower")
+    return s, j
+
+
 def chart_to_plane(table, cid, pt):
     """Compose the blowdown maps into homogeneous coordinates.
 
     Points with v = 0 land exactly on the blown-down image (the limb base
-    point for tower charts).  The triple is returned as built, unnormalised:
-    each branch has an exact 1 among its entries.  Scalars may be mpmath
-    numbers, or Jets with table.jet.
+    point for tower charts).  The triple is returned as built, unnormalised,
+    with an exact 1 among its entries.  Scalars may be mpmath numbers, or
+    Jets with table.jet.
     """
-    u, v = pt.u, pt.v
-    if cid.kind == "affine":
-        return (one_like(u), u, v)
-    s = cid.s
-    if cid.kind == "base":
+    s, j = _check_chart(table, cid)
+    u, v = pt
+    if j == 0:
         t1, along = v, u
     else:
-        j = cid.j
-        if j == 1:
-            t1, e1 = v, u
-        else:
-            xi, x = u, v
-            for m in range(j - 1, 0, -1):
-                xi = xi * x + table.beta[(s, m)]
-            t1, e1 = xi, x
-        if s == 0:
-            return (t1, t1 * e1, one_like(t1))
-        return (t1, one_like(t1), t1 * e1 + table.w[s - 1])
+        # (eta_1, t_1) at level 1; deeper, (xi, x) walks down to (t_1, eta_1)
+        t1, e1 = (v, u) if j == 1 else (u, v)
+        for m in range(j - 1, 0, -1):
+            t1 = t1 * e1 + table.beta[(s, m)]
+        along = t1 * e1 + table.w[s - 1] if s else t1 * e1
     if s == 0:
         return (t1, along, one_like(t1))
     return (t1, one_like(t1), along)
@@ -168,40 +172,34 @@ def chart_to_plane(table, cid, pt):
 def plane_to_chart(table, cid, P):
     """Invert chart_to_plane; ChartDomainError when a division degenerates.
 
-    A tower chart is reached by a walk up its limb: the base chart, then
+    A tower chart is reached by a walk up its limb: the level-0 chart, then
     one more step of xi <- (xi - beta(s, m)) / x per level, every level
     dividing by the same x.  A divisor below table.coeffs.floor
     degenerates: the map's indeterminacy floor 10^-(dps-8)
-    (MapParams.coeffs), far below any legitimate transverse scale at the
+    (CenterTable.build), far below any legitimate transverse scale at the
     working precision, so only genuinely blown-down points trip it.
     Scalars may be mpmath numbers or Jets (with table.jet, whose floor is a
     Modulus).
     """
+    s, j = _check_chart(table, cid)
     floor = table.coeffs.floor
     x0, x1, x2 = P
-    if cid.kind == "affine":
-        _check_divisor(x0, floor, cid)
-        r = 1 / x0
-        return ChartPoint(x1 * r, x2 * r)
-    s = cid.s
-    if cid.kind == "tower" and not 1 <= cid.j <= 2 * table.k + 1:
-        raise ParamError(f"chart {cid} outside the tower")
     den, num = (x2, x1) if s == 0 else (x1, x2)
     _check_divisor(den, floor, cid)
     r = 1 / den
     t, along = x0 * r, num * r
-    if cid.kind == "base":
+    if j == 0:
         return ChartPoint(along, t)
     if s:
         along = along - table.w[s - 1]
     _check_divisor(t, floor, cid)
     x = along / t
-    if cid.j == 1:
+    if j == 1:
         return ChartPoint(x, t)
     _check_divisor(x, floor, cid)
     xinv = 1 / x
     xi = t
-    for m in range(1, cid.j):
+    for m in range(1, j):
         xi = (xi - table.beta[(s, m)]) * xinv
     return ChartPoint(xi, x)
 
@@ -290,13 +288,13 @@ def fiber_transition_numeric(table, s, j, xi):
         if source:
             P = (one_like(xi), xi, eps)
         else:
-            P = chart_to_plane(jt, ChartId("tower", s, j), ChartPoint(xi, eps))
+            P = chart_to_plane(jt, ChartId(s, j), ChartPoint(xi, eps))
         Q = _f_jet(jt, P)
         if tgt == SIGMA1:
             z0, z1, z2 = Q
             return z2 / z0
         _, s2, j2 = tgt
-        return plane_to_chart(jt, ChartId("tower", s2, j2), Q).u
+        return plane_to_chart(jt, ChartId(s2, j2), Q).u
 
     return (tgt,) + _lift_limit(table, xi, sample, "transition")
 
@@ -311,28 +309,35 @@ def _f_jet(jt, P):
     return tuple(z.ldexp(shift) for z in img)
 
 
+def _lift_ladder(table, sample):
+    """Richardson limits of sample(eps) as the lift eps goes to the fiber,
+    one per pull: order 2 over the lifts of EPS_SEQ, then over the last
+    three after each further decade.  sample maps a Jet constant to a tuple
+    of Jets; the caller holds mp.workdps(table.dps)."""
+    eps_mp = mp.mpf(EPS_SEQ[-1])
+    eps = [Jet.const(e, table.bits) for e in EPS_SEQ]
+    vals = [sample(e) for e in eps]
+    while True:
+        yield tuple(richardson(eps[-3:], col)[0] for col in zip(*vals[-3:]))
+        eps_mp /= 10
+        eps.append(Jet.const(eps_mp, table.bits))
+        vals.append(sample(eps[-1]))
+
+
 def _lift_limit(table, xi, sample, what):
     """Limit of sample(xi, eps) as the lift eps off the fiber goes to 0.
 
-    sample runs on Jet constants of table.bits bits and returns a Jet.
-    Order-2 Richardson over the last three lifts, on the Jets, extended by
-    up to two decades until successive extrapolants agree below CONV_TOL;
-    only the final limit's value becomes an mpmath number.  Returns
-    (limit, last change) or raises ExtrapolationError."""
-    bits = table.bits
+    sample runs on Jet constants of table.bits bits and returns a Jet.  Up
+    to two more limits are pulled from the lift ladder until successive
+    ones agree below CONV_TOL; only the final limit's value becomes an
+    mpmath number.  Returns (limit, last change) or raises
+    ExtrapolationError."""
     with mp.workdps(table.dps):
-        xi = Jet.const(xi, bits)
-        eps_mp = mp.mpf(EPS_SEQ[-1])
-        eps = [Jet.const(e, bits) for e in EPS_SEQ]
-        vals = [sample(xi, e) for e in eps]
-        lim, _ = richardson(eps, vals)
-        for _ in range(2):  # extend by up to two decades
-            prev = lim
-            eps_mp /= 10
-            eps.append(Jet.const(eps_mp, bits))
-            vals.append(sample(xi, eps[-1]))
-            lim, _ = richardson(eps[-3:], vals[-3:])
-            gap = abs(lim - prev)
+        xi = Jet.const(xi, table.bits)
+        ladder = _lift_ladder(table, lambda eps: (sample(xi, eps),))
+        (lim,) = next(ladder)
+        for (nxt,) in islice(ladder, 2):
+            gap, lim = abs(nxt - lim), nxt
             if gap < CONV_TOL:
                 return lim.mpc()[0], float(gap)
     raise ExtrapolationError(f"{what} extrapolants keep moving by {float(gap)} > {CONV_TOL}")
@@ -350,21 +355,21 @@ class ParabolicReport:
     diag_n: tuple | None     # Df^n diagonal when on the invariant line
 
 
-def _jet_orbit(table, cid, u0, v0, steps):
-    """Carry a 2-jet through `steps` map applications from the start chart
-    back to it.  The orbit stays in the plane: each image is normalised
-    (proj_normalize, one Jet division), which keeps the partials of the
-    scale from building up, and only the end point, and the half-way point
-    of a base-chart start, are read in the start chart.  Returns the final
-    coordinates as Jets (value, d/du0, d/dv0) and the half-way point as a
-    pair of mpmath triples, or None for a start off the base chart."""
+def _jet_orbit(table, cid, u0, v0):
+    """Carry a 2-jet through the 2n map steps of f^(2n) from the start chart
+    back to it; v0 is a Jet constant lift, or 0.  The orbit stays in the
+    plane: each image is normalised (proj_normalize, one Jet division),
+    which keeps the partials of the scale from building up, and only the
+    end point, and the half-way point of a level-0 start, are read in the
+    start chart.  Returns the final coordinates as Jets (value, d/du0,
+    d/dv0) and the half-way point as a pair of mpmath triples, or None."""
     jt = table.jet
     u = Jet.of(u0, 1, 0, table.bits)
-    v = Jet.of(v0, 0, 1, table.bits)
-    half = steps // 2 - 1 if cid.kind == "base" else None
+    v = v0 + Jet.of(0, 0, 1, table.bits)
+    half = table.n - 1 if cid.j == 0 else None
     Q = chart_to_plane(jt, cid, ChartPoint(u, v))
     mid = None
-    for step in range(steps):
+    for step in range(2 * table.n):
         Q = proj_normalize(eval_f_proj(jt.coeffs, Q))
         if step == half:
             mid = tuple(z.mpc() for z in plane_to_chart(jt, cid, Q))
@@ -376,32 +381,24 @@ def parabolic_check(table, cid, pt):
     """Check that f^(2n) fixes a point of the invariant configuration and is
     tangent to the identity there.
 
-    For points on the invariant line (base chart, v = 0) the jet runs
+    For points on the invariant line (level 0, v = 0) the jet runs
     directly: the line is not blown down, so no lift is needed and the
     half-way differential (expected diag(+-1, 1)) is also reported.  For
-    fiber points the transverse coordinate is lifted to each eps in
-    EPS_SEQ and the final jets, value and Jacobian together, are
-    Richardson-extrapolated to the fiber.
+    fiber points the final jets, value and Jacobian together, are the
+    lift ladder's first limit.
     """
-    steps = 2 * table.n
     with mp.workdps(table.dps):
-        if cid.kind == "base":
-            u, v, mid = _jet_orbit(table, cid, pt.u, 0, steps)
-            (ua, udx, udy), (va, vdx, vdy) = u.mpc(), v.mpc()
-            dev = max(abs(udx - 1), abs(udy), abs(vdx), abs(vdy - 1))
-            fix = max(abs(ua - pt.u), abs(va))
-            mu, mv = mid
+        if cid.j == 0:
+            u, v, (mu, mv) = _jet_orbit(table, cid, pt.u, 0)
             # (transverse, along) multipliers: expected (+-1, 1)
             diag = (complex(mv[2]), complex(mu[1]))
-            return ParabolicReport(float(dev), float(fix), diag)
-        eps = [Jet.const(e, table.bits) for e in EPS_SEQ]
-        ends = [_jet_orbit(table, cid, pt.u, e, steps) for e in EPS_SEQ]
-        u_lim, _ = richardson(eps, [u for u, _, _ in ends])
-        v_lim, _ = richardson(eps, [v for _, v, _ in ends])
-        (ua, udx, udy), (va, vdx, vdy) = u_lim.mpc(), v_lim.mpc()
+        else:
+            u, v = next(_lift_ladder(table, lambda eps: _jet_orbit(table, cid, pt.u, eps)[:2]))
+            diag = None
+        (ua, udx, udy), (va, vdx, vdy) = u.mpc(), v.mpc()
         dev = max(abs(udx - 1), abs(udy), abs(vdx), abs(vdy - 1))
         fix = max(abs(ua - pt.u), abs(va))
-    return ParabolicReport(float(dev), float(fix), None)
+    return ParabolicReport(float(dev), float(fix), diag)
 
 
 def parabolic_levels(k):
@@ -436,7 +433,7 @@ def reversor_transition_numeric(table, s, j, xi):
     jt = table.jet
 
     def sample(xi, eps):
-        x0, x1, x2 = chart_to_plane(jt, ChartId("tower", s, j), ChartPoint(xi, eps))
-        return plane_to_chart(jt, ChartId("tower", tgt[1], tgt[2]), (x0, x2, x1)).u
+        x0, x1, x2 = chart_to_plane(jt, ChartId(s, j), ChartPoint(xi, eps))
+        return plane_to_chart(jt, ChartId(tgt[1], tgt[2]), (x0, x2, x1)).u
 
     return (tgt,) + _lift_limit(table, xi, sample, "reversor")

@@ -65,6 +65,14 @@ def _write_json(payload, path=None):
         sys.stdout.write(text + "\n")
 
 
+def _check_out(out):
+    """A file at --out or on the way to it is a usage error, raised before
+    the command runs and so before it makes anything."""
+    nearest = next(path for path in (Path(out), *Path(out).parents) if path.exists())
+    if not nearest.is_dir():
+        raise ParamError(f"--out {out}: {nearest} is not a directory")
+
+
 def _out_path(args, name):
     if args.out:
         Path(args.out).mkdir(parents=True, exist_ok=True)
@@ -496,6 +504,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        if args.out:
+            _check_out(args.out)
         status = args.func(args)
         sys.stdout.flush()
         return status

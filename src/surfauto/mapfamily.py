@@ -13,12 +13,10 @@ modelled in :mod:`surfauto.charts` and :mod:`surfauto.picard`.
 Evaluation routines are generic over the scalar type, since only field
 operations are used: python complex (the dynamics layer), mpmath numbers,
 and the chart layer's Jets.  c is kept symbolic as a pair (j, sign).  Its
-value, the a_l and the indeterminacy floor are computed once per working
-precision and cached on the params (:meth:`MapParams.coeffs`), where every
-routine reads them; mpmath is imported there, on the first request for a
-working precision, so the exact layer and the plane dynamics never load
-it.  This module knows no Jet: the chart layer converts one member's
-coefficients once, on its center table.  :func:`eval_f_proj`,
+float value, the a_l and the indeterminacy floor DEFAULT_TOL are computed
+once, when the params are made (:meth:`MapParams.coeffs`).  This module
+imports no mpmath and knows no Jet: the chart layer's center table makes
+its coefficients in both, at its working precision.  :func:`eval_f_proj`,
 :func:`infinity_orbit`, :func:`center_series` and :func:`q_value` take a
 MapCoeffs and evaluate in whatever scalar type it carries, so each reads c
 and the a_l the same way; the -x of the unit jacobian is written into each
@@ -74,12 +72,12 @@ def admissible_c(n):
 
 
 class MapCoeffs(NamedTuple):
-    """The coefficients the map kernels use, at one working precision."""
+    """The coefficients the map kernels use, in one scalar type."""
 
     k: int
     c: object
     a: tuple            # (l, a_l) pairs, ascending l
-    floor: object       # indeterminacy floor; None for the python scalars
+    floor: object       # indeterminacy floor of eval_f_proj
 
     def _next_y(self, x, y):
         """Second component of f(x, y), unchecked: the one formula of the
@@ -96,17 +94,16 @@ class MapParams:
     """One member of the family: (n, k, c, a-coefficients).
 
     c_spec is a (j, sign) pair meaning c = sign*2*cos(j*pi/n), stored
-    symbolically and evaluated once per working precision (see
-    :meth:`coeffs`).  The pair must pass :func:`_admissible`, else
-    ParamError.  This is the one membership rule: everything built from a
-    member trusts it.
+    symbolically and evaluated once, as a float (see :meth:`coeffs`).  The
+    pair must pass :func:`_admissible`, else ParamError.  This is the one
+    membership rule: everything built from a member trusts it.
     """
 
     n: int
     k: int
     c_spec: tuple
     a: dict = field(default_factory=dict)
-    _coeffs: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _coeffs: MapCoeffs = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         check_nk(self.n, self.k)
@@ -122,27 +119,14 @@ class MapParams:
             raise ParamError("c sign must be +1 or -1")
         if not _admissible(self.n, j, sign):
             raise ParamError(f"c = {sign}*2cos({j}*pi/{self.n}) is not admissible for n={self.n}")
+        object.__setattr__(self, "_coeffs", MapCoeffs(
+            self.k, sign * 2.0 * math.cos(math.pi * j / self.n), tuple(sorted(self.a.items())),
+            DEFAULT_TOL))
 
-    def coeffs(self, dps=None):
-        """k, c, the a_l and the indeterminacy floor at precision dps,
-        computed on the first request for each dps and cached on the params.
-        With dps=None the python scalars (a float c), and no floor.
-        """
-        got = self._coeffs.get(dps)
-        if got is None:
-            j, sign = self.c_spec
-            if dps is None:
-                c = sign * 2.0 * math.cos(math.pi * j / self.n)
-                got = MapCoeffs(self.k, c, tuple(sorted(self.a.items())), None)
-            else:
-                import mpmath as mp
-
-                with mp.workdps(dps):
-                    got = MapCoeffs(self.k, sign * 2 * mp.cos(mp.pi * j / self.n),
-                                    tuple((l, mp.mpmathify(v)) for l, v in sorted(self.a.items())),
-                                    mp.mpf(10) ** (-(dps - 8)))
-            self._coeffs[dps] = got
-        return got
+    def coeffs(self):
+        """k, c as a float, the a_l and the indeterminacy floor DEFAULT_TOL:
+        the python scalars every map routine outside the chart layer reads."""
+        return self._coeffs
 
     # -- JSON parameter files ------------------------------------------------
 
@@ -309,7 +293,7 @@ def eval_f_proj(co, P):
     # the moduli are compared in the scalar type, where they cannot underflow
     mods = [abs(z) for z in img]
     term_scale = max(mods[0], mods[1], *(abs(t) for t in terms))
-    if max(mods) <= term_scale * (DEFAULT_TOL if floor is None else floor):
+    if max(mods) <= term_scale * floor:
         raise IndeterminacyError("projective image vanishes: input at the indeterminacy point")
     return img
 

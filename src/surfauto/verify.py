@@ -416,15 +416,15 @@ def parabolic_suite(p, table=None, points_per_fiber=10):
     table = table or CenterTable.build(p)
     n, k = p.n, p.k
     rng = random.Random(5150)
-    line = [(ChartId("base", 0), ChartPoint(rng.uniform(0.3, 1.8) * rng.choice([1, -1]), 0.0))
+    line = [(ChartId(0, 0), ChartPoint(rng.uniform(0.3, 1.8) * rng.choice([1, -1]), 0.0))
             for _ in range(points_per_fiber)]
     levels = parabolic_levels(k)
-    fibers = [(ChartId("tower", s, j), ChartPoint(complex(rng.uniform(0.2, 1.8),
-                                                          rng.uniform(-0.5, 0.5)), 0.0))
+    fibers = [(ChartId(s, j), ChartPoint(complex(rng.uniform(0.2, 1.8), rng.uniform(-0.5, 0.5)),
+                                         0.0))
               for j in levels for s in range(n) for _ in range(points_per_fiber)]
     # outside the configuration: measured, not required
-    outside = [(ChartId("tower", 0, 2 * k + 1), ChartPoint(0.9, 0.0)),
-               (ChartId("tower", 0, 2), ChartPoint(0.9, 0.0))]
+    outside = [(ChartId(0, 2 * k + 1), ChartPoint(0.9, 0.0)),
+               (ChartId(0, 2), ChartPoint(0.9, 0.0))]
     reports = list(fork_map(lambda job: parabolic_check(table, *job),
                             line + fibers + outside))
 

@@ -102,8 +102,8 @@ def jacobian_dual(p, pt):
 
 
 def chart_ids(table):
-    """Every chart of table: affine, the base chart of each limb, every
-    tower level."""
+    """Every chart of table, levels 0..2k+1 of every limb: level 0 of each
+    limb first, then the tower levels limb by limb."""
     n, k = table.n, table.k
-    return ([ChartId("affine")] + [ChartId("base", s) for s in range(n)]
-            + [ChartId("tower", s, j) for s in range(n) for j in range(1, 2 * k + 2)])
+    return ([ChartId(s, 0) for s in range(n)]
+            + [ChartId(s, j) for s in range(n) for j in range(1, 2 * k + 2)])

@@ -71,7 +71,7 @@ def test_fiber_points_blow_down_to_base_point(fig1):
     with mp.workdps(table.dps):
         for j in range(1, 2 * p.k + 2):
             for u in (0.3, -1.7, 2.2 + 0.4j):
-                P = sa.chart_to_plane(table, ChartId("tower", 0, j),
+                P = sa.chart_to_plane(table, ChartId(0, j),
                                       ChartPoint(mp.mpmathify(u), mp.mpf(0)))
                 assert sa.proj_equal(tuple(complex(z) for z in P), (0, 0, 1), tol=1e-12)
 
@@ -79,7 +79,7 @@ def test_fiber_points_blow_down_to_base_point(fig1):
 def test_level1_simple_chart(hv):
     p, table = hv
     with mp.workdps(table.dps):
-        P = sa.chart_to_plane(table, ChartId("tower", 0, 1),
+        P = sa.chart_to_plane(table, ChartId(0, 1),
                               ChartPoint(mp.mpf(0), mp.mpf("0.25")))
         # (eta1, t1) = (0, t): plane point [t : 0 : 1]
         assert sa.proj_equal(tuple(complex(z) for z in P), (0.25, 0.0, 1.0), tol=1e-12)
@@ -94,7 +94,7 @@ def test_round_trips(hv):
                 for _ in range(3):
                     u = mp.mpc(rng.uniform(-2, 2), rng.uniform(-1, 1))
                     v = mp.mpc(rng.uniform(0.02, 0.4))
-                    cid = ChartId("tower", s, j)
+                    cid = ChartId(s, j)
                     P = sa.chart_to_plane(table, cid, ChartPoint(u, v))
                     back = sa.plane_to_chart(table, cid, P)
                     assert abs(back.u - u) < 1e-25
@@ -133,15 +133,21 @@ def test_chart_round_trip_property(ur, ui, vr, vi):
 
 
 def test_table_copies_hold_the_floor_in_their_type():
-    """One floor per table copy: the map's indeterminacy floor as an mpf on
-    the table and as the Modulus that Jet moduli compare with on .jet.  The
-    Jet copy holds the map coefficients at the table's dps as Jet
-    constants."""
+    """One floor per table copy: the map's indeterminacy floor 10^-(dps-8)
+    as an mpf on the table and as the Modulus that Jet moduli compare with
+    on .jet.  The table holds c and the a_l in mpmath at its dps, the Jet
+    copy the same values as Jet constants."""
     p = sa.MapParams(3, 4, c_spec=(1, 1), a={2: 0.4})
     table = CenterTable.build(p)
-    co = p.coeffs(table.dps)
+    co = table.coeffs
     floor = co.floor
-    assert table.coeffs == co
+    assert table.dps == sa.charts.default_dps(p.k)
+    with mp.workdps(table.dps):
+        ulp = mp.mpf(10) ** (2 - table.dps)
+        assert isinstance(co.c, mp.mpf) and abs(co.c - 1) < ulp   # 2cos(pi/3)
+        assert co.a == ((2, mp.mpf(0.4)),) and isinstance(co.a[0][1], mp.mpf)
+        assert isinstance(floor, mp.mpf)
+        assert abs(floor / mp.mpf(f"1e-{table.dps - 8}") - 1) < ulp
 
     def mantissas(z):
         return [getattr(z, slot) for slot in Jet.__slots__]
@@ -154,11 +160,11 @@ def test_table_copies_hold_the_floor_in_their_type():
     assert mantissas(jco.c) == const(co.c)
     assert [(l, mantissas(al)) for l, al in jco.a] == [(l, const(al)) for l, al in co.a]
     assert isinstance(jco.floor, Modulus) and jco.floor == floor
-    affine = ChartId("affine")
+    level0 = ChartId(0, 0)   # divides by x2
     with mp.workdps(table.dps):
         with pytest.raises(sa.ChartDomainError):
-            sa.plane_to_chart(table.jet, affine, (Jet.const(floor / 2, table.bits), 1, 1))
-        sa.plane_to_chart(table.jet, affine, (Jet.const(floor * 2, table.bits), 1, 1))
+            sa.plane_to_chart(table.jet, level0, (1, 1, Jet.const(floor / 2, table.bits)))
+        sa.plane_to_chart(table.jet, level0, (1, 1, Jet.const(floor * 2, table.bits)))
 
 
 def test_plane_to_chart_domain_error(hv):
@@ -166,27 +172,32 @@ def test_plane_to_chart_domain_error(hv):
     with mp.workdps(table.dps):
         # base point of limb 0 is blown down: tower charts reject it
         with pytest.raises(sa.ChartDomainError):
-            sa.plane_to_chart(table, ChartId("tower", 0, 3),
+            sa.plane_to_chart(table, ChartId(0, 3),
                               (mp.mpf(0), mp.mpf(0), mp.mpf(1)))
 
 
 def test_plane_to_chart_rejects_levels_outside_the_tower(hv):
+    """Limbs run over 0..n-1 and levels over 0..2k+1: both directions refuse
+    any other chart rather than read the orbit value of another limb
+    (s = -1) or run off the table (s = n)."""
     p, table = hv
     with mp.workdps(table.dps):
-        with pytest.raises(sa.ParamError):
-            sa.plane_to_chart(table, ChartId("tower", 0, 2 * p.k + 2),
-                              (mp.mpf("0.1"), mp.mpf("0.2"), mp.mpf(1)))
+        for s, j in [(0, 2 * p.k + 2), (-1, 1), (p.n, 1), (1, -1)]:
+            with pytest.raises(sa.ParamError, match="outside the tower"):
+                sa.plane_to_chart(table, ChartId(s, j), (mp.mpf("0.1"), mp.mpf("0.2"), mp.mpf(1)))
+            with pytest.raises(sa.ParamError, match="outside the tower"):
+                sa.chart_to_plane(table, ChartId(s, j), ChartPoint(mp.mpf("0.3"), mp.mpf("0.1")))
 
 
 def test_sigma2_point_in_base_chart(hv):
     p, table = hv
     with mp.workdps(table.dps):
-        # [1 : x : 0] in the limb-0 base chart (t, x)/x2 fails (x2 = 0);
-        # the affine chart sees it fine
+        # [1 : x : 0] in the limb-0 level-0 chart (x, t)/x2 fails (x2 = 0);
+        # limb 1's level-0 chart (x2, x0)/x1 sees it at (0, 1/x)
         with pytest.raises(sa.ChartDomainError):
-            sa.plane_to_chart(table, ChartId("base", 0), (mp.mpf(1), mp.mpf(2), mp.mpf(0)))
-        cp = sa.plane_to_chart(table, ChartId("affine"), (mp.mpf(1), mp.mpf(2), mp.mpf(0)))
-        assert complex(cp.u) == pytest.approx(2.0)
+            sa.plane_to_chart(table, ChartId(0, 0), (mp.mpf(1), mp.mpf(2), mp.mpf(0)))
+        cp = sa.plane_to_chart(table, ChartId(1, 0), (mp.mpf(1), mp.mpf(2), mp.mpf(0)))
+        assert (complex(cp.u), complex(cp.v)) == (0, pytest.approx(0.5))
 
 
 # -- transitions -----------------------------------------------------------------
@@ -355,7 +366,7 @@ def test_tampered_centers_break_transitions(fig1):
 @pytest.mark.parametrize("fix", ["hv", "fig1"])
 def test_parabolic_on_invariant_line(fix, request):
     p, table = request.getfixturevalue(fix)
-    rep = sa.parabolic_check(table, ChartId("base", 0), ChartPoint(0.731, 0.0))
+    rep = sa.parabolic_check(table, ChartId(0, 0), ChartPoint(0.731, 0.0))
     assert rep.fix_residual < 1e-8
     assert rep.max_deviation < 1e-6
     du, dv = rep.diag_n
@@ -371,7 +382,7 @@ def test_invariant_line_holds_the_working_precision(n):
     digits).  Rescaling each image by a power of two alone leaves about
     1e-84 and 4e-63 at n = 16 and 24."""
     table = CenterTable.build(sa.MapParams(n, 4, c_spec=(1, 1)))
-    rep = sa.parabolic_check(table, ChartId("base", 0), ChartPoint(0.731, 0.0))
+    rep = sa.parabolic_check(table, ChartId(0, 0), ChartPoint(0.731, 0.0))
     assert rep.max_deviation < 1e-100
     assert rep.fix_residual < 1e-100
 
@@ -380,7 +391,7 @@ def test_parabolic_on_fibers(hv):
     p, table = hv
     for j in sa.parabolic_levels(p.k):
         for s in range(p.n):
-            rep = sa.parabolic_check(table, ChartId("tower", s, j),
+            rep = sa.parabolic_check(table, ChartId(s, j),
                                      ChartPoint(0.47 + 0.13j, 0.0))
             assert rep.fix_residual < 1e-8, (s, j, rep)
             assert rep.max_deviation < 1e-6, (s, j, rep)
@@ -388,14 +399,14 @@ def test_parabolic_on_fibers(hv):
 
 def test_level_2_fixed_but_not_tangent(hv):
     p, table = hv
-    rep = sa.parabolic_check(table, ChartId("tower", 0, 2), ChartPoint(0.47, 0.0))
+    rep = sa.parabolic_check(table, ChartId(0, 2), ChartPoint(0.47, 0.0))
     assert rep.fix_residual < 1e-8
     assert rep.max_deviation > 1e-3
 
 
 def test_top_fiber_reported_only(hv):
     p, table = hv
-    rep = sa.parabolic_check(table, ChartId("tower", 0, 2 * p.k + 1),
+    rep = sa.parabolic_check(table, ChartId(0, 2 * p.k + 1),
                              ChartPoint(0.47, 0.0))
     # outside the tangency configuration: nothing required, values reported
     assert rep.max_deviation >= 0.0

@@ -129,6 +129,26 @@ def test_usage_error(capsys):
     assert "need --params or both --n and --k" in err
 
 
+@pytest.mark.parametrize("argv, work", [
+    (["spectrum", "--n", "2", "--k", "4"], "chi_poly"),
+    (["verify", "--params", str(PRESET)], "lattice_suite"),
+])
+def test_out_naming_a_file_is_a_usage_error(argv, work, monkeypatch, capsys, tmp_path):
+    """--out naming a file, or a path through one, stops the command with
+    one error line before it computes anything, and makes nothing."""
+    def never(*args, **kwargs):
+        raise AssertionError(f"{work} ran")
+
+    monkeypatch.setattr(f"surfauto.cli.{work}", never)
+    existing = tmp_path / "existing"
+    existing.write_text("kept\n")
+    for out in (existing, existing / "sub"):
+        rc, _, err = run_cli(argv + ["--out", str(out)], capsys)
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert existing.read_text() == "kept\n" and os.listdir(tmp_path) == ["existing"]
+
+
 def test_charts_failure_exit_code(capsys, tmp_path):
     rc, out, _ = run_cli(["charts", "--params", str(PRESET), "--tol", "1e-30",
                           "--out", str(tmp_path)], capsys)

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import surfauto as sa
-from surfauto.charts import EPS_SEQ, CenterTable, ChartId, ChartPoint, _lift_limit, parabolic_check
+from surfauto.charts import (EPS_SEQ, CenterTable, ChartId, ChartPoint, _lift_ladder, _lift_limit,
+                             parabolic_check)
 from surfauto.dual import Jet, jet_bits, richardson
 from surfauto.errors import ExtrapolationError
 
@@ -284,6 +285,39 @@ def test_richardson_is_exact_on_quadratics(a, b, c):
         _ulps_close(lim - first, Dual2(*gap.mpc()), scale)
 
 
+def test_lift_ladder_extends_by_one_decade_per_limit():
+    """The ladder's first limit is the order-2 extrapolant over the lifts
+    of EPS_SEQ; its second is over the last three lifts after one more
+    decade, EPS_SEQ[-1] / 10 at the table's dps.  Each component of a
+    sample extrapolates on its own, and each pull takes one more sample."""
+    table = CenterTable.build(sa.figure1_params())
+    lifts = []
+
+    def sample(eps):
+        lifts.append(eps)
+        return (1 / (1 - eps), eps * eps * eps + 2)
+
+    def mantissas(z):
+        return [getattr(z, slot) for slot in Jet.__slots__]
+
+    with mp.workdps(table.dps):
+        ladder = _lift_ladder(table, sample)
+        first = next(ladder)
+        assert len(lifts) == 3
+        second = next(ladder)
+        assert len(lifts) == 4
+        eps = [Jet.const(e, table.bits) for e in EPS_SEQ]
+        eps.append(Jet.const(mp.mpf(EPS_SEQ[-1]) / 10, table.bits))
+        assert list(map(mantissas, lifts)) == list(map(mantissas, eps))
+        vals = [(1 / (1 - e), e * e * e + 2) for e in eps]
+        for i in range(2):
+            want = richardson(eps[:3], [v[i] for v in vals[:3]])[0]
+            assert mantissas(first[i]) == mantissas(want)
+            want = richardson(eps[1:], [v[i] for v in vals[1:]])[0]
+            assert mantissas(second[i]) == mantissas(want)
+        assert abs(complex(second[0]) - 1) < 1e-14   # the cubic term leaves e0 e1 e2 = 1e-15
+
+
 def test_extrapolation_error_reports_a_float():
     """A lift that never settles raises ExtrapolationError naming by how
     much, as a plain finite float."""
@@ -320,6 +354,6 @@ def test_chart_kernel_keeps_jets_on_the_left(monkeypatch):
         raise AssertionError("Jet.__repr__ called")
 
     monkeypatch.setattr(Jet, "__repr__", no_repr)
-    r = parabolic_check(table, ChartId("tower", 0, 3), ChartPoint(1.1 + 0.2j, 0.0))
+    r = parabolic_check(table, ChartId(0, 3), ChartPoint(1.1 + 0.2j, 0.0))
     assert r.max_deviation < 1e-6
     assert r.fix_residual < 1e-8

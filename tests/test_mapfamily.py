@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import surfauto as sa
 from surfauto.charts import CenterTable, ChartPoint, _f_jet
 from surfauto.dual import Jet, jet_bits
-from surfauto.mapfamily import q_value
+from surfauto.mapfamily import one_like, q_value
 
 from jet_oracles import chart_ids
 
@@ -335,19 +335,21 @@ def _unscaled(table, P, monkeypatch):
 
 def _desk34_points():
     """Jet points of the (3,4) desk instance on every chart, near the
-    centers and down to v = 1e-7, with their table."""
+    centers and down to v = 1e-7, with their table; the first three are
+    affine points [1 : u : v]."""
     p = sa.MapParams(3, 4, c_spec=(1, 1), a={2: 0.4})
     table = CenterTable.build(p)
     rng = random.Random(11)
     pts = []
     with mp.workdps(table.dps):
-        for cid in chart_ids(table):
-            center = complex(table.beta.get((cid.s, cid.j), 0)) if cid.kind == "tower" else 0
+        for cid in [None] + chart_ids(table):
+            center = complex(table.beta.get((cid.s, cid.j), 0)) if cid else 0
             for dv in (-1, -4, -7):
                 u = center + cmath.rect(rng.uniform(0.01, 0.5), rng.uniform(0, 2 * math.pi))
                 v = cmath.rect(10.0 ** dv, rng.uniform(0, 2 * math.pi))
                 pt = ChartPoint(Jet.of(u, 1, 0, table.bits), Jet.of(v, 0, 1, table.bits))
-                pts.append(sa.chart_to_plane(table.jet, cid, pt))
+                pts.append(sa.chart_to_plane(table.jet, cid, pt) if cid
+                           else (one_like(pt.u), pt.u, pt.v))
     return p, table, pts
 
 
@@ -392,8 +394,7 @@ def test_orbit_n2():
 
 def test_orbit_n4():
     p = sa.MapParams(n=4, k=2, c_spec=(1, 1))
-    with mp.workdps(40):
-        w = sa.infinity_orbit(p.coeffs(40), p.n)
+    w = CenterTable.build(p).w   # infinity_orbit in mpmath, on the table's coefficients
     r2 = math.sqrt(2)
     assert abs(complex(w[0]) - r2) < 1e-12
     assert abs(complex(w[1]) - r2 / 2) < 1e-12
@@ -419,8 +420,7 @@ def test_orbit_pairing_invariant():
                         if abs(sign * 2 * math.cos(math.pi * j / n) - c) < 1e-9:
                             p = sa.MapParams(n=n, k=4, c_spec=(j, sign))
             assert p is not None
-            with mp.workdps(40):
-                w = [complex(x) for x in sa.infinity_orbit(p.coeffs(40), n)]
+            w = [complex(x) for x in CenterTable.build(p).w]
             for j in range(1, n - 1):
                 assert abs(w[j - 1] * w[n - 1 - j - 1] - 1) < 1e-12
 
