@@ -52,7 +52,7 @@ print("its characteristic polynomial:", xm.charpoly(C),
 
 rep = sa.gamma_closed_form(2, 4)
 print("\nclosed form of gamma via the auxiliary classes (n=2, k=4):",
-      rep["closed_form_matches_projection"])
+      sa.t_space(2, 4).closed_form_checks()[1])
 print("displayed coefficient comparison (exact projection wins on mismatch):")
 for key, (geo, strict) in rep["displayed_matches"].items():
     print(f"   {key}: displayed={rep['displayed'][key]}  "

@@ -235,16 +235,15 @@ def unit_lower_columns(columns):
     return tuple(out)
 
 
-def forward_substitute(lower, b):
-    """Solve A x = b, b dense, for the unit lower-triangular A in the form
-    returned by unit_lower_columns.  No division: integer data stay integers."""
-    x = list(b)
-    for j, col in enumerate(lower):
-        xj = x[j]
-        if xj:
-            for i, a in col:
-                x[i] -= a * xj
-    return x
+def int_rows(rows, what):
+    """Rows of Fractions as lists of ints; ExactIdentityError naming what
+    when an entry is not an integer."""
+    out = []
+    for row in rows:
+        if any(x.denominator != 1 for x in row):
+            raise ExactIdentityError(f"{what} is not integral: {row}")
+        out.append([int(x) for x in row])
+    return out
 
 
 @dataclass(frozen=True)

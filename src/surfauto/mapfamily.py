@@ -146,9 +146,9 @@ class MapParams:
     def from_json_dict(cls, d):
         """The member a parameter file describes: an object with the
         integers n and k, c as {"j": integer, "sign": "+" or "-"} (sign
-        "+" when absent), and optionally a ({"l": value}), each value a
-        number or [re, im], and delta, the jacobian determinant, which must
-        read as 1.  Anything else raises ParamError."""
+        "+" when absent), and optionally a ({"l": value}, no l twice), each
+        value a number or [re, im], and delta, the jacobian determinant,
+        which must read as 1.  Anything else raises ParamError."""
         keys = set(d) if isinstance(d, dict) else set()
         if not ({"n", "k", "c"} <= keys <= {"n", "k", "c", "a", "delta"}
                 and type(d["n"]) is int and type(d["k"]) is int):
@@ -163,8 +163,12 @@ class MapParams:
         a = d.get("a", {})
         if not (isinstance(a, dict) and all(str(key).removeprefix("-").isdecimal() for key in a)):
             raise ParamError(f'a must be an object {{"l": value}} with integers l, got {a!r}')
-        a = {int(key): _json_scalar(v, f"a_{key}") for key, v in a.items()}
-        return cls(n=d["n"], k=d["k"], c_spec=(c["j"], 1 if sign == "+" else -1), a=a)
+        coeffs = {}
+        for key, v in a.items():
+            if int(key) in coeffs:
+                raise ParamError(f"a gives a_{int(key)} twice")
+            coeffs[int(key)] = _json_scalar(v, f"a_{key}")
+        return cls(n=d["n"], k=d["k"], c_spec=(c["j"], 1 if sign == "+" else -1), a=coeffs)
 
     @classmethod
     def load(cls, path):

@@ -194,12 +194,6 @@ def _strict_basis(n, k):
     return xm.unit_lower_columns([lat.strict[key] for key in _strict_order(n, k)])
 
 
-def strict_coords(n, k, v):
-    """Coordinates of a dense v in the strict-transform basis [sigma0,
-    F(s, j)], by forward substitution: exact, integer for integer v."""
-    return xm.forward_substitute(_strict_basis(n, k), v)
-
-
 def strict_image(n, k, key):
     """The key of PicardLattice.strict where f_* sends the class key: limb s
     goes to limb s+1, and the return limb n-1 -> 0 flips levels j -> 2k+2-j
@@ -401,37 +395,38 @@ def degree_recurrence_residuals(n, k, m=40):
 
 @functools.cache
 def _varrho(n, k):
-    """The auxiliary classes varrho_t, t = 0..n-1, as integer tuples: in
-    the strict basis, -k on sigma0, j - 1 on F(t, j) and -k min(max(j-1, 1), k)
-    on F(i, j), i != t; that is, -k sigma0 - k sum_{i != t} (v_i + k F(i,2k+1))
+    """The auxiliary classes varrho_t, t = 0..n-1, in their two forms, as a
+    pair (weights, classes) of tuples of integer tuples.
+
+    The strict weights w_t come first: -k on sigma0, j - 1 on F(t, j) and
+    -k min(max(j-1, 1), k) on F(i, j), i != t, the weight of F(s, j) at index
+    lat.idx(s, j); that is, -k sigma0 - k sum_{i != t} (v_i + k F(i,2k+1))
     + u_t + 2k F(t,2k+1) with v_i = F(i,1) + sum_{j=2..k} (j-1) F(i,j)
-    + k sum_{j>k} F(i,j) and u_t = sum_{j=2..2k} (j-1) F(t,j)."""
+    + k sum_{j>k} F(i,j) and u_t = sum_{j=2..2k} (j-1) F(t,j).  The class
+    r_t = sum_j w_t[j] key_j on the geometric basis is read from them
+    through _strict_basis."""
     own = [j - 1 for j in range(1, 2 * k + 2)]
     other = [-k * min(max(j - 1, 1), k) for j in range(1, 2 * k + 2)]
-    out = []
+    weights, classes = [], []
     for t in range(n):
         w = [-k] + [x for i in range(n) for x in (own if i == t else other)]
         r = list(w)
         for wj, col in zip(w, _strict_basis(n, k)):
             for i, a in col:
                 r[i] += a * wj
-        out.append(tuple(r))
-    return tuple(out)
-
-
-def _k_weights(n, k):
-    """k M, with M the n x n matrix of the closed form (x = 2/k - n + 2 on the
-    diagonal, 1 elsewhere), and its denominator C = 2(2-(n-2)k) - (n-1)k^2:
-    gamma_s = sum_t M[t][s] varrho_t / C."""
-    diag = 2 - (n - 2) * k
-    kM = [[diag if i == j else k for j in range(n)] for i in range(n)]
-    return kM, 2 * diag - (n - 1) * k * k
+        weights.append(tuple(w))
+        classes.append(tuple(r))
+    return tuple(weights), tuple(classes)
 
 
 class TSpace:
-    """T = S-perp with the gamma basis, gamma_s = sum_t M[t][s] varrho_t / C
-    (_k_weights), read from the n x n integer matrices R = (varrho_a .
-    varrho_b) and P = (varrho_t . F(s, 2k+1)).  The constructor raises
+    """T = S-perp with the gamma basis, gamma_s = sum_t kM[t][s] varrho_t / kC,
+    read from the n x n integer matrices R = (varrho_a . varrho_b) and
+    P = (varrho_t . F(s, 2k+1)).
+
+    kM is k times the closed form's M (x = 2/k - n + 2 on the diagonal, 1
+    elsewhere) and C = 2(2-(n-2)k) - (n-1)k^2 its denominator; kMP = kM P is
+    kC times the gamma Gram, in integers.  The constructor raises
     ExactIdentityError unless each varrho_t is orthogonal to S and
     C P = R M with det R != 0 (closed_form_checks).  Then the varrho_t are a
     basis of T (dim T = n: the S classes are part of the strict basis), and
@@ -441,7 +436,10 @@ class TSpace:
     def __init__(self, lat):
         n, k = lat.n, lat.k
         self.lat = lat
-        self._rho = _varrho(n, k)
+        diag = 2 - (n - 2) * k
+        self.kM = tuple(tuple(diag if i == j else k for j in range(n)) for i in range(n))
+        self.C = 2 * diag - (n - 1) * k * k
+        _, self._rho = _varrho(n, k)
         self._rho_gram = lat.gram_matrix([xm.sparse(r) for r in self._rho])
         tops = [lat.idx(s, 2 * k + 1) for s in range(n)]
         self._rho_tops = [[lat.qdiag[i] * r[i] for i in tops] for r in self._rho]
@@ -451,10 +449,9 @@ class TSpace:
         if not closed_form:
             raise ExactIdentityError(f"(n,k)=({n},{k}): the closed form of the gammas "
                                      "is not the projection of the top fibers")
-        kM, C = _k_weights(n, k)
         # gamma_a lies in T, so gamma_a . gamma_s = gamma_a . F(s, 2k+1); M is symmetric
-        self.gamma_gram = tuple(tuple(Fraction(x, k * C) for x in row)
-                                for row in xm.mat_mul(kM, self._rho_tops))
+        self.kMP = tuple(map(tuple, xm.mat_mul(self.kM, self._rho_tops)))
+        self.gamma_gram = tuple(tuple(Fraction(x, k * self.C) for x in row) for row in self.kMP)
         # the rows of P^-1 are the columns of (P^T)^-1
         self._tops_inverse = xm.frac_solve(xm.transpose(self._rho_tops), xm.identity(n))
 
@@ -466,12 +463,10 @@ class TSpace:
     def closed_form_checks(self):
         """(every varrho_t is orthogonal to S, C P = R M with det R != 0),
         the second in integers as C k P = R (k M)."""
-        k = self.lat.k
-        kM, C = _k_weights(self.lat.n, k)
-        R, P = self._rho_gram, self._rho_tops
+        kC, R, P = self.lat.k * self.C, self._rho_gram, self._rho_tops
         return (not any(any(self.rho_pairings(self.lat.strict[key])) for key in self.lat.s_keys),
                 xm.det_bareiss(R) != 0 and
-                xm.mat_mul(R, kM) == [[k * C * p for p in row] for row in P])
+                xm.mat_mul(R, self.kM) == [[kC * p for p in row] for row in P])
 
     def gamma_coords(self, v):
         """Gamma-basis coordinates of the T-component of a class v (a column):
@@ -481,24 +476,13 @@ class TSpace:
         return [sum(map(mul, row, rhs)) for row in self._tops_inverse]
 
     def gram_proportionality(self):
-        """Exact Gram of the gammas must be a single rational multiple of the
-        circulant-like matrix with diagonal 2-(n-2)k and off-diagonal k.
-        Returns the scale or None on mismatch."""
-        n, k = self.lat.n, self.lat.k
-        ref, _ = _k_weights(n, k)
-        scale = None
-        for i in range(n):
-            for j in range(n):
-                if ref[i][j] == 0:
-                    if self.gamma_gram[i][j] != 0:
-                        return None
-                    continue
-                r = Fraction(self.gamma_gram[i][j], ref[i][j])
-                if scale is None:
-                    scale = r
-                elif r != scale:
-                    return None
-        return scale
+        """Exact Gram of the gammas must be a single rational multiple of kM,
+        the circulant-like matrix with diagonal 2-(n-2)k and off-diagonal k.
+        Returns the scale, read off an off-diagonal entry, or None on
+        mismatch."""
+        scale = Fraction(self.gamma_gram[0][1], self.lat.k)
+        return scale if all(g == scale * m for grow, mrow in zip(self.gamma_gram, self.kM)
+                            for g, m in zip(grow, mrow)) else None
 
 
 @functools.cache
@@ -519,45 +503,34 @@ def restricted_action(n, k):
     F = pushforward_columns(n, k)
     cols = [ts.gamma_coords(xm.col_compose(F, (ts.lat.strict[("F", s, 2 * k + 1)],))[0])
             for s in range(n)]
-    out = []
-    for row in xm.transpose(cols):
-        if any(x.denominator != 1 for x in row):
-            raise ExactIdentityError(f"restricted action on T is not integral: {row}")
-        out.append(tuple(int(x) for x in row))
-    return tuple(out)
+    return tuple(map(tuple, xm.int_rows(xm.transpose(cols), "restricted action on T")))
 
 
 # -- closed-form coefficients of the gamma classes ----------------------------
 
 
-def gamma_closed_form(n, k, s=0):
-    """Closed form of gamma_s from the auxiliary classes, with a comparison
-    of the four displayed rational coefficients against it.
+def gamma_closed_form(n, k):
+    """The four displayed rational coefficients of gamma_0, on the top-level
+    and level-2k classes of limbs 0 and 1, against their exact values.
 
-    Returns a report dict.  The auxiliary-class route: with
-    x = 2/k - n + 2 and C = 2(2-(n-2)k) - (n-1)k^2,
+    Returns a report dict.  With x = 2/k - n + 2 and
+    C = 2(2-(n-2)k) - (n-1)k^2,
 
         gamma_s = ( x*rho_s + sum_{t != s} rho_t ) / C,
 
-    which is the projection of the top fiber when every rho_t is orthogonal
-    to S and C P = R M with det R != 0 (TSpace.closed_form_checks).  The
-    TSpace constructor raises ExactIdentityError unless both hold, so the
-    report's membership_T and closed_form_matches_projection are true by
-    construction.  The four displayed coefficients (on the
-    top-level and level-2k basis classes) are evaluated under both the
-    strict-transform and geometric readings of gamma_s, built densely here
-    and only here; mismatches are reported with both values, never patched.
+    the projection of the top fiber, which t_space(n, k) proves or raises
+    ExactIdentityError (TSpace.closed_form_checks).  A coefficient of gamma_0
+    is sum_t kM[t][0] row_t[lat.idx(s, j)] / kC, read once from the strict
+    weights of the varrho_t (exact_strict) and once from their geometric
+    classes (exact_geometric); the limb-rotation symmetry of varrho_t and kM
+    makes every other limb's report the same.  Mismatches are reported with
+    both values, never patched.
     """
     check_nk(n, k)
     if k == 2 * n - 2:
         raise DegenerateError(f"(n,k)=({n},{k}): closed-form denominator k-2n+2 vanishes")
     ts = t_space(n, k)
-    lat = ts.lat
-    kM, C = _k_weights(n, k)
-    g = [0] * lat.dim
-    for t, r in enumerate(_varrho(n, k)):
-        g = [a + kM[t][s] * b for a, b in zip(g, r)]
-    g = [Fraction(a, k * C) for a in g]
+    lat, kM, kC = ts.lat, ts.kM, k * ts.C
 
     den1 = Fraction(k * (k + 2) * (k - 2 * n + 2))
     den2 = Fraction(k * k * (k + 2) * (k - 2 * n + 2))
@@ -567,25 +540,16 @@ def gamma_closed_form(n, k, s=0):
         "level2k_same_limb": Fraction(2 * (k - (n - 2) * (k * k + 2 * k - 1))) / den2,
         "level2k_other_limb": Fraction(2 * (4 * k - 2 - k ** 3)) / den2,
     }
-    other = (s + 1) % n
-    exact_geometric = {
-        "top_same_limb": g[lat.idx(s, 2 * k + 1)],
-        "top_other_limb": g[lat.idx(other, 2 * k + 1)],
-        "level2k_same_limb": g[lat.idx(s, 2 * k)],
-        "level2k_other_limb": g[lat.idx(other, 2 * k)],
-    }
-    # strict reading: coordinates of gamma in the basis {sigma0, F^j_s}
-    coords = strict_coords(n, k, g)
-    pos = {key: i for i, key in enumerate(_strict_order(n, k))}
-    exact_strict = {
-        "top_same_limb": coords[pos[("F", s, 2 * k + 1)]],
-        "top_other_limb": coords[pos[("F", other, 2 * k + 1)]],
-        "level2k_same_limb": coords[pos[("F", s, 2 * k)]],
-        "level2k_other_limb": coords[pos[("F", other, 2 * k)]],
-    }
+    at = {"top_same_limb": lat.idx(0, 2 * k + 1), "top_other_limb": lat.idx(1, 2 * k + 1),
+          "level2k_same_limb": lat.idx(0, 2 * k), "level2k_other_limb": lat.idx(1, 2 * k)}
+
+    def coefficients(rows):
+        return {key: Fraction(sum(kM[t][0] * row[i] for t, row in enumerate(rows)), kC)
+                for key, i in at.items()}
+
+    weights, classes = _varrho(n, k)
+    exact_geometric, exact_strict = coefficients(classes), coefficients(weights)
     return {
-        "membership_T": True,
-        "closed_form_matches_projection": True,
         "displayed": displayed,
         "exact_geometric": exact_geometric,
         "exact_strict": exact_strict,

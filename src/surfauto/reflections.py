@@ -11,7 +11,6 @@ reflection -- and every class is in the column form of exactmat: no
 dim x dim matrix is built for a map or for the form.
 """
 
-import math
 from fractions import Fraction
 from functools import reduce
 from itertools import islice
@@ -212,13 +211,14 @@ def weyl_factorization_check(n, k):
 
 def t_reflections(n, k):
     """Reflections in the roots alpha_s = lambda_s - gamma_s and in the
-    differences gamma_s - gamma_{s+1}, as exact matrices in the gamma basis,
-    plus the Cartan matrix."""
-    # reflections and Cartan entries are ratios of values of the form, so an
-    # integer multiple of the gamma Gram gives them
-    G = t_space(n, k).gamma_gram
-    den = math.lcm(*(x.denominator for row in G for x in row))
-    G = [[int(x * den) for x in row] for row in G]
+    differences gamma_s - gamma_{s+1}, as exact integer matrices in the gamma
+    basis, plus the Cartan matrix.
+
+    Reflections and Cartan entries are ratios of values of the form, so they
+    do not change when the form is scaled, even by a negative factor: they
+    are read from TSpace.kMP, the integer kC times the gamma Gram (C < 0 at
+    (2, 4))."""
+    G = t_space(n, k).kMP
 
     def gram_times(v):
         return [sum(G[i][j] * v[j] for j in range(n)) for i in range(n)]
@@ -231,12 +231,7 @@ def t_reflections(n, k):
         rr = dot(root, g_root)
         cols = [[int(i == s) - Fraction(2 * g_root[s] * root[i], rr) for i in range(n)]
                 for s in range(n)]
-        out = []
-        for row in xm.transpose(cols):
-            if any(x.denominator != 1 for x in row):
-                raise ExactIdentityError(f"T reflection is not integral: {row}")
-            out.append([int(x) for x in row])
-        return out
+        return xm.int_rows(xm.transpose(cols), "T reflection")
 
     alphas = [[-2 if i == s else k for i in range(n)] for s in range(n)]
     rhos = [refl(a) for a in alphas]

@@ -16,11 +16,19 @@ instances beyond the desk: (4,4), (3,6), (2,10) and (5,4).  On every census
 instance f_* sends each fiber class where the chart layer's transitions
 send the fiber.
 
+``data/t_space_census.json`` holds, for each instance of T_CENSUS,
+``t_reflections(n, k)`` and, where k != 2n - 2, the displayed and exact
+coefficients of ``gamma_closed_form(n, k)`` and their comparison, as
+recorded when gamma was built densely and read through the strict basis by
+forward substitution; a Fraction is pinned as its text.
+
 Admissible means n >= 2, even k >= 2 and n k > k + 2 (Bedford-Kim,
 Thm. 1); dim Pic = 1 + n (2k + 1).
 """
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +40,7 @@ from surfauto.mapfamily import MapParams
 from surfauto.picard import (
     PicardLattice,
     chi_poly,
+    gamma_closed_form,
     pushforward_char_poly,
     pushforward_columns,
     pushforward_det,
@@ -41,9 +50,10 @@ from surfauto.picard import (
     s_cycle_lengths,
     t_space,
 )
+from surfauto.reflections import t_reflections
 from surfauto.verify import chart_suite, factorization_suite, lattice_suite, parabolic_suite
 
-from exact_oracles import projected_t
+from exact_oracles import dense, projected_t
 
 
 def _admissible(max_dim):
@@ -57,6 +67,7 @@ WIDE = [(n, k) for n in range(2, 9) for k in range(2, 13, 2) if n * k > k + 2]
 T_CENSUS = sorted(set(CENSUS) | set(WIDE))
 IDENTITY_GRID = [(n, k) for n in range(2, 9) for k in range(2, 25, 2) if n * k > k + 2]
 CHART_CENSUS = [(4, 4), (3, 6), (2, 10), (5, 4)]
+T_PINNED = json.loads((Path(__file__).parent / "data" / "t_space_census.json").read_text())
 
 
 def _ids(instances):
@@ -149,7 +160,7 @@ def test_t_space_matches_projection(nk):
     assert list(map(list, t_space(n, k).gamma_gram)) == gram
     assert list(map(list, restricted_action(n, k))) == action
     x, C = Fraction(2, k) - n + 2, 2 * (2 - (n - 2) * k) - (n - 1) * k * k
-    rho = picard._varrho(n, k)
+    _, rho = picard._varrho(n, k)
     for s, gamma in enumerate(gammas):
         weights = [x if t == s else 1 for t in range(n)]
         assert [sum(w * r[i] for w, r in zip(weights, rho)) / C
@@ -163,7 +174,7 @@ def test_auxiliary_classes_give_the_projection(nk):
     the closed form's weights, x = 2/k - n + 2 on the diagonal, 1 elsewhere."""
     n, k = nk
     lat = PicardLattice.build(n, k)
-    rho = picard._varrho(n, k)
+    _, rho = picard._varrho(n, k)
     assert all(sum(a * lat.qdiag[i] * r[i] for i, a in lat.strict[key]) == 0
                for r in rho for key in lat.s_keys)
     x, C = Fraction(2, k) - n + 2, 2 * (2 - (n - 2) * k) - (n - 1) * k * k
@@ -174,6 +185,36 @@ def test_auxiliary_classes_give_the_projection(nk):
     P = [[lat.ip(r, lat.strict[("F", s, 2 * k + 1)]) for s in range(n)] for r in rho_cols]
     M = [[x if i == j else 1 for j in range(n)] for i in range(n)]
     assert [[C * p for p in row] for row in P] == xm.mat_mul(R, M)
+
+
+@pytest.mark.parametrize("nk", T_CENSUS, ids=_ids(T_CENSUS))
+def test_two_forms_of_varrho_agree(nk):
+    """The strict weights w_t of varrho_t, the weight of F(s, j) at index
+    lat.idx(s, j), recompose its geometric class r_t from the strict
+    classes, dense here and apart from _strict_basis."""
+    n, k = nk
+    lat = PicardLattice.build(n, k)
+    keys = ["sigma0"] + [("F", s, j) for s in range(n) for j in range(1, 2 * k + 2)]
+    assert all(lat.idx(*key[1:]) == i for i, key in enumerate(keys) if i)
+    strict = [dense(lat, lat.strict[key]) for key in keys]
+    for w, r in zip(*picard._varrho(n, k)):
+        assert [sum(wj * v[i] for wj, v in zip(w, strict)) for i in range(lat.dim)] == list(r)
+
+
+def _plain(obj):
+    """obj as its pin reads it back: tuples become lists, Fractions text."""
+    return json.loads(json.dumps(obj, default=str))
+
+
+@pytest.mark.parametrize("nk", T_CENSUS, ids=_ids(T_CENSUS))
+def test_t_space_reports_pinned(nk):
+    n, k = nk
+    pin = T_PINNED[f"{n},{k}"]
+    assert _plain(t_reflections(n, k)) == pin["t_reflections"]
+    assert ("gamma_closed_form" in pin) == (k != 2 * n - 2)
+    if k != 2 * n - 2:
+        g, want = gamma_closed_form(n, k), pin["gamma_closed_form"]
+        assert _plain({key: g[key] for key in want}) == want
 
 
 # -- the wide census: cofactor and Salem test ----------------------------------------------

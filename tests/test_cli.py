@@ -308,6 +308,7 @@ MEMBER = {"n": 2, "k": 4, "c": {"j": 1, "sign": "+"}, "a": {"2": [-2.64, 0.0]},
     pytest.param({**MEMBER, "a": {"2": [1]}}, None, id="a-one-number"),
     pytest.param({**MEMBER, "a": {"x": 1}}, None, id="a-index-text"),
     pytest.param({**MEMBER, "a": {"2": [float("nan"), 0.0]}}, None, id="a-not-finite"),
+    pytest.param({**MEMBER, "a": {"2": 0.5, "02": -1.0}}, None, id="a-twice"),
     pytest.param({**MEMBER, "delta": "1"}, None, id="delta-text"),
     pytest.param({**MEMBER, "delta": True}, None, id="delta-bool"),
     pytest.param({**MEMBER, "delta": 0.5}, None, id="delta-half"),

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import surfauto as sa
 from surfauto import exactmat as xm
-from surfauto.picard import PicardLattice, TSpace, pushforward_matrix, strict_coords
+from surfauto.picard import PicardLattice, TSpace, pushforward_matrix
 from surfauto.reflections import reflection_in
 from surfauto.verify import factorization_suite, lattice_suite
 
@@ -186,30 +186,15 @@ def test_mat_eq_compares_values():
     assert not xm.mat_eq([[1, 0]], [[1]])
 
 
-def test_forward_substitution_is_integral_and_checked():
+def test_unit_lower_columns_are_checked():
     cols = (((0, 1), (1, 2)), ((1, 1), (2, -3)), ((2, 1),))    # a unit lower matrix
-    lower = xm.unit_lower_columns(cols)
-    assert lower == (((1, 2),), ((2, -3),), ())
-    x = xm.forward_substitute(lower, [1, 0, 0])
-    assert x == [1, -2, -6] and all(type(v) is int for v in x)
+    assert xm.unit_lower_columns(cols) == (((1, 2),), ((2, -3),), ())
     with pytest.raises(sa.ExactIdentityError):
         xm.unit_lower_columns((((0, 2),), ((1, 1),)))      # diagonal entry not 1
     with pytest.raises(sa.ExactIdentityError):
         xm.unit_lower_columns((((0, 1),), ((0, 1), (1, 1))))  # entry above the diagonal
     with pytest.raises(sa.ExactIdentityError):
         xm.unit_lower_columns((((0, 1),), ((2, 1),)))      # diagonal entry 0
-
-
-def test_strict_coordinates_recompose():
-    n, k = 3, 4
-    lat = PicardLattice.build(n, k)
-    v = [i * i - 3 for i in range(lat.dim)]
-    coords = strict_coords(n, k, v)
-    order = ["sigma0"] + [("F", s, j) for s in range(n) for j in range(1, 2 * k + 2)]
-    back = [0] * lat.dim
-    for c, key in zip(coords, order):
-        back = [a + c * b for a, b in zip(back, dense(lat, lat.strict[key]))]
-    assert back == v
 
 
 # -- typed errors -------------------------------------------------------------------------

@@ -111,6 +111,8 @@ def test_bad_params_rejected():
         sa.MapParams(n=3, k=4, c_spec=(1, 1), a={3: 1.0})  # odd index
     with pytest.raises(sa.ParamError):
         sa.MapParams(n=4, k=2, c_spec=(2, 1))   # j not coprime
+    with pytest.raises(sa.ParamError, match="a gives a_2 twice"):
+        sa.MapParams.from_json_dict({"n": 2, "k": 6, "c": {"j": 1}, "a": {"2": 0.5, "02": -1.0}})
 
 
 # -- the map -------------------------------------------------------------------
