@@ -189,6 +189,15 @@ def poly_divmod(num, den):
     return q, num
 
 
+def recurrence_residuals(coeffs, seq):
+    """sum_t coeffs[t] seq[i + deg - t] for i = 0..len(seq) - deg - 1: the
+    residuals of a sequence against the linear recurrence of a polynomial
+    of degree deg, all zero when the polynomial annihilates it."""
+    deg = len(coeffs) - 1
+    terms = [(deg - t, c) for t, c in enumerate(coeffs) if c]
+    return [sum(c * seq[i + s] for s, c in terms) for i in range(len(seq) - deg)]
+
+
 def poly_eval(coeffs, x):
     out = 0 * x
     for c in coeffs:

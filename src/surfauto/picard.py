@@ -51,7 +51,7 @@ class PicardLattice:
     dim: int
     qdiag: tuple          # diagonal of the intersection form: (1, -1, ..., -1)
     strict: dict          # ('sigma0') | ('F', s, j) | ('L', s) -> column; read-only
-    s_keys: tuple         # basis keys of the invariant span S
+    s_keys: tuple         # basis keys of the invariant span S, sigma0 last
 
     # -- construction ---------------------------------------------------------
 
@@ -114,7 +114,13 @@ class PicardLattice:
         return self.gram_matrix([self.strict[("F", s, j)] for j in range(1, 2 * self.k + 1)])
 
     def s_gram_factor(self):
-        """Exact LDL^T of the S Gram of the (n, k) lattice as built."""
+        """Exact LDL^T of the S Gram of the (n, k) lattice, in the order of
+        s_keys.  sigma0 comes last: it meets F(s, 1) of every limb, so
+        eliminating it first would fill the n x n block of those classes.
+        Last, only its own row fills, and each limb, a chain with F(s, 1)
+        attached at F(s, k+1), factors without fill.  The determinant and,
+        by Sylvester's criterion, negative definiteness do not depend on
+        the order."""
         return _s_gram_ldl(self.n, self.k)
 
     def s_negative_definite(self):
@@ -168,7 +174,7 @@ def _lattice(n, k):
             strict[("F", s, j)] = ((idx(s, j), 1), (idx(s, j + 1), -1))
         strict[("F", s, 2 * k + 1)] = ((idx(s, 2 * k + 1), 1),)
         strict[("L", s)] = ((0, 1), (idx(s, 1), -1), (idx(s, 2), -1))
-    s_keys = tuple(["sigma0"] + [("F", s, j) for s in range(n) for j in range(1, 2 * k + 1)])
+    s_keys = tuple([("F", s, j) for s in range(n) for j in range(1, 2 * k + 1)] + ["sigma0"])
     return PicardLattice(n=n, k=k, dim=dim, qdiag=tuple([1] + [-1] * (dim - 1)),
                          strict=MappingProxyType(strict), s_keys=s_keys)
 
@@ -274,7 +280,8 @@ def s_class_permutation(lat, cols):
 @functools.cache
 def s_cycle_lengths(n, k):
     """Cycle lengths of the permutation f_* induces on the S classes, in the
-    order of xm.perm_cycles; a tuple.
+    order of xm.perm_cycles on s_keys, so sigma0's fixed point comes last:
+    (2, 4, 4, 4, 2, 1) at (2, 4); a tuple.  They are 1, n and 2n.
 
     Raises ExactIdentityError unless the S classes are a basis of a
     nondegenerate span(S), which the complete LDL^T of the S Gram proves."""
@@ -369,25 +376,34 @@ def entropy(n, k):
 
 
 def degree_sequence(n, k, m):
-    """d_i = (M^i e0) . e0 = (M^i e0)_0 for i = 0..m, exact integers."""
+    """d_i = (M^i e0) . e0 = (M^i e0)_0 for i = 0..m, exact integers: m + 1
+    terms from m applications of f_*."""
     F = pushforward_columns(n, k)
     v = _lattice(n, k).e0()
-    out = []
-    for _ in range(m + 1):
-        out.append(v[0])
+    out = [v[0]]
+    for _ in range(m):
         v = xm.col_apply(F, v)
+        out.append(v[0])
     return out
 
 
-def degree_recurrence_residuals(n, k, m=40):
-    """Check d against the linear recurrence with char_poly coefficients."""
-    cp = pushforward_char_poly(n, k)
-    d = degree_sequence(n, k, m)
-    deg = len(cp) - 1
-    res = []
-    for i in range(0, m - deg + 1):
-        res.append(sum(cp[t] * d[i + deg - t] for t in range(deg + 1)))
-    return res
+def degree_recurrence(n, k):
+    """chi(x) (x^(2n) - 1), descending, of order 3n; it annihilates f_* and
+    so the degree sequence.
+
+    On T = S-perp f_* satisfies chi (restricted_action); on span(S) it
+    permutes the S classes in cycles of lengths 1, n and 2n
+    (s_cycle_lengths), so f_*^(2n) = 1 there.  It divides
+    pushforward_char_poly, of order dim Pic, whose recurrence it implies."""
+    return xm.poly_mul(chi_poly(n, k), [1] + [0] * (2 * n - 1) + [-1])
+
+
+def degree_recurrence_residuals(n, k, m=None):
+    """The residuals of d_0..d_m against degree_recurrence, m = 3n + 10 by
+    default: m + 1 - 3n of them, eleven by default, all zero when d
+    satisfies the recurrence."""
+    d = degree_sequence(n, k, 3 * n + 10 if m is None else m)
+    return xm.recurrence_residuals(degree_recurrence(n, k), d)
 
 
 # -- the orthogonal complement of the invariant span ---------------------------

@@ -20,7 +20,7 @@ from .picard import (
     PicardLattice,
     char_poly_factor_check,
     chi_poly,
-    degree_recurrence_residuals,
+    degree_recurrence,
     degree_sequence,
     gamma_closed_form,
     minimality_report,
@@ -200,10 +200,10 @@ def lattice_suite(n, k):
     _exact(rep, "entropy-factor-divides", divides)
     rep.add("cofactor-unit-modulus", worst < 1e-9, residual=worst, bound=1e-9)
 
-    d = degree_sequence(n, k, 40)
+    # one sequence: at least ten terms past the recurrence's order 3n
+    d = degree_sequence(n, k, max(40, 3 * n + 10))
     _exact(rep, "degree-start", d[0] == 1 and d[1] == k + 1, f"d1 = {d[1]}")
-    # at least ten terms past the recurrence's order dim Pic
-    res = degree_recurrence_residuals(n, k, max(40, lat.dim + 10))
+    res = xm.recurrence_residuals(degree_recurrence(n, k), d)
     _exact(rep, "degree-recurrence", res and all(r == 0 for r in res))
     lam = spectral_radius(n, k)
     ratio_err = abs(d[40] / d[39] - lam)

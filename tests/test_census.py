@@ -6,7 +6,11 @@ polynomial and determinant of f_* from the splitting span(S) + T must also
 agree with dense Berkowitz and Bareiss on the full matrix, and on those
 and the wide census below T, read from the auxiliary classes varrho_t,
 must give the gammas, their Gram and the action of f_* of the projection
-oracle.  On every admissible (n, k) with n <= 8 and k <= 24 the integer
+oracle.  With dim Pic <= 60, chi (x^(2n) - 1), the degree recurrence of
+order 3n, must divide that characteristic polynomial, and the S Gram
+factor with sigma0 last must give the determinant of dense Bareiss and
+the negative-definite verdict of the sigma0-first order.  On every
+admissible (n, k) with n <= 8 and k <= 24 the integer
 identity behind T holds: each varrho_t is orthogonal to S, C < 0,
 det R != 0 and C P = R M.  On all admissible (n, k) with n <= 8 and k <= 12 the
 characteristic polynomial must be chi times the cyclotomic cofactor of the
@@ -33,7 +37,7 @@ from pathlib import Path
 import pytest
 
 from surfauto import exactmat as xm
-from surfauto import picard
+from surfauto import picard, verify
 from surfauto.charts import SIGMA1, CenterTable, fiber_target, fiber_transition_closed
 from surfauto.errors import ExactIdentityError
 from surfauto.mapfamily import MapParams
@@ -84,10 +88,19 @@ def test_census_size():
 
 
 @pytest.mark.parametrize("nk", SUITE_CENSUS, ids=_ids(SUITE_CENSUS))
-def test_exact_suites_pass(nk):
+def test_exact_suites_pass(nk, monkeypatch):
+    check_residuals, seen = xm.recurrence_residuals, []
+
+    def spy(coeffs, seq):
+        seen.append(check_residuals(coeffs, seq))
+        return seen[-1]
+
+    monkeypatch.setattr(xm, "recurrence_residuals", spy)
     for suite in (lattice_suite, factorization_suite):
         rep = suite(*nk)
         assert rep.overall == "pass", [c.to_json_dict() for c in rep.checks if c.status == "fail"]
+    # the lattice suite checks the degree recurrence on at least ten residuals
+    assert len(seen) == 1 and len(seen[0]) >= 10
 
 
 @pytest.mark.parametrize("nk", CHART_CENSUS, ids=_ids(CHART_CENSUS))
@@ -149,6 +162,82 @@ def test_s_image_outside_the_s_classes_raises():
     F = F[:j] + (tuple(sorted(col.items())),) + F[j + 1:]
     with pytest.raises(ExactIdentityError, match=r"\('F', 0, 1\) is not an S class"):
         s_class_permutation(lat, F)
+
+
+# -- the degree recurrence of order 3n ----------------------------------------------------
+
+@pytest.mark.parametrize("nk", CENSUS, ids=_ids(CENSUS))
+def test_degree_recurrence_divides_the_char_poly(nk):
+    """chi (x^(2n) - 1), the recurrence the lattice suite checks, divides
+    det(x I - f_*), so the recurrence of order dim Pic follows from it."""
+    n, k = nk
+    recurrence = picard.degree_recurrence(n, k)
+    assert recurrence == xm.poly_mul(chi_poly(n, k), _x_power_minus_one(2 * n))
+    _, rem = xm.poly_divmod(list(pushforward_char_poly(n, k)), recurrence)
+    assert not any(rem)
+
+
+@pytest.mark.parametrize("nk", [(2, 4), (3, 4), (4, 6), (5, 10)],
+                         ids=_ids([(2, 4), (3, 4), (4, 6), (5, 10)]))
+def test_chi_alone_leaves_nonzero_residuals(nk):
+    """Without the factor x^(2n) - 1 of span(S) the recurrence fails on
+    every residual: the degrees see the S classes."""
+    n, k = nk
+    res = xm.recurrence_residuals(chi_poly(n, k), picard.degree_sequence(n, k, 3 * n + 10))
+    assert len(res) == 2 * n + 11 and all(res)
+
+
+@pytest.mark.parametrize("at", [0, 20, 40])
+def test_a_changed_degree_fails_the_recurrence(monkeypatch, at):
+    def changed(n, k, m):
+        d = picard.degree_sequence(n, k, m)
+        d[at] += 1
+        return d
+
+    monkeypatch.setattr(verify, "degree_sequence", changed)
+    checks = {c.id: c.status for c in lattice_suite(3, 4).checks}
+    assert checks["degree-recurrence"] == "fail"
+
+
+# -- the S Gram factor with sigma0 last (CENSUS holds the desk instances) -----------------
+
+def _sigma0_first(lat):
+    """The nonzero entries of the S Gram with sigma0 moved from last to first."""
+    last = len(lat.s_keys) - 1
+    return {((i + 1) % (last + 1), (j + 1) % (last + 1)): x for (i, j), x in lat.s_gram().items()}
+
+
+def _alternates(factor):
+    return all((m > 0) == (i % 2 == 1) for i, m in enumerate(factor.leading_minors()))
+
+
+@pytest.mark.parametrize("nk", CENSUS, ids=_ids(CENSUS))
+def test_sigma0_last_factor_keeps_determinant_and_verdict(nk):
+    lat = PicardLattice.build(*nk)
+    assert lat.s_keys[-1] == "sigma0"
+    G = lat.gram_matrix([lat.strict[key] for key in lat.s_keys])
+    assert lat.s_gram_det() == xm.det_bareiss(G)
+    first = xm.ldl(len(G), _sigma0_first(lat))
+    assert first.complete and first.leading_minors()[-1] == lat.s_gram_det()
+    assert lat.s_negative_definite() and _alternates(first)
+
+
+@pytest.mark.parametrize("nk", CENSUS, ids=_ids(CENSUS))
+@pytest.mark.parametrize("where", ["first", "middle", "sigma0", "off-diagonal"])
+def test_a_tampered_s_gram_is_not_negative_definite(monkeypatch, nk, where):
+    """One changed entry (a positive diagonal entry, or an entry of
+    sigma0's row past the square root of the product of the two diagonal
+    entries) makes the S Gram indefinite, and the sigma0-last factor sees it."""
+    lat = PicardLattice.build(*nk)
+    entries, last = dict(lat.s_gram()), len(lat.s_keys) - 1
+    if where == "off-diagonal":
+        entries[last, 0] = entries[0, last] = entries[0, 0] * entries[last, last] + 1
+    else:
+        i = {"first": 0, "middle": last // 2, "sigma0": last}[where]
+        entries[i, i] = -entries[i, i]
+    monkeypatch.setattr(PicardLattice, "s_gram_factor",
+                        lambda self: xm.ldl(len(self.s_keys), entries))
+    assert not lat.s_negative_definite()
 
 
 # -- T from the auxiliary classes ---------------------------------------------------------

@@ -111,6 +111,13 @@ def test_ldl_zero_pivot_stops_the_factor():
     assert ldl_solve(factor, [1, 0]) == [Fraction(-2, 3), Fraction(-1, 3)]
 
 
+def test_recurrence_residuals():
+    fib = [0, 1, 1, 2, 3, 5, 8]
+    assert xm.recurrence_residuals([1, -1, -1], fib) == [0] * 5
+    assert xm.recurrence_residuals([1, 0, -1], fib) == [1, 1, 2, 3, 5]
+    assert xm.recurrence_residuals([1, -1, -1], fib[:2]) == []
+
+
 def test_projection_agrees_with_dense_solve():
     lat = PicardLattice.build(3, 4)
     ts = TSpace(lat)

@@ -9,6 +9,7 @@ import pytest
 
 import surfauto as sa
 import surfauto.charts as charts
+from surfauto import exactmat as xm
 from surfauto.cli import main
 from surfauto.errors import SurfautoError
 from surfauto.picard import degree_recurrence_residuals
@@ -117,27 +118,27 @@ def test_sampled_checks_without_samples_fail():
 
 
 def test_degree_recurrence_has_terms_beyond_dim_41(monkeypatch):
-    """At (4,6), dim Pic 53, forty terms of d leave no residual at all; the
-    suite must take enough terms to check some, and all must vanish."""
-    import surfauto.verify as verify
+    """At (4,6), dim Pic 53, forty terms of d left no residual against a
+    recurrence of order dim Pic.  The recurrence now has order 3n: by
+    default 3n + 10 terms leave eleven residuals on any (n, k), and the
+    suite's one sequence of max(40, 3n + 10) terms leaves 29 at (4,6).  All
+    must vanish."""
+    assert degree_recurrence_residuals(4, 6) == [0] * 11
+    assert degree_recurrence_residuals(4, 6, 40) == [0] * 29
+    check_residuals, seen = xm.recurrence_residuals, []
 
-    assert degree_recurrence_residuals(4, 6, 40) == []
-    seen = []
-
-    def spy(n, k, m):
-        seen.append(degree_recurrence_residuals(n, k, m))
+    def spy(coeffs, seq):
+        seen.append(check_residuals(coeffs, seq))
         return seen[-1]
 
-    monkeypatch.setattr(verify, "degree_recurrence_residuals", spy)
+    monkeypatch.setattr(xm, "recurrence_residuals", spy)
     check = next(c for c in lattice_suite(4, 6).checks if c.id == "degree-recurrence")
     assert check.status == "pass"
-    assert seen == [[0] * 11]
+    assert seen == [[0] * 29]
 
 
 def test_empty_degree_recurrence_fails(monkeypatch):
-    import surfauto.verify as verify
-
-    monkeypatch.setattr(verify, "degree_recurrence_residuals", lambda n, k, m: [])
+    monkeypatch.setattr(xm, "recurrence_residuals", lambda coeffs, seq: [])
     check = next(c for c in lattice_suite(2, 4).checks if c.id == "degree-recurrence")
     assert check.status == "fail"
 
