@@ -360,6 +360,7 @@ def cmd_unstable(args):
 
 def cmd_charts(args):
     from .charts import CenterTable
+    from .verify import transition_gap
 
     tol = _non_negative(args.tol, "--tol")
     p = _params_from(args)
@@ -367,19 +368,19 @@ def cmd_charts(args):
     jobs = [("fiber", s, j, complex(rng.uniform(0.4, 2.0), rng.uniform(-0.6, 0.6)))
             for s in range(p.n) for j in range(1, 2 * p.k + 2)]
     records = []
-    worst = 0.0
+    worst, ok = 0.0, True
     for (_, s, j, xi), result in zip(jobs, compare_transitions(CenterTable.build(p), jobs)):
         rec = {"chart": [s, j], "xi": _fmt_complex(xi)}
-        if isinstance(result, str):
-            rec["error"] = result
+        gap, failed = transition_gap(result, tol)
+        ok = ok and not failed
+        if isinstance(gap, str):
+            rec["error"] = gap
         else:
             closed, numeric = result
-            abs_err = abs(closed - numeric)
-            worst = max(worst, abs_err)
+            worst = max(worst, gap)
             rec.update(closed=_fmt_complex(closed), numeric=_fmt_complex(numeric),
-                       abs_err=float(f"{abs_err:.3e}"))
+                       abs_err=float(f"{gap:.3e}"))
         records.append(rec)
-    ok = worst < tol and all("error" not in rec for rec in records)
     payload = {"params": p.to_json_dict(), "records": records,
                "worst": float(f"{worst:.3e}"), "overall": "pass" if ok else "fail"}
     print(f"{len(records)} transitions, worst |closed - numeric| = {worst:.3e}")

@@ -21,6 +21,7 @@ class FixedPointRecord:
     trace: complex
     eigenvalues: tuple
     type: str            # saddle | elliptic | parabolic | complex
+    residual: float      # max |f(zeta, zeta) - (zeta, zeta)| over both components
     multiplicity: int = 1
 
 
@@ -36,21 +37,20 @@ def fixed_point_polynomial(p):
         j, sign = p.c_spec
         raise ParamError(f"c = {sign}*2cos({j}*pi/{p.n}) rounds to 2 in double precision")
     coeffs = [lead] + [0.0] * p.k + [-1.0]
-    for l, al in p.a.items():
+    for l, al in p.coeffs().a:
         # a_l z^(k-l): position k+1-(k-l) from the left
         coeffs[l + 1] = -complex(al)
     return coeffs
 
 
 def jacobian(p, pt):
-    """Df at an affine point: [[0, 1], [-1, d2]] with the closed-form
-    partial in the second slot; determinant is 1 identically."""
+    """Df at an affine point: [[0, 1], [-1, d2]], d2 the closed-form partial
+    with its a_l terms in ascending l; determinant is 1 identically."""
     x, y = pt
     if abs(y) < 1e-12:
         raise PoleError("jacobian undefined on the pole line")
-    c = complex(p.coeffs().c)
-    d2 = c
-    for l, al in p.a.items():
+    d2 = complex(p.coeffs().c)
+    for l, al in p.coeffs().a:
         d2 -= l * complex(al) / y ** (l + 1)
     d2 -= p.k / y ** (p.k + 1)
     return np.array([[0, 1], [-1, d2]], dtype=complex)
@@ -69,7 +69,7 @@ def _classify(zeta, trace):
 
 def fixed_points(p):
     """All k+1 diagonal fixed points with multiplier data, sorted by
-    (Re, Im); each is validated by direct evaluation of the map."""
+    (Re, Im); each is validated by evaluating the map, its residual kept."""
     coeffs = fixed_point_polynomial(p)
     roots = aberth_roots(coeffs)
     clustered = cluster_roots(roots)
@@ -84,7 +84,7 @@ def fixed_points(p):
         disc = cmath.sqrt(tr * tr - 4)
         ev = ((tr + disc) / 2, (tr - disc) / 2)
         records.append(FixedPointRecord(zeta=zeta, trace=tr, eigenvalues=ev,
-                                        type=_classify(zeta, tr),
+                                        type=_classify(zeta, tr), residual=res,
                                         multiplicity=mult))
     records.sort(key=lambda r: (r.zeta.real, r.zeta.imag))
     found = sum(r.multiplicity for r in records)
@@ -110,7 +110,7 @@ def trace_map_rank(p):
     the trace multiset under perturbed a_l with roots matched by proximity.
     Returns (rank, max entrywise difference between the two matrices).
     """
-    if any(abs(complex(v)) > 1e-14 for v in p.a.values()):
+    if any(abs(complex(v)) > 1e-14 for _, v in p.coeffs().a):
         raise ParamError("trace rank is evaluated at the zero parameter point")
     k = p.k
     params = [l for l in range(2, k - 1) if l % 2 == 0]

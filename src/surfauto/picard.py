@@ -16,11 +16,11 @@ The complement T = S-perp is read in n x n integer algebra from the n
 auxiliary classes varrho_t (TSpace); no vector is projected onto it.
 
 The exact objects of one (n, k) -- the lattice, the pushforward, its
-characteristic polynomial, the LDL^T factor of the S Gram, the TSpace and
-the action on the splitting span(S) + T -- are built once per process and
-shared.  They are immutable (tuples, and a read-only mapping for the strict
-classes), so PicardLattice.build and restricted_action hand them out as
-built; pushforward_matrix, the dense view, is a fresh list of lists.
+characteristic polynomial, the LDL^T factor of the S Gram, the TSpace, the
+action C of f_* on T and C's characteristic polynomial -- are built once per
+process and shared.  They are immutable (tuples, and a read-only mapping for
+the strict classes), so PicardLattice.build and restricted_action hand them
+out as built; pushforward_matrix, the dense view, is a fresh list of lists.
 """
 
 import functools
@@ -312,17 +312,18 @@ def pushforward_char_poly(n, k):
     permutation on span(S), and C = restricted_action(n, k), the gamma
     coordinates of the T-components of the images of the gammas.  Hence
     det(x I - f_*) = charpoly(C) * prod (x^L - 1) over the cycle lengths L
-    of s_cycle_lengths (_cycle_product).  Berkowitz on the full matrix
+    of s_cycle_lengths (_cycle_product), charpoly(C) being
+    restricted_char_poly.  Berkowitz on the full matrix
     (char_poly(pushforward_matrix(n, k))) gives the same polynomial and is
     the tests' cross-check."""
-    return tuple(xm.poly_mul(char_poly(restricted_action(n, k)), _cycle_product(n, k)))
+    return tuple(xm.poly_mul(restricted_char_poly(n, k), _cycle_product(n, k)))
 
 
 def pushforward_det(n, k):
-    """det f_* from the same splitting: det(C) times the sign of the
-    permutation of the S classes, -1 to the number of its even cycles."""
+    """det f_* from the same splitting: det C = (-1)^n cp(0) (restricted_char_poly)
+    times the sign of the S-class permutation, -1 to its number of even cycles."""
     even = sum(1 for L in s_cycle_lengths(n, k) if L % 2 == 0)
-    return xm.det_bareiss(restricted_action(n, k)) * (-1) ** even
+    return (-1) ** (n + even) * restricted_char_poly(n, k)[-1]
 
 
 def char_poly_factor_check(n, k, cp=None):
@@ -522,6 +523,14 @@ def restricted_action(n, k):
     return tuple(map(tuple, xm.int_rows(xm.transpose(cols), "restricted action on T")))
 
 
+@functools.cache
+def restricted_char_poly(n, k):
+    """cp = det(x I - C), C = restricted_action(n, k), descending; a tuple,
+    by Berkowitz once per (n, k).  Every fact of C is read from it: det C =
+    (-1)^n cp(0), det(C - I) = (-1)^n cp(1), and the suites compare it with chi."""
+    return tuple(char_poly(restricted_action(n, k)))
+
+
 # -- closed-form coefficients of the gamma classes ----------------------------
 
 
@@ -581,21 +590,16 @@ def gamma_closed_form(n, k):
 
 def minimality_report(n, k):
     """Self-intersections of the invariant configuration; for n=2 also the
-    profile after contracting the invariant line."""
+    profile after contracting the invariant line.  Both are read from the
+    S Gram: the self-intersections are its diagonal, and the meets with
+    sigma0, the last S class, its last row."""
     lat = _lattice(n, k)
-    selfints = {"sigma0": lat.ip(lat.strict["sigma0"], lat.strict["sigma0"])}
-    for s in range(n):
-        for j in range(1, 2 * k + 1):
-            v = lat.strict[("F", s, j)]
-            selfints[("F", s, j)] = lat.ip(v, v)
+    G, last = lat.s_gram(), len(lat.s_keys) - 1
+    fibers = list(enumerate(lat.s_keys[:-1]))
+    selfints = {"sigma0": G.get((last, last), 0)}
+    selfints.update((key, G.get((i, i), 0)) for i, key in fibers)
     out = {"selfints": selfints}
     if n == 2:
-        sig = lat.strict["sigma0"]
-        blown = {}
-        for key, v in selfints.items():
-            if key == "sigma0":
-                continue
-            meet = lat.ip(lat.strict[key], sig)
-            blown[key] = v + meet * meet
-        out["after_contraction"] = blown
+        out["after_contraction"] = {key: selfints[key] + G.get((i, last), 0) ** 2
+                                    for i, key in fibers}
     return out

@@ -22,6 +22,7 @@ from .picard import (
     chi_poly,
     pushforward_columns,
     restricted_action,
+    restricted_char_poly,
     t_space,
 )
 
@@ -78,16 +79,16 @@ def _phi_perm(k):
     return p
 
 
-def _generators(lat, sig_dir, tau_limb, phi_limb):
-    """J and the basis permutations of one placement: sigma_h shifts limbs
-    by sig_dir, tau_v and phi_v act on the levels of one limb each."""
+def _generators(lat):
+    """The seven maps of the eight placements, each built once: J, sigma_h
+    keyed by its limb shift +-1, and tau_v and phi_v by their limb, 0 or n-1."""
     n, k = lat.n, lat.k
-    tau, phi = _tau_perm(k), _phi_perm(k)
+    tau, phi, limbs = _tau_perm(k), _phi_perm(k), (0, n - 1)
     return {
         "J": quadratic_reflection(lat, [(0, 1), (0, k + 1), (0, 2 * k + 1)]),
-        "sigma_h": basis_map(lat, lambda s, j: ((s + sig_dir) % n, j)),
-        "tau_v": basis_map(lat, lambda s, j: (s, tau[j] if s == tau_limb else j)),
-        "phi_v": basis_map(lat, lambda s, j: (s, phi[j] if s == phi_limb else j)),
+        "sigma_h": {d: basis_map(lat, lambda s, j: ((s + d) % n, j)) for d in (1, -1)},
+        "tau_v": {t: basis_map(lat, lambda s, j: (s, tau[j] if s == t else j)) for t in limbs},
+        "phi_v": {t: basis_map(lat, lambda s, j: (s, phi[j] if s == t else j)) for t in limbs},
     }
 
 
@@ -96,11 +97,13 @@ def weyl_generators(n, k):
     form.
 
     J reflects in e0 - e^1_0 - e^(k+1)_0 - e^(2k+1)_0; sigma_h shifts limbs
-    s -> s+1; tau_v and phi_v permute levels inside a single limb (built
+    s -> s+1; tau_v and phi_v permute levels inside a single limb (given
     here on limb 0; the checker also tries the last limb, since the source
     formulas are ambiguous about the placement).
     """
-    return _generators(PicardLattice.build(n, k), 1, 0, 0)
+    g = _generators(PicardLattice.build(n, k))
+    return {"J": g["J"], "sigma_h": g["sigma_h"][1], "tau_v": g["tau_v"][0],
+            "phi_v": g["phi_v"][0]}
 
 
 def _slot(k, i):
@@ -162,7 +165,9 @@ def weyl_factorization_check(n, k):
     The literal identity tried is  f = phi_v . J . (tau_v . J)^(k/2) . sigma_h
     (composition right to left), with tau_v / phi_v placed on limb 0 or the
     last limb and the limb shift in either direction: eight words, each
-    applied to the basis vectors and compared with the columns of f_*.
+    applied to the basis vectors and compared with the columns of f_*.  The
+    generators are built once, and each word is composed from the right, so
+    only its last product, by phi_v, is per placement.
     When several match, the last in loop order (sigma direction 1 then -1,
     tau limb and then phi limb 0 then n-1) is reported: at k = 2 phi_v is
     the identity, so both phi limbs match and (3, 2) reports phi_limb 2.
@@ -172,23 +177,20 @@ def weyl_factorization_check(n, k):
     basis permutation, regrouped in the same shape with per-slot level
     permutations.
     """
-    lat = PicardLattice.build(n, k)
     M = pushforward_columns(n, k)
+    g = _generators(PicardLattice.build(n, k))
     matched_variant = None
     for sig_dir in (1, -1):
         for tau_limb in (0, n - 1):
+            # J . (tau_v . J)^(k/2) . sigma_h, shared by both phi limbs
+            prefix = g["sigma_h"][sig_dir]
+            for _ in range(k // 2):
+                prefix = xm.col_compose(g["tau_v"][tau_limb], xm.col_compose(g["J"], prefix))
+            prefix = xm.col_compose(g["J"], prefix)
             for phi_limb in (0, n - 1):
-                g = _generators(lat, sig_dir, tau_limb, phi_limb)
-                comp = g["sigma_h"]
-                word = [g["phi_v"], g["J"]] + [g["tau_v"], g["J"]] * (k // 2)
-                for A in reversed(word):
-                    comp = xm.col_compose(A, comp)
-                if comp == M:
-                    matched_variant = {
-                        "sigma_direction": sig_dir,
-                        "tau_limb": tau_limb,
-                        "phi_limb": phi_limb,
-                    }
+                if xm.col_compose(g["phi_v"][phi_limb], prefix) == M:
+                    matched_variant = dict(sigma_direction=sig_dir, tau_limb=tau_limb,
+                                           phi_limb=phi_limb)
     result = {
         "literal_identity": matched_variant is not None,
         "matched_variant": matched_variant,
@@ -217,26 +219,26 @@ def t_reflections(n, k):
     Reflections and Cartan entries are ratios of values of the form, so they
     do not change when the form is scaled, even by a negative factor: they
     are read from TSpace.kMP, the integer kC times the gamma Gram (C < 0 at
-    (2, 4))."""
+    (2, 4)).  Reflection entries are integer quotients, and a remainder
+    raises ExactIdentityError naming the root; a Cartan entry that is not an
+    integer stays a Fraction, for the check to report."""
     G = t_space(n, k).kMP
-
-    def gram_times(v):
-        return [sum(G[i][j] * v[j] for j in range(n)) for i in range(n)]
 
     def dot(u, v):
         return sum(a * b for a, b in zip(u, v))
 
     def refl(root):
-        g_root = gram_times(root)           # g_root[s] = form(root, e_s): G is symmetric
+        g_root = xm.mat_vec(G, root)        # g_root[s] = form(root, e_s): G is symmetric
         rr = dot(root, g_root)
-        cols = [[int(i == s) - Fraction(2 * g_root[s] * root[i], rr) for i in range(n)]
-                for s in range(n)]
-        return xm.int_rows(xm.transpose(cols), "T reflection")
+        quo = [[divmod(2 * g_root[s] * root[i], rr) for s in range(n)] for i in range(n)]
+        if any(rem for row in quo for _, rem in row):
+            raise ExactIdentityError(f"the T reflection in the root {root} is not integral")
+        return [[(i == s) - q for s, (q, _) in enumerate(row)] for i, row in enumerate(quo)]
 
     alphas = [[-2 if i == s else k for i in range(n)] for s in range(n)]
     rhos = [refl(a) for a in alphas]
     taus = [refl([(i == s) - (i == s + 1) for i in range(n)]) for s in range(n - 1)]
-    g_alphas = [gram_times(a) for a in alphas]
+    g_alphas = [xm.mat_vec(G, a) for a in alphas]
     cartan = [[Fraction(2 * dot(alphas[i], g_alphas[j]), dot(alphas[i], g_alphas[i]))
                for j in range(n)] for i in range(n)]
     cartan = [[int(x) if x.denominator == 1 else x for x in row] for row in cartan]
@@ -262,8 +264,7 @@ def coxeter_factorization_check(n, k):
                                   for i in range(n)),
         "involutions_ok": all(xm.mat_eq(xm.mat_mul(A, A), xm.identity(n))
                               for A in data["rhos"] + data["taus"]),
-        "char_poly_ok": xm.charpoly(C) in (chi_poly(n, k),
-                                           [-c for c in chi_poly(n, k)]),
+        "char_poly_ok": restricted_char_poly(n, k) == tuple(chi_poly(n, k)),
     }
 
 

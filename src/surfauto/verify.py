@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import exactmat as xm
 from .errors import ExactIdentityError, ExtrapolationError, PoleError, SurfautoError
-from .mapfamily import eval_f, q_value
+from .mapfamily import q_value
 from .picard import (
     PicardLattice,
     char_poly_factor_check,
@@ -26,7 +26,7 @@ from .picard import (
     minimality_report,
     pushforward_columns,
     pushforward_det,
-    restricted_action,
+    restricted_char_poly,
     spectral_radius,
     strict_image,
     t_space,
@@ -210,22 +210,16 @@ def lattice_suite(n, k):
     rep.add("degree-ratio", ratio_err < 1e-6, residual=ratio_err, bound=1e-6)
 
     ts = t_space(n, k)
-    ok32 = True
-    for s in range(n):
-        coords = ts.gamma_coords(lat.strict[("L", s)])
-        expect = [Fraction(k)] * n
-        expect[s] = Fraction(-1)
-        ok32 = ok32 and coords == expect
-    _exact(rep, "line-class-projection", ok32)
+    _exact(rep, "line-class-projection",
+           all(ts.gamma_coords(lat.strict[("L", s)]) == [-1 if i == s else k for i in range(n)]
+               for s in range(n)))
     scale = ts.gram_proportionality()
     _exact(rep, "gamma-gram-proportional", scale is not None,
            f"scale = {scale}")
-    C = restricted_action(n, k)
-    cpC = xm.charpoly(C)
-    chi = chi_poly(n, k)
-    _exact(rep, "restricted-charpoly", cpC == chi or cpC == [-c for c in chi])
-    CmI = [[C[i][j] - (i == j) for j in range(n)] for i in range(n)]
-    _exact(rep, "no-invariant-T-classes", xm.det_bareiss(CmI) != 0)
+    cp = restricted_char_poly(n, k)
+    _exact(rep, "restricted-charpoly", cp == tuple(chi_poly(n, k)))
+    # det(C - I) = (-1)^n cp(1): no class of T is fixed
+    _exact(rep, "no-invariant-T-classes", xm.poly_eval(cp, 1) != 0)
 
     mini = minimality_report(n, k)
     if n > 2:
@@ -278,15 +272,23 @@ def compare_transitions(table, jobs):
     return list(fork_map(compare, jobs))
 
 
+def transition_gap(result, tol):
+    """The one transition rule, for chart_suite and `surfauto charts`: a
+    compare_transitions result as (|closed - numeric| or its error text,
+    failed), failed when the job stopped or the difference is not below tol
+    (a NaN is not)."""
+    gap = result if isinstance(result, str) else abs(result[0] - result[1])
+    return gap, isinstance(gap, str) or not gap < tol
+
+
 def _transition_check(rep, cid, jobs, results, tol):
     """The check `cid` over transition jobs and their results: it passes when
-    every |closed - numeric| is below tol (a NaN is not) and no job stopped.
-    The first failures, as (s, j, difference or error text), go in the detail."""
-    diffs = [r if isinstance(r, str) else abs(r[0] - r[1]) for r in results]
-    worst = max([0.0] + [d for d in diffs if not isinstance(d, str)])
-    failures = [(s, j, d) for (_, s, j, _), d in zip(jobs, diffs)
-                if isinstance(d, str) or not d < tol]
-    _sampled(rep, cid, len(jobs), worst < tol and not failures, residual=worst, bound=tol,
+    no job fails transition_gap.  The first failures, as (s, j, difference
+    or error text), go in the detail."""
+    gaps = [transition_gap(r, tol) for r in results]
+    worst = max([0.0] + [g for g, _ in gaps if not isinstance(g, str)])
+    failures = [(s, j, g) for (_, s, j, _), (g, failed) in zip(jobs, gaps) if failed]
+    _sampled(rep, cid, len(jobs), not failures, residual=worst, bound=tol,
              detail=f"failures: {failures[:4]}" if failures else "")
 
 
@@ -472,10 +474,8 @@ def fixed_point_suite(p):
     recs = fixed_points(p)
     _exact(rep, "count", sum(r.multiplicity for r in recs) == p.k + 1,
            f"{len(recs)} distinct")
-    worst = 0.0
-    for r in recs:
-        img = eval_f(p, (r.zeta, r.zeta))
-        worst = max(worst, abs(img[1] - r.zeta), abs(img[0] - r.zeta))
+    # fixed_points measured each |f(zeta) - zeta| and raised on one above 1e-10
+    worst = max(r.residual for r in recs)
     rep.add("residuals", worst < 1e-10, residual=worst, bound=1e-10)
     worst = 0.0
     for r in recs:

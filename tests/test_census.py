@@ -148,6 +148,38 @@ def test_splitting_matches_berkowitz_and_bareiss(nk):
     assert sorted(s_cycle_lengths(*nk)) == _cycle_type(*nk)
 
 
+@pytest.mark.parametrize("nk", CENSUS, ids=_ids(CENSUS))
+def test_restricted_char_poly_gives_det_c_and_det_c_minus_i(nk):
+    n, k = nk
+    C = restricted_action(n, k)
+    CmI = [[C[i][j] - (i == j) for j in range(n)] for i in range(n)]
+    cp = picard.restricted_char_poly(n, k)
+    assert cp == tuple(xm.charpoly(C))
+    assert (-1) ** n * cp[-1] == xm.det_bareiss(C)
+    assert (-1) ** n * xm.poly_eval(cp, 1) == xm.det_bareiss(CmI)
+    verdict = next(c.status for c in lattice_suite(n, k).checks
+                   if c.id == "no-invariant-T-classes")
+    assert verdict == ("pass" if xm.det_bareiss(CmI) != 0 else "fail")
+
+
+@pytest.mark.parametrize("nk", CENSUS, ids=_ids(CENSUS))
+def test_minimality_report_matches_the_form(nk):
+    n, k = nk
+    lat = PicardLattice.build(n, k)
+    sigma0 = lat.strict["sigma0"]
+    selfints = {"sigma0": lat.ip(sigma0, sigma0)}
+    for s in range(n):
+        for j in range(1, 2 * k + 1):
+            v = lat.strict[("F", s, j)]
+            selfints[("F", s, j)] = lat.ip(v, v)
+    want = {"selfints": selfints}
+    if n == 2:
+        want["after_contraction"] = {key: v + lat.ip(lat.strict[key], sigma0) ** 2
+                                     for key, v in selfints.items() if key != "sigma0"}
+    got = picard.minimality_report(n, k)
+    assert got == want and list(got["selfints"]) == list(selfints)
+
+
 def test_s_image_outside_the_s_classes_raises():
     n, k = 2, 4
     lat = PicardLattice.build(n, k)

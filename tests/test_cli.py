@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from surfauto.cli import ORBIT_BLOCK, READER_GONE, _orbit_rows, _params_from, bu
 from surfauto.dynamics import fixed_points, iterate_orbit
 from surfauto.errors import ExtrapolationError
 from surfauto.mapfamily import MapParams, figure1_params
+from surfauto.verify import VerdictReport, _transition_check
 
 PRESET = Path(__file__).resolve().parents[1] / "demos" / "figure1.json"
 
@@ -110,6 +112,22 @@ def test_charts_records_a_stopped_transition(monkeypatch, capsys, tmp_path):
         assert [(rec["chart"], rec["error"], set(rec)) for rec in stopped] == [
             ([1, 3], "extrapolants keep moving by 1.0 > 1e-08", {"chart", "xi", "error"})]
     assert written[0] == written[1]
+
+
+def test_charts_fails_a_nan_transition(monkeypatch, capsys, tmp_path):
+    # a NaN |closed - numeric| fails `surfauto charts` as it fails
+    # chart_suite's transition check: one rule, verify.transition_gap
+    def one_nan(table, jobs):
+        return [(math.nan, 0)] + [(0j, 0j)] * (len(jobs) - 1)
+
+    monkeypatch.setattr("surfauto.cli.compare_transitions", one_nan)
+    rc, _, _ = run_cli(["charts", "--params", str(PRESET), "--out", str(tmp_path)], capsys)
+    assert rc == 1
+    assert json.loads((tmp_path / "charts.json").read_text())["overall"] == "fail"
+    jobs = [("fiber", 0, j, 1.0) for j in (1, 2)]
+    rep = VerdictReport(suite="charts")
+    _transition_check(rep, "fiber-transitions", jobs, one_nan(None, jobs), 1e-6)
+    assert rep.overall == "fail"
 
 
 def test_orbit_csv(capsys, tmp_path):

@@ -38,6 +38,18 @@ def test_fixed_point_count_and_residuals():
             assert abs(r.eigenvalues[0] * r.eigenvalues[1] - 1) < 1e-9
 
 
+def test_fixed_points_do_not_depend_on_the_order_of_the_a_l():
+    # two equal members, their a_l given in either order, have the same
+    # jacobian and so the same traces, eigenvalues and types
+    a = {4: -1.445, 2: 1.189}
+    p, q = (sa.MapParams(3, 6, c_spec=(1, 1), a=dict(items))
+            for items in (a.items(), reversed(a.items())))
+    assert p == q and list(p.a) != list(q.a)
+    assert sa.fixed_points(p) == sa.fixed_points(q)
+    for r in sa.fixed_points(p):
+        assert np.array_equal(sa.jacobian(p, (r.zeta, r.zeta)), sa.jacobian(q, (r.zeta, r.zeta)))
+
+
 def test_zero_parameter_roots_on_circle():
     p = sa.MapParams(n=3, k=2, c_spec=(1, 1))
     c = complex(p.coeffs().c)

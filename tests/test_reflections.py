@@ -1,7 +1,11 @@
+from collections import Counter
+
 import pytest
 
 import surfauto as sa
 from surfauto import exactmat as xm
+from surfauto import reflections
+from surfauto.errors import ExactIdentityError
 from surfauto.picard import PicardLattice
 from surfauto.reflections import basis_map, quadratic_reflection
 
@@ -70,6 +74,28 @@ def test_weyl_factorization_repaired_for_k4plus(nk):
     assert rep["reflection_triples"]
 
 
+def test_weyl_check_builds_each_generator_once(monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("basis_map", "quadratic_reflection"):
+        monkeypatch.setattr(reflections, name, counted(name, getattr(reflections, name)))
+    monkeypatch.setattr(xm, "col_compose", counted("col_compose", xm.col_compose))
+    n, k = 4, 6
+    assert not sa.weyl_factorization_check(n, k)["literal_identity"]
+    # seven generators: sigma_h in two directions, tau_v and phi_v on two
+    # limbs each, and J; the descent chain adds its k reflections.  Four
+    # shared prefixes of k + 1 products, one phi_v product per placement,
+    # and the chain's k descent steps and k recomposition steps
+    assert calls == {"basis_map": 6, "quadratic_reflection": 1 + k,
+                     "col_compose": 4 * (k + 1) + 8 + 2 * k}
+
+
 def test_noether_chain_recomposes():
     for (n, k) in DESK:
         triples, residual, mats = sa.noether_chain(n, k)
@@ -109,6 +135,15 @@ def test_coxeter_n2_trace():
     data = sa.t_reflections(2, 4)
     comp = xm.mat_mul(data["taus"][0], data["rhos"][1])
     assert comp[0][0] + comp[1][1] == 4
+
+
+def test_a_non_integral_t_reflection_names_its_root(monkeypatch):
+    class Form:
+        kMP = ((1, 0), (0, 2))
+
+    monkeypatch.setattr(reflections, "t_space", lambda n, k: Form)
+    with pytest.raises(ExactIdentityError, match=r"root \[-2, 4\] is not integral"):
+        sa.t_reflections(2, 4)
 
 
 # -- the reversing symmetry --------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 import surfauto as sa
 import surfauto.charts as charts
 from surfauto import exactmat as xm
+from surfauto import picard
 from surfauto.cli import main
 from surfauto.errors import SurfautoError
 from surfauto.picard import degree_recurrence_residuals
@@ -141,6 +142,24 @@ def test_empty_degree_recurrence_fails(monkeypatch):
     monkeypatch.setattr(xm, "recurrence_residuals", lambda coeffs, seq: [])
     check = next(c for c in lattice_suite(2, 4).checks if c.id == "degree-recurrence")
     assert check.status == "fail"
+
+
+def test_one_characteristic_polynomial_per_nk(monkeypatch, capsys):
+    # lattice_suite, factorization_suite and `surfauto spectrum` read every
+    # fact of C = restricted_action(n, k) from one Berkowitz run, and no
+    # determinant is taken of C or C - I
+    n, k = 4, 6
+    charpolys, dets = [], []
+    charpoly, det_bareiss = xm.charpoly, xm.det_bareiss
+    monkeypatch.setattr(xm, "charpoly", lambda A: charpolys.append(A) or charpoly(A))
+    monkeypatch.setattr(xm, "det_bareiss", lambda A: dets.append(A) or det_bareiss(A))
+    picard.restricted_char_poly.cache_clear()
+    assert lattice_suite(n, k).overall == factorization_suite(n, k).overall == "pass"
+    assert main(["spectrum", "--n", str(n), "--k", str(k)]) == 0
+    C = picard.restricted_action(n, k)
+    assert charpolys == [C]
+    CmI = [[C[i][j] - (i == j) for j in range(n)] for i in range(n)]
+    assert not any(xm.mat_eq(A, C) or xm.mat_eq(A, CmI) for A in dets)
 
 
 def test_factorization_suite():
