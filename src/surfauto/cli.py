@@ -17,7 +17,6 @@ fork_map imports their code before it forks.
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import os
@@ -291,18 +290,30 @@ ORBIT_BLOCK = 4096  # CSV rows per block of text an orbit job returns
 
 def _orbit_rows(p, sid, seed, steps):
     """The orbit of seed `sid` as its status, its row count and its CSV rows
-    in blocks of ORBIT_BLOCK rows, each block formatted as it is built."""
+    in blocks of ORBIT_BLOCK rows.  Each block is stepped by one
+    iterate_orbit from the point the block before stopped at, and formatted
+    before the next is stepped, so the job holds one block's floats beside
+    the seed's text, never the whole orbit."""
     from .dynamics import iterate_orbit
 
-    orb = iterate_orbit(p, seed, steps)
-    seq, head, blocks = orb.seq, f"{sid},", []
-    # row i is (seq[i], seq[i+1]): a block of rows from `start` formats the
-    # ORBIT_BLOCK + 1 numbers it reads, the last again in the next block
-    for start in range(0, len(seq) - 1, ORBIT_BLOCK):
-        txt = list(map("{:.15e}".format, seq[start:start + ORBIT_BLOCK + 1]))
-        blocks.append("".join([f"{head}{i},{x},{y}\n" for i, x, y in
-                               zip(itertools.count(start), txt, itertools.islice(txt, 1, None))]))
-    return orb.status, len(seq) - 1, blocks
+    blocks, pt = [], seed
+    while pt is not None:
+        start = len(blocks) * ORBIT_BLOCK
+        orb = iterate_orbit(p, pt, min(ORBIT_BLOCK, steps - start))
+        seq, status = orb.seq, orb.status
+        # all ORBIT_BLOCK steps taken: the last point is the next block's first row
+        full = len(seq) - 2 == ORBIT_BLOCK
+        rows = len(seq) - 1 - full
+        # row start + i is (seq[i], seq[i+1])
+        txt = ("{:.15e}," * (rows + 1)).format(*seq[:rows + 1]).split(",")
+        cells = [None] * (3 * rows)
+        cells[0::3] = range(start, start + rows)
+        cells[1::3] = txt[:rows]
+        cells[2::3] = txt[1:rows + 1]
+        blocks.append((f"{sid},%d,%s,%s\n" * rows) % tuple(cells))
+        pt = (seq[-2], seq[-1]) if full else None
+        del orb, seq, txt, cells  # not kept while the next block is stepped
+    return status, start + rows, blocks
 
 
 def cmd_orbit(args):
@@ -312,7 +323,7 @@ def cmd_orbit(args):
     p = _params_from(args)
     seeds = _load_seeds(args, p)
     path = _out_path(args, "orbits.csv")
-    statuses = {}
+    statuses = []
     rows = 0
     # the header is still buffered when fork_map forks: its children leave
     # through os._exit, so they never flush it
@@ -320,14 +331,15 @@ def cmd_orbit(args):
             closing(fork_map(lambda job: _orbit_rows(p, *job, steps),
                              enumerate(seeds))) as orbits:
         fh.write("seed_id,step,x,y\n")
-        for sid, (status, count, blocks) in enumerate(orbits):
-            statuses[sid] = status
+        # no enumerate: it would keep the last result until the next arrives
+        for status, count, blocks in orbits:
+            statuses.append(status)
             fh.writelines(blocks)
             rows += count
             del blocks  # written: not kept while the next seed's orbit runs
     if path:
         print(f"wrote {path} ({rows} rows)")
-    print(json.dumps({"statuses": statuses}, sort_keys=True))
+    print(json.dumps({"statuses": dict(enumerate(statuses))}, sort_keys=True))
     return 0
 
 
@@ -360,27 +372,28 @@ def cmd_unstable(args):
 
 def cmd_charts(args):
     from .charts import CenterTable
-    from .verify import transition_gap
+    from .verify import transition_gap, worst_gap
 
     tol = _non_negative(args.tol, "--tol")
     p = _params_from(args)
     rng = random.Random(314)
     jobs = [("fiber", s, j, complex(rng.uniform(0.4, 2.0), rng.uniform(-0.6, 0.6)))
             for s in range(p.n) for j in range(1, 2 * p.k + 2)]
-    records = []
-    worst, ok = 0.0, True
+    records, gaps = [], []
+    ok = True
     for (_, s, j, xi), result in zip(jobs, compare_transitions(CenterTable.build(p), jobs)):
         rec = {"chart": [s, j], "xi": _fmt_complex(xi)}
         gap, failed = transition_gap(result, tol)
         ok = ok and not failed
+        gaps.append(gap)
         if isinstance(gap, str):
             rec["error"] = gap
         else:
             closed, numeric = result
-            worst = max(worst, gap)
             rec.update(closed=_fmt_complex(closed), numeric=_fmt_complex(numeric),
                        abs_err=float(f"{gap:.3e}"))
         records.append(rec)
+    worst = worst_gap(gaps)
     payload = {"params": p.to_json_dict(), "records": records,
                "worst": float(f"{worst:.3e}"), "overall": "pass" if ok else "fail"}
     print(f"{len(records)} transitions, worst |closed - numeric| = {worst:.3e}")

@@ -230,7 +230,10 @@ def iterate_orbit(p, pt0, m, pole_tol=1e-12):
 
     Each step appends f's second component, ``MapCoeffs._next_y``, to
     ``seq = [x0, y0, y1, ...]``; the x of the next point is the y already
-    stored, the same Python object."""
+    stored, the same Python object.  So only the seed's y is tested against
+    the cap before the first step: every later x is a y the step before
+    tested.  Restarted from the last point of an orbit of real data or of
+    complex coefficients, it continues that orbit exactly."""
     co = p.coeffs()
     # c is a float (MapParams takes it by (j, sign) only)
     real = all(complex(v).imag == 0 for v in (pt0[0], pt0[1], *(al for _, al in co.a)))
@@ -239,6 +242,8 @@ def iterate_orbit(p, pt0, m, pole_tol=1e-12):
     if real:
         co = co._replace(a=tuple((l, float(complex(v).real)) for l, v in co.a))
     seq = [x, y]
+    if m and abs(y) > MAGNITUDE_CAP:
+        return OrbitResult(seq=seq, status="escaped")
     status = "completed"
     next_y, append = co._next_y, seq.append
     for _ in range(m):
@@ -246,7 +251,7 @@ def iterate_orbit(p, pt0, m, pole_tol=1e-12):
             status = "pole"
             break
         x, y = y, next_y(x, y)
-        if abs(x) > MAGNITUDE_CAP or abs(y) > MAGNITUDE_CAP:
+        if abs(y) > MAGNITUDE_CAP:
             status = "escaped"
             break
         append(y)

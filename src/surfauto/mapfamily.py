@@ -79,14 +79,22 @@ class MapCoeffs(NamedTuple):
     a: tuple            # (l, a_l) pairs, ascending l
     floor: object       # indeterminacy floor of eval_f_proj
 
-    def _next_y(self, x, y):
-        """Second component of f(x, y), unchecked: the one formula of the
-        map, shared by eval_f, eval_f_inverse and the orbit stepper."""
-        yinv = 1 / y
-        out = -x + self.c * y + yinv ** self.k
-        for l, al in self.a:
-            out = out + al * yinv ** l
-        return out
+    @property
+    def _next_y(self):
+        """Second component of f, unchecked, as a function of (x, y): the one
+        formula of the map, shared by eval_f, eval_f_inverse and the orbit
+        stepper.  It binds k, c and the a_l when it is made, so the stepper
+        makes it once per orbit and loads no attribute per step."""
+        k, c, a, _ = self
+
+        def next_y(x, y):
+            yinv = 1 / y
+            out = -x + c * y + yinv ** k
+            for l, al in a:
+                out = out + al * yinv ** l
+            return out
+
+        return next_y
 
 
 @dataclass(frozen=True)

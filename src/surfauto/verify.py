@@ -6,6 +6,7 @@ import :mod:`surfauto.charts` (and so mpmath) and the fixed-point suite
 :mod:`surfauto.dynamics` (numpy) when they run; a suite that deals its
 jobs through fork_map imports them before it forks."""
 import contextlib
+import math
 import os
 import pickle
 import random
@@ -94,13 +95,15 @@ def fork_map(fn, items):
     leaves with os._exit.  The parent computes its own items in turn and
     reads a child's next result when that item's turn comes, so results
     arrive one at a time and a child's exception is raised in its item's
-    place, after every earlier result.  Memory: the parent holds one
-    result it has not yet yielded; a child holds the result it is computing
-    or writing, and its writes wait while its pipe's buffer (64 KiB on
-    Linux) is full.  When the generator raises, or is closed before the
-    end (a consumer that may stop early, by an error or an interrupt,
-    closes it with contextlib.closing), the children still running are
-    killed; every child is reaped before it finishes.  With one CPU or one
+    place, after every earlier result.  Memory: the generator keeps no
+    reference to a result once it has yielded it, so while the parent
+    computes its own next item it holds only what its consumer kept of the
+    results before; a child holds the result it is computing or writing,
+    and its writes wait while its pipe's buffer (64 KiB on Linux) is full.
+    When the generator raises, or is closed before the end (a consumer
+    that may stop early, by an error or an interrupt, closes it with
+    contextlib.closing), the children still running are killed; every
+    child is reaped before it finishes.  With one CPU or one
     item, or on a platform without os.sched_getaffinity (Linux has it, and
     os.fork), it is map(fn, items).
 
@@ -141,6 +144,7 @@ def fork_map(fn, items):
             if not done:
                 raise result
             yield result
+            del result  # not kept while this process computes its next item
     finally:
         for pid, pipe_r in children:
             pipe_r.close()
@@ -281,12 +285,20 @@ def transition_gap(result, tol):
     return gap, isinstance(gap, str) or not gap < tol
 
 
+def worst_gap(gaps):
+    """The residual of transition_gap's gaps, for chart_suite and `surfauto
+    charts`: the largest difference, 0.0 when there is none (error texts are
+    skipped), and NaN when one difference is NaN, which max would drop."""
+    diffs = [g for g in gaps if not isinstance(g, str)]
+    return math.nan if any(map(math.isnan, diffs)) else max(diffs, default=0.0)
+
+
 def _transition_check(rep, cid, jobs, results, tol):
     """The check `cid` over transition jobs and their results: it passes when
     no job fails transition_gap.  The first failures, as (s, j, difference
     or error text), go in the detail."""
     gaps = [transition_gap(r, tol) for r in results]
-    worst = max([0.0] + [g for g, _ in gaps if not isinstance(g, str)])
+    worst = worst_gap(g for g, _ in gaps)
     failures = [(s, j, g) for (_, s, j, _), (g, failed) in zip(jobs, gaps) if failed]
     _sampled(rep, cid, len(jobs), not failures, residual=worst, bound=tol,
              detail=f"failures: {failures[:4]}" if failures else "")

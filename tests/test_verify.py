@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import os
 import time
+import weakref
 from pathlib import Path
 
 import mpmath as mp
@@ -285,6 +286,26 @@ def test_fork_map_streams_each_result(monkeypatch):
         assert [next(results) for _ in range(3)] == [0, 1, 2]
     _assert_no_children()
     assert time.perf_counter() - t0 < 30
+
+
+class _Result:
+    """A result a weakref can point to."""
+
+
+def test_fork_map_holds_no_result_it_has_yielded(monkeypatch):
+    _set_cpus(monkeypatch, 2)
+    refs = []
+
+    def fn(x):
+        if x % 2 == 0 and x:    # this process's share: the child's result x - 1 is gone
+            assert refs[x - 1]() is None, f"fork_map still holds result {x - 1}"
+        return _Result()
+
+    for result in fork_map(fn, range(6)):
+        refs.append(weakref.ref(result))
+        del result      # the consumer keeps nothing
+    assert len(refs) == 6
+    _assert_no_children()
 
 
 # sha256 of figure 1's charts.json at its defaults, as tests/test_cli.py pins it
