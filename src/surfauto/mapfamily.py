@@ -83,8 +83,8 @@ class MapCoeffs(NamedTuple):
     def _next_y(self):
         """Second component of f, unchecked, as a function of (x, y): the one
         formula of the map, shared by eval_f, eval_f_inverse and the orbit
-        stepper.  It binds k, c and the a_l when it is made, so the stepper
-        makes it once per orbit and loads no attribute per step."""
+        stepper.  It binds k, c and the a_l when it is made: the stepper
+        makes it once per orbit and MapParams once per member."""
         k, c, a, _ = self
 
         def next_y(x, y):
@@ -112,6 +112,7 @@ class MapParams:
     c_spec: tuple
     a: dict = field(default_factory=dict)
     _coeffs: MapCoeffs = field(init=False, compare=False, repr=False)
+    _next_y: object = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         check_nk(self.n, self.k)
@@ -130,6 +131,7 @@ class MapParams:
         object.__setattr__(self, "_coeffs", MapCoeffs(
             self.k, sign * 2.0 * math.cos(math.pi * j / self.n), tuple(sorted(self.a.items())),
             DEFAULT_TOL))
+        object.__setattr__(self, "_next_y", self._coeffs._next_y)
 
     def coeffs(self):
         """k, c as a float, the a_l and the indeterminacy floor DEFAULT_TOL:
@@ -218,7 +220,7 @@ def eval_f(p, pt):
     x, y = pt
     if abs(y) < DEFAULT_TOL:
         raise PoleError(f"y={y} within tol of the pole line")
-    out = p.coeffs()._next_y(x, y)
+    out = p._next_y(x, y)
     if abs(out) > MAGNITUDE_CAP:
         raise OverflowEscape("image magnitude exceeds cap")
     return (y, out)
@@ -231,7 +233,7 @@ def eval_f_inverse(p, pt):
     X, Y = pt
     if abs(X) < DEFAULT_TOL:
         raise PoleError(f"x={X} within tol of the inverse pole line")
-    out = p.coeffs()._next_y(Y, X)
+    out = p._next_y(Y, X)
     if abs(out) > MAGNITUDE_CAP:
         raise OverflowEscape("image magnitude exceeds cap")
     return (out, X)

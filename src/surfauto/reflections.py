@@ -6,9 +6,10 @@ basis permutations; and the n-dimensional complement T, where it is a
 Coxeter element of the reflection group with Cartan matrix 2 on the
 diagonal and -k off it.
 
-On the full lattice every map -- f_*, a basis permutation, a quadratic
-reflection -- and every class is in the column form of exactmat: no
-dim x dim matrix is built for a map or for the form.
+On the full lattice a quadratic reflection is kept as its root, a column
+of square -2, and a basis permutation as a relabelling, the tuple of the
+image of each basis index: act applies words of them to classes in the
+column form of exactmat, and no generator is built as a dim-column map.
 """
 
 from fractions import Fraction
@@ -27,83 +28,75 @@ from .picard import (
 )
 
 
-def basis_map(lat, emap):
-    """The basis permutation fixing e0 and sending e(s, j) to e(emap(s, j))."""
-    cols = [((0, 1),)]
-    for s in range(lat.n):
-        for j in range(1, 2 * lat.k + 2):
-            cols.append(((lat.idx(*emap(s, j)), 1),))
-    return tuple(cols)
-
-
-def reflection_in(lat, root):
-    """x -> x + (root . x) root for a root of square -2, given as a column;
-    exact isometry.  Column j is e_j + (root . e_j) root, so only the
-    columns on the root's support differ from the identity's."""
+def quadratic_root(lat, triple):
+    """The root e0 - e_a - e_b - e_c of three basis slots (s, j), as a
+    column: the quadratic reflection based there.  A repeated slot gives a
+    square other than -2, which raises."""
+    idx = [lat.idx(*slot) for slot in triple]
+    root = ((0, 1),) + tuple((i, -idx.count(i)) for i in sorted(set(idx)))
     square = lat.ip(root, root)
     if square != -2:
         raise ExactIdentityError(f"root square {square}, expected -2")
-    cols = [((j, 1),) for j in range(lat.dim)]
-    for j, rj in root:
-        col = {i: rj * lat.qdiag[j] * a for i, a in root}
-        col[j] += 1
-        cols[j] = tuple((i, x) for i, x in sorted(col.items()) if x)
-    return tuple(cols)
+    return root
 
 
-def quadratic_reflection(lat, triple):
-    """Reflection in e0 - e_a - e_b - e_c for three basis slots (s, j).  A
-    repeated slot gives a root of square other than -2, which raises."""
-    root = {0: 1}
-    for (s, j) in triple:
-        i = lat.idx(s, j)
-        root[i] = root.get(i, 0) - 1
-    return reflection_in(lat, tuple(sorted(root.items())))
+def relabelling(lat, emap):
+    """The basis permutation fixing e0 and sending e(s, j) to e(emap(s, j)),
+    as the tuple of the image of each basis index."""
+    return (0,) + tuple(lat.idx(*emap(s, j)) for s in range(lat.n)
+                        for j in range(1, 2 * lat.k + 2))
 
 
-def _tau_perm(k):
+def act(lat, word, cols):
+    """Yield the image of each column of cols under word, a sequence of
+    roots and relabellings applied first to last.  A root r acts as
+    x -> x + (r . x) r, changing only the columns that meet it; a
+    relabelling p sends e_i to e_p[i].  Images are columns: zero-free and
+    sorted."""
+    letters = [(None, w) if isinstance(w[0], int) else ({i: a * lat.qdiag[i] for i, a in w}, w)
+               for w in word]
+    for x in cols:
+        for rq, w in letters:
+            if rq is None:
+                x = tuple(sorted([(w[i], a) for i, a in x]))
+                continue
+            rx = 0
+            for i, a in x:
+                if i in rq:
+                    rx += rq[i] * a
+            if rx:
+                acc = dict(x)
+                for i, a in w:
+                    acc[i] = acc.get(i, 0) + rx * a
+                x = tuple(sorted([(i, a) for i, a in acc.items() if a]))
+        yield x
+
+
+def _tau(k, j):
     """Two descending cycles on the level blocks [2, k+1] and [k+2, 2k+1]."""
-    t = {1: 1}
-    for cyc in (list(range(2 * k + 1, k + 1, -1)), list(range(k + 1, 1, -1))):
-        for i, a in enumerate(cyc):
-            t[a] = cyc[(i + 1) % len(cyc)]
-    return t
+    return j if j == 1 else j + k - 1 if j in (2, k + 2) else j - 1
 
 
-def _phi_perm(k):
+def _phi(k, j):
     """Reversal of the level blocks [3, k+1] and [k+3, 2k+1]."""
-    p = {j: j for j in range(1, 2 * k + 2)}
-    for lo, hi in ((3, k + 1), (k + 3, 2 * k + 1)):
-        for i in range((hi - lo + 1) // 2):
-            p[lo + i], p[hi - i] = hi - i, lo + i
-    return p
-
-
-def _generators(lat):
-    """The seven maps of the eight placements, each built once: J, sigma_h
-    keyed by its limb shift +-1, and tau_v and phi_v by their limb, 0 or n-1."""
-    n, k = lat.n, lat.k
-    tau, phi, limbs = _tau_perm(k), _phi_perm(k), (0, n - 1)
-    return {
-        "J": quadratic_reflection(lat, [(0, 1), (0, k + 1), (0, 2 * k + 1)]),
-        "sigma_h": {d: basis_map(lat, lambda s, j: ((s + d) % n, j)) for d in (1, -1)},
-        "tau_v": {t: basis_map(lat, lambda s, j: (s, tau[j] if s == t else j)) for t in limbs},
-        "phi_v": {t: basis_map(lat, lambda s, j: (s, phi[j] if s == t else j)) for t in limbs},
-    }
+    return k + 4 - j if 3 <= j <= k + 1 else 3 * k + 4 - j if j >= k + 3 else j
 
 
 def weyl_generators(n, k):
-    """The named isometries of the full-lattice factorization, in column
-    form.
-
-    J reflects in e0 - e^1_0 - e^(k+1)_0 - e^(2k+1)_0; sigma_h shifts limbs
-    s -> s+1; tau_v and phi_v permute levels inside a single limb (given
-    here on limb 0; the checker also tries the last limb, since the source
-    formulas are ambiguous about the placement).
-    """
-    g = _generators(PicardLattice.build(n, k))
-    return {"J": g["J"], "sigma_h": g["sigma_h"][1], "tau_v": g["tau_v"][0],
-            "phi_v": g["phi_v"][0]}
+    """The generators of the full-lattice factorization: J, the reflection
+    in e0 - e^1_0 - e^(k+1)_0 - e^(2k+1)_0, as its root, and the
+    relabellings sigma_h, the limb shift s -> s + d keyed by d = +-1, and
+    tau_v and phi_v, which permute the levels of one limb, keyed by that
+    limb, 0 or n-1 (the source formulas are ambiguous about the placement)."""
+    lat = PicardLattice.build(n, k)
+    return {
+        "J": quadratic_root(lat, [(0, 1), (0, k + 1), (0, 2 * k + 1)]),
+        "sigma_h": {d: relabelling(lat, lambda s, j: ((s + d) % n, j)) for d in (1, -1)},
+        "tau_v": {t: relabelling(lat, lambda s, j: (s, _tau(k, j) if s == t else j))
+                  for t in (0, n - 1)},
+        "phi_v": {t: relabelling(lat, lambda s, j: (s, _phi(k, j) if s == t else j))
+                  for t in (0, n - 1)},
+    }
 
 
 def _slot(k, i):
@@ -127,35 +120,29 @@ def noether_chain(n, k):
     """Factor the induced automorphism into quadratic reflections by degree
     descent: repeatedly reflect at the three largest multiplicities of the
     image of e0 until the degree drops to 1; the residue is a basis
-    permutation.
+    permutation P.
 
-    Returns (triples, residual_cycles, factors), the factors R_1, ..., R_r
-    and P in column form, with the exact identity M = R_1 ... R_r . P.
+    Returns (triples, residual_cycles) once M = R_1 ... R_r . P holds
+    exactly: P reflected in the roots of R_r, ..., R_1 gives back M.
     """
     lat = PicardLattice.build(n, k)
     M = pushforward_columns(n, k)
-    cur, triples, factors = M, [], []
+    cur, triples, roots = M, [], []
     while (d := dict(cur[0]).get(0, 0)) > 1:
         chosen, msum = _descent_triple(lat.dim, cur[0])
         if 2 * d - msum >= d:
             raise ExactIdentityError("degree descent stalled; not a Cremona-type isometry")
-        triple = [_slot(k, i) for i in chosen]
-        R = quadratic_reflection(lat, triple)
-        cur = xm.col_compose(R, cur)
-        triples.append(triple)
-        factors.append(R)
+        triples.append([_slot(k, i) for i in chosen])
+        roots.append(quadratic_root(lat, triples[-1]))
+        cur = tuple(act(lat, roots[-1:], cur))
     # the residue must send each e_j to one e_perm[j], bijectively, fixing e0
     perm = [col[0][0] if len(col) == 1 and col[0][1] == 1 else None for col in cur]
     if None in perm or len(set(perm)) < len(perm) or perm[0] != 0:
         raise ExactIdentityError("descent residue is not a basis permutation")
-    # rebuild and verify: M = R_1 ... R_r . P
-    acc = cur
-    for R in reversed(factors):
-        acc = xm.col_compose(R, acc)
-    if acc != M:
+    if tuple(act(lat, roots[::-1], cur)) != M:
         raise ExactIdentityError("reflection chain does not recompose the pushforward")
     residual = [[_slot(k, i) for i in cyc] for cyc in xm.perm_cycles(perm) if len(cyc) > 1]
-    return triples, residual, factors + [cur]
+    return triples, residual
 
 
 def weyl_factorization_check(n, k):
@@ -164,10 +151,9 @@ def weyl_factorization_check(n, k):
 
     The literal identity tried is  f = phi_v . J . (tau_v . J)^(k/2) . sigma_h
     (composition right to left), with tau_v / phi_v placed on limb 0 or the
-    last limb and the limb shift in either direction: eight words, each
-    applied to the basis vectors and compared with the columns of f_*.  The
-    generators are built once, and each word is composed from the right, so
-    only its last product, by phi_v, is per placement.
+    last limb and the limb shift in either direction: eight words.  Each
+    acts on one basis vector at a time and stops at its first image that
+    is not the column of f_*.
     When several match, the last in loop order (sigma direction 1 then -1,
     tau limb and then phi limb 0 then n-1) is reported: at k = 2 phi_v is
     the identity, so both phi limbs match and (3, 2) reports phi_limb 2.
@@ -177,18 +163,17 @@ def weyl_factorization_check(n, k):
     basis permutation, regrouped in the same shape with per-slot level
     permutations.
     """
+    lat = PicardLattice.build(n, k)
     M = pushforward_columns(n, k)
-    g = _generators(PicardLattice.build(n, k))
+    g = weyl_generators(n, k)
     matched_variant = None
     for sig_dir in (1, -1):
         for tau_limb in (0, n - 1):
-            # J . (tau_v . J)^(k/2) . sigma_h, shared by both phi limbs
-            prefix = g["sigma_h"][sig_dir]
-            for _ in range(k // 2):
-                prefix = xm.col_compose(g["tau_v"][tau_limb], xm.col_compose(g["J"], prefix))
-            prefix = xm.col_compose(g["J"], prefix)
             for phi_limb in (0, n - 1):
-                if xm.col_compose(g["phi_v"][phi_limb], prefix) == M:
+                word = [g["sigma_h"][sig_dir], *[g["J"], g["tau_v"][tau_limb]] * (k // 2),
+                        g["J"], g["phi_v"][phi_limb]]
+                images = act(lat, word, (((j, 1),) for j in range(lat.dim)))
+                if all(x == col for x, col in zip(images, M)):
                     matched_variant = dict(sigma_direction=sig_dir, tau_limb=tau_limb,
                                            phi_limb=phi_limb)
     result = {
@@ -198,7 +183,7 @@ def weyl_factorization_check(n, k):
         "repaired": None,
     }
     if matched_variant is None:
-        triples, residual, _ = noether_chain(n, k)
+        triples, residual = noether_chain(n, k)
         result["repaired"] = {
             "reflection_triples": triples,
             "reflection_count": len(triples),
@@ -273,23 +258,24 @@ def coxeter_factorization_check(n, k):
 
 def rho_pushforward(n, k):
     """Induced action of the coordinate swap (x,y) -> (y,x): limb s goes to
-    limb n-1-s with levels fixed; exact permutation isometry."""
-    return basis_map(PicardLattice.build(n, k), lambda s, j: (n - 1 - s, j))
+    limb n-1-s with levels fixed; a relabelling."""
+    return relabelling(PicardLattice.build(n, k), lambda s, j: (n - 1 - s, j))
 
 
 def reversibility_check(n, k):
     """rho^2 = Id and rho f rho = f^(-1), exactly; for n = 2 also the
-    infinite-dihedral relation (rho f)^2 = Id."""
+    infinite-dihedral relation (rho f)^2 = Id.  rho is read as a
+    relabelling; its isometry is read from the Gram of its columns."""
     lat = PicardLattice.build(n, k)
-    M = pushforward_columns(n, k)
     R = rho_pushforward(n, k)
-    ident = basis_map(lat, lambda s, j: (s, j))
-    RM = xm.col_compose(R, M)
+    RM = tuple(act(lat, [R], pushforward_columns(n, k)))
     out = {
-        "involution": xm.col_compose(R, R) == ident,
-        "isometry": lat.is_isometry(R),
-        # rho f rho = f^(-1) exactly when rho f rho f = Id
-        "conjugates_to_inverse": xm.col_compose(RM, RM) == ident,
+        "involution": all(R[i] == j for j, i in enumerate(R)),
+        "isometry": lat.is_isometry(((i, 1),) for i in R),
+        # rho f rho = f^(-1) exactly when rho f rho f = Id: column j of
+        # (rho f)^2 is rho f applied to column j of rho f
+        "conjugates_to_inverse": all(xm.col_compose(RM, (col,))[0] == ((j, 1),)
+                                     for j, col in enumerate(RM)),
     }
     if n == 2:
         # (rho f)^2 = rho f rho f: the same identity, read as a relation

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import surfauto as sa
 from surfauto import exactmat as xm
 from surfauto.picard import PicardLattice, TSpace, pushforward_matrix
-from surfauto.reflections import reflection_in
+from surfauto.reflections import quadratic_root
 from surfauto.verify import factorization_suite, lattice_suite
 
 from exact_oracles import dense, ldl_solve, project
@@ -242,7 +242,7 @@ def test_incomplete_s_gram_factor_has_no_determinant(monkeypatch):
     assert checks["gram-determinant"].detail == "det = None"
 
 
-def test_reflection_in_rejects_a_non_root():
+def test_quadratic_root_rejects_a_non_root():
     lat = PicardLattice.build(2, 4)
-    with pytest.raises(sa.ExactIdentityError):
-        reflection_in(lat, xm.sparse(lat.e0()))        # square 1, not -2
+    with pytest.raises(sa.ExactIdentityError, match="root square -8"):
+        quadratic_root(lat, [(0, 1)] * 3)       # e0 - 3 e^1_0: square 1 - 9, not -2

@@ -30,9 +30,10 @@ from surfauto.picard import (
 )
 from surfauto.reflections import (
     _descent_triple,
-    basis_map,
+    act,
     noether_chain,
-    quadratic_reflection,
+    quadratic_root,
+    relabelling,
     reversibility_check,
     weyl_factorization_check,
 )
@@ -62,7 +63,7 @@ def _plain(obj):
 def test_weyl_noether_reversor_pinned(nk, tmp_path, capsys):
     pin = PINNED[f"{nk[0]},{nk[1]}"]
     assert _plain(weyl_factorization_check(*nk)) == pin["weyl_factorization_check"]
-    triples, residual, _ = noether_chain(*nk)
+    triples, residual = noether_chain(*nk)
     assert _plain({"triples": triples, "residual_cycles": residual}) == pin["noether_chain"]
     assert _plain(reversibility_check(*nk)) == pin["reversibility_check"]
     rc, text = _weyl_file(*nk, tmp_path, capsys)
@@ -88,6 +89,21 @@ def test_reversibility_check_builds_no_dim_by_dim_list():
     finally:
         tracemalloc.stop()
     assert peak <= 4_000_000, peak
+
+
+def test_weyl_check_holds_no_map_per_factor():
+    # the descent chain kept its k reflections as dim-column maps: 22.8 MB
+    # at (2, 200), dim Pic 803; as roots the check holds one product of
+    # the chain beside f_*
+    PicardLattice.build(2, 200)
+    pushforward_columns(2, 200)
+    tracemalloc.start()
+    try:
+        assert weyl_factorization_check(2, 200)["repaired"]["reflection_count"] == 200
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_000_000, peak
 
 
 # -- the column form against dense products ---------------------------------------------
@@ -160,8 +176,10 @@ reflection_cases = st.sampled_from([(2, 4), (3, 2), (3, 4), (4, 2)]).flatmap(
 def test_quadratic_reflection_is_an_involutive_isometry(case):
     (n, k), triple = case
     lat = PicardLattice.build(n, k)
-    R = quadratic_reflection(lat, triple)
-    assert xm.col_compose(R, R) == basis_map(lat, lambda s, j: (s, j))
+    r = quadratic_root(lat, triple)
+    basis = tuple(((j, 1),) for j in range(lat.dim))
+    R = tuple(act(lat, [r], basis))
+    assert tuple(act(lat, [r, r], basis)) == basis
     assert lat.is_isometry(R)
     assert lat.gram_matrix(R) == lat.q_matrix()
     # x -> x + (r . x) r on dense vectors, r = e0 - e_a - e_b - e_c
@@ -181,7 +199,50 @@ def test_repeated_slot_raises(case, i, j):
     triple[(i + 1 + j % 2) % 3] = triple[i]
     lat = PicardLattice.build(n, k)
     with pytest.raises(ExactIdentityError, match="expected -2"):
-        quadratic_reflection(lat, triple)
+        quadratic_root(lat, triple)
+
+
+def _dense_letter(lat, letter):
+    """The dense matrix of a root's reflection or of a relabelling."""
+    if isinstance(letter[0], int):
+        return [[int(letter[j] == i) for j in range(lat.dim)] for i in range(lat.dim)]
+    r = dense(lat, letter)
+    return [[int(i == j) + r[i] * r[j] * lat.qdiag[j] for j in range(lat.dim)]
+            for i in range(lat.dim)]
+
+
+def _letter(nk, draw):
+    """A root of three distinct slots, or the relabelling of a slot permutation."""
+    slots = _slots(*nk)
+    lat = PicardLattice.build(*nk)
+    if draw(st.booleans()):
+        return quadratic_root(lat, draw(st.permutations(slots))[:3])
+    image = dict(zip(slots, draw(st.permutations(slots))))
+    return relabelling(lat, lambda s, j: image[s, j])
+
+
+@st.composite
+def words_and_columns(draw):
+    nk = draw(st.sampled_from([(2, 4), (3, 2), (3, 4)]))
+    dim = PicardLattice.build(*nk).dim
+    word = [_letter(nk, draw) for _ in range(draw(st.integers(0, 5)))]
+    cols = draw(st.lists(st.lists(_entries, min_size=dim, max_size=dim), max_size=4))
+    return nk, word, cols
+
+
+@settings(max_examples=60, deadline=None)
+@given(words_and_columns())
+def test_act_matches_the_dense_product(case):
+    (n, k), word, cols = case
+    lat = PicardLattice.build(n, k)
+    images = list(act(lat, word, [xm.sparse(v) for v in cols]))
+    # the letters act first to last: the dense product has the last leftmost
+    product = xm.identity(lat.dim)
+    for letter in word:
+        product = xm.mat_mul(_dense_letter(lat, letter), product)
+    assert len(images) == len(cols)
+    for v, image in zip(cols, images):
+        assert image == xm.sparse(xm.mat_vec(product, v))     # zero-free and sorted by index
 
 
 # -- degree descent ------------------------------------------------------------------
