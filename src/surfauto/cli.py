@@ -285,20 +285,20 @@ def _load_seeds(args, p):
     return [(0.1, 0.1)]
 
 
-ORBIT_BLOCK = 4096  # CSV rows per block of text an orbit job returns
+ORBIT_BLOCK = 4096  # CSV rows per block of text an orbit job yields
 
 
 def _orbit_rows(p, sid, seed, steps):
-    """The orbit of seed `sid` as its status, its row count and its CSV rows
-    in blocks of ORBIT_BLOCK rows.  Each block is stepped by one
-    iterate_orbit from the point the block before stopped at, and formatted
-    before the next is stepped, so the job holds one block's floats beside
-    the seed's text, never the whole orbit."""
+    """Yield the orbit of seed `sid` as its CSV rows in blocks of
+    ORBIT_BLOCK rows, then as the pair of its status and row count.  Each
+    block is stepped by one iterate_orbit from the point the block before
+    stopped at, formatted and yielded before the next is stepped, so the
+    job holds one block's floats or text, never the whole orbit or the
+    seed's text."""
     from .dynamics import iterate_orbit
 
-    blocks, pt = [], seed
+    start, pt = 0, seed
     while pt is not None:
-        start = len(blocks) * ORBIT_BLOCK
         orb = iterate_orbit(p, pt, min(ORBIT_BLOCK, steps - start))
         seq, status = orb.seq, orb.status
         # all ORBIT_BLOCK steps taken: the last point is the next block's first row
@@ -310,10 +310,13 @@ def _orbit_rows(p, sid, seed, steps):
         cells[0::3] = range(start, start + rows)
         cells[1::3] = txt[:rows]
         cells[2::3] = txt[1:rows + 1]
-        blocks.append((f"{sid},%d,%s,%s\n" * rows) % tuple(cells))
+        block = (f"{sid},%d,%s,%s\n" * rows) % tuple(cells)
         pt = (seq[-2], seq[-1]) if full else None
-        del orb, seq, txt, cells  # not kept while the next block is stepped
-    return status, start + rows, blocks
+        start += rows
+        del orb, seq, txt, cells  # not kept while the block is written
+        yield block
+        del block  # written: not kept while the next block is stepped
+    yield status, start
 
 
 def cmd_orbit(args):
@@ -329,14 +332,16 @@ def cmd_orbit(args):
     # through os._exit, so they never flush it
     with open(path, "w") if path else nullcontext(sys.stdout) as fh, \
             closing(fork_map(lambda job: _orbit_rows(p, *job, steps),
-                             enumerate(seeds))) as orbits:
+                             enumerate(seeds))) as pieces:
         fh.write("seed_id,step,x,y\n")
-        # no enumerate: it would keep the last result until the next arrives
-        for status, count, blocks in orbits:
-            statuses.append(status)
-            fh.writelines(blocks)
-            rows += count
-            del blocks  # written: not kept while the next seed's orbit runs
+        # each seed's blocks of rows, written as they arrive, then its status and row count
+        for piece in pieces:
+            if isinstance(piece, str):
+                fh.write(piece)
+            else:
+                statuses.append(piece[0])
+                rows += piece[1]
+            del piece  # not kept while the next block is stepped or read
     if path:
         print(f"wrote {path} ({rows} rows)")
     print(json.dumps({"statuses": dict(enumerate(statuses))}, sort_keys=True))

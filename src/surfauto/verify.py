@@ -85,27 +85,31 @@ def _sampled(rep, cid, samples, ok, residual=None, bound=None, detail=""):
 
 
 def fork_map(fn, items):
-    """Yield fn(x) for each x in items, in item order, with the items dealt
-    round-robin between this process and one forked child for each further
-    CPU in its affinity mask.
+    """Yield the pieces of fn(x) for each x in items, in item order, with the
+    items dealt round-robin between this process and one forked child for
+    each further CPU in its affinity mask.
 
-    fn must be pure: what it changes in a child stays there.  Each child
-    pickles each result into its pipe as soon as it has it, one flushed
-    pickle per item, then the exception that stopped it, if one did, and
-    leaves with os._exit.  The parent computes its own items in turn and
-    reads a child's next result when that item's turn comes, so results
-    arrive one at a time and a child's exception is raised in its item's
-    place, after every earlier result.  Memory: the generator keeps no
-    reference to a result once it has yielded it, so while the parent
-    computes its own next item it holds only what its consumer kept of the
-    results before; a child holds the result it is computing or writing,
-    and its writes wait while its pipe's buffer (64 KiB on Linux) is full.
-    When the generator raises, or is closed before the end (a consumer
-    that may stop early, by an error or an interrupt, closes it with
-    contextlib.closing), the children still running are killed; every
-    child is reaped before it finishes.  With one CPU or one
-    item, or on a platform without os.sched_getaffinity (Linux has it, and
-    os.fork), it is map(fn, items).
+    fn(x) is an iterable of pieces, any number of them (a function of one
+    result returns it as the one piece of a tuple, or yields it).  fn must
+    be pure: what it changes in a child stays there.  This process runs its
+    own items lazily, taking each piece from fn(x) as its consumer asks for
+    it.  A child first builds and pickles all of an item's pieces, so that
+    it runs a whole item ahead of this process rather than wait on its
+    pipe's buffer (64 KiB on Linux), which fills while this process runs
+    its own item.  Then it writes into its pipe the item's piece count and
+    the exception that stopped fn(x), if one did, then each piece, dropping
+    each once it is written, and flushes; after an exception it stops, and
+    it leaves with os._exit.  This process reads a child's pieces when that item's
+    turn comes, so pieces arrive one at a time and a child's exception is
+    raised in its item's place, after every earlier piece.  Memory: the
+    generator keeps no reference to a piece once it has yielded it; a child
+    holds the pieces of the item it is building or writing.  When the
+    generator raises, or is closed before the end (a consumer that may stop
+    early, by an error or an interrupt, closes it with contextlib.closing),
+    the children still running are killed; every child is reaped before it
+    finishes.  With one CPU or one item, or on a platform without
+    os.sched_getaffinity (Linux has it, and os.fork), it is the pieces of
+    map(fn, items).
 
     numpy is loaded only by the plane dynamics, but it may be when this
     forks (`surfauto orbit` finds its default seeds with it, and a caller
@@ -115,9 +119,6 @@ def fork_map(fn, items):
     items = list(items)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     width = min(cpus, len(items))
-    if width <= 1:
-        yield from map(fn, items)
-        return
     children = []   # (pid, read end of its pipe), in share order, until reaped
     try:
         for share in range(1, width):
@@ -130,21 +131,21 @@ def fork_map(fn, items):
             children.append((pid, pipe_r))
         for i, x in enumerate(items):
             if i % width == 0:
-                yield fn(x)
+                yield from fn(x)
                 continue
             child = pid, pipe_r = children[i % width - 1]
             try:
-                done, result = pickle.load(pipe_r)
+                count, exc = pickle.load(pipe_r)
+                for _ in range(count):
+                    yield pickle.load(pipe_r)
             except EOFError:    # it exited early; reap it here, the rest below
                 children.remove(child)
                 pipe_r.close()
                 status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                 raise SurfautoError(f"worker process {pid} exited with status {status} "
                                     "before sending all its results") from None
-            if not done:
-                raise result
-            yield result
-            del result  # not kept while this process computes its next item
+            if exc is not None:
+                raise exc
     finally:
         for pid, pipe_r in children:
             pipe_r.close()
@@ -155,17 +156,27 @@ def fork_map(fn, items):
 
 
 def _serve_share(fn, share, pipe_w):
-    """In a forked child: pickle (True, fn(x)) into pipe_w for each x of
-    share as soon as it is computed, or (False, exc) for the exception that
-    stopped it, and exit without returning."""
+    """In a forked child: for each x of share, pickle each piece of fn(x)
+    as it is made (a piece that cannot be pickled stops fn(x) as its own
+    exception would), then write into pipe_w the pieces' count and the
+    exception that stopped fn(x) (or None), then each piece, dropping it
+    once written; stop after an exception, and exit without returning."""
     status = 1
     try:
-        try:
-            for x in share:
-                pipe_w.write(pickle.dumps((True, fn(x))))
-                pipe_w.flush()
-        except BaseException as exc:  # the parent re-raises it
-            pipe_w.write(pickle.dumps((False, exc)))
+        for x in share:
+            pieces, exc = [], None
+            try:
+                for piece in fn(x):
+                    pieces.append(pickle.dumps(piece))
+            except BaseException as e:  # the parent re-raises it after these pieces
+                exc = e
+            pipe_w.write(pickle.dumps((len(pieces), exc)))
+            pieces.reverse()
+            while pieces:
+                pipe_w.write(pieces.pop())
+            pipe_w.flush()
+            if exc is not None:
+                break
         pipe_w.close()
         status = 0
     finally:
@@ -270,8 +281,9 @@ def compare_transitions(table, jobs):
             _, closed = closed_form(table, s, j, xi)
             _, numeric, _ = through_plane(table, s, j, xi)
         except (PoleError, ExtrapolationError) as exc:
-            return str(exc)
-        return complex(closed), complex(numeric)
+            yield str(exc)
+        else:
+            yield complex(closed), complex(numeric)
 
     return list(fork_map(compare, jobs))
 
@@ -439,7 +451,7 @@ def parabolic_suite(p, table=None, points_per_fiber=10):
     # outside the configuration: measured, not required
     outside = [(ChartId(0, 2 * k + 1), ChartPoint(0.9, 0.0)),
                (ChartId(0, 2), ChartPoint(0.9, 0.0))]
-    reports = list(fork_map(lambda job: parabolic_check(table, *job),
+    reports = list(fork_map(lambda job: (parabolic_check(table, *job),),
                             line + fibers + outside))
 
     worst_dev, worst_fix, diag_ok = 0.0, 0.0, True

@@ -711,7 +711,10 @@ ORBIT_CASES = {
 @pytest.mark.parametrize("kind", sorted(ORBIT_CASES))
 def test_orbit_blocks_match_the_whole_seed_oracle(kind, steps):
     p, seed, status = ORBIT_CASES[kind]
-    got, want = _orbit_rows(p, 3, seed, steps), _whole_seed_orbit_rows(p, 3, seed, steps)
+    # the job's pieces: its blocks of rows, then (status, row count)
+    *blocks, tail = _orbit_rows(p, 3, seed, steps)
+    got, want = (*tail, blocks), _whole_seed_orbit_rows(p, 3, seed, steps)
+    assert all(isinstance(block, str) for block in blocks)
     assert got[:2] == want[:2]
     assert "".join(got[2]) == "".join(want[2])
     assert [block.count("\n") for block in got[2][:-1]] == [ORBIT_BLOCK] * (len(got[2]) - 1)
@@ -723,18 +726,28 @@ def test_orbit_blocks_match_the_whole_seed_oracle(kind, steps):
 # tracemalloc peak of one 50 000-step figure-1 orbit job: 6.77 MiB when every
 # number of the seed was formatted before the first block, 4.83 MiB when the
 # whole seed was stepped first and then formatted block by block, 3.37 MiB
-# when each block is stepped, formatted and its floats dropped before the next
-ORBIT_JOB_PEAK_MB = 4.2
+# when each block was stepped, formatted and its floats dropped before the
+# next, and 1.05 MiB, at 50 000 and at 200 000 steps alike, since the job
+# yields each block and keeps none of the seed's text
+ORBIT_JOB_PEAK_MB = 1.2
 
 
 def test_orbit_job_holds_one_block_of_formatted_numbers():
     p, seed = figure1_params(), _figure1_default_seed()
-    _orbit_rows(p, 0, seed, 10)
-    tracemalloc.start()
-    try:
-        status, count, blocks = _orbit_rows(p, 0, seed, 50_000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (status, count, len(blocks)) == ("completed", 50_001, 13)
-    assert peak / 2**20 < ORBIT_JOB_PEAK_MB
+    list(_orbit_rows(p, 0, seed, 10))
+    # the same bound at four times the steps: the peak does not grow with them
+    for steps, blocks in ((50_000, 13), (200_000, 49)):
+        tracemalloc.start()
+        try:
+            # consumed as surfauto orbit consumes it: each block dropped once read
+            pieces = 0
+            for piece in _orbit_rows(p, 0, seed, steps):
+                pieces += 1
+                if not isinstance(piece, str):
+                    status, count = piece
+                del piece
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (status, count, pieces - 1) == ("completed", steps + 1, blocks)
+        assert peak / 2**20 < ORBIT_JOB_PEAK_MB, steps

@@ -193,49 +193,81 @@ def test_fixed_point_suite_zero_a_spellings_agree():
     assert ("trace-rank", "pass") in verdicts({})
 
 
+def _pieces(x):
+    """Item x's pieces: x % 4 of them (none, one or several), each
+    (x, j, pid of the process that made it)."""
+    for j in range(x % 4):
+        yield x, j, os.getpid()
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_fork_map_keeps_item_order(monkeypatch, cpus):
     _set_cpus(monkeypatch, cpus)
     forks = _count_forks(monkeypatch)
-    got = list(fork_map(lambda x: (x * x, os.getpid()), range(10)))
+    got = list(fork_map(_pieces, range(12)))
     _assert_no_children()
-    assert [v for v, _ in got] == [x * x for x in range(10)]
-    # round-robin: item i runs in share i % cpus, share 0 in this process
-    pids = [pid for _, pid in got]
-    assert pids[::cpus] == [os.getpid()] * len(pids[::cpus])
+    assert [(x, j) for x, j, _ in got] == [(x, j) for x in range(12) for j in range(x % 4)]
+    # round-robin: item x runs in share x % cpus, share 0 in this process
     assert len(forks) == cpus - 1
-    for share, pid in enumerate(forks, 1):
-        assert set(pids[share::cpus]) == {pid}
+    pids = [os.getpid(), *forks]
+    assert all(pid == pids[x % cpus] for x, _, pid in got)
+    for share in range(cpus):
+        assert any(x % cpus == share for x, _, _ in got)
 
 
 def test_fork_map_one_item_never_forks(monkeypatch):
     _set_cpus(monkeypatch, 3)
     forks = _count_forks(monkeypatch)
-    assert list(fork_map(lambda x: x + 1, [41])) == [42]
-    assert list(fork_map(lambda x: x, [])) == []
+    assert list(fork_map(lambda x: (x + 1,), [41])) == [42]
+    assert list(fork_map(range, [3])) == [0, 1, 2]
+    assert list(fork_map(lambda x: (x,), [])) == []
     assert forks == []
 
 
 def test_fork_map_reraises_a_child_exception(monkeypatch):
+    for cpus in (1, 2, 3):
+        _set_cpus(monkeypatch, cpus)
+        bad = cpus + 1      # in the first child's share, or this process's with one CPU
+
+        def fn(x):
+            yield x, 0
+            yield x, 1
+            if x == bad:
+                raise ValueError(f"bad item {x}")
+
+        got = []
+        with pytest.raises(ValueError, match=f"bad item {bad}"):
+            got.extend(fork_map(fn, range(bad + 3)))
+        # every piece before the exception arrives before it, its item's own too
+        assert got == [(x, j) for x in range(bad + 1) for j in range(2)], cpus
+        _assert_no_children()
+
+
+def test_fork_map_reraises_a_piece_a_child_cannot_send(monkeypatch):
     _set_cpus(monkeypatch, 2)
 
     def fn(x):
-        if x == 3:      # item 3 is in the child's share
-            raise ValueError(f"bad item {x}")
-        return x
+        yield x
+        if x == 1:      # in the child's share: a generator cannot be pickled
+            yield (y for y in ())
 
     got = []
-    with pytest.raises(ValueError, match="bad item 3"):
-        got.extend(fork_map(fn, range(6)))
-    # the results before item 3 arrive before its exception
-    assert got == [0, 1, 2]
+    with pytest.raises(TypeError, match="cannot pickle"):
+        got.extend(fork_map(fn, range(4)))
+    assert got == [0, 1]
     _assert_no_children()
 
 
 def test_fork_map_child_exiting_without_results(monkeypatch):
     _set_cpus(monkeypatch, 2)
+
+    def fn(x):
+        yield x
+        if x == 1:      # in the child's share, after one piece
+            os._exit(3)
+
     with pytest.raises(SurfautoError, match="status 3"):
-        list(fork_map(lambda x: os._exit(3) if x == 1 else x, range(4)))
+        list(fork_map(fn, range(4)))
     _assert_no_children()
 
 
@@ -246,7 +278,7 @@ def test_fork_map_interrupt_leaves_no_child(monkeypatch):
         if x == 0:      # this process's own share
             raise KeyboardInterrupt
         time.sleep(60)  # the children's shares; they are killed, not waited for
-        return x
+        yield x
 
     t0 = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
@@ -256,20 +288,20 @@ def test_fork_map_interrupt_leaves_no_child(monkeypatch):
 
 
 def test_fork_map_consumer_stopping_early_leaves_no_child(monkeypatch):
-    _set_cpus(monkeypatch, 3)
-
     def fn(x):
         if x:
             time.sleep(60)  # the children's shares; they are killed, not waited for
-        return x
+        yield from range(3)
 
-    t0 = time.perf_counter()
-    with pytest.raises(RuntimeError, match="consumer failed"):
-        with contextlib.closing(fork_map(fn, range(3))) as results:
-            for _ in results:
-                raise RuntimeError("consumer failed")
-    _assert_no_children()
-    assert time.perf_counter() - t0 < 30
+    for cpus in (1, 2, 3):
+        _set_cpus(monkeypatch, cpus)
+        t0 = time.perf_counter()
+        with pytest.raises(RuntimeError, match="consumer failed"):
+            with contextlib.closing(fork_map(fn, range(3))) as pieces:
+                for _ in pieces:
+                    raise RuntimeError("consumer failed")
+        _assert_no_children()
+        assert time.perf_counter() - t0 < 30
 
 
 def test_fork_map_streams_each_result(monkeypatch):
@@ -278,34 +310,65 @@ def test_fork_map_streams_each_result(monkeypatch):
     def fn(x):
         if x == 3:      # the child's second item keeps it busy
             time.sleep(60)
-        return x
+        yield x
 
     t0 = time.perf_counter()
-    with contextlib.closing(fork_map(fn, range(4))) as results:
+    with contextlib.closing(fork_map(fn, range(4))) as pieces:
         # item 1 arrives while the child is still on item 3
-        assert [next(results) for _ in range(3)] == [0, 1, 2]
+        assert [next(pieces) for _ in range(3)] == [0, 1, 2]
     _assert_no_children()
     assert time.perf_counter() - t0 < 30
 
 
+def test_fork_map_child_runs_a_whole_item_ahead(monkeypatch, tmp_path):
+    # a child that wrote each piece as soon as it made it would block once its
+    # pipe's buffer (64 KiB on Linux) was full, until this process read item 1
+    # at its turn: it would not finish item 1 while item 0 waits for it
+    _set_cpus(monkeypatch, 2)
+    marker = tmp_path / "item-1-built"
+    piece = bytes(16384)
+
+    def fn(x):
+        if x == 0:      # this process's item
+            deadline = time.monotonic() + 10
+            while not marker.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            yield marker.exists()
+        else:           # the child's item: 1 MiB of pieces, then the marker
+            yield from [piece] * 64
+            marker.touch()
+
+    got = list(fork_map(fn, range(2)))
+    assert got[0] is True, "the child stalled in the middle of its item"
+    assert got[1:] == [piece] * 64
+    _assert_no_children()
+
+
 class _Result:
-    """A result a weakref can point to."""
+    """A piece a weakref can point to."""
 
 
 def test_fork_map_holds_no_result_it_has_yielded(monkeypatch):
-    _set_cpus(monkeypatch, 2)
-    refs = []
+    parent = os.getpid()
+    for cpus in (1, 2, 3):
+        _set_cpus(monkeypatch, cpus)
+        refs, checks = [], []
 
-    def fn(x):
-        if x % 2 == 0 and x:    # this process's share: the child's result x - 1 is gone
-            assert refs[x - 1]() is None, f"fork_map still holds result {x - 1}"
-        return _Result()
+        def fn(x):
+            for _ in range(3):
+                if os.getpid() == parent:   # this process's share: every piece before is gone
+                    assert all(ref() is None for ref in refs), "fork_map still holds a piece"
+                    checks.append(len(refs))
+                yield _Result()
 
-    for result in fork_map(fn, range(6)):
-        refs.append(weakref.ref(result))
-        del result      # the consumer keeps nothing
-    assert len(refs) == 6
-    _assert_no_children()
+        for piece in fork_map(fn, range(6)):
+            refs.append(weakref.ref(piece))
+            del piece       # the consumer keeps nothing
+        assert len(refs) == 18
+        # this process made each of its pieces when its consumer asked for it,
+        # after every piece before it, the children's among them
+        assert checks == [3 * x + j for x in range(0, 6, cpus) for j in range(3)], cpus
+        _assert_no_children()
 
 
 # sha256 of figure 1's charts.json at its defaults, as tests/test_cli.py pins it
