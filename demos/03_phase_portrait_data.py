@@ -13,8 +13,6 @@ Writes orbits.csv and manifolds.json into demos/output/.
 import json
 from pathlib import Path
 
-import numpy as np
-
 import surfauto as sa
 
 out_dir = Path(__file__).parent / "output"
@@ -33,9 +31,10 @@ rows = ["seed_id,step,x,y"]
 z = elliptic.zeta.real
 for sid, offset in enumerate((2e-3, 8e-3, 2e-2, 5e-2)):
     orb = sa.iterate_orbit(p, (z + offset, z + offset), 4000)
-    print(f"   orbit at offset {offset:g}: {orb.status}, {len(orb.points)} points, "
-          f"max radius {np.abs(orb.points - z).max():.3f}")
-    for i, (x, y) in enumerate(orb.points):
+    # point i of the orbit is (seq[i], seq[i+1])
+    print(f"   orbit at offset {offset:g}: {orb.status}, {len(orb.seq) - 1} points, "
+          f"max radius {max(abs(v - z) for v in orb.seq):.3f}")
+    for i, (x, y) in enumerate(zip(orb.seq, orb.seq[1:])):
         rows.append(f"{sid},{i},{x:.15e},{y:.15e}")
 (out_dir / "orbits.csv").write_text("\n".join(rows) + "\n")
 print(f"wrote {out_dir / 'orbits.csv'}")

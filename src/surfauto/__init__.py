@@ -6,9 +6,9 @@ plane dynamics (fixed points, orbits, invariant manifolds).
 
 Importing the package loads the exact layer and the map family only.  The
 chart layer (:mod:`surfauto.charts`, on mpmath) and the plane dynamics
-(:mod:`surfauto.dynamics`, on numpy) are imported on first use of one of
-their names here, so ``surfauto.CenterTable`` or ``surfauto.fixed_points``
-costs its import when it is first read.
+(:mod:`surfauto.dynamics`, in Python floats) are imported on first use of
+one of their names here, so ``surfauto.CenterTable`` or
+``surfauto.fixed_points`` costs its import when it is first read.
 """
 
 import importlib

@@ -8,11 +8,12 @@ fixed digit counts so identical configurations produce byte-identical
 files.
 
 Each command imports the layer it runs when it runs: the exact-layer
-commands (spectrum, degrees, weyl, cn) load neither mpmath nor numpy,
-verify, charts and parabolic load the chart layer (mpmath), and the plane
-dynamics (fixed-points, orbit, unstable, and verify's fixed-point suite)
-load numpy.  A command that deals jobs to forked children through
-fork_map imports their code before it forks.
+commands (spectrum, degrees, weyl, cn) load no mpmath, verify, charts
+and parabolic load the chart layer (mpmath), and the plane dynamics
+(fixed-points, orbit, unstable, and verify's fixed-point suite) load
+surfauto.dynamics, which computes in Python floats and complex numbers.
+A command that deals jobs to forked children through fork_map imports
+their code before it forks.
 """
 
 import argparse

@@ -4,9 +4,7 @@ manifolds of the plane maps."""
 import cmath
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
-
-import numpy as np
+from itertools import accumulate
 
 from .errors import NotSaddleError, NumericCheckError, ParamError, PoleError
 from .mapfamily import MAGNITUDE_CAP, eval_f
@@ -21,7 +19,7 @@ class FixedPointRecord:
     trace: complex
     eigenvalues: tuple
     type: str            # saddle | elliptic | parabolic | complex
-    residual: float      # max |f(zeta, zeta) - (zeta, zeta)| over both components
+    residual: float      # max |f(zeta, zeta) - (zeta, zeta)|, over max(1, f's largest term)
     multiplicity: int = 1
 
 
@@ -44,8 +42,9 @@ def fixed_point_polynomial(p):
 
 
 def jacobian(p, pt):
-    """Df at an affine point: [[0, 1], [-1, d2]], d2 the closed-form partial
-    with its a_l terms in ascending l; determinant is 1 identically."""
+    """Df at an affine point as its rows ((0, 1), (-1, d2)), d2 the complex
+    closed-form partial with its a_l terms in ascending l; determinant is 1
+    identically."""
     x, y = pt
     if abs(y) < 1e-12:
         raise PoleError("jacobian undefined on the pole line")
@@ -53,7 +52,7 @@ def jacobian(p, pt):
     for l, al in p.coeffs().a:
         d2 -= l * complex(al) / y ** (l + 1)
     d2 -= p.k / y ** (p.k + 1)
-    return np.array([[0, 1], [-1, d2]], dtype=complex)
+    return ((0, 1), (-1, d2))
 
 
 def _classify(zeta, trace):
@@ -69,18 +68,23 @@ def _classify(zeta, trace):
 
 def fixed_points(p):
     """All k+1 diagonal fixed points with multiplier data, sorted by
-    (Re, Im); each is validated by evaluating the map, its residual kept."""
-    coeffs = fixed_point_polynomial(p)
-    roots = aberth_roots(coeffs)
-    clustered = cluster_roots(roots)
+    (Re, Im); each is validated by evaluating the map, its residual kept.
+
+    The residual is |f(zeta) - zeta| over max(1, M), M the largest of the
+    terms |zeta|, |c zeta|, |a_l zeta^-l| and |zeta^-k| that f's second
+    component sums: an accurate root leaves a rounding error of that size."""
+    co = p.coeffs()
     records = []
-    for zeta, mult in clustered:
+    for zeta, mult in cluster_roots(aberth_roots(fixed_point_polynomial(p))):
         img = eval_f(p, (zeta, zeta))
-        res = max(abs(img[0] - zeta), abs(img[1] - zeta))
-        if res > 1e-10:
-            raise NumericCheckError(f"fixed-point residual {res} at {zeta}")
+        w = abs(1 / zeta)
+        scale = max(1.0, abs(zeta), abs(co.c * zeta), w ** p.k,
+                    *(abs(al) * w ** l for l, al in co.a))
+        res = max(abs(img[0] - zeta), abs(img[1] - zeta)) / scale
+        if not res <= 1e-10:
+            raise NumericCheckError(f"fixed-point residual {res} (relative) at {zeta}")
         J = jacobian(p, (zeta, zeta))
-        tr = complex(np.trace(J))
+        tr = J[0][0] + J[1][1]
         disc = cmath.sqrt(tr * tr - 4)
         ev = ((tr + disc) / 2, (tr - disc) / 2)
         records.append(FixedPointRecord(zeta=zeta, trace=tr, eigenvalues=ev,
@@ -114,23 +118,20 @@ def trace_map_rank(p):
         raise ParamError("trace rank is evaluated at the zero parameter point")
     k = p.k
     params = [l for l in range(2, k - 1) if l % 2 == 0]
-    base = fixed_points(p)
-    zetas = [r.zeta for r in base]
-    analytic = np.array([[(k - l) / z ** (l + 1) for l in params] for z in zetas],
-                        dtype=complex)
-    numeric = np.zeros_like(analytic)
+    if not params:
+        return 0, 0.0
+    zetas = [r.zeta for r in fixed_points(p)]
+    analytic = [[(k - l) / z ** (l + 1) for l in params] for z in zetas]
+    agree = 0.0
     for col, l in enumerate(params):
-        plus = replace(p, a={l: FD_STEP})
-        minus = replace(p, a={l: -FD_STEP})
-        tp = _match_traces(zetas, plus)
-        tm = _match_traces(zetas, minus)
-        numeric[:, col] = (np.array(tp) - np.array(tm)) / (2 * FD_STEP)
-    if analytic.size:
-        sv = np.linalg.svd(analytic, compute_uv=False)
-        rank = int(np.sum(sv > 1e-8 * sv[0]))
-        agree = float(np.max(np.abs(analytic - numeric)))
-    else:
-        rank, agree = 0, 0.0
+        tp = _match_traces(zetas, replace(p, a={l: FD_STEP}))
+        tm = _match_traces(zetas, replace(p, a={l: -FD_STEP}))
+        agree = max(agree, *(abs(row[col] - (a - b) / (2 * FD_STEP))
+                             for row, a, b in zip(analytic, tp, tm)))
+    import mpmath
+
+    sv = mpmath.svd_c(mpmath.matrix(analytic), compute_uv=False)
+    rank = sum(1 for s in sv if s > 1e-8 * max(sv))
     return rank, agree
 
 
@@ -151,9 +152,8 @@ def trace_set_separation(p, p_hat):
     assignment of the two multisets; returns (separated, distance)."""
     if (p.n, p.k) != (p_hat.n, p_hat.k):
         raise ParamError("trace separation compares members of one family")
-    t1 = np.array(_traces_for(p))
-    t2 = np.array(_traces_for(p_hat))
-    cost = np.abs(t1[:, None] - t2[None, :]).tolist()
+    t2 = _traces_for(p_hat)
+    cost = [[abs(a - b) for b in t2] for a in _traces_for(p)]
     dist = max(row[j] for row, j in zip(cost, _min_sum_assignment(cost)))
     return dist > 1e-8, dist
 
@@ -210,16 +210,10 @@ class OrbitResult:
 
     Since f(x, y) = (y, ...), point i of the orbit is (seq[i], seq[i+1]): an
     orbit of m points holds m + 1 numbers, Python floats when the data are
-    real and complex otherwise.  ``points`` is the same orbit as an (m, 2)
-    array of that dtype, built on first use."""
+    real and complex otherwise."""
 
     seq: list
     status: str          # completed | escaped | pole
-
-    @cached_property
-    def points(self):
-        a = np.array(self.seq, dtype=complex if isinstance(self.seq[0], complex) else float)
-        return np.column_stack((a[:-1], a[1:]))
 
 
 def iterate_orbit(p, pt0, m, pole_tol=1e-12):
@@ -260,8 +254,8 @@ def iterate_orbit(p, pt0, m, pole_tol=1e-12):
 
 @dataclass
 class Polyline:
-    points: np.ndarray
-    arclength: np.ndarray
+    points: list         # (x, y) tuples of floats
+    arclength: list      # cumulative, from 0.0 at points[0]
     stop: str            # arclength | max-points | left-window | guard | depth
     meta: dict = field(default_factory=dict)
 
@@ -282,43 +276,45 @@ def unstable_manifold(p, fp, arclen=20.0, spacing=0.05, max_points=1_000_000):
     """
     if fp.type != "saddle":
         raise NotSaddleError(f"fixed point {fp.zeta} is {fp.type}")
-    z = complex(fp.zeta)
-    J = jacobian(p, (z, z))
-    evals, evecs = np.linalg.eig(J)
-    iu = int(np.argmax(np.abs(evals)))
-    lam = evals[iu].real
-    vec = evecs[:, iu].real
-    vec = vec / np.linalg.norm(vec)
-    x0 = np.array([z.real, z.real])
+    z = fp.zeta.real
+    # Df = [[0, 1], [-1, d2]] maps (1, lam) to lam * (1, lam): the unit
+    # eigenvector of the multiplier off the unit circle, signed so that its
+    # largest entry, lam's, is positive (the sign LAPACK's eig gives it)
+    lam = max(fp.eigenvalues, key=abs).real
+    h = math.copysign(math.hypot(1.0, lam), lam)
+    vec = (1 / h, lam / h)
+    x0, p1 = (z, z), (z + SEED_SCALE * vec[0], z + SEED_SCALE * vec[1])
 
     def step(q):
         try:
-            img = eval_f(p, (q[0], q[1]))
+            img = eval_f(p, q)
         except (PoleError, OverflowError):  # OverflowError covers OverflowEscape
             return None
         if max(abs(img[0]), abs(img[1])) > 1e6:
             return None
-        return np.array([img[0].real if isinstance(img[0], complex) else img[0],
-                         img[1].real if isinstance(img[1], complex) else img[1]])
+        return (img[0].real, img[1].real)
+
+    def dist(a, b):
+        dx, dy = a[0] - b[0], a[1] - b[1]
+        return math.sqrt(dx * dx + dy * dy)
 
     # fundamental domain [p1, f(p1)] with p1 on the eigenvector: successive
     # image batches then join exactly (f^i of the s=1 end is f^(i+1) of s=0)
-    p1 = x0 + SEED_SCALE * vec
     fp1 = step(p1)
     if fp1 is None:
         raise NotSaddleError("seed segment leaves the finite window immediately")
-    seg = fp1 - p1
+    seg = (fp1[0] - p1[0], fp1[1] - p1[1])
 
     def manifold_point(s, iters):
-        q = p1 + s * seg
+        q = (p1[0] + s * seg[0], p1[1] + s * seg[1])
         for _ in range(iters):
             q = step(q)
             if q is None:
                 return None
         return q
 
-    pts = [x0.copy(), p1.copy()]
-    total = float(np.linalg.norm(p1 - x0))
+    pts = [x0, p1]
+    total = dist(p1, x0)
     stop = "arclength" if total >= arclen else "max-points" if len(pts) >= max_points else None
     iters = 0
     while stop is None:
@@ -339,8 +335,8 @@ def unstable_manifold(p, fp, arclen=20.0, spacing=0.05, max_points=1_000_000):
                 # jumping the gap
                 stop = "left-window"
                 break
-            if np.linalg.norm(qb - qa) <= spacing or (sb - sa_) < 1e-14:
-                d = np.linalg.norm(qa - pts[-1])
+            if dist(qb, qa) <= spacing or (sb - sa_) < 1e-14:
+                d = dist(qa, pts[-1])
                 if d == 0.0:
                     continue
                 pts.append(qa)
@@ -357,10 +353,9 @@ def unstable_manifold(p, fp, arclen=20.0, spacing=0.05, max_points=1_000_000):
         iters += 1
         if stop is None and iters > MAX_DEPTH:
             stop = "depth"
-    arr = np.array(pts)
-    arc = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(arr, axis=0), axis=1))])
-    return Polyline(points=arr, arclength=arc, stop=stop,
-                    meta={"fixed_point": [z.real, z.real],
+    arc = list(accumulate((dist(b, a) for a, b in zip(pts, pts[1:])), initial=0.0))
+    return Polyline(points=pts, arclength=arc, stop=stop,
+                    meta={"fixed_point": [z, z],
                           "eigenvalue": lam,
                           "seed_scale": SEED_SCALE,
                           "spacing": spacing})

@@ -1,62 +1,64 @@
 """Polynomial roots: Aberth-Ehrlich for all complex roots, and clustering
 of near-coincident ones."""
 
+import cmath
 import math
 
-import numpy as np
+
+def _horner(c, z):
+    y = 0j
+    for v in c:
+        y = y * z + v
+    return y
 
 
 def aberth_roots(coeffs):
-    """All complex roots of a polynomial, descending coefficients.
+    """All complex roots of a polynomial, descending coefficients, as a list.
 
-    Simultaneous Aberth-Ehrlich iteration followed by a Newton polish of
-    each root.  Degree is expected to be small (dozens at most).
+    Simultaneous Aberth-Ehrlich iteration (every root steps from the same
+    previous estimates) followed by a Newton polish of each root.  Degree
+    is expected to be small (dozens at most).
     """
-    c = np.asarray(coeffs, dtype=complex)
-    c = np.trim_zeros(c, "f")
-    if c.size < 2:
-        return np.array([], dtype=complex)
-    c = c / c[0]
-    deg = c.size - 1
-    dc = c[:-1] * np.arange(deg, 0, -1)
+    c = [complex(v) for v in coeffs]
+    while c and c[0] == 0:
+        del c[0]
+    if len(c) < 2:
+        return []
+    c = [v / c[0] for v in c]
+    deg = len(c) - 1
+    dc = [v * (deg - i) for i, v in enumerate(c[:-1])]
 
     # Cauchy bound, slightly perturbed start angles to break symmetry
-    R = 1.0 + float(np.max(np.abs(c[1:])))
-    ang = 2 * math.pi * (np.arange(deg) + 0.25) / deg + 0.17
-    z = R ** (np.arange(deg) % 2 * 0.5 + 0.5) * np.exp(1j * ang)
+    R = 1.0 + max(abs(v) for v in c[1:])
+    z = [R ** (i % 2 * 0.5 + 0.5) * cmath.exp(1j * (2 * math.pi * (i + 0.25) / deg + 0.17))
+         for i in range(deg)]
+
+    def newton(zi):
+        dp = _horner(dc, zi)
+        return _horner(c, zi) / dp if dp != 0 else 0
 
     for _ in range(200):
-        p = np.polyval(c, z)
-        dp = np.polyval(dc, z)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = np.where(dp != 0, p / dp, 0)
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        s = np.sum(1.0 / diff, axis=1)
-        denom = 1.0 - newton * s
-        step = np.where(denom != 0, newton / denom, newton)
-        z = z - step
-        if np.max(np.abs(step)) < 1e-14 * max(1.0, np.max(np.abs(z))):
+        steps = []
+        for i, zi in enumerate(z):
+            nw = newton(zi)
+            denom = 1 - nw * sum(1 / (zi - zj) for j, zj in enumerate(z) if j != i)
+            steps.append(nw / denom if denom != 0 else nw)
+        z = [zi - s for zi, s in zip(z, steps)]
+        if max(map(abs, steps)) < 1e-14 * max(1.0, max(map(abs, z))):
             break
     # Newton polish
     for _ in range(4):
-        p = np.polyval(c, z)
-        dp = np.polyval(dc, z)
-        mask = np.abs(dp) > 0
-        z[mask] = z[mask] - p[mask] / dp[mask]
+        z = [zi - newton(zi) for zi in z]
     return z
 
 
 def cluster_roots(roots):
     """Group roots within 1e-7 of each other into (value, multiplicity) pairs."""
     out = []
-    used = np.zeros(len(roots), dtype=bool)
-    for i, r in enumerate(roots):
-        if used[i]:
-            continue
-        close = np.abs(roots - r) < 1e-7
-        close &= ~used
-        members = roots[close]
-        used |= close
-        out.append((complex(np.mean(members)), int(len(members))))
+    left = list(roots)
+    while left:
+        r, rest = left[0], left[1:]
+        members = [r] + [z for z in rest if abs(z - r) < 1e-7]
+        left = [z for z in rest if not abs(z - r) < 1e-7]
+        out.append((sum(members) / len(members), len(members)))
     return out

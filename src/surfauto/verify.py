@@ -3,8 +3,8 @@ member, producing machine-readable verdicts for the CLI and tests.
 
 The exact suites need only the lattice layer.  The chart-layer suites
 import :mod:`surfauto.charts` (and so mpmath) and the fixed-point suite
-:mod:`surfauto.dynamics` (numpy) when they run; a suite that deals its
-jobs through fork_map imports them before it forks."""
+:mod:`surfauto.dynamics` when they run; a suite that deals its jobs
+through fork_map imports them before it forks."""
 import contextlib
 import math
 import os
@@ -109,13 +109,7 @@ def fork_map(fn, items):
     the children still running are killed; every child is reaped before it
     finishes.  With one CPU or one item, or on a platform without
     os.sched_getaffinity (Linux has it, and os.fork), it is the pieces of
-    map(fn, items).
-
-    numpy is loaded only by the plane dynamics, but it may be when this
-    forks (`surfauto orbit` finds its default seeds with it, and a caller
-    may have imported it); its BLAS threads, if running, do not exist in a
-    child, and the suites' and `surfauto orbit`'s jobs are interpreter
-    arithmetic, no BLAS."""
+    map(fn, items)."""
     items = list(items)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     width = min(cpus, len(items))
@@ -498,13 +492,14 @@ def fixed_point_suite(p):
     recs = fixed_points(p)
     _exact(rep, "count", sum(r.multiplicity for r in recs) == p.k + 1,
            f"{len(recs)} distinct")
-    # fixed_points measured each |f(zeta) - zeta| and raised on one above 1e-10
+    # fixed_points measured each |f(zeta) - zeta| relative to f's largest
+    # term there, and raised on one above 1e-10
     worst = max(r.residual for r in recs)
     rep.add("residuals", worst < 1e-10, residual=worst, bound=1e-10)
     worst = 0.0
     for r in recs:
         J = jacobian(p, (r.zeta, r.zeta))
-        det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
+        det = J[0][0] * J[1][1] - J[0][1] * J[1][0]
         worst = max(worst, abs(det - 1))
     rep.add("jacobian-determinant", worst < 1e-9, residual=worst, bound=1e-9)
 

@@ -208,11 +208,12 @@ def test_verify_preset(capsys, tmp_path):
 
 # sha256 of the figure-1 chart-layer outputs, as written when projective
 # points were normalised by dividing by their largest entry and Richardson
-# extrapolation ran in mpmath: verify.json with --points 2 --n-xi 3, and
-# charts.json at its defaults
+# extrapolation ran in mpmath: verify.json with --points 2 --n-xi 3 (re-recorded
+# when the fixed-point residual became relative to f's largest term, the
+# only value that moved), and charts.json at its defaults
 CHART_LAYER_DIGESTS = {
     "verify": ("verify.json", ["--points", "2", "--n-xi", "3"],
-               "0d50b85b73f825b9906e609a237769f17e07cb79c42842c373aae8e6e41bc5eb"),
+               "275e37c7bf25b97f78f4de3ceaa36343fe209b88fdf7b01ccbf86a06b7ae1011"),
     "charts": ("charts.json", [],
                "a3dda3259b75f943251ef0a4d311fa2d4e17fe53b1f07cb5f4c017484e951d3f"),
 }
@@ -398,6 +399,32 @@ def test_fixed_points_with_c_rounding_to_two_is_a_usage_error(c_flags, capsys):
     assert (rc, out) == (2, "")
     assert err.startswith("error:") and "rounds to 2 in double precision" in err
     assert "Traceback" not in err
+
+
+# members with accurate fixed points at which f's terms are large: the
+# absolute |f(zeta) - zeta| read 4.6e-9 at (2,30) against terms of about
+# 1e10, and 2.5e-10 at (4,20) against about 1e6, both above 1e-10.  The
+# (4,20) member comes from a seeded census of random k = 20 members
+# (random.Random(348): one to three a_l, uniform in [-4, 4] to two places)
+LARGE_TERM_MEMBERS = {
+    "2-30": ["--n", "2", "--k", "30", "--c-j", "1", "--a", "28=3"],
+    "4-20": ["--n", "4", "--k", "20", "--c-j", "1", "--a", "18=3.89"],
+}
+
+
+@pytest.mark.parametrize("member", sorted(LARGE_TERM_MEMBERS))
+def test_fixed_point_residual_is_relative_to_the_largest_term(member, capsys, tmp_path):
+    flags = LARGE_TERM_MEMBERS[member]
+    rc, _, err = run_cli(["fixed-points", *flags, "--out", str(tmp_path)], capsys)
+    assert rc == 0, err
+    assert len(json.loads((tmp_path / "fixed_points.json").read_text())["fixed_points"]) > 0
+    # verify's exit code also carries the chart suites' verdicts, which
+    # this member does not all pass; the file is written either way
+    run_cli(["verify", *flags, "--points", "1", "--n-xi", "1", "--out", str(tmp_path)], capsys)
+    suites = json.loads((tmp_path / "verify.json").read_text())["suites"]
+    checks = {c["id"]: c for s in suites if s["suite"] == "fixed-points" for c in s["checks"]}
+    assert checks["residuals"]["status"] == "pass"
+    assert checks["residuals"]["residual"] < 1e-10
 
 
 def test_charts_zero_tolerance_fails(capsys, tmp_path):
@@ -596,10 +623,10 @@ def _python(code, *args):
 
 
 # the modules of the chart layer (mpmath, charts, dual) and of the plane
-# dynamics (numpy, dynamics, polyroots)
+# dynamics (dynamics, polyroots), and numpy, which no command loads
 LAYER_MODULES = ("mpmath", "numpy", "surfauto.charts", "surfauto.dual", "surfauto.dynamics",
                  "surfauto.polyroots")
-DYNAMICS_MODULES = ["numpy", "surfauto.dynamics", "surfauto.polyroots"]
+DYNAMICS_MODULES = ["surfauto.dynamics", "surfauto.polyroots"]
 PROBE = ("import json, sys\n{}\n"
          f"print(json.dumps([m for m in {LAYER_MODULES!r} if m in sys.modules]))")
 
@@ -618,6 +645,8 @@ COMMAND_LAYERS = {
     "fixed-points": (["--params", str(PRESET)], DYNAMICS_MODULES),
     "unstable": (["--params", str(PRESET), "--arclen", "0.5"], DYNAMICS_MODULES),
     "orbit": (["--params", str(PRESET), "--steps", "10"], DYNAMICS_MODULES),
+    "verify": (["--params", str(PRESET), "--points", "1", "--n-xi", "1"],
+               ["mpmath", "surfauto.charts", "surfauto.dual"] + DYNAMICS_MODULES),
 }
 
 
@@ -627,6 +656,33 @@ def test_each_command_loads_only_its_layer(command, tmp_path):
     code = PROBE.format("from surfauto.cli import main; assert main(sys.argv[1:]) == 0")
     run = _python(code, command, *args, "--out", str(tmp_path))
     assert json.loads(run.stdout.splitlines()[-1]) == loaded
+
+
+# figure 1's output file and flags for each command that runs the plane
+# dynamics (verify through its fixed-point suite)
+DYNAMICS_RUNS = {
+    "fixed-points": ("fixed_points.json", []),
+    "unstable": ("unstable.json", []),
+    "orbit": ("orbits.csv", ["--steps", "300"]),
+    "verify": ("verify.json", ["--points", "1", "--n-xi", "1"]),
+}
+
+
+def test_dynamics_commands_need_no_numpy(capsys, tmp_path):
+    # with sys.modules["numpy"] = None every import of numpy raises
+    # ImportError; each command still writes the file an ordinary run does
+    argvs = {command: [command, "--params", str(PRESET), *flags]
+             for command, (_, flags) in DYNAMICS_RUNS.items()}
+    code = ("import json, sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from surfauto.cli import main\n"
+            "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))\n")
+    _python(code, json.dumps([argv + ["--out", str(tmp_path / "blocked" / command)]
+                              for command, argv in argvs.items()]))
+    for command, (name, _) in DYNAMICS_RUNS.items():
+        out = tmp_path / "ordinary" / command
+        assert run_cli(argvs[command] + ["--out", str(out)], capsys)[0] == 0
+        assert (tmp_path / "blocked" / command / name).read_bytes() == (out / name).read_bytes()
 
 
 # every name `import surfauto` bound before the chart layer and the plane

@@ -3,6 +3,7 @@ import itertools
 import math
 import subprocess
 import sys
+from array import array
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ def test_fixed_point_count_and_residuals():
             img = sa.eval_f(p, (r.zeta, r.zeta))
             assert abs(img[1] - r.zeta) < 1e-10
             J = sa.jacobian(p, (r.zeta, r.zeta))
-            det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
+            det = J[0][0] * J[1][1] - J[0][1] * J[1][0]
             assert abs(det - 1) < 1e-9
             assert abs(r.eigenvalues[0] + r.eigenvalues[1] - r.trace) < 1e-9
             assert abs(r.eigenvalues[0] * r.eigenvalues[1] - 1) < 1e-9
@@ -47,7 +48,7 @@ def test_fixed_points_do_not_depend_on_the_order_of_the_a_l():
     assert p == q and list(p.a) != list(q.a)
     assert sa.fixed_points(p) == sa.fixed_points(q)
     for r in sa.fixed_points(p):
-        assert np.array_equal(sa.jacobian(p, (r.zeta, r.zeta)), sa.jacobian(q, (r.zeta, r.zeta)))
+        assert sa.jacobian(p, (r.zeta, r.zeta)) == sa.jacobian(q, (r.zeta, r.zeta))
 
 
 def test_zero_parameter_roots_on_circle():
@@ -79,7 +80,7 @@ def test_jacobian_closed_form_vs_dual():
     for _ in range(20):
         pt = (rng.uniform(-2, 2) + 1j * rng.uniform(-1, 1),
               rng.uniform(0.3, 2) + 1j * rng.uniform(-1, 1))
-        A = sa.jacobian(p, pt)
+        A = np.array(sa.jacobian(p, pt), dtype=complex)
         B = jacobian_dual(p, pt)
         assert np.max(np.abs(A - B)) < 1e-10
 
@@ -102,6 +103,7 @@ def test_trace_map_rank():
     assert rank == 2
     assert agree < 1e-5
     assert sa.trace_map_rank(sa.MapParams(n=3, k=2, c_spec=(1, 1)))[0] == 0
+    assert sa.trace_map_rank(sa.MapParams(n=2, k=20, c_spec=(1, 1)))[0] == 9
 
 
 def test_trace_map_rank_fd_agreement():
@@ -118,17 +120,24 @@ def test_trace_set_separation():
     assert not same and dist0 < 1e-12
 
 
-# distances recorded with scipy.optimize.linear_sum_assignment on the same
-# cost matrix, before the assignment moved into the package
+# figure 1's distance recorded with scipy.optimize.linear_sum_assignment on
+# the same cost matrix, before the assignment moved into the package; the
+# other two recorded when the roots came from the per-root Aberth loop (they
+# moved by 2.5e-15 and 7.5e-15 from the vectorised one's), each equal to the
+# largest entry of the min-sum permutation found by trying every one
 @pytest.mark.parametrize("n, k, a, a_hat, dist", [
     (2, 4, {2: 0.01}, {2: 0.02}, 0.03065077181096076),
-    (3, 4, {2: 0.4}, {2: 0.3}, 0.2812525621177816),
-    (2, 6, {2: 0.1 + 0.2j, 4: -0.3j}, {2: 0.15 - 0.1j, 4: 0.2}, 1.8754794149190885),
+    (3, 4, {2: 0.4}, {2: 0.3}, 0.2812525621177791),
+    (2, 6, {2: 0.1 + 0.2j, 4: -0.3j}, {2: 0.15 - 0.1j, 4: 0.2}, 1.875479414919081),
 ], ids=["figure-1", "3-4", "2-6-complex"])
 def test_trace_set_separation_pinned(n, k, a, a_hat, dist):
-    sep, got = sa.trace_set_separation(sa.MapParams(n=n, k=k, c_spec=(1, 1), a=a),
-                                       sa.MapParams(n=n, k=k, c_spec=(1, 1), a=a_hat))
+    p, q = (sa.MapParams(n=n, k=k, c_spec=(1, 1), a=b) for b in (a, a_hat))
+    sep, got = sa.trace_set_separation(p, q)
     assert sep and got == dist
+    cost = [[abs(s - t) for t in dyn._traces_for(q)] for s in dyn._traces_for(p)]
+    best = min(itertools.permutations(range(len(cost))),
+               key=lambda perm: sum(row[j] for row, j in zip(cost, perm)))
+    assert max(row[j] for row, j in zip(cost, best)) == dist
 
 
 def test_min_sum_assignment_against_all_permutations():
@@ -159,13 +168,13 @@ def test_orbit_of_fixed_point_is_constant():
     z = elliptic.zeta.real
     orb = sa.iterate_orbit(p, (z, z), 200)
     assert orb.status == "completed"
-    assert np.max(np.abs(orb.points - z)) < 1e-8
+    assert max(abs(v - z) for v in orb.seq) < 1e-8
     # at a saddle the roundoff amplifies along the unstable direction, so
     # constancy only holds over short horizons
     saddle = [r for r in sa.fixed_points(p) if r.type == "saddle"][0]
     z = saddle.zeta.real
     orb = sa.iterate_orbit(p, (z, z), 10)
-    assert np.max(np.abs(orb.points - z)) < 1e-8
+    assert max(abs(v - z) for v in orb.seq) < 1e-8
 
 
 def test_orbit_stays_real_and_bounded_near_elliptic_point():
@@ -174,8 +183,8 @@ def test_orbit_stays_real_and_bounded_near_elliptic_point():
     z = elliptic.zeta.real
     orb = sa.iterate_orbit(p, (z + 1e-3, z + 1e-3), 10_000)
     assert orb.status == "completed"
-    assert orb.points.dtype.kind == "f"
-    assert np.max(np.abs(orb.points)) < 10.0
+    assert all(type(v) is float for v in orb.seq)
+    assert max(map(abs, orb.seq)) < 10.0
 
 
 def test_orbit_escape_and_pole_status():
@@ -191,12 +200,13 @@ def test_complex_orbit_matches_eval_f():
     # a complex a_l takes the complex branch, which steps as eval_f does
     p = sa.MapParams(n=2, k=4, c_spec=(1, 1), a={2: -2.64 + 0.3j})
     orb = sa.iterate_orbit(p, (0.3, 0.7), 3)
-    assert orb.status == "completed" and orb.points.dtype.kind == "c"
+    assert orb.status == "completed" and all(type(v) is complex for v in orb.seq)
     pt = (0.3, 0.7)
-    for row in orb.points[1:]:
+    # point i of the orbit is (seq[i], seq[i+1])
+    for row in zip(orb.seq[1:], orb.seq[2:]):
         pt = sa.eval_f(p, pt)
         assert abs(row[0] - pt[0]) < 1e-12 and abs(row[1] - pt[1]) < 1e-12
-    assert abs(orb.points[1][1] - (-1.522823823406914 + 0.6122448979591837j)) < 1e-12
+    assert abs(orb.seq[2] - (-1.522823823406914 + 0.6122448979591837j)) < 1e-12
 
 
 def test_orbit_reversor_identity():
@@ -204,14 +214,15 @@ def test_orbit_reversor_identity():
     start = (0.35, -0.6)
     fwd = sa.iterate_orbit(p, start, 12)
     assert fwd.status == "completed"
+    points = list(zip(fwd.seq, fwd.seq[1:]))
     # the swapped forward orbit, run backwards, is the swap of the original
-    cur = (fwd.points[-1][1], fwd.points[-1][0])
+    cur = (points[-1][1], points[-1][0])
     back = [cur]
-    for _ in range(len(fwd.points) - 1):
+    for _ in range(len(points) - 1):
         cur = sa.eval_f(p, cur)
         back.append(cur)
     swapped = np.array([[b[1], b[0]] for b in back])[::-1]
-    assert np.max(np.abs(swapped - fwd.points)) < 1e-7
+    assert np.max(np.abs(swapped - np.array(points))) < 1e-7
 
 
 ORBIT_MEMBERS = {
@@ -229,16 +240,26 @@ ORBIT_MEMBERS = {
     ("n6-k4", (0.0, 5.2e99), 300, 1e-12, "escaped", "f"),
 ])
 def test_orbit_x_is_the_previous_y(member, start, steps, pole_tol, status, kind):
-    # f(x, y) = (y, ...): each point's x is bitwise the y of the point before
+    # f(x, y) = (y, ...): the orbit's points are (seq[i], seq[i+1]), so each
+    # point's x is the y of the point before; restarted from point i with
+    # the steps left, the orbit continues bitwise
     p = ORBIT_MEMBERS[member]
     orb = sa.iterate_orbit(p, start, steps, pole_tol=pole_tol)
-    assert orb.status == status and 1 < len(orb.points) <= steps + 1
-    assert orb.points.shape == (len(orb.points), 2) and orb.points.dtype.kind == kind
-    assert orb.points[1:, 0].tobytes() == orb.points[:-1, 1].tobytes()
+    assert orb.status == status and 2 < len(orb.seq) <= steps + 2
+    assert all(type(v) is {"f": float, "c": complex}[kind] for v in orb.seq)
+    i = len(orb.seq) // 2
+    rest = sa.iterate_orbit(p, (orb.seq[i], orb.seq[i + 1]), steps - i, pole_tol=pole_tol)
+    assert rest.status == status
+    assert array("d", _parts(rest.seq)).tobytes() == array("d", _parts(orb.seq[i:])).tobytes()
+
+
+def _parts(seq):
+    return [part for v in seq for part in (v.real, v.imag)]
 
 
 def _segment_distance(pts, q):
     """Distance from q to the piecewise-linear curve through pts."""
+    pts = np.array(pts)
     a = pts[:-1]
     b = pts[1:]
     ab = b - a
@@ -253,7 +274,7 @@ def test_unstable_manifold_basic():
     saddle = [r for r in sa.fixed_points(p) if r.type == "saddle"][0]
     line = sa.unstable_manifold(p, saddle, arclen=1.5, spacing=0.005)
     z = saddle.zeta.real
-    assert np.linalg.norm(line.points[1] - [z, z]) < 1e-5
+    assert math.dist(line.points[1], (z, z)) < 1e-5
     assert len(line.points) > 50
     assert line.arclength[-1] >= 1.0
     # invariance: images of early points land back on the polyline; near
@@ -273,7 +294,7 @@ def test_manifold_spacing_holds_for_both_saddles():
         if r.type != "saddle" or abs(r.zeta.imag) > 1e-9:
             continue
         line = sa.unstable_manifold(p, r, arclen=5.0, spacing=0.05)
-        gaps = np.linalg.norm(np.diff(line.points[2:], axis=0), axis=1)
+        gaps = np.linalg.norm(np.diff(np.array(line.points[2:]), axis=0), axis=1)
         assert gaps.max() <= 0.05 + 1e-9
         assert line.arclength[-1] >= 4.0
 
@@ -292,7 +313,7 @@ def test_manifold_leaves_island():
     elliptic = [r for r in recs if r.type == "elliptic"][0]
     saddle = [r for r in recs if r.type == "saddle"][0]
     line = sa.unstable_manifold(p, saddle, arclen=6.0, spacing=0.1)
-    dist = np.linalg.norm(line.points - [elliptic.zeta.real] * 2, axis=1)
+    dist = np.linalg.norm(np.array(line.points) - [elliptic.zeta.real] * 2, axis=1)
     assert dist.max() > 1.0
 
 
@@ -323,11 +344,12 @@ def _real_saddles(p):
 
 
 def _points_digest(line):
-    return hashlib.sha256(line.points.tobytes()).hexdigest()
+    return hashlib.sha256(array("d", itertools.chain.from_iterable(line.points)).tobytes()).hexdigest()
 
 
-# sha256 of unstable_manifold(fig1, saddle, arclen=5.0).points.tobytes(), as
-# traced before the level loop stopped at the arclength
+# sha256 of unstable_manifold(fig1, saddle, arclen=5.0)'s points as float64
+# x, y pairs, as traced (into an (m, 2) numpy array) before the level loop
+# stopped at the arclength
 MANIFOLD_DIGESTS = {
     -0.738: (154, "745484a28d26a5ba148af9b0a449dee72a3be754c401560d0e272564da3c0a42"),
     0.575: (147, "1b1fe8dc4d96a33b6777bf46a63a4c0f17c53aa3526ef79aaf3497fd8b4c1b00"),
@@ -410,7 +432,7 @@ def test_manifold_stops_at_max_points():
     full = sa.unstable_manifold(p, saddle, arclen=5.0)
     line = sa.unstable_manifold(p, saddle, arclen=5.0, max_points=40)
     assert line.stop == "max-points"
-    assert np.array_equal(line.points, full.points[:40])
+    assert line.points == full.points[:40]
 
 
 def test_manifold_ends_when_a_level_exhausts_the_guard(monkeypatch):
@@ -423,8 +445,8 @@ def test_manifold_ends_when_a_level_exhausts_the_guard(monkeypatch):
     line = sa.unstable_manifold(p, saddle, arclen=5.0, spacing=0.05)
     assert line.stop == "guard"
     assert line.arclength[-1] < 5.0
-    assert np.array_equal(line.points, full.points[:len(line.points)])
-    gaps = np.linalg.norm(np.diff(line.points[2:], axis=0), axis=1)
+    assert line.points == full.points[:len(line.points)]
+    gaps = np.linalg.norm(np.diff(np.array(line.points[2:]), axis=0), axis=1)
     assert gaps.max() <= 0.05 + 1e-9
 
 
