@@ -248,9 +248,12 @@ def cmd_fixed_points(args):
         for row in rows:
             lines.append(f"{row['type']},{row['zeta'][0]},{row['zeta'][1]},"
                          f"{row['trace'][0]},{row['trace'][1]},{row['multiplicity']}")
+        text = "\n".join(lines) + "\n"
         path = _out_path(args, "fixed_points.csv")
         if path:
-            path.write_text("\n".join(lines) + "\n")
+            path.write_text(text)
+        else:
+            sys.stdout.write(text)
         return 0
     path = _out_path(args, "fixed_points.json")
     if path:
@@ -286,32 +289,40 @@ def _load_seeds(args, p):
     return [(0.1, 0.1)]
 
 
-ORBIT_BLOCK = 4096  # CSV rows per block of text an orbit job yields
+ORBIT_BLOCK = 4096  # CSV rows per block of bytes an orbit job yields
 
 
 def _orbit_rows(p, sid, seed, steps):
-    """Yield the orbit of seed `sid` as its CSV rows in blocks of
-    ORBIT_BLOCK rows, then as the pair of its status and row count.  Each
-    block is stepped by one iterate_orbit from the point the block before
-    stopped at, formatted and yielded before the next is stepped, so the
-    job holds one block's floats or text, never the whole orbit or the
-    seed's text."""
+    """Yield the orbit of seed `sid` as its CSV rows, ASCII bytes, in blocks
+    of ORBIT_BLOCK rows, then as the pair of its status and row count.
+    Each block is stepped by one iterate_orbit from the point the block
+    before stopped at, formatted and yielded before the next is stepped, so
+    the job holds one block's floats or bytes, never the whole orbit or the
+    seed's text.  A block's numbers are formatted by one bytes `%`
+    (``%.15e``) when the orbit is real; bytes `%` has no complex conversion,
+    so a complex orbit's are formatted by one `str.format` (``{:.15e}``,
+    the same text for a float) and encoded.  One bytes `%` builds the
+    block's (step, x, y) rows."""
     from .dynamics import iterate_orbit
 
     start, pt = 0, seed
+    row = b"%d,%%d,%%s,%%s\n" % sid
     while pt is not None:
         orb = iterate_orbit(p, pt, min(ORBIT_BLOCK, steps - start))
         seq, status = orb.seq, orb.status
         # all ORBIT_BLOCK steps taken: the last point is the next block's first row
         full = len(seq) - 2 == ORBIT_BLOCK
         rows = len(seq) - 1 - full
-        # row start + i is (seq[i], seq[i+1])
-        txt = ("{:.15e}," * (rows + 1)).format(*seq[:rows + 1]).split(",")
+        # row start + i is (seq[i], seq[i+1]); iterate_orbit keeps a real orbit all floats
+        if isinstance(seq[0], float):
+            txt = (b"%.15e," * (rows + 1) % tuple(seq[:rows + 1])).split(b",")
+        else:
+            txt = ("{:.15e}," * (rows + 1)).format(*seq[:rows + 1]).encode().split(b",")
         cells = [None] * (3 * rows)
         cells[0::3] = range(start, start + rows)
         cells[1::3] = txt[:rows]
         cells[2::3] = txt[1:rows + 1]
-        block = (f"{sid},%d,%s,%s\n" * rows) % tuple(cells)
+        block = row * rows % tuple(cells)
         pt = (seq[-2], seq[-1]) if full else None
         start += rows
         del orb, seq, txt, cells  # not kept while the block is written
@@ -321,6 +332,9 @@ def _orbit_rows(p, sid, seed, steps):
 
 
 def cmd_orbit(args):
+    """Write the CSV rows of each seed's orbit, as bytes, to orbits.csv in
+    --out or else, decoded, to standard output, then print each seed's
+    status."""
     from . import dynamics  # imported here, before fork_map forks, not in each child
 
     steps = _non_negative(args.steps, "--steps")
@@ -329,16 +343,18 @@ def cmd_orbit(args):
     path = _out_path(args, "orbits.csv")
     statuses = []
     rows = 0
-    # the header is still buffered when fork_map forks: its children leave
-    # through os._exit, so they never flush it
-    with open(path, "w") if path else nullcontext(sys.stdout) as fh, \
+    # the header is still in the file's BufferedWriter or in stdout's buffer
+    # when fork_map forks: its children leave through os._exit, so they never
+    # flush it
+    with open(path, "wb") if path else nullcontext() as fh, \
             closing(fork_map(lambda job: _orbit_rows(p, *job, steps),
                              enumerate(seeds))) as pieces:
-        fh.write("seed_id,step,x,y\n")
+        write = fh.write if path else (lambda data: sys.stdout.write(data.decode()))
+        write(b"seed_id,step,x,y\n")
         # each seed's blocks of rows, written as they arrive, then its status and row count
         for piece in pieces:
-            if isinstance(piece, str):
-                fh.write(piece)
+            if isinstance(piece, bytes):
+                write(piece)
             else:
                 statuses.append(piece[0])
                 rows += piece[1]

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -9,13 +11,15 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import surfauto
 import surfauto.charts as charts
 from surfauto.cli import ORBIT_BLOCK, READER_GONE, _orbit_rows, _params_from, build_parser, main
 from surfauto.dynamics import fixed_points, iterate_orbit
 from surfauto.errors import ExtrapolationError
-from surfauto.mapfamily import MapParams, figure1_params
+from surfauto.mapfamily import MAGNITUDE_CAP, MapParams, figure1_params
 from surfauto.verify import VerdictReport, _transition_check
 
 PRESET = Path(__file__).resolve().parents[1] / "demos" / "figure1.json"
@@ -242,6 +246,17 @@ def test_fixed_points_csv_format(capsys, tmp_path):
     lines = (tmp_path / "fixed_points.csv").read_text().splitlines()
     assert lines[0] == "type,zeta_re,zeta_im,trace_re,trace_im,multiplicity"
     assert len(lines) == 6
+
+
+def test_fixed_points_csv_without_out_goes_to_stdout(capsys, tmp_path):
+    rc, summary, _ = run_cli(["fixed-points", "--params", str(PRESET)], capsys)
+    assert rc == 0
+    run_cli(["fixed-points", "--params", str(PRESET), "--format", "csv", "--out", str(tmp_path)],
+            capsys)
+    rc, out, _ = run_cli(["fixed-points", "--params", str(PRESET), "--format", "csv"], capsys)
+    assert rc == 0
+    # the summary, then the lines that --out writes to fixed_points.csv
+    assert out == summary + (tmp_path / "fixed_points.csv").read_text()
 
 
 def test_orbit_default_seeds(capsys, tmp_path):
@@ -518,19 +533,43 @@ def test_orbit_csv_pinned(kind, monkeypatch, capsys, tmp_path):
 def test_orbit_to_stdout_has_one_header(tmp_path):
     # with stdout block-buffered, the header is still in its buffer when the
     # seeds are dealt to forked children: a child that flushed it on exit
-    # would repeat it
+    # would repeat it.  On one CPU nothing forks, and the CSV is the same.
     seeds = tmp_path / "seeds.json"
     seeds.write_text(ORBIT_SEEDS)
-    code = ("import os, sys; os.sched_getaffinity = lambda pid: set(range(3)); "
-            "from surfauto.cli import main; sys.exit(main(sys.argv[1:]))")
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-    run = subprocess.run([sys.executable, "-c", code, "orbit", "--params", str(PRESET),
-                          "--steps", "300", "--seeds", str(seeds)],
-                         capture_output=True, check=True, env=env)
-    csv, statuses = run.stdout.rstrip(b"\n").rsplit(b"\n", 1)
-    assert csv.count(b"seed_id,step,x,y") == 1
-    assert hashlib.sha256(csv + b"\n").hexdigest() == ORBIT_CSV_DIGESTS["real"]
-    assert json.loads(statuses)["statuses"]["2"] == "pole"
+    for cpus in (1, 3):
+        code = (f"import os, sys; os.sched_getaffinity = lambda pid: set(range({cpus})); "
+                "from surfauto.cli import main; sys.exit(main(sys.argv[1:]))")
+        run = subprocess.run([sys.executable, "-c", code, "orbit", "--params", str(PRESET),
+                              "--steps", "300", "--seeds", str(seeds)],
+                             capture_output=True, check=True, env=env)
+        csv, statuses = run.stdout.rstrip(b"\n").rsplit(b"\n", 1)
+        assert csv.count(b"seed_id,step,x,y") == 1, cpus
+        assert hashlib.sha256(csv + b"\n").hexdigest() == ORBIT_CSV_DIGESTS["real"], cpus
+        assert json.loads(statuses)["statuses"]["2"] == "pole"
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["text-only", "with-buffer"])
+def test_orbit_to_stdout_keeps_the_text_printed_before(buffered, monkeypatch, tmp_path):
+    # the rows are decoded and written to sys.stdout itself, so they follow
+    # the text printed before, on a stream with a byte buffer or without one
+    seeds = tmp_path / "seeds.json"
+    seeds.write_text(ORBIT_SEEDS)
+    argv = ["orbit", "--params", str(PRESET), "--steps", "300", "--seeds", str(seeds)]
+    for cpus in (1, 3):
+        _set_cpus(monkeypatch, cpus)
+        stream = io.TextIOWrapper(io.BytesIO(), encoding="ascii") if buffered else io.StringIO()
+        with contextlib.redirect_stdout(stream):
+            print("before")
+            rc = main(argv)
+        stream.flush()
+        out = stream.buffer.getvalue().decode() if buffered else stream.getvalue()
+        assert rc == 0
+        before, rest = out.split("\n", 1)
+        csv, statuses = rest.rstrip("\n").rsplit("\n", 1)
+        assert before == "before"
+        assert hashlib.sha256(csv.encode() + b"\n").hexdigest() == ORBIT_CSV_DIGESTS["real"], cpus
+        assert json.loads(statuses)["statuses"]["2"] == "pole"
 
 
 # [0.1, 1e200] trips the magnitude cap on step 1.  On figure 1 (c = 0) the
@@ -770,13 +809,50 @@ def test_orbit_blocks_match_the_whole_seed_oracle(kind, steps):
     # the job's pieces: its blocks of rows, then (status, row count)
     *blocks, tail = _orbit_rows(p, 3, seed, steps)
     got, want = (*tail, blocks), _whole_seed_orbit_rows(p, 3, seed, steps)
-    assert all(isinstance(block, str) for block in blocks)
+    assert all(isinstance(block, bytes) for block in blocks)
     assert got[:2] == want[:2]
-    assert "".join(got[2]) == "".join(want[2])
-    assert [block.count("\n") for block in got[2][:-1]] == [ORBIT_BLOCK] * (len(got[2]) - 1)
-    assert 1 <= got[2][-1].count("\n") <= ORBIT_BLOCK
+    assert b"".join(got[2]) == "".join(want[2]).encode()
+    assert [block.count(b"\n") for block in got[2][:-1]] == [ORBIT_BLOCK] * (len(got[2]) - 1)
+    assert 1 <= got[2][-1].count(b"\n") <= ORBIT_BLOCK
     if steps > 100:
         assert got[0] == status
+
+
+# a signed zero, the smallest subnormal, three-digit exponents, and the
+# floats at and beside the magnitude cap and iterate_orbit's pole tolerance
+EDGE_FLOATS = [-0.0, 5e-324, 1e-100, -1e100,
+               math.nextafter(MAGNITUDE_CAP, 0), MAGNITUDE_CAP,
+               math.nextafter(MAGNITUDE_CAP, math.inf),
+               math.nextafter(1e-12, 0), 1e-12, math.nextafter(1e-12, 1), -1e-12]
+
+
+def _with_examples(test):
+    """Run a hypothesis test on each of EDGE_FLOATS too."""
+    for x in EDGE_FLOATS:
+        test = example(x)(test)
+    return test
+
+
+@_with_examples
+@settings(max_examples=500, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_bytes_percent_e_is_str_format_e(x):
+    # _orbit_rows formats a real block with bytes % and a complex one with str.format
+    assert (b"%.15e" % x).decode() == "{:.15e}".format(x)
+
+
+@pytest.mark.parametrize("x", EDGE_FLOATS, ids=repr)
+@pytest.mark.parametrize("kind", ["real", "complex-a"])
+def test_orbit_block_of_edge_floats_matches_the_str_oracle(kind, x):
+    p = ORBIT_CASES[kind][0]
+    # x as the seed's x, then as its y, on which the pole tolerance and the cap act
+    for seed in ((x, 0.5), (0.5, x)):
+        *blocks, tail = _orbit_rows(p, 0, seed, 2)
+        status, count, want = _whole_seed_orbit_rows(p, 0, seed, 2)
+        assert tail == (status, count)
+        assert b"".join(blocks) == "".join(want).encode()
+    if kind == "complex-a":
+        assert b"j," in blocks[0]
 
 
 # tracemalloc peak of one 50 000-step figure-1 orbit job: 6.77 MiB when every
@@ -784,7 +860,8 @@ def test_orbit_blocks_match_the_whole_seed_oracle(kind, steps):
 # whole seed was stepped first and then formatted block by block, 3.37 MiB
 # when each block was stepped, formatted and its floats dropped before the
 # next, and 1.05 MiB, at 50 000 and at 200 000 steps alike, since the job
-# yields each block and keeps none of the seed's text
+# yields each block and keeps none of the seed's text; 0.99 MiB when each
+# block is formatted as bytes, not str
 ORBIT_JOB_PEAK_MB = 1.2
 
 
@@ -799,7 +876,7 @@ def test_orbit_job_holds_one_block_of_formatted_numbers():
             pieces = 0
             for piece in _orbit_rows(p, 0, seed, steps):
                 pieces += 1
-                if not isinstance(piece, str):
+                if not isinstance(piece, bytes):
                     status, count = piece
                 del piece
             peak = tracemalloc.get_traced_memory()[1]
