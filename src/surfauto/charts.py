@@ -66,7 +66,7 @@ def default_dps(k):
     """Working precision, in decimal digits, for full-depth chart inversions.
 
     Budgeted, not measured, for lifts down to eps = 1e-7 (the last decade
-    _lift_limit extends to): inverting level j <= 2k+3 at transverse
+    _lifted_transition extends to): inverting level j <= 2k+3 at transverse
     distance eps cancels about j*log10(1/eps) digits, and 45 more are kept.
     mpmath runs at this dps and Jets at jet_bits(dps) bits, mpmath's
     precision there plus a guard: about 420 bits for k = 4 and 700 for
@@ -280,23 +280,44 @@ def fiber_transition_numeric(table, s, j, xi):
     fiber_transition_closed.  Convergence: successive order-2 extrapolants
     (over a sliding window of EPS_SEQ, extended by further decades when
     needed) must agree below CONV_TOL; otherwise ExtrapolationError."""
-    source = s == "sigma2"
-    tgt = fiber_target(table.n, table.k, s, j)
+    return _lifted_transition(table, s, j, xi, fiber_target(table.n, table.k, s, j),
+                              _f_jet, "transition")
+
+
+def _lifted_transition(table, s, j, xi, tgt, image, what):
+    """The point xi of the fiber (s, j), or [1:xi:0] with s = "sigma2",
+    carried through the plane to the target tgt: lifted off the fiber by
+    eps, sent by image(jt, P) on the Jet table jt, read in the target chart
+    (z2/z0 for SIGMA1), and extrapolated to eps = 0.
+
+    The samples run on Jet constants of table.bits bits.  Up to two more
+    limits are pulled from the lift ladder until successive ones agree
+    below CONV_TOL; only the final limit's value becomes an mpmath number.
+    Returns (tgt, limit, last change) or raises ExtrapolationError, whose
+    text names `what`."""
     jt = table.jet
 
-    def sample(xi, eps):
-        if source:
+    def sample(eps):
+        if s == "sigma2":
             P = (one_like(xi), xi, eps)
         else:
             P = chart_to_plane(jt, ChartId(s, j), ChartPoint(xi, eps))
-        Q = _f_jet(jt, P)
+        Q = image(jt, P)
         if tgt == SIGMA1:
             z0, z1, z2 = Q
-            return z2 / z0
+            return (z2 / z0,)
         _, s2, j2 = tgt
-        return plane_to_chart(jt, ChartId(s2, j2), Q).u
+        return (plane_to_chart(jt, ChartId(s2, j2), Q).u,)
 
-    return (tgt,) + _lift_limit(table, xi, sample, "transition")
+    with mp.workdps(table.dps):
+        xi = Jet.const(xi, table.bits)
+        ladder = _lift_ladder(table, sample)
+        (lim,) = next(ladder)
+        for (nxt,) in islice(ladder, 2):
+            gap, lim = abs(nxt - lim), nxt
+            if gap < CONV_TOL:
+                return tgt, lim.mpc()[0], float(gap)
+    raise ExtrapolationError(f"{what} extrapolants keep moving by {float(gap)} > {CONV_TOL}")
 
 
 def _f_jet(jt, P):
@@ -322,25 +343,6 @@ def _lift_ladder(table, sample):
         eps_mp /= 10
         eps.append(Jet.const(eps_mp, table.bits))
         vals.append(sample(eps[-1]))
-
-
-def _lift_limit(table, xi, sample, what):
-    """Limit of sample(xi, eps) as the lift eps off the fiber goes to 0.
-
-    sample runs on Jet constants of table.bits bits and returns a Jet.  Up
-    to two more limits are pulled from the lift ladder until successive
-    ones agree below CONV_TOL; only the final limit's value becomes an
-    mpmath number.  Returns (limit, last change) or raises
-    ExtrapolationError."""
-    with mp.workdps(table.dps):
-        xi = Jet.const(xi, table.bits)
-        ladder = _lift_ladder(table, lambda eps: (sample(xi, eps),))
-        (lim,) = next(ladder)
-        for (nxt,) in islice(ladder, 2):
-            gap, lim = abs(nxt - lim), nxt
-            if gap < CONV_TOL:
-                return lim.mpc()[0], float(gap)
-    raise ExtrapolationError(f"{what} extrapolants keep moving by {float(gap)} > {CONV_TOL}")
 
 
 # -- parabolic checks -----------------------------------------------------------
@@ -429,11 +431,5 @@ def reversor_transition_closed(table, s, j, xi):
 def reversor_transition_numeric(table, s, j, xi):
     """Swap-action on fibers computed through the plane, as an independent
     check of the closed form."""
-    tgt = ("fiber", table.n - 1 - s, j)
-    jt = table.jet
-
-    def sample(xi, eps):
-        x0, x1, x2 = chart_to_plane(jt, ChartId(s, j), ChartPoint(xi, eps))
-        return plane_to_chart(jt, ChartId(tgt[1], tgt[2]), (x0, x2, x1)).u
-
-    return (tgt,) + _lift_limit(table, xi, sample, "reversor")
+    return _lifted_transition(table, s, j, xi, ("fiber", table.n - 1 - s, j),
+                              lambda jt, P: (P[0], P[2], P[1]), "reversor")

@@ -374,14 +374,12 @@ def cmd_unstable(args):
     p = _params_from(args)
     saddles = [r for r in fixed_points(p) if r.type == "saddle"]
     if not saddles:
-        print("error: no real saddle fixed points", file=sys.stderr)
-        return USAGE_ERROR
+        raise ParamError("no real saddle fixed points")
     payload = {"params": p.to_json_dict(), "manifolds": []}
     for r in saddles:
         line = unstable_manifold(p, r, arclen=args.arclen, spacing=args.spacing)
         payload["manifolds"].append({
-            "meta": {key: (float(v) if isinstance(v, (int, float)) else v)
-                     for key, v in line.meta.items()},
+            "meta": line.meta,
             "points": [[float(f"{x:.15e}"), float(f"{y:.15e}")] for x, y in line.points],
         })
         print(f"saddle at {r.zeta.real:.12f}: {len(line.points)} points, "
@@ -394,7 +392,7 @@ def cmd_unstable(args):
 
 def cmd_charts(args):
     from .charts import CenterTable
-    from .verify import transition_gap, worst_gap
+    from .verify import transition_gap, worst
 
     tol = _non_negative(args.tol, "--tol")
     p = _params_from(args)
@@ -407,18 +405,18 @@ def cmd_charts(args):
         rec = {"chart": [s, j], "xi": _fmt_complex(xi)}
         gap, failed = transition_gap(result, tol)
         ok = ok and not failed
-        gaps.append(gap)
         if isinstance(gap, str):
             rec["error"] = gap
         else:
+            gaps.append(gap)
             closed, numeric = result
             rec.update(closed=_fmt_complex(closed), numeric=_fmt_complex(numeric),
                        abs_err=float(f"{gap:.3e}"))
         records.append(rec)
-    worst = worst_gap(gaps)
+    residual = worst(gaps)
     payload = {"params": p.to_json_dict(), "records": records,
-               "worst": float(f"{worst:.3e}"), "overall": "pass" if ok else "fail"}
-    print(f"{len(records)} transitions, worst |closed - numeric| = {worst:.3e}")
+               "worst": float(f"{residual:.3e}"), "overall": "pass" if ok else "fail"}
+    print(f"{len(records)} transitions, worst |closed - numeric| = {residual:.3e}")
     _write_json(payload, _out_path(args, "charts.json"))
     return 0 if ok else CHECK_FAILURE
 

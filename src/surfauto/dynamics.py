@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
 
-from .errors import NotSaddleError, NumericCheckError, ParamError, PoleError
+from .errors import NotSaddleError, NumericCheckError, OverflowEscape, ParamError, PoleError
 from .mapfamily import MAGNITUDE_CAP, eval_f
 from .polyroots import aberth_roots, cluster_roots
 
@@ -219,8 +219,8 @@ class OrbitResult:
 def iterate_orbit(p, pt0, m, pole_tol=1e-12):
     """Forward orbit of an affine point, at most m steps; stops before the
     step from a point on the pole line (|y| < pole_tol) and at the first
-    image past the magnitude cap, which is not kept.  Real data (real point
-    and coefficients) stay real exactly.
+    image past the magnitude cap, or past the float range, which is not
+    kept.  Real data (real point and coefficients) stay real exactly.
 
     Each step appends f's second component, ``MapCoeffs._next_y``, to
     ``seq = [x0, y0, y1, ...]``; the x of the next point is the y already
@@ -240,15 +240,18 @@ def iterate_orbit(p, pt0, m, pole_tol=1e-12):
         return OrbitResult(seq=seq, status="escaped")
     status = "completed"
     next_y, append = co._next_y, seq.append
-    for _ in range(m):
-        if abs(y) < pole_tol:
-            status = "pole"
-            break
-        x, y = y, next_y(x, y)
-        if abs(y) > MAGNITUDE_CAP:
-            status = "escaped"
-            break
-        append(y)
+    try:
+        for _ in range(m):
+            if abs(y) < pole_tol:
+                status = "pole"
+                break
+            x, y = y, next_y(x, y)
+            if abs(y) > MAGNITUDE_CAP:
+                status = "escaped"
+                break
+            append(y)
+    except OverflowError:   # a power of 1/y past the float range
+        status = "escaped"
     return OrbitResult(seq=seq, status=status)
 
 
@@ -288,7 +291,7 @@ def unstable_manifold(p, fp, arclen=20.0, spacing=0.05, max_points=1_000_000):
     def step(q):
         try:
             img = eval_f(p, q)
-        except (PoleError, OverflowError):  # OverflowError covers OverflowEscape
+        except (PoleError, OverflowEscape):
             return None
         if max(abs(img[0]), abs(img[1])) > 1e6:
             return None

@@ -214,29 +214,25 @@ def eval_f(p, pt):
     """One application of the map to an affine point (x, y).
 
     Raises PoleError for |y| below DEFAULT_TOL and OverflowEscape past the
-    magnitude cap.  Works on any field-like scalars (complex, mpmath,
-    jets).
+    magnitude cap, or past the float range, which a power of 1/y can
+    overflow.  Works on any field-like scalars (complex, mpmath, jets).
     """
     x, y = pt
     if abs(y) < DEFAULT_TOL:
         raise PoleError(f"y={y} within tol of the pole line")
-    out = p._next_y(x, y)
+    try:
+        out = p._next_y(x, y)
+    except OverflowError:
+        out = math.inf
     if abs(out) > MAGNITUDE_CAP:
         raise OverflowEscape("image magnitude exceeds cap")
     return (y, out)
 
 
 def eval_f_inverse(p, pt):
-    """Inverse map, through the map's one formula: solving
-    Y = next_y(x, X) for x gives f^-1(X, Y) = (next_y(Y, X), X), that is
-    swap . f . swap."""
-    X, Y = pt
-    if abs(X) < DEFAULT_TOL:
-        raise PoleError(f"x={X} within tol of the inverse pole line")
-    out = p._next_y(Y, X)
-    if abs(out) > MAGNITUDE_CAP:
-        raise OverflowEscape("image magnitude exceeds cap")
-    return (out, X)
+    """Inverse map: solving Y = next_y(x, X) for x gives f^-1(X, Y) =
+    (next_y(Y, X), X), that is swap . f . swap, with eval_f's guards."""
+    return eval_f(p, pt[::-1])[::-1]
 
 
 def proj_normalize(P):

@@ -48,6 +48,13 @@ class CheckResult:
                 "bound": self.bound, "detail": self.detail}
 
 
+def worst(values):
+    """The residual of a numeric check's values: the largest, 0.0 when there
+    are none, and NaN when one is NaN, which max would drop."""
+    values = list(values)
+    return math.nan if any(map(math.isnan, values)) else max(values, default=0.0)
+
+
 @dataclass
 class VerdictReport:
     suite: str
@@ -56,6 +63,17 @@ class VerdictReport:
     def add(self, cid, ok, residual=None, bound=None, detail=""):
         self.checks.append(CheckResult(cid, "pass" if ok else "fail",
                                        residual, bound, detail))
+
+    def bounded(self, cid, values, bound, detail=""):
+        """The one rule of a numeric check: its residual is worst(values),
+        and it passes when that is below bound, so a NaN value fails it.
+        With no values it measured nothing, and fails."""
+        values = list(values)
+        if not values:
+            self.add(cid, False, bound=bound, detail="no samples")
+        else:
+            residual = worst(values)
+            self.add(cid, residual < bound, residual, bound, detail)
 
     def report(self, cid, residual=None, detail=""):
         self.checks.append(CheckResult(cid, "report", residual, None, detail))
@@ -71,17 +89,6 @@ class VerdictReport:
 
 def _exact(rep, cid, condition, detail=""):
     rep.add(cid, bool(condition), residual=0.0 if condition else None, detail=detail)
-
-
-def _sampled(rep, cid, samples, ok, residual=None, bound=None, detail=""):
-    """A check over `samples` sample points; one that measured nothing
-    fails.  Without a residual it is exact, as in _exact."""
-    if not samples:
-        rep.add(cid, False, bound=bound, detail="no samples")
-    elif residual is None:
-        _exact(rep, cid, ok, detail)
-    else:
-        rep.add(cid, ok, residual=residual, bound=bound, detail=detail)
 
 
 def fork_map(fn, items):
@@ -205,18 +212,16 @@ def lattice_suite(n, k):
     _exact(rep, "exceptional-image",
            xm.col_compose(F, (lat.strict[sigma2],))[0] == lat.strict[strict_image(n, k, sigma2)])
 
-    divides, cofactor, worst = char_poly_factor_check(n, k)
+    divides, _, off_circle = char_poly_factor_check(n, k)
     _exact(rep, "entropy-factor-divides", divides)
-    rep.add("cofactor-unit-modulus", worst < 1e-9, residual=worst, bound=1e-9)
+    rep.bounded("cofactor-unit-modulus", [off_circle], 1e-9)
 
     # one sequence: at least ten terms past the recurrence's order 3n
     d = degree_sequence(n, k, max(40, 3 * n + 10))
     _exact(rep, "degree-start", d[0] == 1 and d[1] == k + 1, f"d1 = {d[1]}")
     res = xm.recurrence_residuals(degree_recurrence(n, k), d)
     _exact(rep, "degree-recurrence", res and all(r == 0 for r in res))
-    lam = spectral_radius(n, k)
-    ratio_err = abs(d[40] / d[39] - lam)
-    rep.add("degree-ratio", ratio_err < 1e-6, residual=ratio_err, bound=1e-6)
+    rep.bounded("degree-ratio", [abs(d[40] / d[39] - spectral_radius(n, k))], 1e-6)
 
     ts = t_space(n, k)
     _exact(rep, "line-class-projection",
@@ -291,23 +296,18 @@ def transition_gap(result, tol):
     return gap, isinstance(gap, str) or not gap < tol
 
 
-def worst_gap(gaps):
-    """The residual of transition_gap's gaps, for chart_suite and `surfauto
-    charts`: the largest difference, 0.0 when there is none (error texts are
-    skipped), and NaN when one difference is NaN, which max would drop."""
-    diffs = [g for g in gaps if not isinstance(g, str)]
-    return math.nan if any(map(math.isnan, diffs)) else max(diffs, default=0.0)
-
-
 def _transition_check(rep, cid, jobs, results, tol):
     """The check `cid` over transition jobs and their results: it passes when
-    no job fails transition_gap.  The first failures, as (s, j, difference
-    or error text), go in the detail."""
+    no job fails transition_gap, and its residual is the worst difference.
+    The first failures, as (s, j, difference or error text), go in the
+    detail."""
     gaps = [transition_gap(r, tol) for r in results]
-    worst = worst_gap(g for g, _ in gaps)
+    diffs = [g for g, _ in gaps if not isinstance(g, str)]
     failures = [(s, j, g) for (_, s, j, _), (g, failed) in zip(jobs, gaps) if failed]
-    _sampled(rep, cid, len(jobs), not failures, residual=worst, bound=tol,
-             detail=f"failures: {failures[:4]}" if failures else "")
+    if failures:
+        rep.add(cid, False, worst(diffs), tol, f"failures: {failures[:4]}")
+    else:
+        rep.bounded(cid, diffs, tol)
 
 
 CHART_SEED = 1234
@@ -324,10 +324,9 @@ def chart_suite(p, table=None, n_xi=20, tol=1e-6):
 
     co = p.coeffs()
     w = [complex(x) for x in table.w]
-    ok = abs(w[-1]) < 1e-9
-    pair_ok = all(abs(w[j - 1] * w[n - 1 - j - 1] - 1) < 1e-9 for j in range(1, n - 1))
-    rep.add("orbit-closure", ok, residual=abs(w[-1]), bound=1e-9)
-    _exact(rep, "orbit-pairing", pair_ok)
+    rep.bounded("orbit-closure", [abs(w[-1])], 1e-9)
+    _exact(rep, "orbit-pairing",
+           all(abs(w[j - 1] * w[n - 1 - j - 1] - 1) < 1e-9 for j in range(1, n - 1)))
 
     b = [complex(x) for x in table.b]
     ok = all(abs(b[i]) < 1e-12 for i in range(k)) and abs(b[k] - 1) < 1e-12
@@ -337,14 +336,15 @@ def chart_suite(p, table=None, n_xi=20, tol=1e-6):
     # q * series = y^k through order 2k (constant and x-linear parts; the
     # x-linear part of the series is x * y^2k)
     rng = random.Random(CHART_SEED)
-    worst = 0.0
+    scaled = []
     for _ in range(5):
         xv = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         yv = complex(rng.uniform(0.05, 0.2))
         series = sum(b[i] * yv ** i for i in range(2 * k + 1)) + xv * yv ** (2 * k)
         prod = complex(q_value(co, xv, yv)) * series
-        worst = max(worst, abs(prod - yv ** k) / abs(yv) ** (2 * k + 1))
-    rep.add("series-defining-identity", worst < 10.0, residual=worst,
+        scaled.append(abs(prod - yv ** k) / abs(yv) ** (2 * k + 1))
+    identity = worst(scaled)
+    rep.add("series-defining-identity", identity < 10.0, residual=identity,
             detail="residual scaled by the truncation order")
 
     rng = random.Random(CHART_SEED + 1)
@@ -360,34 +360,32 @@ def chart_suite(p, table=None, n_xi=20, tol=1e-6):
     _transition_check(rep, "contracted-line-entry", entry, results[m:m + 1], tol)
 
     # centers propagate and the nonzero ones close up over the limb cycle
-    worst = 0.0
+    gaps = []
     for s in range(n - 1):
         for j in range(2, 2 * k + 1):
-            tgt, val = fiber_transition_closed(table, s, j, table.beta[(s, j)])
-            _, s2, j2 = tgt
+            (_, s2, j2), val = fiber_transition_closed(table, s, j, table.beta[(s, j)])
             if j2 <= 2 * k:
-                worst = max(worst, abs(complex(val) - complex(table.beta[(s2, j2)])))
-    rep.add("center-propagation", worst < 1e-12, residual=worst, bound=1e-12)
-    worst = 0.0
+                gaps.append(abs(complex(val) - complex(table.beta[(s2, j2)])))
+    rep.bounded("center-propagation", gaps, 1e-12)
+    gaps = []
     for j in range(k + 1, 2 * k, 2):
         cur = table.b[j - 1]
         s = 0
         for _ in range(n - 1):
             tgt, cur = fiber_transition_closed(table, s, j, cur)
             s = tgt[1]
-        worst = max(worst, abs(complex(cur) - complex(table.b[j - 1])))
-    rep.add("center-cycle-closure", worst < 1e-8, residual=worst, bound=1e-8)
+        gaps.append(abs(complex(cur) - complex(table.b[j - 1])))
+    rep.bounded("center-cycle-closure", gaps, 1e-8)
 
     # full-cycle identity on every fiber of the scheme
-    worst = 0.0
+    gaps = []
     for j in range(2, 2 * k + 1):
         xi0 = 1.43 + 0.29j
         s, jj, val = 0, j, xi0
         for _ in range(2 * n):
-            tgt, val = fiber_transition_closed(table, s, jj, val)
-            _, s, jj = tgt
-        worst = max(worst, abs(complex(val) - xi0)) if (s, jj) == (0, j) else float("inf")
-    rep.add("cycle-identity", worst < 1e-8, residual=worst, bound=1e-8)
+            (_, s, jj), val = fiber_transition_closed(table, s, jj, val)
+        gaps.append(abs(complex(val) - xi0) if (s, jj) == (0, j) else math.inf)
+    rep.bounded("cycle-identity", gaps, 1e-8)
 
     if reversor:
         _transition_check(rep, "reversor-fiber-action", reversor, results[m + 1:], tol)
@@ -448,33 +446,21 @@ def parabolic_suite(p, table=None, points_per_fiber=10):
     reports = list(fork_map(lambda job: (parabolic_check(table, *job),),
                             line + fibers + outside))
 
-    worst_dev, worst_fix, diag_ok = 0.0, 0.0, True
-    for r in reports[:len(line)]:
-        worst_dev = max(worst_dev, r.max_deviation)
-        worst_fix = max(worst_fix, r.fix_residual)
-        if r.diag_n is None:
-            diag_ok = False
-        else:
-            dt, da = r.diag_n
-            diag_ok = diag_ok and min(abs(dt - 1), abs(dt + 1)) < DEV_TOL \
-                and abs(da - 1) < DEV_TOL
-    _sampled(rep, "invariant-line-fixed", len(line), worst_fix < FIX_TOL,
-             residual=worst_fix, bound=FIX_TOL)
-    _sampled(rep, "invariant-line-tangent", len(line), worst_dev < DEV_TOL,
-             residual=worst_dev, bound=DEV_TOL)
-    _sampled(rep, "invariant-line-half-diagonal", len(line), diag_ok)
+    on_line, on_fibers = reports[:len(line)], reports[len(line):-2]
+    rep.bounded("invariant-line-fixed", [r.fix_residual for r in on_line], FIX_TOL)
+    rep.bounded("invariant-line-tangent", [r.max_deviation for r in on_line], DEV_TOL)
+    # the half-way differential, expected diag(+-1, 1)
+    diag_ok = all(r.diag_n is not None
+                  and min(abs(r.diag_n[0] - 1), abs(r.diag_n[0] + 1)) < DEV_TOL
+                  and abs(r.diag_n[1] - 1) < DEV_TOL for r in on_line)
+    _exact(rep, "invariant-line-half-diagonal", on_line and diag_ok,
+           "" if on_line else "no samples")
 
-    worst_dev, worst_fix = 0.0, 0.0
-    bad = []
-    for (cid, _), r in zip(fibers, reports[len(line):]):
-        worst_dev = max(worst_dev, r.max_deviation)
-        worst_fix = max(worst_fix, r.fix_residual)
-        if r.max_deviation >= DEV_TOL or r.fix_residual >= FIX_TOL:
-            bad.append((cid.s, cid.j))
-    _sampled(rep, "fibers-fixed", len(fibers), worst_fix < FIX_TOL, residual=worst_fix,
-             bound=FIX_TOL)
-    _sampled(rep, "fibers-tangent", len(fibers), worst_dev < DEV_TOL, residual=worst_dev,
-             bound=DEV_TOL, detail=f"failing fibers: {sorted(set(bad))}" if bad else "")
+    bad = sorted({(cid.s, cid.j) for (cid, _), r in zip(fibers, on_fibers)
+                  if not (r.max_deviation < DEV_TOL and r.fix_residual < FIX_TOL)})
+    rep.bounded("fibers-fixed", [r.fix_residual for r in on_fibers], FIX_TOL)
+    rep.bounded("fibers-tangent", [r.max_deviation for r in on_fibers], DEV_TOL,
+                f"failing fibers: {bad}" if bad else "")
 
     top, level2 = reports[-2:]
     rep.report("top-fiber-outside-configuration", residual=top.max_deviation,
@@ -494,14 +480,10 @@ def fixed_point_suite(p):
            f"{len(recs)} distinct")
     # fixed_points measured each |f(zeta) - zeta| relative to f's largest
     # term there, and raised on one above 1e-10
-    worst = max(r.residual for r in recs)
-    rep.add("residuals", worst < 1e-10, residual=worst, bound=1e-10)
-    worst = 0.0
-    for r in recs:
-        J = jacobian(p, (r.zeta, r.zeta))
-        det = J[0][0] * J[1][1] - J[0][1] * J[1][0]
-        worst = max(worst, abs(det - 1))
-    rep.add("jacobian-determinant", worst < 1e-9, residual=worst, bound=1e-9)
+    rep.bounded("residuals", [r.residual for r in recs], 1e-10)
+    rep.bounded("jacobian-determinant",
+                [abs(J[0][0] * J[1][1] - J[0][1] * J[1][0] - 1)
+                 for J in (jacobian(p, (r.zeta, r.zeta)) for r in recs)], 1e-9)
 
     if (p.n, p.k) == (2, 4) and abs(complex(p.coeffs().c)) < 1e-12 \
             and abs(complex(p.a.get(2, 0)) + 2.64) < 1e-12:
@@ -514,6 +496,6 @@ def fixed_point_suite(p):
         rank, agree = trace_map_rank(p)
         rep.add("trace-rank", rank == p.k // 2 - 1, residual=float(rank),
                 detail=f"rank {rank}, expected {p.k // 2 - 1}")
-        rep.add("trace-rank-fd-agreement", agree < 1e-5, residual=agree, bound=1e-5)
+        rep.bounded("trace-rank-fd-agreement", [agree], 1e-5)
     return rep
 

@@ -189,6 +189,25 @@ def test_unstable_command(capsys, tmp_path):
     assert all(len(m["points"]) > 10 for m in data["manifolds"])
 
 
+def test_unstable_without_a_real_saddle_is_a_usage_error(capsys, tmp_path):
+    # a complex a_2 leaves every fixed point off the real plane
+    rc, out, err = run_cli(["unstable", "--n", "2", "--k", "4", "--c-j", "1", "--a", "2=-2.64,0.3",
+                            "--out", str(tmp_path / "out")], capsys)
+    assert (rc, out, err) == (2, "", "error: no real saddle fixed points\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_orbit_past_the_float_range_escapes(capsys, tmp_path):
+    seeds = tmp_path / "seeds.json"
+    seeds.write_text("[[0.5, 1e-11]]")
+    rc, out, err = run_cli(["orbit", "--n", "2", "--k", "40", "--seeds", str(seeds),
+                            "--steps", "5", "--out", str(tmp_path)], capsys)
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[-1] == '{"statuses": {"0": "escaped"}}'
+    assert (tmp_path / "orbits.csv").read_text() == \
+        "seed_id,step,x,y\n0,0,5.000000000000000e-01,9.999999999999999e-12\n"
+
+
 def test_determinism(tmp_path):
     env_cmd = [sys.executable, "-m", "surfauto.cli"]
     outs = []

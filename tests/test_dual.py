@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import surfauto as sa
-from surfauto.charts import (EPS_SEQ, CenterTable, ChartId, ChartPoint, _lift_ladder, _lift_limit,
-                             parabolic_check)
+from surfauto.charts import (EPS_SEQ, SIGMA1, CenterTable, ChartId, ChartPoint, _lift_ladder,
+                             _lifted_transition, parabolic_check)
 from surfauto.dual import Jet, jet_bits, richardson
 from surfauto.errors import ExtrapolationError
 
@@ -323,7 +323,8 @@ def test_extrapolation_error_reports_a_float():
     much, as a plain finite float."""
     table = CenterTable.build(sa.figure1_params())
     with pytest.raises(ExtrapolationError) as info:
-        _lift_limit(table, 0.5, lambda xi, eps: xi + 1 / eps, "probe")
+        # [1:0.5:eps] reversed is [eps:0.5:1], read as z2/z0 = 1/eps
+        _lifted_transition(table, "sigma2", None, 0.5, SIGMA1, lambda jt, P: P[::-1], "probe")
     msg = str(info.value)
     moved = float(msg.split("moving by ")[1].split(" >")[0])
     assert msg.startswith("probe ") and math.isfinite(moved) and moved > 1.0

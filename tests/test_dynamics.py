@@ -196,6 +196,14 @@ def test_orbit_escape_and_pole_status():
     assert orb.status == "escaped"
 
 
+@pytest.mark.parametrize("a", [{}, {2: 0.1j}])
+def test_orbit_past_the_float_range_escapes(a):
+    # y = 1e-11 clears the pole tolerance, but (1/y)^40 is past the float
+    # range, real or complex: the orbit escapes before its first image
+    orb = sa.iterate_orbit(sa.MapParams(2, 40, (1, 1), a), (0.5, 1e-11), 5)
+    assert orb.status == "escaped" and orb.seq == [0.5, 1e-11]
+
+
 def test_complex_orbit_matches_eval_f():
     # a complex a_l takes the complex branch, which steps as eval_f does
     p = sa.MapParams(n=2, k=4, c_spec=(1, 1), a={2: -2.64 + 0.3j})

@@ -146,6 +146,15 @@ def test_eval_f_pole_and_overflow():
         sa.eval_f(p, (3e100, 1.0))
 
 
+def test_a_power_past_the_float_range_is_an_escape():
+    # y = 2e-9 clears the pole guard, but (1/y)^40 is past the float range
+    p = sa.MapParams(2, 40, (1, 1))
+    with pytest.raises(sa.OverflowEscape):
+        sa.eval_f(p, (0.5, 2e-9))
+    with pytest.raises(sa.OverflowEscape):
+        sa.eval_f_inverse(p, (2e-9, 0.5))
+
+
 def test_inverse_is_swap_conjugate():
     # s . f . s = f^-1 for the coordinate swap s, whatever c and the a_l
     members = (fig1(), sa.MapParams(3, 4, (1, 1), {2: 0.4}),

@@ -1,8 +1,11 @@
 import contextlib
 import hashlib
+import itertools
+import math
 import os
 import time
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import mpmath as mp
@@ -10,6 +13,8 @@ import pytest
 
 import surfauto as sa
 import surfauto.charts as charts
+import surfauto.dynamics as dynamics
+import surfauto.verify as verify
 from surfauto import exactmat as xm
 from surfauto import picard
 from surfauto.cli import main
@@ -22,6 +27,7 @@ from surfauto.verify import (
     fork_map,
     lattice_suite,
     parabolic_suite,
+    worst,
 )
 
 FIGURE1 = Path(__file__).resolve().parents[1] / "demos" / "figure1.json"
@@ -117,6 +123,116 @@ def test_sampled_checks_without_samples_fail():
     # the checks that do not sample are unaffected
     assert charts["orbit-closure"].status == "pass"
     assert parabolic["top-fiber-outside-configuration"].status == "report"
+
+
+@pytest.mark.parametrize("values, expected", [
+    ([], 0.0), ([math.nan, 2.0], math.nan), ([2.0, math.nan], math.nan),
+    ([1.0, math.inf, 2.0], math.inf), ([0.5, 2.0, 1e-3], 2.0)])
+def test_worst_is_the_largest_value_and_nan_when_one_is(values, expected):
+    got = worst(iter(values))
+    assert got == expected or math.isnan(got) and math.isnan(expected)
+
+
+NAN_MEMBER = sa.MapParams(n=3, k=2, c_spec=(1, 1))
+TRACE_MEMBER = sa.MapParams(n=2, k=4, c_spec=(1, 1))   # a = 0 and k = 4: trace-rank runs
+
+
+def _nth(n, pred):
+    """A test of a call's arguments that holds at the n-th call pred holds for."""
+    seen = itertools.count(1)
+    return lambda args: pred(args) and next(seen) == n
+
+
+def _corrupt(monkeypatch, module, name, hit, corrupt):
+    """Make module.name return corrupt(result) at the calls whose arguments
+    hit holds for."""
+    real = getattr(module, name)
+
+    def patched(*args):
+        out = real(*args)
+        return corrupt(out) if hit(args) else out
+
+    monkeypatch.setattr(module, name, patched)
+
+
+def _result(module, name, corrupt):
+    return lambda monkeypatch, table: _corrupt(monkeypatch, module, name, lambda args: True,
+                                               corrupt)
+
+
+def _closed_value(pick):
+    """NaN for the value of the fiber_transition_closed call pick(table) picks."""
+    return lambda monkeypatch, table: _corrupt(monkeypatch, charts, "fiber_transition_closed",
+                                               pick(table), lambda out: (out[0], math.nan))
+
+
+def _report(pick, field):
+    """NaN for one field of the first parabolic_check report whose job pick holds for."""
+    return lambda monkeypatch, table: _corrupt(monkeypatch, charts, "parabolic_check",
+                                               _nth(1, pick),
+                                               lambda r: replace(r, **{field: math.nan}))
+
+
+def _nan_orbit_end(monkeypatch, table):
+    table.jet   # built first: the lifts run on the true orbit
+    object.__setattr__(table, "w", table.w[:-1] + (mp.nan,))
+
+
+def _nan_jacobian_entry(monkeypatch, table):
+    # Df's lower-left entry at the first fixed point: fixed_points reads
+    # only the trace of Df, so the suite's determinant alone meets the NaN
+    z = dynamics.fixed_points(TRACE_MEMBER)[0].zeta
+    _corrupt(monkeypatch, dynamics, "jacobian", lambda args: args[1] == (z, z),
+             lambda J: (J[0], (math.nan, J[1][1])))
+
+
+SUITES = {
+    "lattice": lambda table: lattice_suite(2, 4),
+    "charts": lambda table: chart_suite(NAN_MEMBER, table, n_xi=1),
+    "parabolic": lambda table: parabolic_suite(NAN_MEMBER, table, points_per_fiber=1),
+    "fixed-points": lambda table: fixed_point_suite(TRACE_MEMBER),
+}
+# each bounded check: its suite, and how one of its values becomes NaN
+NAN_CASES = {
+    "cofactor-unit-modulus": ("lattice", _result(verify, "char_poly_factor_check",
+                                                 lambda out: out[:2] + (math.nan,))),
+    "degree-ratio": ("lattice", _result(verify, "spectral_radius", lambda out: math.nan)),
+    "orbit-closure": ("charts", _nan_orbit_end),
+    # beta(0, 2) is b_1, which only center-propagation passes
+    "center-propagation": ("charts", _closed_value(
+        lambda t: _nth(1, lambda args: args[3] is t.beta[(0, 2)]))),
+    # b_k is beta(0, k+1): center-propagation passes it first, the cycle second
+    "center-cycle-closure": ("charts", _closed_value(
+        lambda t: _nth(2, lambda args: args[3] is t.b[t.k]))),
+    "cycle-identity": ("charts", _closed_value(
+        lambda t: _nth(1, lambda args: args[3] == 1.43 + 0.29j))),
+    "invariant-line-fixed": ("parabolic", _report(lambda args: args[1].j == 0, "fix_residual")),
+    "invariant-line-tangent": ("parabolic", _report(lambda args: args[1].j == 0,
+                                                    "max_deviation")),
+    "fibers-fixed": ("parabolic", _report(lambda args: args[1].j != 0, "fix_residual")),
+    "fibers-tangent": ("parabolic", _report(lambda args: args[1].j != 0, "max_deviation")),
+    "residuals": ("fixed-points", _result(dynamics, "fixed_points",
+                                          lambda recs: [replace(recs[0], residual=math.nan)]
+                                          + recs[1:])),
+    "jacobian-determinant": ("fixed-points", _nan_jacobian_entry),
+    "trace-rank-fd-agreement": ("fixed-points", _result(dynamics, "trace_map_rank",
+                                                        lambda out: (out[0], math.nan))),
+}
+
+
+@pytest.mark.parametrize("cid", list(NAN_CASES))
+def test_a_nan_value_fails_its_bounded_check(monkeypatch, cid):
+    # max(worst, nan) keeps worst: a NaN value must fail its check with a
+    # NaN residual, not be dropped
+    suite, make_nan = NAN_CASES[cid]
+    _set_cpus(monkeypatch, 1)   # every job runs here, where the patches count calls
+    table = sa.CenterTable.build(NAN_MEMBER)
+    make_nan(monkeypatch, table)
+    checks = {c.id: c for c in SUITES[suite](table).checks}
+    assert checks[cid].status == "fail" and math.isnan(checks[cid].residual), checks[cid]
+    if cid.startswith("fibers-"):
+        # the first fiber job is on F^1_0
+        assert checks["fibers-tangent"].detail == "failing fibers: [(0, 1)]"
 
 
 def test_degree_recurrence_has_terms_beyond_dim_41(monkeypatch):
