@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 from itertools import accumulate
 
 from .errors import NotSaddleError, NumericCheckError, OverflowEscape, ParamError, PoleError
-from .mapfamily import MAGNITUDE_CAP, eval_f
+from .mapfamily import POLE_TOL, eval_f, steps
 from .polyroots import aberth_roots, cluster_roots
 
 _ELLIPTIC_MARGIN = 1e-9
@@ -46,7 +46,7 @@ def jacobian(p, pt):
     closed-form partial with its a_l terms in ascending l; determinant is 1
     identically."""
     x, y = pt
-    if abs(y) < 1e-12:
+    if abs(y) < POLE_TOL:
         raise PoleError("jacobian undefined on the pole line")
     d2 = complex(p.coeffs().c)
     for l, al in p.coeffs().a:
@@ -216,17 +216,14 @@ class OrbitResult:
     status: str          # completed | escaped | pole
 
 
-def iterate_orbit(p, pt0, m, pole_tol=1e-12):
-    """Forward orbit of an affine point, at most m steps; stops before the
-    step from a point on the pole line (|y| < pole_tol) and at the first
-    image past the magnitude cap, or past the float range, which is not
-    kept.  Real data (real point and coefficients) stay real exactly.
+def iterate_orbit(p, pt0, m):
+    """Forward orbit of an affine point, at most m steps, ending where
+    :func:`mapfamily.steps` ends it.  Real data (real point and
+    coefficients) stay real exactly.
 
-    Each step appends f's second component, ``MapCoeffs._next_y``, to
-    ``seq = [x0, y0, y1, ...]``; the x of the next point is the y already
-    stored, the same Python object.  So only the seed's y is tested against
-    the cap before the first step: every later x is a y the step before
-    tested.  Restarted from the last point of an orbit of real data or of
+    Each step appends f's second component to ``seq = [x0, y0, y1, ...]``;
+    the x of the next point is the y already stored, the same Python
+    object.  Restarted from the last point of an orbit of real data or of
     complex coefficients, it continues that orbit exactly."""
     co = p.coeffs()
     # c is a float (MapParams takes it by (j, sign) only)
@@ -236,23 +233,7 @@ def iterate_orbit(p, pt0, m, pole_tol=1e-12):
     if real:
         co = co._replace(a=tuple((l, float(complex(v).real)) for l, v in co.a))
     seq = [x, y]
-    if m and abs(y) > MAGNITUDE_CAP:
-        return OrbitResult(seq=seq, status="escaped")
-    status = "completed"
-    next_y, append = co._next_y, seq.append
-    try:
-        for _ in range(m):
-            if abs(y) < pole_tol:
-                status = "pole"
-                break
-            x, y = y, next_y(x, y)
-            if abs(y) > MAGNITUDE_CAP:
-                status = "escaped"
-                break
-            append(y)
-    except OverflowError:   # a power of 1/y past the float range
-        status = "escaped"
-    return OrbitResult(seq=seq, status=status)
+    return OrbitResult(seq=seq, status=steps(co._next_y, x, y, m, seq.append))
 
 
 @dataclass
@@ -266,9 +247,10 @@ class Polyline:
 LEVEL_GUARD = 200_000  # interval pops allowed in one refinement level
 MAX_DEPTH = 400        # deepest iterate of the fundamental segment
 SEED_SCALE = 1e-6      # distance of the fundamental segment from the saddle
+MAX_POINTS = 1_000_000  # points of one traced manifold
 
 
-def unstable_manifold(p, fp, arclen=20.0, spacing=0.05, max_points=1_000_000):
+def unstable_manifold(p, fp, arclen=20.0, spacing=0.05):
     """Trace the unstable manifold of a saddle by iterating a fundamental
     segment along the unstable eigenvector, refining in seed space until
     consecutive image points are closer than `spacing`.
@@ -318,7 +300,7 @@ def unstable_manifold(p, fp, arclen=20.0, spacing=0.05, max_points=1_000_000):
 
     pts = [x0, p1]
     total = dist(p1, x0)
-    stop = "arclength" if total >= arclen else "max-points" if len(pts) >= max_points else None
+    stop = "arclength" if total >= arclen else "max-points" if len(pts) >= MAX_POINTS else None
     iters = 0
     while stop is None:
         # refine the fundamental seed interval at this iterate depth; the
@@ -346,7 +328,7 @@ def unstable_manifold(p, fp, arclen=20.0, spacing=0.05, max_points=1_000_000):
                 total += d
                 if total >= arclen:
                     stop = "arclength"
-                elif len(pts) >= max_points:
+                elif len(pts) >= MAX_POINTS:
                     stop = "max-points"
                 continue
             sm = 0.5 * (sa_ + sb)

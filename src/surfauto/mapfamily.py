@@ -21,7 +21,7 @@ its coefficients in both, at its working precision.  :func:`eval_f_proj`,
 MapCoeffs and evaluate in whatever scalar type it carries, so each reads c
 and the a_l the same way; the -x of the unit jacobian is written into each
 formula.  The affine formula is written once, on the coefficients, and
-:func:`eval_f`, :func:`eval_f_inverse` and the orbit stepper share it.
+its domain once, in :func:`steps`, which eval_f and the orbit stepper take.
 """
 
 import json
@@ -40,8 +40,9 @@ from .errors import (
 )
 from .picard import check_nk
 
+POLE_TOL = 1e-12
 MAGNITUDE_CAP = 1e100
-DEFAULT_TOL = 1e-9
+DEFAULT_TOL = 1e-9  # float indeterminacy floor
 
 
 def candidate_c(n):
@@ -82,9 +83,8 @@ class MapCoeffs(NamedTuple):
     @property
     def _next_y(self):
         """Second component of f, unchecked, as a function of (x, y): the one
-        formula of the map, shared by eval_f, eval_f_inverse and the orbit
-        stepper.  It binds k, c and the a_l when it is made: the stepper
-        makes it once per orbit and MapParams once per member."""
+        formula of the map.  It binds k, c and the a_l when it is made:
+        iterate_orbit makes it once per orbit and MapParams once per member."""
         k, c, a, _ = self
 
         def next_y(x, y):
@@ -210,23 +210,37 @@ def figure1_params():
 # -- map evaluation ----------------------------------------------------------
 
 
-def eval_f(p, pt):
-    """One application of the map to an affine point (x, y).
-
-    Raises PoleError for |y| below DEFAULT_TOL and OverflowEscape past the
-    magnitude cap, or past the float range, which a power of 1/y can
-    overflow.  Works on any field-like scalars (complex, mpmath, jets).
-    """
-    x, y = pt
-    if abs(y) < DEFAULT_TOL:
-        raise PoleError(f"y={y} within tol of the pole line")
+def steps(next_y, x, y, m, append):
+    """The affine map's domain: at most m steps from (x, y) by next_y, each
+    image's y appended.  Returns "pole" before a step from |y| < POLE_TOL,
+    "escaped" when the given y or an image is past MAGNITUDE_CAP or the
+    float range (such an image is not kept), else "completed"."""
+    tol, cap = POLE_TOL, MAGNITUDE_CAP
+    if m and abs(y) > cap:
+        return "escaped"
     try:
-        out = p._next_y(x, y)
+        for _ in range(m):
+            if abs(y) < tol:
+                return "pole"
+            x, y = y, next_y(x, y)
+            if abs(y) > cap:
+                return "escaped"
+            append(y)
     except OverflowError:
-        out = math.inf
-    if abs(out) > MAGNITUDE_CAP:
-        raise OverflowEscape("image magnitude exceeds cap")
-    return (y, out)
+        return "escaped"
+    return "completed"
+
+
+def eval_f(p, pt):
+    """The map at an affine point (x, y): steps with m = 1, its "pole" a
+    PoleError and "escaped" an OverflowEscape.  Works on any field-like
+    scalars (complex, mpmath, jets)."""
+    x, y = pt
+    img = [y]
+    status = steps(p._next_y, x, y, 1, img.append)
+    if status != "completed":
+        raise (PoleError if status == "pole" else OverflowEscape)(f"{status} at {pt}")
+    return tuple(img)
 
 
 def eval_f_inverse(p, pt):

@@ -297,7 +297,8 @@ def _cycle_product(n, k):
     characteristic polynomial of f_* on span(S), descending; a tuple."""
     out = [1]
     for L in s_cycle_lengths(n, k):
-        out = xm.poly_mul(out, [1] + [0] * (L - 1) + [-1])
+        pad = [0] * L
+        out = [a - b for a, b in zip(out + pad, pad + out)]
     return tuple(out)
 
 

@@ -10,6 +10,7 @@ import pytest
 
 import surfauto as sa
 import surfauto.dynamics as dyn
+import surfauto.mapfamily as mf
 from surfauto.dynamics import fixed_point_polynomial
 
 from jet_oracles import Dual2, jacobian_dual
@@ -187,12 +188,13 @@ def test_orbit_stays_real_and_bounded_near_elliptic_point():
     assert max(map(abs, orb.seq)) < 10.0
 
 
-def test_orbit_escape_and_pole_status():
+def test_orbit_escape_and_pole_status(monkeypatch):
     p = fig1()
     orb = sa.iterate_orbit(p, (0.3, 1e-13), 10)
     assert orb.status == "pole"
     # with the pole guard off, the kick past the cap reports escape
-    orb = sa.iterate_orbit(p, (0.3, 1e-26), 10, pole_tol=0.0)
+    monkeypatch.setattr(mf, "POLE_TOL", 0.0)
+    orb = sa.iterate_orbit(p, (0.3, 1e-26), 10)
     assert orb.status == "escaped"
 
 
@@ -215,6 +217,42 @@ def test_complex_orbit_matches_eval_f():
         pt = sa.eval_f(p, pt)
         assert abs(row[0] - pt[0]) < 1e-12 and abs(row[1] - pt[1]) < 1e-12
     assert abs(orb.seq[2] - (-1.522823823406914 + 0.6122448979591837j)) < 1e-12
+
+
+DOMAIN_MEMBERS = {
+    "k4": sa.MapParams(2, 4, (1, 1), {2: -2.64}),
+    "k4-complex": sa.MapParams(2, 4, (1, 1), {2: -2.64 + 0.3j}),
+    "k40": sa.MapParams(2, 40, (1, 1), {2: 0.3}),
+    "k40-complex": sa.MapParams(2, 40, (1, 1), {2: 0.1j}),
+}
+
+
+@pytest.mark.parametrize("member", DOMAIN_MEMBERS)
+def test_one_orbit_step_ends_as_eval_f(member):
+    # one domain rule: from y on a log grid across the pole tolerance, at a
+    # moderate y and past the magnitude cap, one orbit step's "pole" is
+    # eval_f's PoleError, its "escaped" is OverflowEscape, and otherwise the
+    # images are bitwise equal; eval_f_inverse agrees on the swapped point
+    p = DOMAIN_MEMBERS[member]
+    kind = complex if member.endswith("complex") else float
+    raises = {"pole": sa.PoleError, "escaped": sa.OverflowEscape}
+    seen = set()
+    for mag in [10 ** (e / 4) for e in range(-56, -23)] + [0.7, 2 * mf.MAGNITUDE_CAP]:
+        for y in (mag, -mag):
+            pt = (kind(0.5), kind(y))
+            orb = sa.iterate_orbit(p, pt, 1)
+            seen.add(orb.status)
+            if orb.status in raises:
+                with pytest.raises(raises[orb.status]):
+                    sa.eval_f(p, pt)
+                with pytest.raises(raises[orb.status]):
+                    sa.eval_f_inverse(p, pt[::-1])
+                continue
+            assert orb.status == "completed"
+            step = array("d", _parts(orb.seq[1:])).tobytes()
+            assert array("d", _parts(sa.eval_f(p, pt))).tobytes() == step
+            assert array("d", _parts(sa.eval_f_inverse(p, pt[::-1])[::-1])).tobytes() == step
+    assert seen == {"pole", "escaped", "completed"}
 
 
 def test_orbit_reversor_identity():
@@ -247,16 +285,17 @@ ORBIT_MEMBERS = {
     ("figure1", (0.35, -0.6), 1000, 0.5, "pole", "f"),
     ("n6-k4", (0.0, 5.2e99), 300, 1e-12, "escaped", "f"),
 ])
-def test_orbit_x_is_the_previous_y(member, start, steps, pole_tol, status, kind):
+def test_orbit_x_is_the_previous_y(member, start, steps, pole_tol, status, kind, monkeypatch):
     # f(x, y) = (y, ...): the orbit's points are (seq[i], seq[i+1]), so each
     # point's x is the y of the point before; restarted from point i with
     # the steps left, the orbit continues bitwise
     p = ORBIT_MEMBERS[member]
-    orb = sa.iterate_orbit(p, start, steps, pole_tol=pole_tol)
+    monkeypatch.setattr(mf, "POLE_TOL", pole_tol)
+    orb = sa.iterate_orbit(p, start, steps)
     assert orb.status == status and 2 < len(orb.seq) <= steps + 2
     assert all(type(v) is {"f": float, "c": complex}[kind] for v in orb.seq)
     i = len(orb.seq) // 2
-    rest = sa.iterate_orbit(p, (orb.seq[i], orb.seq[i + 1]), steps - i, pole_tol=pole_tol)
+    rest = sa.iterate_orbit(p, (orb.seq[i], orb.seq[i + 1]), steps - i)
     assert rest.status == status
     assert array("d", _parts(rest.seq)).tobytes() == array("d", _parts(orb.seq[i:])).tobytes()
 
@@ -434,11 +473,12 @@ def test_manifold_propagates_programming_errors(monkeypatch):
         sa.unstable_manifold(p, saddle, arclen=2.0)
 
 
-def test_manifold_stops_at_max_points():
+def test_manifold_stops_at_max_points(monkeypatch):
     p = fig1()
     saddle = _real_saddles(p)[0]
     full = sa.unstable_manifold(p, saddle, arclen=5.0)
-    line = sa.unstable_manifold(p, saddle, arclen=5.0, max_points=40)
+    monkeypatch.setattr(dyn, "MAX_POINTS", 40)
+    line = sa.unstable_manifold(p, saddle, arclen=5.0)
     assert line.stop == "max-points"
     assert line.points == full.points[:40]
 

@@ -141,7 +141,7 @@ def test_eval_f_fixed_point_is_fixed():
 def test_eval_f_pole_and_overflow():
     p = hv_params()
     with pytest.raises(sa.PoleError):
-        sa.eval_f(p, (0.3, 1e-12))
+        sa.eval_f(p, (0.3, 1e-13))
     with pytest.raises(OverflowError):
         sa.eval_f(p, (3e100, 1.0))
 
